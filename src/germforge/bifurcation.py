@@ -4,7 +4,6 @@ G(x, lambda, alpha)."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -14,6 +13,10 @@ from .localalg import _jet_to_sympy, _normalize_poly, _sympy_to_jet, eliminate
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
+
+# work items the triangular branch search in _double_limit_branches may
+# expand before it stops and reports that D's side conditions may be incomplete
+BRANCH_ROUNDS = 200
 
 COLORS = {
     # interior transition set (the figure convention)
@@ -65,12 +68,6 @@ class Component:
     def polys(self) -> List[Jet]:
         return [p for system in self.systems for p in system]
 
-    def vanishes_at(self, point: dict) -> bool:
-        if self.note == "dense":
-            return True
-        return any(all(p.evaluate(point) == 0 for p in system)
-                   for system in self.systems)
-
     def __str__(self) -> str:
         if self.is_empty:
             return "%s: empty" % self.name
@@ -90,6 +87,7 @@ class Component:
 class TransitionSet:
     components: Dict[str, Component]
     params: Tuple[str, ...]
+    warnings: List[str] = field(default_factory=list)
 
     def all_polys(self) -> List[Tuple[str, Jet]]:
         out = []
@@ -172,46 +170,18 @@ def _double_limit_system(body: Jet):
     return [_sympy_to_jet(e, names) for e in sym_eqs], names
 
 
-def _double_limit_witnesses(body: Jet, count: int = 20, seed: int = 11):
-    """Parameter points on the double-limit set: sample x1 != x2 rational,
-    solve {F(x1), F(x2), F_x(x1), F_x(x2)} for lambda and the parameters."""
-    import sympy
-
-    variables = body.variables
-    params = variables[2:]
-    syms = [sympy.Symbol(n) for n in variables]
-    F = _jet_to_sympy(body, syms)
-    Fx = sympy.diff(F, syms[0])
-    unknowns = [syms[1]] + list(syms[2:])
-    rng = random.Random(seed)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 15:
-        attempts += 1
-        x1 = sympy.Rational(rng.randint(-30, 30), rng.randint(1, 5))
-        x2 = sympy.Rational(rng.randint(-30, 30), rng.randint(1, 5))
-        if x1 == x2:
-            continue
-        system = [h.subs(syms[0], v) for h in (F, Fx) for v in (x1, x2)]
-        try:
-            sols = sympy.solve(system, unknowns, dict=True)
-        except Exception:
-            continue
-        for sol in sols:
-            if len(sol) != len(unknowns):
-                continue
-            if all(v.is_rational for v in sol.values()):
-                out.append({n: sol[sympy.Symbol(n)] for n in params})
-    return out
-
-
 def _double_limit_branches(sym_eqs: List[Jet], params):
     """Branches of the symmetric double-limit system where (s, m, lambda) are
     radical-free rational functions of the parameters.  Solve triangularly:
     repeatedly pick an equation with a factor linear in a remaining unknown
     and branch over its factors; the equations left over once all unknowns
     are assigned become the branch's parameter constraints.  Branches with
-    s^2 - 4m identically zero live on the diagonal x1 = x2 and are dropped."""
+    s^2 - 4m identically zero live on the diagonal x1 = x2 and are dropped.
+    Only D's realness side conditions come from these branches; D itself is
+    an exact elimination in `transition_set`.
+
+    Returns (branches, complete); `complete` is False when BRANCH_ROUNDS
+    work items were expanded with work still left."""
     import sympy
 
     names = sym_eqs[0].variables
@@ -229,7 +199,7 @@ def _double_limit_branches(sym_eqs: List[Jet], params):
     seen = set()
     work = [({}, eqs)]
     rounds = 0
-    while work and rounds < 200:
+    while work and rounds < BRANCH_ROUNDS:
         rounds += 1
         assign, system = work.pop()
         system = [clean(e.subs(assign)) for e in system]
@@ -279,8 +249,9 @@ def _double_limit_branches(sym_eqs: List[Jet], params):
             continue  # no rational continuation on this branch
         e, factors = chosen
         rest = [q for q in system if q is not e]
+        # one branch per factor linear in some unknown; the other factors
+        # have no rational branch through them
         for base, _m in factors:
-            solved = False
             for u in remaining:
                 if sympy.degree(base, u) != 1:
                     continue
@@ -293,56 +264,8 @@ def _double_limit_branches(sym_eqs: List[Jet], params):
                 new_assign = dict(assign)
                 new_assign[u] = sympy.together(-b / a)
                 work.append((new_assign, rest))
-                solved = True
                 break
-            if not solved and not base.is_number:
-                pass  # non-linear factor: no rational branch through it
-    return branches
-
-
-def _branch_witnesses(branch, params, count: int = 20, seed: int = 3):
-    """Rational parameter points on one branch's constraint variety: solve
-    the constraints for parameters they touch linearly, sampling the rest."""
-    import sympy
-
-    _vals, _gate, constraints = branch
-    psyms = [sympy.Symbol(n) for n in params]
-    rng = random.Random(seed)
-    if not constraints:
-        return []
-    targets = []
-    for c in constraints:
-        pick = None
-        for p in psyms:
-            if p in targets:
-                continue
-            if sympy.degree(c, p) == 1:
-                pick = p
-                break
-        if pick is None:
-            return []
-        targets.append(pick)
-    free = [p for p in psyms if p not in targets]
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 10:
-        attempts += 1
-        subs = {p: sympy.Rational(rng.randint(-20, 20), rng.randint(1, 5))
-                for p in free}
-        system = [c.subs(subs) for c in constraints]
-        try:
-            sols = sympy.solve(system, targets, dict=True)
-        except Exception:
-            continue
-        for sol in sols:
-            if len(sol) != len(targets):
-                continue
-            if not all(v.is_rational for v in sol.values()):
-                continue
-            point = dict(subs)
-            point.update(sol)
-            out.append({n: point[sympy.Symbol(n)] for n in params})
-    return out
+    return branches, not work
 
 
 def _gate_condition(gate, params):
@@ -371,7 +294,10 @@ def _gate_condition(gate, params):
 
 def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
     """The interior transition set: bifurcation B (fold meets G_lambda = 0),
-    hysteresis H (degenerate fold), and double limit points D."""
+    hysteresis H (degenerate fold), and double limit points D, each the
+    closure of a projection computed by `eliminate`.  D is saturated by
+    s^2 - 4m, which removes the diagonal x1 = x2 (where the double-limit
+    equations describe H instead)."""
     body = G.body if k is None else truncate_xlam(G.body, k)
     params = body.variables[2:]
     xn, ln = body.variables[0], body.variables[1]
@@ -386,16 +312,20 @@ def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
     comps["H"] = _component_from_elimination(
         "H", eliminate([F, Fx, Fxx], [xn, ln]))
 
-    sym_eqs, _names = _double_limit_system(body)
-    branches = _double_limit_branches(sym_eqs, params)
-    witnesses = _double_limit_witnesses(body)
-    if not witnesses and len(branches) == 1:
-        witnesses = _branch_witnesses(branches[0], params)
-    d_polys = eliminate(sym_eqs, ["s", "m", ln], witnesses=witnesses)
-    comp_d = _component_from_elimination("D", d_polys)
+    sym_eqs, names = _double_limit_system(body)
+    s, m = Jet.variable("s", names), Jet.variable("m", names)
+    # drop order: quintic D ~1 s; as [s, m, ln] 10-13 s (sympy 1.14)
+    comp_d = _component_from_elimination("D", eliminate(
+        sym_eqs, [ln, "m", "s"], saturate=s * s - m.scale(4)))
+    warnings: List[str] = []
     if not comp_d.is_empty and comp_d.note != "dense":
         import sympy
 
+        branches, complete = _double_limit_branches(sym_eqs, params)
+        if not complete:
+            warnings.append(
+                "D: the branch search stopped after %d rounds; its realness "
+                "side conditions may be incomplete" % BRANCH_ROUNDS)
         psyms = [sympy.Symbol(n) for n in params]
         kept_exprs = [_jet_to_sympy(p, psyms) for p in comp_d.polys()]
         conditions = []
@@ -418,7 +348,7 @@ def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
                 seen.add(key)
                 comp_d.side_conditions.append(c)
     comps["D"] = comp_d
-    return TransitionSet(comps, params)
+    return TransitionSet(comps, params, warnings)
 
 
 # ----------------------------------------------------------- boundary sets
@@ -451,31 +381,6 @@ def _subst_xlam(body: Jet, xv, lv) -> Jet:
         val = c * Fraction(xv) ** m[0] * Fraction(lv) ** m[1]
         out[key] = out.get(key, Fraction(0)) + val
     return Jet(out, body.variables[2:], None)
-
-
-def _groebner_eliminate(polys: List[Jet], drop: List[str]) -> List[Jet]:
-    """Exact elimination ideal via a lex Groebner basis; used where the
-    projection has codimension above one and iterated resultants would lose
-    generators (the tangency family L_T)."""
-    import sympy
-
-    variables = polys[0].variables
-    kept = [n for n in variables if n not in drop]
-    syms = {n: sympy.Symbol(n) for n in variables}
-    exprs = [_jet_to_sympy(p, [syms[n] for n in variables]) for p in polys]
-    exprs = [e for e in exprs if not e.is_zero]
-    if any(e.is_number for e in exprs):
-        return [Jet.constant(1, tuple(kept), None)]
-    gens = [syms[n] for n in drop] + [syms[n] for n in kept]
-    basis = sympy.groebner(exprs, *gens, order="lex")
-    out = []
-    for e in basis.exprs:
-        if not (e.free_symbols & {syms[n] for n in drop}):
-            norm = _normalize_poly(e, [syms[n] for n in kept])
-            if norm.is_number:
-                return [Jet.constant(1, tuple(kept), None)]
-            out.append(_sympy_to_jet(norm, kept))
-    return out
 
 
 def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
@@ -516,8 +421,7 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
 
         lt = Component("L_T")
         for xv in (u_lo, u_hi):
-            polys = _groebner_eliminate(
-                [_subst_x(body, xv), _subst_x(flam, xv)], [ln])
+            polys = eliminate([_subst_x(body, xv), _subst_x(flam, xv)], [ln])
             if polys and not (len(polys) == 1 and _is_const(polys[0])):
                 lt.systems.append(polys)
         comps["L_T"] = lt
@@ -561,7 +465,7 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
                 seen.add(key)
                 deduped.append(system)
         comp.systems = deduped
-    return TransitionSet(comps, params)
+    return TransitionSet(comps, params, interior.warnings)
 
 
 # ------------------------------------------------------ region classification

@@ -261,7 +261,8 @@ def cmd_transition_set(args):
     if args.plot:
         files = render_transition_slice(ts, args.plot)
     _emit(args, "transition-set", {"germ": args.germ[0]},
-          {"components": _transition_result(ts), "files": files}, [], lines)
+          {"components": _transition_result(ts), "files": files},
+          ts.warnings, lines)
 
 
 def cmd_nonpersistent(args):
@@ -282,7 +283,8 @@ def cmd_nonpersistent(args):
     if args.plot:
         files = render_transition_slice(ts, args.plot)
     _emit(args, "nonpersistent", {"germ": args.germ[0]},
-          {"components": _transition_result(ts), "files": files}, [], lines)
+          {"components": _transition_result(ts), "files": files},
+          ts.warnings, lines)
 
 
 def cmd_persistent(args):

@@ -538,106 +538,56 @@ def _normalize_poly(expr, syms):
     return sympy.expand(out * scale)
 
 
-def _sample_witnesses(F: List[Jet], drop, kept, count=8, seed=7):
-    """Rational points on the projection of V(F): sample the dropped
-    variables and solve the remaining (typically linear) system for the kept
-    ones."""
-    import random
+def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:
+    """Polynomials cutting out the Zariski closure of the projection of V(F)
+    onto the variables not in `drop`.
 
-    import sympy
+    Method: a lex Groebner basis of <F> (sympy's f5b) with generators ordered
+    [t] + drop (in the caller's order) + kept, kept in the order of
+    `F[0].variables`.  By the Elimination and Closure theorems (Cox, Little,
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 3) the basis elements free
+    of the dropped variables generate the elimination ideal, whose variety is
+    the closure of the projection.  Each is returned squarefree, content-free
+    and sign-normalized.  The order of `drop` does not change the result, only
+    the time the basis takes.
 
-    rng = random.Random(seed)
-    variables = F[0].variables
-    syms = {n: sympy.Symbol(n) for n in variables}
-    polys = [_jet_to_sympy(f, [syms[n] for n in variables]) for f in F]
-    kept_syms = [syms[n] for n in kept]
-    witnesses = []
-    attempts = 0
-    while len(witnesses) < count and attempts < count * 12:
-        attempts += 1
-        subs = {
-            syms[n]: sympy.Rational(rng.randint(-40, 40), rng.randint(1, 7))
-            for n in drop
-        }
-        system = [sympy.expand(p.subs(subs)) for p in polys]
-        if any(p.is_number and p != 0 for p in system):
-            continue
-        system = [p for p in system if not p.is_number]
-        try:
-            sols = sympy.solve(system, kept_syms, dict=True)
-        except Exception:
-            continue
-        for sol in sols:
-            if len(sol) != len(kept_syms):
-                continue  # positive-dimensional fibre; skip
-            if all(v.is_rational for v in sol.values()):
-                witnesses.append({n: sol[syms[n]] for n in kept})
-    return witnesses
+    With `saturate=q` (a polynomial in the variables of F) the Rabinowitsch
+    equation t*q - 1 joins F and t is eliminated first: the result is the
+    closure of the projection of V(F) minus V(q), i.e. of the saturation
+    <F> : q^infinity.
 
-
-def eliminate(F: List[Jet], drop, witnesses=None) -> List[Jet]:
-    """Polynomials cutting out the closure of the projection of V(F) onto the
-    variables not in `drop`.  Iterated resultants, squarefree and content
-    reduction, with extraneous factors removed by witness substitution.
-
-    Returns [] when the projection is dense and [1] when V(F) is empty."""
+    Returns [] when the projection is dense and [1] when V(F) (minus V(q))
+    is empty."""
     import sympy
 
     variables = F[0].variables
     drop = list(drop)
     kept = [n for n in variables if n not in drop]
-    syms = {n: sympy.Symbol(n) for n in variables}
-    polys = [_jet_to_sympy(f, [syms[n] for n in variables]) for f in F]
+    syms = [sympy.Symbol(n) for n in variables]
+    by_name = dict(zip(variables, syms))
+    polys = [_jet_to_sympy(f, syms) for f in F]
     polys = [p for p in polys if not p.is_zero]
+    empty = [Jet.constant(1, tuple(kept), None)]
     if any(p.is_number for p in polys):
-        return [Jet.constant(1, tuple(kept), None)]
-    # innermost variable (last in the variable list) first
-    for name in sorted(drop, key=variables.index, reverse=True):
-        v = syms[name]
-        having = [p for p in polys if v in p.free_symbols]
-        others = [p for p in polys if v not in p.free_symbols]
-        having.sort(key=lambda p: sympy.degree(p, v))
-        new = list(others)
-        if len(having) >= 2:
-            pivot = having[0]
-            for p in having[1:]:
-                r = sympy.expand(sympy.resultant(pivot, p, v))
-                if r.is_zero:
-                    continue
-                if r.is_number:
-                    return [Jet.constant(1, tuple(kept), None)]
-                new.append(r)
-        polys = new
-    all_syms = [syms[n] for n in variables]
-    polys = [_normalize_poly(p, all_syms) for p in polys]
-    polys = [p for p in polys if not p.is_number]
+        return empty
     if not polys:
         return []
-    if witnesses is None:
-        witnesses = _sample_witnesses(F, drop, kept)
-    if witnesses:
-        pts = [{syms[n]: w[n] for n in kept} for w in witnesses]
-        filtered = []
-        for p in polys:
-            _, factors = sympy.factor_list(p)
-            keep = sympy.Integer(1)
-            for base, _mult in factors:
-                if base.is_number:
-                    continue
-                vals = [base.subs(pt) for pt in pts]
-                if all(abs(sympy.nsimplify(v)) == 0 if v.is_rational
-                       else abs(complex(v)) < 1e-9 for v in vals):
-                    keep *= base
-            if keep != 1:
-                filtered.append(_normalize_poly(keep, all_syms))
-        polys = filtered
-        if not polys:
-            return []
-    seen = set()
+    dropped = [by_name[n] for n in drop]
+    if saturate is not None:
+        t = sympy.Dummy("t")
+        polys.append(t * _jet_to_sympy(saturate, syms) - 1)
+        dropped.insert(0, t)
+    kept_syms = [by_name[n] for n in kept]
+    basis = sympy.groebner(polys, *dropped, *kept_syms, order="lex",
+                           method="f5b")
     out = []
-    for p in polys:
-        key = sympy.srepr(sympy.expand(p))
-        if key not in seen:
-            seen.add(key)
-            out.append(_sympy_to_jet(p, kept))
+    for e in basis.exprs:
+        if e.free_symbols & set(dropped):
+            continue
+        norm = _normalize_poly(e, kept_syms)
+        if norm.is_number:
+            return empty
+        p = _sympy_to_jet(norm, kept)
+        if p not in out:
+            out.append(p)
     return out

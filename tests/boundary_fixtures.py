@@ -2,12 +2,18 @@
 
     F = x^4 - lam*x + a1 + a2*lam + a3*x^2   on  U = [-2, 2], L = [1, 3].
 
-Each component was re-derived independently by symbolic elimination and then
-verified by witness substitution: rational points sampled on the
-pre-elimination system project onto exact zeros of every polynomial below
-(see the witness tests in test_bifurcation.py).  The strings are the
-implementation's canonical rendering (squarefree, content 1, sign-normalized)
-and serve as the regression oracle.
+Each component is the output of exact elimination (a lex Groebner basis,
+see `germforge.localalg.eliminate`) and agrees, in canonical form, with the
+references in perfbench/refs/sigma.json (`box.winged-cusp`), which are
+derived with sympy alone, without importing germforge.  The witness tests in
+test_bifurcation.py add a one-directional check: rational points built from
+the pre-elimination system are exact zeros of every polynomial below.  The
+strings are the implementation's canonical rendering (squarefree, content 1,
+sign-normalized) and serve as the regression oracle.
+
+G_1 carries no plane factor a2 + 2 (x = -2) or a2 - 2 (x = 2): at
+(a1, a2, a3) = (0, -2, 0), F(-2, lam) = 16 has no root, so that plane is
+not in the closure of the projection.
 
 Note on the germ: the variant family with an a1*x term in place of the
 constant a1 does not reproduce these components; every derivation below (for
@@ -43,32 +49,26 @@ BOUNDARY_COMPONENTS = {
         ["16 + a1 + 4*a3", "-2 + a2"],
     ],
     "G_1": [
-        ["-73728 - 19968*a1 + 12288*a2 - 67584*a3 - 2144*a1^2 + 4352*a1*a2"
-         " - 7424*a1*a3 - 8192*a2^2 - 35840*a2*a3 - 22016*a3^2 + 54*a1^3"
-         " - 3440*a1^2*a2 - 72*a1^2*a3 + 29696*a1*a2^2 - 1408*a1*a2*a3"
-         " - 224*a1*a3^2 - 81920*a2^3 - 25600*a2^2*a3 - 27392*a2*a3^2"
-         " - 2944*a3^3 + 27*a1^3*a2 - 1184*a1^2*a2^2 - 396*a1^2*a2*a3"
-         " + 11264*a1*a2^3 + 9344*a1*a2^2*a3 - 48*a1*a2*a3^2 + 32*a1*a3^3"
-         " - 32768*a2^4 - 53248*a2^3*a3 - 18944*a2^2*a3^2 - 5696*a2*a3^3"
-         " - 128*a3^4 - 180*a1^2*a2^2*a3 + 4096*a1*a2^3*a3"
-         " + 768*a1*a2^2*a3^2 + 48*a1*a2*a3^3 - 20480*a2^4*a3"
-         " - 14592*a2^3*a3^2 - 4416*a2^2*a3^3 - 320*a2*a3^4"
-         " + 368*a1*a2^3*a3^2 + 24*a1*a2^2*a3^3 - 4608*a2^4*a3^2"
-         " - 2048*a2^3*a3^3 - 288*a2^2*a3^4 + 4*a1*a2^3*a3^3"
-         " - 448*a2^4*a3^3 - 112*a2^3*a3^4 - 16*a2^4*a3^4"],
-        ["73728 + 19968*a1 + 12288*a2 + 67584*a3 + 2144*a1^2 + 4352*a1*a2"
-         " + 7424*a1*a3 + 8192*a2^2 - 35840*a2*a3 + 22016*a3^2 - 54*a1^3"
-         " - 3440*a1^2*a2 + 72*a1^2*a3 - 29696*a1*a2^2 - 1408*a1*a2*a3"
-         " + 224*a1*a3^2 - 81920*a2^3 + 25600*a2^2*a3 - 27392*a2*a3^2"
-         " + 2944*a3^3 + 27*a1^3*a2 + 1184*a1^2*a2^2 - 396*a1^2*a2*a3"
-         " + 11264*a1*a2^3 - 9344*a1*a2^2*a3 - 48*a1*a2*a3^2 - 32*a1*a3^3"
-         " + 32768*a2^4 - 53248*a2^3*a3 + 18944*a2^2*a3^2 - 5696*a2*a3^3"
-         " + 128*a3^4 + 180*a1^2*a2^2*a3 + 4096*a1*a2^3*a3"
-         " - 768*a1*a2^2*a3^2 + 48*a1*a2*a3^3 + 20480*a2^4*a3"
-         " - 14592*a2^3*a3^2 + 4416*a2^2*a3^3 - 320*a2*a3^4"
-         " + 368*a1*a2^3*a3^2 - 24*a1*a2^2*a3^3 + 4608*a2^4*a3^2"
-         " - 2048*a2^3*a3^3 + 288*a2^2*a3^4 + 4*a1*a2^3*a3^3"
-         " + 448*a2^4*a3^3 - 112*a2^3*a3^4 + 16*a2^4*a3^4"],
+        ["-36864 - 9984*a1 + 24576*a2 - 33792*a3 - 1072*a1^2"
+         " + 7168*a1*a2 - 3712*a1*a3 - 16384*a2^2 - 1024*a2*a3"
+         " - 11008*a3^2 + 27*a1^3 - 1184*a1^2*a2 - 36*a1^2*a3"
+         " + 11264*a1*a2^2 + 1152*a1*a2*a3 - 112*a1*a3^2 - 32768*a2^3"
+         " - 12288*a2^2*a3 - 8192*a2*a3^2 - 1472*a3^3 - 180*a1^2*a2*a3"
+         " + 4096*a1*a2^2*a3 + 32*a1*a2*a3^2 + 16*a1*a3^3"
+         " - 20480*a2^3*a3 - 5376*a2^2*a3^2 - 2112*a2*a3^3 - 64*a3^4"
+         " + 368*a1*a2^2*a3^2 + 16*a1*a2*a3^3 - 4608*a2^3*a3^2"
+         " - 1152*a2^2*a3^3 - 128*a2*a3^4 + 4*a1*a2^2*a3^3"
+         " - 448*a2^3*a3^3 - 80*a2^2*a3^4 - 16*a2^3*a3^4"],
+        ["-36864 - 9984*a1 - 24576*a2 - 33792*a3 - 1072*a1^2"
+         " - 7168*a1*a2 - 3712*a1*a3 - 16384*a2^2 + 1024*a2*a3"
+         " - 11008*a3^2 + 27*a1^3 + 1184*a1^2*a2 - 36*a1^2*a3"
+         " + 11264*a1*a2^2 - 1152*a1*a2*a3 - 112*a1*a3^2 + 32768*a2^3"
+         " - 12288*a2^2*a3 + 8192*a2*a3^2 - 1472*a3^3 + 180*a1^2*a2*a3"
+         " + 4096*a1*a2^2*a3 - 32*a1*a2*a3^2 + 16*a1*a3^3"
+         " + 20480*a2^3*a3 - 5376*a2^2*a3^2 + 2112*a2*a3^3 - 64*a3^4"
+         " + 368*a1*a2^2*a3^2 - 16*a1*a2*a3^3 + 4608*a2^3*a3^2"
+         " - 1152*a2^2*a3^3 + 128*a2*a3^4 + 4*a1*a2^2*a3^3"
+         " + 448*a2^3*a3^3 - 80*a2^2*a3^4 + 16*a2^3*a3^4"],
     ],
     "G_2": [
         ["16 + a1 + 4*a3"],

@@ -9,10 +9,12 @@ import sympy
 
 from germforge import (
     Jet,
+    UnfoldingGerm,
     bifurcation_diagram,
     classify_regions,
     make_unfolding,
     nonpersistent_sets,
+    parse_and_expand,
     render_diagram,
     render_frames,
     render_transition_slice,
@@ -445,8 +447,34 @@ def test_quintic_complete_list_diagrams(quintic_sigma):
 
 
 def test_persistent_truncation_degree():
+    # at k = 2 the truncation -lam + a1*x has double limit points all along
+    # lam = 0 when a1 = 0, so D = {a1 = 0}; from k = 3 on D is empty
     G = make_unfolding(jet({(3, 0): 1, (0, 1): -1}), [jet({(1, 0): 1})])
-    assert persistent_truncation_degree(G) == 2
+    assert persistent_truncation_degree(G) == 3
+
+
+@pytest.mark.parametrize("text, params, hysteresis", [
+    ("x^3 - x*lam + a1 + a2*x^2", ("a1", "a2"), 27 * A1 - A2 ** 3),
+    ("x^3 - lam + a1*x", ("a1",), A1),
+])
+def test_no_spurious_double_limit_set(text, params, hysteresis):
+    # a cubic in x has no two distinct double roots, so D is empty; only the
+    # diagonal x1 = x2 (the hysteresis set) solves the double-limit equations
+    body = parse_and_expand(text, X + params, None)
+    sigma = transition_set(UnfoldingGerm(body, params))
+    assert sigma.components["D"].is_empty
+    comp = sigma.components["H"]
+    assert len(comp.systems) == 1 and len(comp.systems[0]) == 1
+    assert same_curve(expr_of(comp.systems[0][0]), hysteresis)
+
+
+def test_gamma1_has_no_plane_factor(boundary_sigma):
+    # (a1, a2, a3) = (0, -2, 0) lies on the plane a2 = -2, but there
+    # F(-2, lam) = 16 has no root, so no G_1 point sits above it
+    point = {A1: 0, A2: -2, A3: 0}
+    assert FQ.subs({XS: -2}).subs(point) == 16
+    poly = expr_of(boundary_sigma.components["G_1"].systems[0][0])
+    assert poly.subs(point) != 0
 
 
 # ------------------------------------------------------------- rendering

@@ -54,7 +54,7 @@ def test_verify_persistent(capsys):
     code, out, _err = run(capsys, "verify", "--persistent",
                           "x^3-sin(lambda)", "--vars", "x,lambda")
     assert code == 0
-    assert out == "The least permissible truncation degree is: 2\n"
+    assert out == "The least permissible truncation degree is: 3\n"
 
 
 def test_normalform(capsys):
@@ -121,6 +121,22 @@ def test_transition_set(capsys):
     assert lines[1] == ("H: {432*a1^2 + 72*a1*a3^2 + 3*a3^4 "
                         "+ 128*a2^2*a3^3 = 0}")
     assert lines[2] == "D: {4*a1 - a3^2 = 0} with a3 <= 0"
+
+
+def test_branch_cap_reaches_json_warnings(capsys, monkeypatch):
+    from germforge import bifurcation
+
+    monkeypatch.setattr(bifurcation, "BRANCH_ROUNDS", 1)
+    germ = "x^4-lambda*x+a1+a2*lambda+a3*x^2"
+    for extra in ([], ["--boundary=-2,2,1,3"]):
+        command = "nonpersistent" if extra else "transition-set"
+        code, out, _err = run(capsys, command, germ, "--vars", "x,lambda",
+                              "--params", "a1,a2,a3", "--format", "json",
+                              *extra)
+        assert code == 0
+        warnings = json.loads(out)["warnings"]
+        assert len(warnings) == 1, command
+        assert "side conditions may be incomplete" in warnings[0]
 
 
 def test_persistent_regions(capsys):

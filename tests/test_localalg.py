@@ -377,3 +377,30 @@ def test_eliminate_output_vanishes_on_witnesses():
         val = p.evaluate({"a1": a1, "a2": a2, "a3": a3})
         assert val == 0
         count += 1
+
+
+def test_eliminate_saturation_removes_diagonal():
+    # winged-cusp double-limit equations in s = x1 + x2, m = x1*x2; on the
+    # diagonal s^2 = 4m they reduce to F = F_x = F_xx = 0, the hysteresis set
+    v = ("s", "m", "lam", "a1", "a2", "a3")
+    eqs = [parse_and_expand(t, v, None) for t in (
+        "s^4 - 4*s^2*m + 2*m^2 - lam*s + 2*a1 + 2*a2*lam + a3*s^2 - 2*a3*m",
+        "s^3 - 2*s*m - lam + a3*s",
+        "4*s^3 - 12*s*m - 2*lam + 2*a3*s",
+        "4*s^2 - 4*m + 2*a3")]
+    gate = parse_and_expand("s^2 - 4*m", v, None)
+    saturated = eliminate(eqs, ["lam", "m", "s"], saturate=gate)
+    assert [str(f) for f in saturated] == ["4*a1 - a3^2"]
+    plain = eliminate(eqs, ["lam", "m", "s"])
+    assert len(plain) == 1
+    hysteresis = parse_and_expand(
+        "432*a1^2 + 72*a1*a3^2 + 3*a3^4 + 128*a2^2*a3^3",
+        ("a1", "a2", "a3"), None)
+    assert plain[0] == saturated[0] * hysteresis
+
+
+def test_eliminate_empty_variety():
+    v = ("x", "a1")
+    out = eliminate([parse_and_expand("x", v, None),
+                     parse_and_expand("x - 1", v, None)], ["x"])
+    assert [str(f) for f in out] == ["1"]
