@@ -586,28 +586,41 @@ class Diagram:
     germ_at: tuple
 
 
+class _PlanePoly:
+    """A polynomial in floats on the plane of two of its variables, v
+    (vertical) and h (horizontal), the others fixed; called as g(v, h)."""
+
+    def __init__(self, poly: Jet, v: str, h: str, fixed: dict):
+        iv, ih = poly.variables.index(v), poly.variables.index(h)
+        merged = {}
+        for m, c in poly.terms.items():
+            scale = float(c)
+            for name, e in zip(poly.variables, m):
+                if e and name != v and name != h:
+                    scale *= float(Fraction(fixed[name])) ** e
+            key = (m[iv], m[ih])
+            merged[key] = merged.get(key, 0.0) + scale
+        deg = max((i for i, _j in merged), default=0)
+        # cols[i]: the (j, c) terms of the coefficient of v^i, a poly in h
+        self.cols = [[(j, c) for (i2, j), c in merged.items()
+                      if i2 == i and c != 0.0] for i in range(deg + 1)]
+
+    def row(self, vs, h):
+        """g(v, h) at every v of vs, by Horner in v."""
+        coeffs = [sum(c * h ** j for j, c in col) for col in self.cols]
+        vals = [coeffs[-1]] * len(vs)
+        for c in reversed(coeffs[:-1]):
+            vals = [a * v + c for a, v in zip(vals, vs)]
+        return vals
+
+    def __call__(self, v, h):
+        return self.row((v,), h)[0]
+
+
 def _evaluator(body: Jet, params, alpha):
-    """Float evaluator of G(x, lambda) at fixed parameter values."""
-    env = dict(zip(params, alpha))
-    terms = []
-    for m, c in body.terms.items():
-        scale = float(c)
-        for name, e in zip(body.variables[2:], m[2:]):
-            if e:
-                scale *= float(Fraction(env[name])) ** e
-        terms.append((m[0], m[1], scale))
-    merged = {}
-    for i, j, s in terms:
-        merged[(i, j)] = merged.get((i, j), 0.0) + s
-    items = [(i, j, s) for (i, j), s in merged.items() if s != 0.0]
-
-    def g(x, lam):
-        total = 0.0
-        for i, j, s in items:
-            total += s * (x ** i) * (lam ** j)
-        return total
-
-    return g
+    """Float evaluator g(x, lambda) of G(x, lambda, alpha)."""
+    return _PlanePoly(body, body.variables[0], body.variables[1],
+                      dict(zip(params, alpha)))
 
 
 def _edge_root(g, p0, p1, v0, v1):
@@ -626,96 +639,101 @@ def _edge_root(g, p0, p1, v0, v1):
     return ((l0 + l1) / 2.0, (x0 + x1) / 2.0)
 
 
+def _march(g, window, n):
+    """Marching-squares polylines of {g = 0} on an n x n cell grid over
+    window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points.
+
+    A vertex where g is exactly 0 counts as negative, and is itself the
+    crossing on its edges to positive vertices, so the curve through it is
+    kept.  Other crossings are bisected, once per edge.  A saddle cell is
+    split by the sign of g at its centre.  Segments meet at identical
+    endpoints and are chained through a dict keyed by endpoint."""
+    (hlo, hhi), (vlo, vhi) = window
+    dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
+    hs = [hlo + j * dh for j in range(n + 1)]
+    vs = [vlo + i * dv for i in range(n + 1)]
+    found = {}
+
+    def crossing(a, b, va, vb):
+        if b < a:
+            a, b, va, vb = b, a, vb, va
+        pt = found.get((a, b))
+        if pt is None:
+            pa, pb = (hs[a[0]], vs[a[1]]), (hs[b[0]], vs[b[1]])
+            if va == 0.0:
+                pt = pa
+            elif vb == 0.0:
+                pt = pb
+            else:
+                pt = _edge_root(g, pa, pb, va, vb)
+            found[(a, b)] = pt
+        return pt
+
+    segments = []
+    row0 = g.row(vs, hs[0])
+    pos0 = [v > 0 for v in row0]
+    for j in range(n):
+        row1 = g.row(vs, hs[j + 1])
+        pos1 = [v > 0 for v in row1]
+        for i in range(n):
+            if pos0[i] == pos0[i + 1] == pos1[i] == pos1[i + 1]:
+                continue
+            corners = ((j, i), (j + 1, i), (j + 1, i + 1), (j, i + 1))
+            vals = (row0[i], row1[i], row1[i + 1], row0[i + 1])
+            pts = []
+            for e in range(4):  # edge e runs from corner e to corner e + 1
+                f = (e + 1) % 4
+                if (vals[e] > 0) != (vals[f] > 0):
+                    pts.append(crossing(corners[e], corners[f],
+                                        vals[e], vals[f]))
+            if len(pts) == 4:
+                # saddle: the curve cuts off corners 1 and 3 when the centre
+                # has corner 0's sign, else corners 0 and 2
+                centre = g((vs[i] + vs[i + 1]) / 2, (hs[j] + hs[j + 1]) / 2)
+                if (centre > 0) != (vals[0] > 0):
+                    pts = pts[1:] + pts[:1]
+                pairs = ((pts[0], pts[1]), (pts[2], pts[3]))
+            else:
+                pairs = ((pts[0], pts[1]),)
+            segments += [(a, b) for a, b in pairs if a != b]
+        row0, pos0 = row1, pos1
+
+    at = {}
+    for idx, (a, b) in enumerate(segments):
+        at.setdefault(a, []).append(idx)
+        at.setdefault(b, []).append(idx)
+    used = [False] * len(segments)
+
+    def walk(pt):
+        path = []
+        while True:
+            nxt = next((idx for idx in at[pt] if not used[idx]), None)
+            if nxt is None:
+                return path
+            used[nxt] = True
+            a, b = segments[nxt]
+            pt = b if a == pt else a
+            path.append(pt)
+
+    curves = []
+    for idx, (a, b) in enumerate(segments):
+        if not used[idx]:
+            used[idx] = True
+            forward = walk(b)
+            backward = walk(a)
+            curves.append(backward[::-1] + [a, b] + forward)
+    return curves
+
+
 def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
                         window=((-1.0, 1.0), (-1.0, 1.0)),
                         resolution: int = 400) -> Diagram:
     """Marching-squares trace of {G(x, lambda, alpha) = 0} in the
     (lambda, x) window, with per-vertex bisection polishing."""
-    params = G.params
-    g = _evaluator(G.body, params, alpha)
+    g = _evaluator(G.body, G.params, alpha)
     (llo, lhi), (xlo, xhi) = window
-    llo, lhi = float(llo), float(lhi)
-    xlo, xhi = float(xlo), float(xhi)
-    n = resolution
-    dl = (lhi - llo) / n
-    dx = (xhi - xlo) / n
-    values = [[g(xlo + i * dx, llo + j * dl) for i in range(n + 1)]
-              for j in range(n + 1)]
-
-    def corner(j, i):
-        return (llo + j * dl, xlo + i * dx)
-
-    segments = []
-    for j in range(n):
-        for i in range(n):
-            vs = [values[j][i], values[j + 1][i],
-                  values[j + 1][i + 1], values[j][i + 1]]
-            ps = [corner(j, i), corner(j + 1, i),
-                  corner(j + 1, i + 1), corner(j, i + 1)]
-            crossings = []
-            for e in range(4):
-                a, b = e, (e + 1) % 4
-                va, vb = vs[a], vs[b]
-                if va == 0.0:
-                    crossings.append((e, ps[a]))
-                elif (va > 0) != (vb > 0):
-                    crossings.append((e, _edge_root(g, ps[a], ps[b], va, vb)))
-            pts = [c[1] for c in crossings]
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle cell: split by the sign of the center value
-                center = g((ps[0][1] + ps[2][1]) / 2,
-                           (ps[0][0] + ps[2][0]) / 2)
-                if (center > 0) == (vs[0] > 0):
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-                else:
-                    segments.append((pts[1], pts[2]))
-                    segments.append((pts[3], pts[0]))
-
-    # chain segments into polylines by shared (rounded) endpoints
-    def key(pt):
-        return (round(pt[0], 9), round(pt[1], 9))
-
-    adj = {}
-    for a, b in segments:
-        adj.setdefault(key(a), []).append((a, b))
-        adj.setdefault(key(b), []).append((b, a))
-    used = set()
-    curves = []
-    for idx, (a, b) in enumerate(segments):
-        if idx in used:
-            continue
-        used.add(idx)
-        path = [a, b]
-        # extend forward
-        for endidx in (1, 0):
-            while True:
-                end = path[-1] if endidx else path[0]
-                nxt = None
-                for cand, other in adj.get(key(end), []):
-                    sidx = None
-                    for si, seg in enumerate(segments):
-                        if si in used:
-                            continue
-                        if (key(seg[0]) == key(end)
-                                or key(seg[1]) == key(end)):
-                            sidx = si
-                            break
-                    if sidx is not None:
-                        seg = segments[sidx]
-                        used.add(sidx)
-                        nxt = seg[1] if key(seg[0]) == key(end) else seg[0]
-                    break
-                if nxt is None:
-                    break
-                if endidx:
-                    path.append(nxt)
-                else:
-                    path.insert(0, nxt)
-        curves.append(path)
-    return Diagram(curves, ((llo, lhi), (xlo, xhi)),
+    window = ((float(llo), float(lhi)), (float(xlo), float(xhi)))
+    return Diagram(_march(g, window, resolution), window,
                    tuple(Fraction(a) for a in alpha))
 
 
@@ -825,77 +843,6 @@ def render_diagram(diagram: Diagram, path: str) -> List[str]:
     return [svg_path, csv_path]
 
 
-def _trace_poly_2d(poly: Jet, free_names, fixed: dict, box, resolution=200):
-    """Marching-squares polylines of {poly = 0} in the plane of two free
-    parameters, other parameters fixed."""
-    params = poly.variables
-    i0 = params.index(free_names[0])
-    i1 = params.index(free_names[1])
-    consts = {n: float(Fraction(v)) for n, v in fixed.items()}
-
-    items = []
-    for m, c in poly.terms.items():
-        scale = float(c)
-        skip = False
-        for idx, name in enumerate(params):
-            e = m[idx]
-            if not e:
-                continue
-            if name == free_names[0] or name == free_names[1]:
-                continue
-            if name in consts:
-                scale *= consts[name] ** e
-            else:
-                skip = True
-                break
-        if not skip:
-            items.append((m[i0], m[i1], scale))
-
-    def g(b, a):
-        # evaluator signature matches bifurcation_diagram's (x, lam) order:
-        # first argument varies vertically, second horizontally
-        total = 0.0
-        for e0, e1, s in items:
-            total += s * (a ** e0) * (b ** e1)
-        return total
-
-    class _Wrapper:
-        body = None
-
-    (alo, ahi), (blo, bhi) = box
-    dummy = Diagram([], box, ())
-    # reuse the marching-squares core through a tiny local copy
-    n = resolution
-    da = (float(ahi) - float(alo)) / n
-    db = (float(bhi) - float(blo)) / n
-    values = [[g(float(blo) + i * db, float(alo) + j * da)
-               for i in range(n + 1)] for j in range(n + 1)]
-
-    def corner(j, i):
-        return (float(alo) + j * da, float(blo) + i * db)
-
-    segments = []
-    for j in range(n):
-        for i in range(n):
-            vs = [values[j][i], values[j + 1][i],
-                  values[j + 1][i + 1], values[j][i + 1]]
-            ps = [corner(j, i), corner(j + 1, i),
-                  corner(j + 1, i + 1), corner(j, i + 1)]
-            pts = []
-            for e in range(4):
-                a, b = e, (e + 1) % 4
-                va, vb = vs[a], vs[b]
-                if va == 0.0:
-                    pts.append(ps[a])
-                elif (va > 0) != (vb > 0):
-                    pts.append(_edge_root(g, ps[a], ps[b], va, vb))
-            if len(pts) >= 2:
-                segments.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segments.append((pts[2], pts[3]))
-    return [[seg[0], seg[1]] for seg in segments]
-
-
 def render_transition_slice(sigma: TransitionSet, path: str,
                             free: Optional[Tuple[str, str]] = None,
                             fixed: Optional[dict] = None,
@@ -921,7 +868,8 @@ def render_transition_slice(sigma: TransitionSet, path: str,
     for name, comp in sigma.components.items():
         color = COLORS.get(name, "#444444")
         for poly in comp.polys():
-            for curve in _trace_poly_2d(poly, free, fixed, box, resolution):
+            g = _PlanePoly(poly, free[1], free[0], fixed)
+            for curve in _march(g, window, resolution):
                 svg.append(_svg_path(curve, window, color))
                 for a, b in curve:
                     point = dict(fixed)
@@ -966,12 +914,17 @@ def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
 
 
 def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12,
-                                 start: int = 2) -> Optional[int]:
+                                 start: int = 2
+                                 ) -> Tuple[Optional[int], List[str]]:
     """Least state-variable truncation degree from which the transition-set
-    polynomials stop changing (compared against degree k + 1)."""
+    polynomials stop changing (compared against degree k + 1), with the
+    warnings of the transition sets computed on the way."""
+    warnings = []
 
     def polys_at(k):
         ts = transition_set(F, k)
+        warnings.extend("truncation degree %d: %s" % (k, w)
+                        for w in ts.warnings)
         return {name: sorted(tuple(sorted(p.terms.items()))
                              for p in comp.polys())
                 for name, comp in ts.components.items()}
@@ -981,7 +934,7 @@ def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12,
     for k in range(start, upper_bound + 1):
         cur = polys_at(k)
         if prev is not None and cur == prev:
-            return prev_k
+            return prev_k, warnings
         prev = cur
         prev_k = k
-    return None
+    return None, warnings

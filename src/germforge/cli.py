@@ -139,13 +139,15 @@ def cmd_verify(args):
         # so inessential high-order Taylor terms cannot postpone stability
         G, _w = universal_unfolding(expand, normalform=True,
                                     polynomial_input=poly_in)
-        k = persistent_truncation_degree(G, upper_bound=bound or 12)
+        k, warnings = persistent_truncation_degree(G,
+                                                   upper_bound=bound or 12)
         if k is None:
             _emit(args, "verify", {"germ": args.germ[0]},
-                  {"truncation_degree": None}, [INCREASE_BOUND_WARNING], [])
+                  {"truncation_degree": None},
+                  [INCREASE_BOUND_WARNING] + warnings, [])
             return
         _emit(args, "verify", {"germ": args.germ[0], "mode": "persistent"},
-              {"truncation_degree": k}, [],
+              {"truncation_degree": k}, warnings,
               ["The least permissible truncation degree is: %d" % k])
         return
     if args.ideal:
@@ -318,7 +320,7 @@ def cmd_persistent(args):
           {"representatives": [[str(v) for v in point]
                                for point, _s, _t in catalog.representatives],
            "files": files},
-          catalog.warnings, lines)
+          ts.warnings + catalog.warnings, lines)
 
 
 def cmd_intrinsic(args):

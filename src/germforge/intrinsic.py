@@ -69,13 +69,6 @@ class IntrinsicIdeal:
     def contains(self, f: Jet) -> bool:
         return all(self.contains_monomial(m) for m in f.terms)
 
-    def multiply_maximal(self, times: int = 1) -> "IntrinsicIdeal":
-        """The product M^times * I: each block M^k<lambda^l> becomes
-        M^(k+times)<lambda^l>."""
-        return IntrinsicIdeal.from_blocks(
-            [(k + times, l) for k, l in self.blocks]
-        )
-
     def add(self, other: "IntrinsicIdeal") -> "IntrinsicIdeal":
         return IntrinsicIdeal.from_blocks(self.blocks + other.blocks)
 
@@ -187,13 +180,6 @@ class VerifyReport:
     truncation_degree: Optional[int]
     recommended_ring: Optional[str] = None
     warnings: List[str] = field(default_factory=list)
-
-
-def _restricted_tangent_gens(g: Jet) -> List[Jet]:
-    gx = g.diff(g.variables[0])
-    x = Jet.variable(g.variables[0], g.variables, g.degree)
-    lam = Jet.variable(g.variables[1], g.variables, g.degree)
-    return [g, x * gx, lam * gx]
 
 
 def high_order_part(g: Jet, k: int) -> IntrinsicIdeal:

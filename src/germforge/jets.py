@@ -65,9 +65,6 @@ class MonomialOrder:
     def key(self, m: Monomial):
         raise NotImplementedError
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 class LocalOrder(MonomialOrder):
     """Anti-graded lexicographic: lower total degree is bigger; ties broken

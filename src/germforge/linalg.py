@@ -77,19 +77,6 @@ class RowSpace:
                 return True
         return False
 
-    def coordinates(self, vec):
-        """Express vec in terms of the reduced rows; None when outside."""
-        vec = [Fraction(v) for v in vec]
-        coords = []
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            coords.append(c)
-            if c != 0:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        if any(v != 0 for v in vec):
-            return None
-        return coords
-
 
 def solve_linear(matrix, rhs):
     """One solution of matrix * x = rhs with free variables set to 0, or None

@@ -25,6 +25,7 @@ from germforge.bifurcation import (
     Component,
     TransitionSet,
     _evaluator,
+    _grid_points,
     exact_root_counts,
     persistent_truncation_degree,
 )
@@ -406,6 +407,81 @@ def test_classify_regions_granularities(wc_sigma):
             assert poly.evaluate(env) != 0
 
 
+def reference_regions(sigma, box, grid, granularity):
+    """classify_regions by brute force: Jet.evaluate at every grid point,
+    then a flood fill over Fraction tuples."""
+    polys = [poly for _n, poly in sigma.all_polys()]
+    points = _grid_points(box, grid)
+    signs = {}
+    for pt in points:
+        vals = [poly.evaluate(dict(zip(sigma.params, pt))) for poly in polys]
+        if all(v != 0 for v in vals):
+            signs[pt] = tuple(1 if v > 0 else -1 for v in vals)
+    warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
+                for i, poly in enumerate(polys)
+                if len({vec[i] for vec in signs.values()}) == 1]
+    firsts = {}
+    if granularity == "complete":
+        steps = [(Fraction(hi) - Fraction(lo)) / (grid - 1) for lo, hi in box]
+        seen = set()
+        for pt in points:
+            if pt not in signs or pt in seen:
+                continue
+            firsts[pt] = pt
+            seen.add(pt)
+            stack = [pt]
+            while stack:
+                cur = stack.pop()
+                for axis, step in enumerate(steps):
+                    for d in (-step, step):
+                        nxt = cur[:axis] + (cur[axis] + d,) + cur[axis + 1:]
+                        if nxt not in seen and signs.get(nxt) == signs[pt]:
+                            seen.add(nxt)
+                            stack.append(nxt)
+    else:
+        for pt in points:
+            if pt in signs:
+                key = signs[pt]
+                if granularity == "short":
+                    key = 1
+                    for s in signs[pt]:
+                        key *= s
+                firsts.setdefault(key, pt)
+    reps = sorted((pt, signs[pt], granularity) for pt in firsts.values())
+    return reps, warnings
+
+
+def with_extra_polys(sigma):
+    # a1 - a2*a3 vanishes at many grid points; the other has denominators
+    extra = [parse_and_expand("a1 - a2*a3", sigma.params, None),
+             parse_and_expand("3/7*a1^2 - a2/5 + a3^3/9 - 1/11",
+                              sigma.params, None)]
+    comps = dict(sigma.components)
+    comps["X"] = Component("X", systems=[extra])
+    return TransitionSet(comps, sigma.params)
+
+
+ASYMMETRIC_BOX = [(Fraction(-1, 3), Fraction(2, 7)),
+                  (Fraction(-1), Fraction(1, 2)),
+                  (Fraction(0), Fraction(5, 3))]
+
+
+@pytest.mark.parametrize("granularity", ["short", "intermediate", "complete"])
+def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
+                                              granularity):
+    cube = [(Fraction(-1), Fraction(1))] * 3
+    cases = [(wc_sigma, cube, 9), (quintic_sigma, cube, 13),
+             (wc_sigma, ASYMMETRIC_BOX, 8), (quintic_sigma, ASYMMETRIC_BOX, 8),
+             (with_extra_polys(wc_sigma), cube, 9),
+             (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 8)]
+    for sigma, box, grid in cases:
+        cat = classify_regions(sigma, box=box, grid=grid,
+                               granularity=granularity)
+        reps, warnings = reference_regions(sigma, box, grid, granularity)
+        assert cat.representatives == reps
+        assert cat.warnings == warnings
+
+
 # ------------------------------------------------------------- diagrams
 
 
@@ -423,6 +499,17 @@ def test_pitchfork_diagram_root_counts():
     assert root_count_signature(d, [-0.5, 0.5]) == (1, 3)
     assert exact_root_counts(G, (0,), [Fraction(-1, 2), Fraction(1, 2)],
                              (-1, 1)) == (1, 3)
+
+
+def test_diagram_keeps_curve_through_zero_vertex():
+    # G = x^5 - lam - x/2 is exactly 0 at the grid vertex (lam, x) = (0, 0)
+    G = quintic()
+    alpha = (Fraction(-1, 2), 0, 0)
+    lambdas = [Fraction(k, 1000) for k in (-3, -1, 1, 3)]
+    d = bifurcation_diagram(G, alpha, resolution=100)
+    assert _evaluator(G.body, G.params, alpha)(0.0, 0.0) == 0.0
+    assert root_count_signature(d, [float(c) for c in lambdas]) \
+        == exact_root_counts(G, alpha, lambdas, (-1, 1)) == (3, 3, 3, 3)
 
 
 def test_quintic_complete_list_diagrams(quintic_sigma):
@@ -450,7 +537,7 @@ def test_persistent_truncation_degree():
     # at k = 2 the truncation -lam + a1*x has double limit points all along
     # lam = 0 when a1 = 0, so D = {a1 = 0}; from k = 3 on D is empty
     G = make_unfolding(jet({(3, 0): 1, (0, 1): -1}), [jet({(1, 0): 1})])
-    assert persistent_truncation_degree(G) == 3
+    assert persistent_truncation_degree(G) == (3, [])
 
 
 @pytest.mark.parametrize("text, params, hysteresis", [
@@ -514,6 +601,18 @@ def test_render_transition_slice(wc_sigma, tmp_path):
             {sympy.Symbol(k): v for k, v in envf.items()})))
             for p in wc_sigma.components[name].polys())
         assert residual <= 1e-7, line
+
+
+def test_transition_slice_polylines_are_chained(tmp_path):
+    circle = parse_and_expand("a1^2 + a2^2 - 1/4", ("a1", "a2"), None)
+    sigma = TransitionSet({"B": Component("B", systems=[[circle]])},
+                          ("a1", "a2"))
+    paths = render_transition_slice(sigma, str(tmp_path / "circle.svg"))
+    svg = open(paths[0]).read()
+    assert svg.count("<polyline") == 1
+    points = svg.split('points="')[1].split('"')[0].split()
+    assert len(points) > 2 and points[0] == points[-1]
+    assert len(open(paths[1]).read().splitlines()) == len(points) + 1
 
 
 def test_render_frames(wc_sigma, tmp_path):

@@ -128,15 +128,23 @@ def test_branch_cap_reaches_json_warnings(capsys, monkeypatch):
 
     monkeypatch.setattr(bifurcation, "BRANCH_ROUNDS", 1)
     germ = "x^4-lambda*x+a1+a2*lambda+a3*x^2"
-    for extra in ([], ["--boundary=-2,2,1,3"]):
-        command = "nonpersistent" if extra else "transition-set"
+    cap = "side conditions may be incomplete"
+    for command, extra in (("transition-set", []),
+                           ("nonpersistent", ["--boundary=-2,2,1,3"]),
+                           ("persistent", ["--grid", "5"])):
         code, out, _err = run(capsys, command, germ, "--vars", "x,lambda",
                               "--params", "a1,a2,a3", "--format", "json",
                               *extra)
         assert code == 0
         warnings = json.loads(out)["warnings"]
         assert len(warnings) == 1, command
-        assert "side conditions may be incomplete" in warnings[0]
+        assert cap in warnings[0]
+    # both truncations the search compares (k = 2 and 3) hit the cap
+    code, out, _err = run(capsys, "verify", "--persistent", "x^4-lambda*x",
+                          "--vars", "x,lambda", "--format", "json")
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 2 and all(cap in w for w in warnings)
 
 
 def test_persistent_regions(capsys):
