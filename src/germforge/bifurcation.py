@@ -8,15 +8,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .intrinsic import verify_germ
 from .jets import Jet, mdeg
 from .localalg import _jet_to_sympy, _normalize_poly, _sympy_to_jet, eliminate
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
-
-# work items the triangular branch search in _double_limit_branches may
-# expand before it stops and reports that D's side conditions may be incomplete
-BRANCH_ROUNDS = 200
 
 COLORS = {
     # interior transition set (the figure convention)
@@ -104,10 +101,15 @@ def _is_const(p: Jet) -> bool:
     return all(mdeg(m) == 0 for m in p.terms)
 
 
+def _cuts_out(polys: List[Jet]) -> bool:
+    """An elimination result that is neither dense ([]) nor empty ([1])."""
+    return bool(polys) and not (len(polys) == 1 and _is_const(polys[0]))
+
+
 def _component_from_elimination(name: str, polys: List[Jet]) -> Component:
     if not polys:
         return Component(name, note="dense")
-    if len(polys) == 1 and _is_const(polys[0]):
+    if not _cuts_out(polys):
         return Component(name)  # empty variety
     return Component(name, systems=[polys])
 
@@ -133,171 +135,80 @@ def truncate_xlam(body: Jet, k: int) -> Jet:
 
 
 def _double_limit_system(body: Jet):
-    """The double-limit-point equations rewritten in the symmetric functions
-    s = x1 + x2 and m = x1 * x2 (the antisymmetric differences are divided
-    exactly by x1 - x2, which removes the diagonal x1 = x2)."""
+    """The double-limit-point equations in s = x1 + x2 and w = (x1 - x2)^2.
+    With x1,2 = (s +- d)/2 and h in {F, F_x}, both h(x1) + h(x2) and
+    (h(x1) - h(x2))/d are even in d, so d^(2j) is rewritten as w^j."""
     import sympy
-    from sympy.polys.polyfuncs import symmetrize
 
     variables = body.variables
-    params = variables[2:]
-    x1, x2 = sympy.symbols("x1 x2")
-    lam = sympy.Symbol(variables[1])
-    psyms = [sympy.Symbol(n) for n in params]
-    s, m = sympy.symbols("s m")
-
-    F = _jet_to_sympy(body, [sympy.Symbol(variables[0]), lam] + psyms)
-    Fx = sympy.diff(F, sympy.Symbol(variables[0]))
-    xsym = sympy.Symbol(variables[0])
+    aux = []
+    for n in ("s", "w"):
+        while n in variables:  # a parameter may be named s or w
+            n += "_"
+        aux.append(n)
+    names = tuple(aux) + variables[1:]
+    x, s, w = (sympy.Symbol(n) for n in (variables[0], aux[0], aux[1]))
+    d = sympy.Dummy("d")
+    syms = [x] + [sympy.Symbol(n) for n in variables[1:]]
+    F = _jet_to_sympy(body, syms)
     eqs = []
-    for h in (F, Fx):
-        h1 = h.subs(xsym, x1)
-        h2 = h.subs(xsym, x2)
-        eqs.append(sympy.expand(h1 + h2))
-        eqs.append(sympy.expand(sympy.quo(sympy.expand(h1 - h2),
-                                          x1 - x2, x1)))
-    sym_eqs = []
-    for e in eqs:
-        symmetric, remainder, defs = symmetrize(e, [x1, x2], formal=True)
-        if remainder != 0:
-            raise ValueError("double-limit equation is not symmetric")
-        # defs lists (s1, x1 + x2), (s2, x1*x2); rewrite in s and m
-        subs = {}
-        for sym, val in defs:
-            subs[sym] = s if val == x1 + x2 else m
-        sym_eqs.append(sympy.expand(symmetric.subs(subs)))
-    names = ("s", "m", variables[1]) + params
-    return [_sympy_to_jet(e, names) for e in sym_eqs], names
+    for h in (F, sympy.diff(F, x)):
+        h1 = h.subs(x, (s + d) / 2)
+        h2 = h.subs(x, (s - d) / 2)
+        # h1 - h2 is odd in d: shifting its exponents by one divides by d
+        for e, shift in ((h1 + h2, 0), (h1 - h2, 1)):
+            out = sympy.Integer(0)
+            for (k,), c in sympy.Poly(sympy.expand(e), d).as_dict().items():
+                if (k - shift) % 2:
+                    raise ValueError("double-limit equation is not even in d")
+                out += c * w ** ((k - shift) // 2)
+            eqs.append(_sympy_to_jet(out, names))
+    return eqs, names
 
 
-def _double_limit_branches(sym_eqs: List[Jet], params):
-    """Branches of the symmetric double-limit system where (s, m, lambda) are
-    radical-free rational functions of the parameters.  Solve triangularly:
-    repeatedly pick an equation with a factor linear in a remaining unknown
-    and branch over its factors; the equations left over once all unknowns
-    are assigned become the branch's parameter constraints.  Branches with
-    s^2 - 4m identically zero live on the diagonal x1 = x2 and are dropped.
-    Only D's realness side conditions come from these branches; D itself is
-    an exact elimination in `transition_set`.
-
-    Returns (branches, complete); `complete` is False when BRANCH_ROUNDS
-    work items were expanded with work still left."""
+def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
+    """D's realness side conditions from the basis elements of D's ideal in
+    (w, params) that involve w.  A pair is real where w >= 0; an element
+    a*w - b whose coefficient a is coprime to D's single polynomial gives
+    w = b/a on D, hence the condition a*b >= 0, written with the
+    odd-multiplicity factors of a*b as one sign-normalized polynomial.
+    Returns [] when a*b >= 0 holds everywhere and None when no element
+    gives a condition."""
     import sympy
 
-    names = sym_eqs[0].variables
-    syms = {n: sympy.Symbol(n) for n in names}
-    gens = [syms[n] for n in names]
-    unknowns = [syms["s"], syms["m"], syms[names[2]]]
-    psyms = [syms[n] for n in params]
-
-    def clean(e):
-        numer, _den = sympy.fraction(sympy.together(sympy.expand(e)))
-        return sympy.expand(numer)
-
-    eqs = [clean(_jet_to_sympy(e, gens)) for e in sym_eqs]
-    branches = []
-    seen = set()
-    work = [({}, eqs)]
-    rounds = 0
-    while work and rounds < BRANCH_ROUNDS:
-        rounds += 1
-        assign, system = work.pop()
-        system = [clean(e.subs(assign)) for e in system]
-        if any(e.is_number and not e.is_zero for e in system):
-            continue  # inconsistent branch
-        system = [e for e in system if not e.is_zero]
-        remaining = [u for u in unknowns if u not in assign]
-        if not remaining:
-            # back-substitute: earlier assignments may mention unknowns that
-            # were only solved later
-            resolved = dict(assign)
-            for _ in range(len(unknowns)):
-                resolved = {u: sympy.together(v.subs(resolved))
-                            for u, v in resolved.items()}
-            vals = [sympy.together(sympy.simplify(resolved[u]))
-                    for u in unknowns]
-            if any(v.free_symbols & set(unknowns) for v in vals):
-                continue
-            gate = sympy.simplify(vals[0] ** 2 - 4 * vals[1])
-            if gate.is_zero:
-                continue
-            key = tuple(sympy.srepr(v) for v in vals)
-            if key in seen:
-                continue
-            seen.add(key)
-            constraints = [_normalize_poly(e, psyms) for e in system]
-            if any(c.is_number and c != 0 for c in constraints):
-                continue
-            branches.append((vals, gate, constraints))
-            continue
-        # choose the simplest equation with a factor linear in a remaining
-        # unknown
-        chosen = None
-        for e in sorted(system,
-                        key=lambda q: sympy.total_degree(q, *unknowns)):
-            _c, factors = sympy.factor_list(e)
-            for base, _m in factors:
-                for u in remaining:
-                    if sympy.degree(base, u) == 1:
-                        chosen = (e, factors)
-                        break
-                if chosen:
-                    break
-            if chosen:
-                break
-        if chosen is None:
-            continue  # no rational continuation on this branch
-        e, factors = chosen
-        rest = [q for q in system if q is not e]
-        # one branch per factor linear in some unknown; the other factors
-        # have no rational branch through them
-        for base, _m in factors:
-            for u in remaining:
-                if sympy.degree(base, u) != 1:
-                    continue
-                co1 = sympy.Poly(base, u).all_coeffs()
-                if len(co1) != 2:
-                    continue
-                a, b = co1
-                if a.is_zero:
-                    continue
-                new_assign = dict(assign)
-                new_assign[u] = sympy.together(-b / a)
-                work.append((new_assign, rest))
-                break
-    return branches, not work
-
-
-def _gate_condition(gate, params):
-    """Render the realness requirement gate > 0 as a closed side condition on
-    a sign-normalized polynomial."""
-    import sympy
-
+    if len(d_polys) != 1:
+        return None
+    w = sympy.Symbol(in_w[0].variables[0])
     psyms = [sympy.Symbol(n) for n in params]
-    numer, denom = sympy.fraction(sympy.together(gate))
-    poly = sympy.expand(numer * denom)  # gate > 0  <=>  poly > 0
-    if poly.is_number or poly.is_zero:
-        return None
-    norm = _normalize_poly(poly, psyms)
-    sample = {p: sympy.Rational(i + 2, 1) for i, p in enumerate(psyms)}
-    g0, n0 = poly.subs(sample), norm.subs(sample)
-    tries = 4
-    while (g0 == 0 or n0 == 0) and tries:
-        sample = {p: v + 1 for p, v in sample.items()}
-        g0, n0 = poly.subs(sample), norm.subs(sample)
-        tries -= 1
-    if g0 == 0 or n0 == 0:
-        return None
-    same = (g0 > 0) == (n0 > 0)
-    return SideCondition(_sympy_to_jet(norm, params), ">=" if same else "<=")
+    dpoly = _jet_to_sympy(d_polys[0], psyms)
+    for p in in_w:
+        coeffs = sympy.Poly(_jet_to_sympy(p, [w] + psyms), w).all_coeffs()
+        if len(coeffs) != 2 or not sympy.gcd(coeffs[0], dpoly).is_number:
+            continue
+        a, b = coeffs[0], -coeffs[1]
+        ab = sympy.expand(a * b)
+        _c, factors = sympy.factor_list(ab)
+        norm = _normalize_poly(
+            sympy.Mul(*[f for f, k in factors if k % 2]), psyms)
+        even = sympy.Mul(*[f ** k for f, k in factors if k % 2 == 0])
+        # a*b = lead * even * norm with even >= 0
+        lead = sympy.cancel(ab / (even * norm))
+        if norm.is_number:
+            # a*b >= 0 everywhere, or nowhere off the zeros of `even`
+            return [] if lead > 0 else None
+        return [SideCondition(_sympy_to_jet(norm, params),
+                              ">=" if lead > 0 else "<=")]
+    return None
 
 
 def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
     """The interior transition set: bifurcation B (fold meets G_lambda = 0),
     hysteresis H (degenerate fold), and double limit points D, each the
-    closure of a projection computed by `eliminate`.  D is saturated by
-    s^2 - 4m, which removes the diagonal x1 = x2 (where the double-limit
-    equations describe H instead)."""
+    closure of a projection computed by `eliminate`.  D is eliminated to
+    (w, params) with w = (x1 - x2)^2 saturated away, which removes the
+    diagonal x1 = x2 (where the double-limit equations describe H instead);
+    the basis elements free of w generate D, and one linear in w gives its
+    realness side condition."""
     body = G.body if k is None else truncate_xlam(G.body, k)
     params = body.variables[2:]
     xn, ln = body.variables[0], body.variables[1]
@@ -312,41 +223,24 @@ def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
     comps["H"] = _component_from_elimination(
         "H", eliminate([F, Fx, Fxx], [xn, ln]))
 
-    sym_eqs, names = _double_limit_system(body)
-    s, m = Jet.variable("s", names), Jet.variable("m", names)
-    # drop order: quintic D ~1 s; as [s, m, ln] 10-13 s (sympy 1.14)
-    comp_d = _component_from_elimination("D", eliminate(
-        sym_eqs, [ln, "m", "s"], saturate=s * s - m.scale(4)))
+    eqs, names = _double_limit_system(body)
+    basis = eliminate(eqs, [ln, names[0]],
+                      saturate=Jet.variable(names[1], names))
+    # lex order puts w before the parameters, so the elements free of w
+    # generate D's ideal ([1] when D is empty, none when it is dense)
+    d_polys = [p.restrict(params) for p in basis
+               if all(m[0] == 0 for m in p.terms)]
+    in_w = [p for p in basis if any(m[0] for m in p.terms)]
+    comp_d = _component_from_elimination("D", d_polys)
     warnings: List[str] = []
-    if not comp_d.is_empty and comp_d.note != "dense":
-        import sympy
-
-        branches, complete = _double_limit_branches(sym_eqs, params)
-        if not complete:
+    if in_w:
+        conditions = _realness_conditions(in_w, d_polys, params)
+        if conditions is None:
             warnings.append(
-                "D: the branch search stopped after %d rounds; its realness "
-                "side conditions may be incomplete" % BRANCH_ROUNDS)
-        psyms = [sympy.Symbol(n) for n in params]
-        kept_exprs = [_jet_to_sympy(p, psyms) for p in comp_d.polys()]
-        conditions = []
-        for branch in branches:
-            _vals, gate, constraints = branch
-            # attach the realness condition only to branches whose constraint
-            # actually cuts out one of the kept components
-            relevant = not constraints or any(
-                not sympy.gcd(c, kp).is_number
-                for c in constraints for kp in kept_exprs)
-            if not relevant:
-                continue
-            cond = _gate_condition(gate, params)
-            if cond is not None:
-                conditions.append(cond)
-        seen = set()
-        for c in conditions:
-            key = (tuple(sorted(c.poly.terms.items())), c.relation)
-            if key not in seen:
-                seen.add(key)
-                comp_d.side_conditions.append(c)
+                "D: no exact realness condition was found; D may include "
+                "points whose double limit points are complex")
+        else:
+            comp_d.side_conditions = conditions
     comps["D"] = comp_d
     return TransitionSet(comps, params, warnings)
 
@@ -354,33 +248,17 @@ def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
 # ----------------------------------------------------------- boundary sets
 
 
-def _subst_x(body: Jet, value: Fraction) -> Jet:
-    """F with x fixed to a rational value; result in (lam, params)."""
-    variables = body.variables
+def _fix(body: Jet, values: Dict[int, Fraction]) -> Jet:
+    """body with the variable slots in `values` (slot -> rational value)
+    fixed; the result is over the remaining variables."""
+    keep = [i for i in range(len(body.variables)) if i not in values]
     out = {}
     for m, c in body.terms.items():
-        key = m[1:]
-        out[key] = out.get(key, Fraction(0)) + c * Fraction(value) ** m[0]
-    return Jet(out, variables[1:], None)
-
-
-def _subst_lam(body: Jet, value: Fraction) -> Jet:
-    """F with lambda fixed; result in (x, params)."""
-    variables = body.variables
-    out = {}
-    for m, c in body.terms.items():
-        key = (m[0],) + m[2:]
-        out[key] = out.get(key, Fraction(0)) + c * Fraction(value) ** m[1]
-    return Jet(out, (variables[0],) + variables[2:], None)
-
-
-def _subst_xlam(body: Jet, xv, lv) -> Jet:
-    out = {}
-    for m, c in body.terms.items():
-        key = m[2:]
-        val = c * Fraction(xv) ** m[0] * Fraction(lv) ** m[1]
-        out[key] = out.get(key, Fraction(0)) + val
-    return Jet(out, body.variables[2:], None)
+        for i, v in values.items():
+            c = c * Fraction(v) ** m[i]
+        key = tuple(m[i] for i in keep)
+        out[key] = out.get(key, Fraction(0)) + c
+    return Jet(out, tuple(body.variables[i] for i in keep), None)
 
 
 def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
@@ -406,7 +284,7 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
         corner = Component("L_C")
         for xv in (u_lo, u_hi):
             for lv in (l_lo, l_hi):
-                p = _normalize_jet(_subst_xlam(body, xv, lv))
+                p = _normalize_jet(_fix(body, {0: xv, 1: lv}))
                 if not _is_const(p):
                     corner.systems.append([p])
         comps["L_C"] = corner
@@ -414,39 +292,39 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     if want_x:
         sh = Component("L_SH")
         for xv in (u_lo, u_hi):
-            polys = eliminate([_subst_x(body, xv), _subst_x(fx, xv)], [ln])
-            if polys and not (len(polys) == 1 and _is_const(polys[0])):
+            polys = eliminate([_fix(body, {0: xv}), _fix(fx, {0: xv})], [ln])
+            if _cuts_out(polys):
                 sh.systems.append(polys)
         comps["L_SH"] = sh
 
         lt = Component("L_T")
         for xv in (u_lo, u_hi):
-            polys = eliminate([_subst_x(body, xv), _subst_x(flam, xv)], [ln])
-            if polys and not (len(polys) == 1 and _is_const(polys[0])):
+            polys = eliminate([_fix(body, {0: xv}), _fix(flam, {0: xv})],
+                              [ln])
+            if _cuts_out(polys):
                 lt.systems.append(polys)
         comps["L_T"] = lt
 
     if want_l:
         sv = Component("L_SV")
         for lv in (l_lo, l_hi):
-            polys = eliminate([_subst_lam(body, lv), _subst_lam(fx, lv)],
+            polys = eliminate([_fix(body, {1: lv}), _fix(fx, {1: lv})],
                               [xn])
-            if polys and not (len(polys) == 1 and _is_const(polys[0])):
+            if _cuts_out(polys):
                 sv.systems.append(polys)
         comps["L_SV"] = sv
 
     if want_x:
         g1 = Component("G_1")
         for xv in (u_lo, u_hi):
-            boundary = _subst_x(body, xv).rename(body.variables)
+            boundary = _fix(body, {0: xv}).rename(body.variables)
             polys = eliminate([boundary, body, fx], [xn, ln])
-            if polys and not (len(polys) == 1 and _is_const(polys[0])):
+            if _cuts_out(polys):
                 g1.systems.append(polys)
         comps["G_1"] = g1
 
-        b1 = _subst_x(body, u_lo)
-        b2 = _subst_x(body, u_hi)
-        g2_polys = eliminate([b1, b2], [ln])
+        g2_polys = eliminate([_fix(body, {0: u_lo}), _fix(body, {0: u_hi})],
+                             [ln])
         comps["G_2"] = _component_from_elimination("G_2", g2_polys)
 
     interior = transition_set(F, k)
@@ -913,13 +791,20 @@ def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
     return written
 
 
-def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12,
-                                 start: int = 2
+def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12
                                  ) -> Tuple[Optional[int], List[str]]:
-    """Least state-variable truncation degree from which the transition-set
-    polynomials stop changing (compared against degree k + 1), with the
-    warnings of the transition sets computed on the way."""
-    warnings = []
+    """Least state-variable truncation degree, from the determinacy degree of
+    the base germ on, from which the transition-set polynomials stop
+    changing (compared against degree k + 1), with the warnings of the
+    transition sets computed on the way.  A truncation below the determinacy
+    degree is not equivalent to the germ, so no smaller degree is tried;
+    (None, []) when that degree is not found up to `upper_bound`."""
+    base = F.base()
+    start = verify_germ(lambda kk: base.truncate(kk),
+                        upper_bound=upper_bound).truncation_degree
+    warnings: List[str] = []
+    if start is None:
+        return None, warnings
 
     def polys_at(k):
         ts = transition_set(F, k)

@@ -268,8 +268,11 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
                 # untruncated local tails can reduce to infinite series, so
                 # only weak-normalize them in that case
                 full = k is not None or not order.is_local
-                r = mora_divide(tail_part, others, order, k, tail=full).remainder
-                g = Jet.monomial(lm, g.variables, lc, g.degree) + r
+                res = mora_divide(tail_part, others, order, k, tail=full)
+                # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
+                # = lead*unit + r stays in the ideal
+                lead = Jet.monomial(lm, g.variables, lc, g.degree)
+                g = lead * res.unit + res.remainder
         out.append(g.monic(order))
     out.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return out

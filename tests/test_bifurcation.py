@@ -243,6 +243,65 @@ def test_quintic_double_limit_witnesses(quintic_sigma):
         assert poly.subs(sol) == 0
 
 
+
+def test_quintic_double_limit_realness(quintic_sigma):
+    # D is the closure of the parameters of real and of complex-conjugate
+    # pairs x1,2 = u -+ v and u -+ i*v alike; its side condition keeps
+    # exactly the real ones
+    comp = quintic_sigma.components["D"]
+    poly = expr_of(comp.systems[0][0])
+    assert comp.side_conditions
+    for i in range(20):
+        u, v = SAMPLES[i], abs(SAMPLES[(i + 3) % 20])
+        for pair, real in (((u - v, u + v), True),
+                           ((u - sympy.I * v, u + sympy.I * v), False)):
+            system = [FC.subs(XS, x) for x in pair] \
+                + [FC_X.subs(XS, x) for x in pair]
+            sol = sympy.solve(system, [LAM, A1, A2, A3], dict=True)[0]
+            sol = {s: sympy.expand(val) for s, val in sol.items()}
+            assert all(val.is_rational for val in sol.values())
+            assert poly.subs(sol) == 0
+            env = {str(s): Fraction(int(val.p), int(val.q))
+                   for s, val in sol.items() if s != LAM}
+            assert all(c.holds(env) for c in comp.side_conditions) == real
+
+
+def test_quartic_fold_double_limit_realness():
+    # the pair +-x at lam = x^4 + a2*x^2 is a double limit pair when a1 = 0,
+    # and it is real only when a2 <= 0
+    body = parse_and_expand("x^4 - lam + a1*x + a2*x^2", X + ("a1", "a2"),
+                            None)
+    sigma = transition_set(UnfoldingGerm(body, ("a1", "a2")))
+    assert str(sigma.components["D"]) == "D: {a1 = 0} with a2 <= 0"
+    assert sigma.warnings == []
+
+
+def test_double_limit_names_do_not_clash_with_parameters():
+    # the elimination's auxiliary variables s and w are renamed away from
+    # parameters that carry those names
+    body = parse_and_expand("x^4 - lam + s*x + w*x^2", X + ("s", "w"), None)
+    sigma = transition_set(UnfoldingGerm(body, ("s", "w")))
+    assert str(sigma.components["D"]) == "D: {s = 0} with w <= 0"
+
+
+def test_double_limit_without_realness_condition_warns():
+    # D = a1*(3125*a1^4 - 768*a2^5), and every basis element linear in
+    # w = (x1 - x2)^2 has a coefficient divisible by a1, so no exact
+    # realness condition exists and D is reported with a warning
+    body = parse_and_expand("x^6 - lam + a1*x + a2*x^2", X + ("a1", "a2"),
+                            None)
+    G = UnfoldingGerm(body, ("a1", "a2"))
+    sigma = transition_set(G)
+    comp = sigma.components["D"]
+    assert same_curve(expr_of(comp.systems[0][0]),
+                      A1 * (3125 * A1 ** 4 - 768 * A2 ** 5), (A1, A2))
+    assert not comp.side_conditions
+    assert len(sigma.warnings) == 1 and "complex" in sigma.warnings[0]
+    k, warnings = persistent_truncation_degree(G)
+    assert k == 6
+    assert warnings == ["truncation degree %d: %s" % (d, sigma.warnings[0])
+                        for d in (6, 7)]
+
 # ----------------------------------------------------- boundary components
 
 
@@ -538,6 +597,14 @@ def test_persistent_truncation_degree():
     # lam = 0 when a1 = 0, so D = {a1 = 0}; from k = 3 on D is empty
     G = make_unfolding(jet({(3, 0): 1, (0, 1): -1}), [jet({(1, 0): 1})])
     assert persistent_truncation_degree(G) == (3, [])
+
+
+def test_persistent_truncation_degree_starts_at_determinacy():
+    # the truncations of the winged cusp at degrees 2 and 3 agree although
+    # degree 4 changes the transition set, and no truncation below the
+    # determinacy degree is equivalent to the germ
+    assert persistent_truncation_degree(winged_cusp()) == (4, [])
+    assert persistent_truncation_degree(quintic()) == (5, [])
 
 
 @pytest.mark.parametrize("text, params, hysteresis", [

@@ -55,6 +55,12 @@ def test_verify_persistent(capsys):
                           "x^3-sin(lambda)", "--vars", "x,lambda")
     assert code == 0
     assert out == "The least permissible truncation degree is: 3\n"
+    # the search starts at the determinacy degree of the germ
+    for germ, k in (("x^4-lambda*x", 4), ("x^5-lambda", 5)):
+        code, out, _err = run(capsys, "verify", "--persistent", germ,
+                              "--vars", "x,lambda")
+        assert code == 0
+        assert out == "The least permissible truncation degree is: %d\n" % k
 
 
 def test_normalform(capsys):
@@ -123,28 +129,21 @@ def test_transition_set(capsys):
     assert lines[2] == "D: {4*a1 - a3^2 = 0} with a3 <= 0"
 
 
-def test_branch_cap_reaches_json_warnings(capsys, monkeypatch):
-    from germforge import bifurcation
-
-    monkeypatch.setattr(bifurcation, "BRANCH_ROUNDS", 1)
-    germ = "x^4-lambda*x+a1+a2*lambda+a3*x^2"
-    cap = "side conditions may be incomplete"
+def test_realness_warning_reaches_json_warnings(capsys):
+    # no basis element gives D = a1*(3125*a1^4 - 768*a2^5) an exact realness
+    # condition, so D may hold parameters of complex pairs; every command
+    # that computes the transition set reports it
+    germ = "x^6-lambda+a1*x+a2*x^2"
     for command, extra in (("transition-set", []),
                            ("nonpersistent", ["--boundary=-2,2,1,3"]),
                            ("persistent", ["--grid", "5"])):
         code, out, _err = run(capsys, command, germ, "--vars", "x,lambda",
-                              "--params", "a1,a2,a3", "--format", "json",
+                              "--params", "a1,a2", "--format", "json",
                               *extra)
         assert code == 0
         warnings = json.loads(out)["warnings"]
         assert len(warnings) == 1, command
-        assert cap in warnings[0]
-    # both truncations the search compares (k = 2 and 3) hit the cap
-    code, out, _err = run(capsys, "verify", "--persistent", "x^4-lambda*x",
-                          "--vars", "x,lambda", "--format", "json")
-    assert code == 0
-    warnings = json.loads(out)["warnings"]
-    assert len(warnings) == 2 and all(cap in w for w in warnings)
+        assert warnings[0].startswith("D: ") and "complex" in warnings[0]
 
 
 def test_persistent_regions(capsys):

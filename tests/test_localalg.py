@@ -235,6 +235,26 @@ def test_colon_trivials():
     assert [str(f) for f in colon_ideal([j("x^2")], j("1"))] == ["x^2"]
 
 
+def test_colon_keeps_mora_unit_in_interreduction():
+    # the untruncated local standard basis of I ∩ <g> is interreduced with a
+    # weak normal form unit*tail = sum(q*others) + r; a generator rebuilt as
+    # lead + r instead of lead*unit + r leaves the ideal, and the exact
+    # division by g then failed
+    k = 6
+    g = j("x + lam^2")
+    I = [j("x^2 - 1/2*x*lam^2 + x^2*lam^2"),
+         j("lam^2 + lam^4 - x^2*lam^2"), j("x*lam")]
+    out = colon_ideal(I, g, k)
+    span_i = ideal_span(I, k)
+    for f in out:
+        assert span_i.contains(jet_vector((f * g).truncate(k), k))
+    # the output spans the whole colon {h : h*g in I} modulo degree > k
+    image = ideal_span(I, k)
+    monos = monomials_upto(2, k)
+    rank = sum(image.add(jet_vector((Jet.monomial(m, V) * g).truncate(k), k))
+               for m in monos)
+    assert ideal_span(out, k).rank == len(monos) - rank
+
 # --------------------------------------------------- normal sets, codim
 
 NS_EXAMPLE = [
