@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intrinsic import verify_germ
 from .jets import Jet, mdeg
-from .localalg import _jet_to_sympy, _normalize_poly, _sympy_to_jet, eliminate
+from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
+                       real_root_count, to_ring)
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
@@ -114,16 +115,6 @@ def _component_from_elimination(name: str, polys: List[Jet]) -> Component:
     return Component(name, systems=[polys])
 
 
-def _normalize_jet(p: Jet) -> Jet:
-    import sympy
-
-    syms = [sympy.Symbol(n) for n in p.variables]
-    expr = _normalize_poly(_jet_to_sympy(p, syms), syms)
-    if expr.is_number:
-        return Jet.constant(1, p.variables, None)
-    return _sympy_to_jet(expr, p.variables)
-
-
 def truncate_xlam(body: Jet, k: int) -> Jet:
     """Truncate the state-variable degree (x and lambda slots) at k, leaving
     the parameter slots alone."""
@@ -138,31 +129,25 @@ def _double_limit_system(body: Jet):
     """The double-limit-point equations in s = x1 + x2 and w = (x1 - x2)^2.
     With x1,2 = (s +- d)/2 and h in {F, F_x}, both h(x1) + h(x2) and
     (h(x1) - h(x2))/d are even in d, so d^(2j) is rewritten as w^j."""
-    import sympy
-
     variables = body.variables
-    aux = []
-    for n in ("s", "w"):
-        while n in variables:  # a parameter may be named s or w
-            n += "_"
-        aux.append(n)
-    names = tuple(aux) + variables[1:]
-    x, s, w = (sympy.Symbol(n) for n in (variables[0], aux[0], aux[1]))
-    d = sympy.Dummy("d")
-    syms = [x] + [sympy.Symbol(n) for n in variables[1:]]
-    F = _jet_to_sympy(body, syms)
+    s, w, d = (fresh_name(n, variables) for n in ("s", "w", "d"))
+    names = (s, w) + variables[1:]
+    sd = (d, s) + variables[1:]
+    half_s = Jet.variable(s, sd).scale(Fraction(1, 2))
+    half_d = Jet.variable(d, sd).scale(Fraction(1, 2))
     eqs = []
-    for h in (F, sympy.diff(F, x)):
-        h1 = h.subs(x, (s + d) / 2)
-        h2 = h.subs(x, (s - d) / 2)
+    for h in (body, body.diff(variables[0])):
+        h1 = h.compose({variables[0]: half_s + half_d})
+        h2 = h.compose({variables[0]: half_s - half_d})
         # h1 - h2 is odd in d: shifting its exponents by one divides by d
         for e, shift in ((h1 + h2, 0), (h1 - h2, 1)):
-            out = sympy.Integer(0)
-            for (k,), c in sympy.Poly(sympy.expand(e), d).as_dict().items():
-                if (k - shift) % 2:
+            terms = {}
+            for m, c in e.terms.items():
+                k = m[0] - shift
+                if k % 2:
                     raise ValueError("double-limit equation is not even in d")
-                out += c * w ** ((k - shift) // 2)
-            eqs.append(_sympy_to_jet(out, names))
+                terms[(m[1], k // 2) + m[2:]] = c
+            eqs.append(Jet(terms, names, None))
     return eqs, names
 
 
@@ -174,30 +159,33 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
     odd-multiplicity factors of a*b as one sign-normalized polynomial.
     Returns [] when a*b >= 0 holds everywhere and None when no element
     gives a condition."""
-    import sympy
-
     if len(d_polys) != 1:
         return None
-    w = sympy.Symbol(in_w[0].variables[0])
-    psyms = [sympy.Symbol(n) for n in params]
-    dpoly = _jet_to_sympy(d_polys[0], psyms)
+    R = poly_ring(params)
+    dpoly = to_ring(d_polys[0], R)
     for p in in_w:
-        coeffs = sympy.Poly(_jet_to_sympy(p, [w] + psyms), w).all_coeffs()
-        if len(coeffs) != 2 or not sympy.gcd(coeffs[0], dpoly).is_number:
+        if any(m[0] > 1 for m in p.terms):
             continue
-        a, b = coeffs[0], -coeffs[1]
-        ab = sympy.expand(a * b)
-        _c, factors = sympy.factor_list(ab)
-        norm = _normalize_poly(
-            sympy.Mul(*[f for f, k in factors if k % 2]), psyms)
-        even = sympy.Mul(*[f ** k for f, k in factors if k % 2 == 0])
+        a = to_ring(Jet({m[1:]: c for m, c in p.terms.items() if m[0]},
+                        params), R)
+        b = -to_ring(Jet({m[1:]: c for m, c in p.terms.items() if not m[0]},
+                         params), R)
+        if not a.gcd(dpoly).is_ground:
+            continue
+        ab = a * b
+        odd, even = R.one, R.one
+        for f, k in ab.factor_list()[1]:
+            if k % 2:
+                odd *= f
+            else:
+                even *= f ** k
+        norm = from_ring(odd, params).primitive()
         # a*b = lead * even * norm with even >= 0
-        lead = sympy.cancel(ab / (even * norm))
-        if norm.is_number:
+        lead = ab.exquo(even * to_ring(norm, R)).LC
+        if _is_const(norm):
             # a*b >= 0 everywhere, or nowhere off the zeros of `even`
             return [] if lead > 0 else None
-        return [SideCondition(_sympy_to_jet(norm, params),
-                              ">=" if lead > 0 else "<=")]
+        return [SideCondition(norm, ">=" if lead > 0 else "<=")]
     return None
 
 
@@ -284,7 +272,7 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
         corner = Component("L_C")
         for xv in (u_lo, u_hi):
             for lv in (l_lo, l_hi):
-                p = _normalize_jet(_fix(body, {0: xv, 1: lv}))
+                p = radical(_fix(body, {0: xv, 1: lv}))
                 if not _is_const(p):
                     corner.systems.append([p])
         comps["L_C"] = corner
@@ -643,23 +631,9 @@ def root_count_signature(diagram: Diagram, lambdas: Sequence[float],
 
 def exact_root_counts(G: UnfoldingGerm, alpha, lambdas, xwindow) -> tuple:
     """Sturm-sequence real-root counts of the lambda-slice polynomials."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    lam = sympy.Symbol("lam")
-    body = G.body
-    psyms = [sympy.Symbol(n) for n in G.params]
-    expr = _jet_to_sympy(body, [x, lam] + psyms)
-    expr = expr.subs({s: sympy.Rational(Fraction(a))
-                      for s, a in zip(psyms, alpha)})
-    lo, hi = sympy.Rational(Fraction(xwindow[0])), \
-        sympy.Rational(Fraction(xwindow[1]))
-    counts = []
-    for c in lambdas:
-        slice_poly = sympy.Poly(expr.subs(lam, sympy.Rational(Fraction(c))),
-                                x)
-        counts.append(slice_poly.count_roots(lo, hi))
-    return tuple(counts)
+    body = _fix(G.body, {2 + i: Fraction(a) for i, a in enumerate(alpha)})
+    return tuple(real_root_count(_fix(body, {1: Fraction(c)}), *xwindow)
+                 for c in lambdas)
 
 
 # -------------------------------------------------------------- rendering

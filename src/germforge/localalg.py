@@ -321,6 +321,14 @@ def ideal_membership(f: Jet, B: StandardBasis) -> bool:
     return B.contains(f)
 
 
+def fresh_name(base: str, taken) -> str:
+    """`base`, with underscores appended until it is not in `taken`: the
+    name of an auxiliary variable that must not clash with a user's."""
+    while base in taken:
+        base += "_"
+    return base
+
+
 def _with_t(f: Jet, tvars) -> Jet:
     return f.truncate(None).rename(tvars)
 
@@ -332,8 +340,9 @@ def ideal_intersection(I: List[Jet], J: List[Jet],
     if not I or not J:
         raise ValueError("both generator lists must be nonempty")
     variables = I[0].variables
-    tvars = ("_t",) + variables
-    t = Jet.variable("_t", tvars)
+    tname = fresh_name("_t", variables)
+    tvars = (tname,) + variables
+    t = Jet.variable(tname, tvars)
     one = Jet.constant(1, tvars)
     gens = [t * _with_t(f, tvars) for f in I]
     gens += [(one - t) * _with_t(g, tvars) for g in J]
@@ -486,111 +495,99 @@ def jet_vector(f: Jet, k: int, index=None):
     return vec
 
 
-def _jet_to_sympy(f: Jet, syms):
-    import sympy
+def poly_ring(names):
+    """sympy's sparse polynomial ring QQ[names] in lex order, with the
+    generators in the order given."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
 
-    expr = sympy.Integer(0)
-    for m, c in f.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, e in zip(syms, m):
-            if e:
-                term *= s ** e
-        expr += term
-    return expr
+    return PolyRing(list(names), QQ, lex)
 
 
-def _sympy_to_jet(expr, names) -> Jet:
-    import sympy
-
-    syms = [sympy.Symbol(n) for n in names]
-    poly = sympy.Poly(sympy.expand(expr), *syms, domain="QQ")
-    terms = {}
-    for m, c in poly.terms():
-        terms[tuple(int(e) for e in m)] = Fraction(c.p, c.q)
-    return Jet(terms, tuple(names), None)
+def _qq(R, c):
+    c = Fraction(c)
+    return R.domain(c.numerator, c.denominator)
 
 
-def _normalize_poly(expr, syms):
-    """Content-free squarefree part with a positive coefficient on the
-    lexicographically first term."""
-    import sympy
+def to_ring(f: Jet, R):
+    """f as an element of the ring R, whose generators include f's
+    variables: the exponent slots are permuted by name (Jet.rename)."""
+    g = f.rename(str(s) for s in R.symbols)
+    return R.from_dict({m: _qq(R, c) for m, c in g.terms.items()})
 
-    expr = sympy.expand(expr)
-    if expr.is_zero:
-        return expr
-    _, factors = sympy.factor_list(expr)
-    out = sympy.Integer(1)
-    for base, _mult in factors:
-        out *= base
-    poly = sympy.Poly(out, *syms, domain="QQ")
-    if not poly.free_symbols:
-        return sympy.Integer(1)
-    monoms = sorted(poly.terms(), key=lambda t: t[0], reverse=True)
-    lead = monoms[0][1]
-    coeffs = [c for _m, c in poly.terms()]
-    from math import gcd
 
-    num = 0
-    den = 1
-    for c in coeffs:
-        num = gcd(num, abs(c.p))
-        den = den * c.q // gcd(den, c.q)
-    scale = sympy.Rational(den, num) if num else sympy.Integer(1)
-    if lead < 0:
-        scale = -scale
-    return sympy.expand(out * scale)
+def from_ring(p, names) -> Jet:
+    """The ring element p as an untruncated Jet over `names`, which must
+    include every generator that occurs in p (Jet.restrict)."""
+    terms = {m: Fraction(int(c.numerator), int(c.denominator))
+             for m, c in p.items()}
+    return Jet(terms, (str(s) for s in p.ring.symbols)).restrict(names)
+
+
+def radical(f: Jet) -> Jet:
+    """The product of the distinct irreducible factors of f, made
+    primitive (Jet.primitive); a constant f gives the constant 1 and the
+    zero jet stays zero."""
+    if f.is_zero():
+        return f
+    R = poly_ring(f.variables)
+    out = R.one
+    for q, _mult in to_ring(f, R).factor_list()[1]:
+        out *= q
+    return from_ring(out, f.variables).primitive()
+
+
+def real_root_count(f: Jet, lo, hi) -> int:
+    """Number of distinct real roots of the univariate f in [lo, hi], from
+    a Sturm sequence (0 for a constant f)."""
+    R = poly_ring(f.variables)
+    return R.dup_count_real_roots(to_ring(f, R), _qq(R, lo), _qq(R, hi))
 
 
 def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:
     """Polynomials cutting out the Zariski closure of the projection of V(F)
     onto the variables not in `drop`.
 
-    Method: a lex Groebner basis of <F> (sympy's f5b) with generators ordered
-    [t] + drop (in the caller's order) + kept, kept in the order of
-    `F[0].variables`.  By the Elimination and Closure theorems (Cox, Little,
-    O'Shea, Ideals, Varieties, and Algorithms, ch. 3) the basis elements free
-    of the dropped variables generate the elimination ideal, whose variety is
-    the closure of the projection.  Each is returned squarefree, content-free
-    and sign-normalized.  The order of `drop` does not change the result, only
-    the time the basis takes.
+    Method: a lex Groebner basis of <F> (sympy's f5b on sparse `PolyRing`
+    elements) with generators ordered [t] + drop (in the caller's order) +
+    kept, kept in the order of `F[0].variables`.  By the Elimination and
+    Closure theorems (Cox, Little, O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 3) the basis elements free of the dropped variables
+    generate the elimination ideal, whose variety is the closure of the
+    projection.  Each is returned as its `radical`.  The order of `drop`
+    does not change the result, only the time the basis takes.
 
     With `saturate=q` (a polynomial in the variables of F) the Rabinowitsch
     equation t*q - 1 joins F and t is eliminated first: the result is the
     closure of the projection of V(F) minus V(q), i.e. of the saturation
-    <F> : q^infinity.
+    <F> : q^infinity.  The name of t is chosen away from F's variables.
 
     Returns [] when the projection is dense and [1] when V(F) (minus V(q))
     is empty."""
-    import sympy
+    from sympy.polys.groebnertools import groebner
 
     variables = F[0].variables
     drop = list(drop)
     kept = [n for n in variables if n not in drop]
-    syms = [sympy.Symbol(n) for n in variables]
-    by_name = dict(zip(variables, syms))
-    polys = [_jet_to_sympy(f, syms) for f in F]
-    polys = [p for p in polys if not p.is_zero]
     empty = [Jet.constant(1, tuple(kept), None)]
-    if any(p.is_number for p in polys):
+    F = [f for f in F if not f.is_zero()]
+    if any(f.total_degree() == 0 for f in F):
         return empty
-    if not polys:
+    if not F:
         return []
-    dropped = [by_name[n] for n in drop]
+    head = drop if saturate is None else [fresh_name("t", variables)] + drop
+    R = poly_ring(head + kept)
+    polys = [to_ring(f, R) for f in F]
     if saturate is not None:
-        t = sympy.Dummy("t")
-        polys.append(t * _jet_to_sympy(saturate, syms) - 1)
-        dropped.insert(0, t)
-    kept_syms = [by_name[n] for n in kept]
-    basis = sympy.groebner(polys, *dropped, *kept_syms, order="lex",
-                           method="f5b")
+        polys.append(R.gens[0] * to_ring(saturate, R) - 1)
     out = []
-    for e in basis.exprs:
-        if e.free_symbols & set(dropped):
+    for g in groebner(polys, R, method="f5b"):
+        if any(any(e[:len(head)]) for e in g.itermonoms()):
             continue
-        norm = _normalize_poly(e, kept_syms)
-        if norm.is_number:
+        p = radical(from_ring(g, kept))
+        if p.total_degree() == 0:
             return empty
-        p = _sympy_to_jet(norm, kept)
         if p not in out:
             out.append(p)
     return out

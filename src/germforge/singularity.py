@@ -18,7 +18,7 @@ from .intrinsic import (
     verify_germ,
 )
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
-from .linalg import RowSpace, nullspace, solve_linear
+from .linalg import RowSpace, solve_linear
 from .localalg import ideal_span, jet_vector
 
 NF_POLY_WARNING = (
@@ -28,6 +28,8 @@ UNFOLDING_POLY_WARNING = (
     "The ring of polynomial germs is not suitable for normal form "
     "computations of g."
 )
+# most monomial complements of T that `universal_unfolding` lists
+LIST_CAP = 40
 
 _LOCAL = LocalOrder()
 
@@ -422,7 +424,6 @@ class NormalForm:
     germ: Jet
     degree: int
     warnings: List[str] = field(default_factory=list)
-    alternatives: Optional[List[Jet]] = None
 
 
 def _scaling_normalize(g: Jet) -> Jet:
@@ -448,7 +449,7 @@ def _scaling_normalize(g: Jet) -> Jet:
 
 
 def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
-                ring: str = "fractional", want_list: bool = False,
+                ring: str = "fractional",
                 polynomial_input: bool = False) -> NormalForm:
     """Normal form pipeline: expand, delete high-order terms, greedily
     eliminate intermediate terms via the transformation solver, normalize
@@ -466,31 +467,14 @@ def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
     base = Jet(terms, g.variables, k)
     gens = set(smallest_intrinsic(base).generators()) if not base.is_zero() else set()
-
-    def eliminate_terms(current: Jet, order_terms: list) -> Jet:
-        for m in order_terms:
-            if m in gens or m not in current.terms:
-                continue
-            candidate = current - Jet.monomial(
-                m, current.variables, current.terms[m], k)
-            if candidate.is_zero():
-                continue
-            if equivalent(g, candidate, k + 1):
-                current = candidate
-        return current
-
-    support = [m for m, _c in base.sorted_terms(_LOCAL)]
-    reduced = eliminate_terms(base, support)
-    result = _scaling_normalize(reduced)
-    alternatives = None
-    if want_list:
-        seen = {}
-        orders = [support, list(reversed(support))]
-        for ordering in orders:
-            alt = _scaling_normalize(eliminate_terms(base, ordering))
-            seen[tuple(sorted(alt.terms.items()))] = alt
-        alternatives = list(seen.values())
-    return NormalForm(result, k, warnings, alternatives)
+    current = base
+    for m, c in base.sorted_terms(_LOCAL):
+        if m in gens:
+            continue
+        candidate = current - Jet.monomial(m, current.variables, c, k)
+        if not candidate.is_zero() and equivalent(g, candidate, k + 1):
+            current = candidate
+    return NormalForm(_scaling_normalize(current), k, warnings)
 
 
 # -------------------------------------------------------------- unfoldings
@@ -544,11 +528,11 @@ def universal_unfolding(expand: Callable[[int], Jet],
                         normalform: bool = False,
                         want_list: bool = False,
                         ring: str = "fractional",
-                        polynomial_input: bool = False,
-                        list_cap: int = 40):
+                        polynomial_input: bool = False):
     """A universal unfolding of g (or of its normal form): one parameter per
-    monomial in a complement of T.  The list option enumerates all monomial
-    complements of T, capped at `list_cap`."""
+    monomial in a complement of T.  The list option enumerates the monomial
+    complements of T, at most LIST_CAP of them; a longer list is cut there
+    with a warning."""
     warnings = []
     if ring == "polynomial" and not polynomial_input:
         warnings.append(UNFOLDING_POLY_WARNING)
@@ -584,10 +568,12 @@ def universal_unfolding(expand: Callable[[int], Jet],
             trial.add(list(row))
         ok = all(trial.add(_unit_vector(m, all_monos, index)) for m in combo)
         if ok:
+            if len(results) == LIST_CAP:
+                warnings.append("only the first %d monomial complements of T "
+                                "are listed" % LIST_CAP)
+                break
             results.append(make_unfolding(
                 base, [Jet.monomial(m, base.variables, 1, k) for m in combo]))
-            if len(results) >= list_cap:
-                break
     return results, warnings
 
 

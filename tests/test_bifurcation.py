@@ -284,6 +284,29 @@ def test_double_limit_names_do_not_clash_with_parameters():
     assert str(sigma.components["D"]) == "D: {s = 0} with w <= 0"
 
 
+def _shape(sigma):
+    """A transition set with its parameter names forgotten: exponent tuples,
+    coefficients, relations, notes and warnings."""
+    def terms(p):
+        return sorted(p.terms.items())
+    return ({name: ([[terms(p) for p in system] for system in comp.systems],
+                    [(terms(c.poly), c.relation)
+                     for c in comp.side_conditions], comp.note)
+             for name, comp in sigma.components.items()}, sigma.warnings)
+
+
+@pytest.mark.parametrize("names", [("t", "d"), ("_t", "_d"), ("d", "t")])
+def test_auxiliary_names_do_not_clash_with_parameters(names):
+    # the saturation variable t and the half-difference d are renamed away
+    # from parameters of those names: the sets equal those for a1, a2
+    def sets(params):
+        text = "x^4 - lam + %s*x + %s*x^2" % params
+        G = UnfoldingGerm(parse_and_expand(text, X + params, None), params)
+        return (_shape(transition_set(G)),
+                _shape(nonpersistent_sets(G, (-2, 2), (1, 3))))
+    assert sets(names) == sets(("a1", "a2"))
+
+
 def test_double_limit_without_realness_condition_warns():
     # D = a1*(3125*a1^4 - 768*a2^5), and every basis element linear in
     # w = (x1 - x2)^2 has a coefficient divisible by a1, so no exact

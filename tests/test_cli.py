@@ -184,3 +184,29 @@ def test_math_error_exit_1(capsys):
     code, _out, err = run(capsys, "normalset", "x^2", "--vars", "x,lambda")
     assert code == 1
     assert "infinite codimension" in err
+
+
+def test_colon_ideal_aux_name_does_not_clash(capsys):
+    # the intersection's auxiliary variable is renamed away from a user
+    # variable called _t
+    code, out, _err = run(capsys, "colon-ideal", "_t*lambda", "--by", "_t",
+                          "--vars", "_t,lambda", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["basis"] == ["lambda"]
+    code, out, _err = run(capsys, "colon-ideal", "x^2*_t", "--by", "x",
+                          "--vars", "x,_t")
+    assert code == 0
+    assert out == "x*_t\n"
+
+
+def test_unfolding_list_cap_warns(capsys, monkeypatch):
+    # x^3 + x*lambda^2 + lambda^4 has 4 monomial complements of T; a cap of
+    # 1 lists the first and says the list was cut
+    monkeypatch.setattr("germforge.singularity.LIST_CAP", 1)
+    code, out, _err = run(capsys, "unfolding", "x^3 + x*lambda^2 + lambda^4",
+                          "--vars", "x,lambda", "--list", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["result"]["unfoldings"]) == 1
+    assert payload["warnings"] == [
+        "only the first 1 monomial complements of T are listed"]
