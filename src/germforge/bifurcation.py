@@ -269,13 +269,14 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     comps: Dict[str, Component] = {}
 
     if want_x and want_l:
-        corner = Component("L_C")
-        for xv in (u_lo, u_hi):
-            for lv in (l_lo, l_hi):
-                p = radical(_fix(body, {0: xv, 1: lv}))
-                if not _is_const(p):
-                    corner.systems.append([p])
-        comps["L_C"] = corner
+        corners = [radical(_fix(body, {0: xv, 1: lv}))
+                   for xv in (u_lo, u_hi) for lv in (l_lo, l_hi)]
+        if any(p.is_zero() for p in corners):
+            # a corner on the zero set for every parameter value
+            comps["L_C"] = Component("L_C", note="dense")
+        else:
+            comps["L_C"] = Component("L_C", systems=[
+                [p] for p in corners if not _is_const(p)])
 
     if want_x:
         sh = Component("L_SH")

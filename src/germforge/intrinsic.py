@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
 from .linalg import RowSpace
-from .localalg import ideal_span, jet_vector, standard_basis
+from .localalg import ideal_span, standard_basis
 
 DEFAULT_UPPER_BOUND = 20
 
@@ -101,28 +100,13 @@ class IntrinsicIdeal:
         return " + ".join(parts)
 
 
-def monomial_members(space: RowSpace, k: int) -> set:
-    """All monomials of degree <= k whose coefficient vector lies in the
-    span."""
-    monos = monomials_upto(2, k)
-    out = set()
-    for i, m in enumerate(monos):
-        vec = [Fraction(0)] * len(monos)
-        vec[i] = Fraction(1)
-        if space.contains(vec):
-            out.add(m)
-    return out
-
-
 def span_with_extra(I: List[Jet], extra: Optional[List[Jet]], k: int) -> RowSpace:
     """Jet-space span of the ideal generated by I plus the plain linear span
-    of `extra`."""
-    if I:
-        space = ideal_span(I, k)
-    else:
-        space = RowSpace(len(monomials_upto(2, k)))
-    for f in extra or []:
-        space.add(jet_vector(f, k))
+    of `extra`; I and extra hold at least one jet between them."""
+    extra = list(extra or [])
+    space = ideal_span(I, k) if I else RowSpace(extra[0].variables, k)
+    for f in extra:
+        space.add(f)
     return space
 
 
@@ -153,13 +137,13 @@ def intrinsic_part(I: List[Jet], extra: Optional[List[Jet]] = None,
                    k: Optional[int] = None) -> IntrinsicResult:
     """Largest intrinsic ideal contained in <I> + span(extra) modulo degree
     k.  Infinite codimension is reported as a remark, not an error."""
+    if not I and not extra:
+        return IntrinsicResult(IntrinsicIdeal(()), INFINITE_CODIM_REMARK)
     if k is None:
         degrees = [f.total_degree() for f in list(I) + list(extra or [])
                    if not f.is_zero()]
         k = max(degrees) + 1 if degrees else 1
-    space = span_with_extra(I, extra, k)
-    members = monomial_members(space, k)
-    ideal = intrinsic_from_members(members, k)
+    ideal = intrinsic_from_members(span_with_extra(I, extra, k).monomials(), k)
     remark = None
     if not any(l == 0 for _k, l in ideal.blocks):
         remark = INFINITE_CODIM_REMARK

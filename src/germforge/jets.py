@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 
 Monomial = tuple  # tuple of non-negative ints, one slot per variable

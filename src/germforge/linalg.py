@@ -1,9 +1,17 @@
-"""Dense exact linear algebra over Fraction, sized for jet-space problems
-(dimensions are a few hundred at most)."""
+"""Exact linear algebra over Fraction, sized for jet-space problems
+(dimensions are a few hundred at most).
+
+`RowSpace` is the span of a set of jets, kept as sparse reduced rows keyed
+by monomial; it is the one place where monomials become columns.  The dense
+solvers below (`rref`, `solve_linear`, `nullspace`, `rank`) take lists of
+rows and solve linear systems."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+
+from .jets import Jet, monomials_upto
 
 
 def rref(rows):
@@ -37,45 +45,80 @@ def rref(rows):
 
 
 class RowSpace:
-    """Incrementally built row space with O(rank) membership tests."""
+    """The span of some jets in the space of degree-<=k jets in `variables`.
 
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []      # reduced rows
-        self.pivots = []    # pivot column of each row
+    Columns are the monomials of degree <= k in `monomials_upto` order.  The
+    span is kept as its reduced row echelon form: one sparse row
+    {monomial: Fraction} per pivot monomial (the row's first column), equal
+    to 1 there and 0 at every other row's pivot.  That form is unique, so
+    the rows depend only on the span, not on the order of insertion."""
+
+    def __init__(self, variables, k):
+        self.variables = tuple(variables)
+        self.degree = k
+        self._col = _columns(len(self.variables), k)
+        self._rows = {}  # pivot monomial -> reduced row
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
+    @property
+    def rows(self):
+        """The reduced rows as jets, in pivot column order."""
+        return [Jet(dict(self._rows[p]), self.variables, self.degree,
+                    _clean=False)
+                for p in sorted(self._rows, key=self._col.__getitem__)]
+
+    def monomials(self):
+        """The monomials lying in the span: those whose pivot row is the
+        monomial alone."""
+        return {p for p, row in self._rows.items() if len(row) == 1}
+
+    def _reduce(self, f):
+        """f truncated to degree k, minus its projection on the span."""
+        vec = {m: c for m, c in f.terms.items() if m in self._col}
+        # rows vanish at each other's pivots, so one pass clears them all
+        for p in [m for m in vec if m in self._rows]:
+            c = vec.pop(p)
+            for m, r in self._rows[p].items():
+                if m != p:
+                    v = vec.get(m, 0) - c * r
+                    if v:
+                        vec[m] = v
+                    else:
+                        del vec[m]
         return vec
 
-    def contains(self, vec):
-        return all(v == 0 for v in self._reduce(vec))
+    def contains(self, f):
+        return not self._reduce(f)
 
-    def add(self, vec):
-        """Insert a vector; returns True when it enlarged the space."""
-        vec = self._reduce([Fraction(v) for v in vec])
-        for c, v in enumerate(vec):
-            if v != 0:
-                vec = [x / v for x in vec]
-                for i, row in enumerate(self.rows):
-                    if row[c] != 0:
-                        f = row[c]
-                        self.rows[i] = [a - f * b for a, b in zip(row, vec)]
-                self.rows.append(vec)
-                self.pivots.append(c)
-                order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+    def add(self, f):
+        """Insert a jet; returns True when it enlarged the span."""
+        vec = self._reduce(f)
+        if not vec:
+            return False
+        p = min(vec, key=self._col.__getitem__)
+        lead = vec[p]
+        vec = {m: c / lead for m, c in vec.items()}
+        for row in self._rows.values():
+            c = row.get(p)
+            if c:
+                for m, v in vec.items():
+                    x = row.get(m, 0) - c * v
+                    if x:
+                        row[m] = x
+                    else:
+                        del row[m]
+        self._rows[p] = vec
+        return True
+
+
+@lru_cache(maxsize=None)
+def _columns(nvars, k):
+    """Column position of each monomial of degree <= k (shared by every
+    RowSpace of that size, so never modified)."""
+    return {m: i for i, m in enumerate(monomials_upto(nvars, k))}
 
 
 def solve_linear(matrix, rhs):

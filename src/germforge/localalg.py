@@ -466,33 +466,14 @@ def ideal_span(G: List[Jet], k: int) -> RowSpace:
     """Brute-force coefficient span of {m*f : f in G, deg(m*f) <= k} in the
     degree-<=k jet space.  Used as the independent membership oracle."""
     variables = G[0].variables
-    monos = monomials_upto(len(variables), k)
-    index = {m: i for i, m in enumerate(monos)}
-    space = RowSpace(len(monos))
+    space = RowSpace(variables, k)
     for f in G:
         f = f.truncate(k)
         if f.is_zero():
             continue
-        for m in monos:
-            prod = f.term_mul(m)
-            if prod.is_zero():
-                continue
-            vec = [Fraction(0)] * len(monos)
-            for mm, c in prod.terms.items():
-                vec[index[mm]] = c
-            space.add(vec)
+        for m in monomials_upto(len(variables), k - f.order()):
+            space.add(f.term_mul(m))
     return space
-
-
-def jet_vector(f: Jet, k: int, index=None):
-    """Coefficient vector of a jet in the degree-<=k monomial basis."""
-    monos = monomials_upto(len(f.variables), k)
-    if index is None:
-        index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * len(monos)
-    for m, c in f.truncate(k).terms.items():
-        vec[index[m]] = c
-    return vec
 
 
 def poly_ring(names):

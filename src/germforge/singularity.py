@@ -13,13 +13,12 @@ from .intrinsic import (
     IntrinsicIdeal,
     high_order_part,
     intrinsic_from_members,
-    monomial_members,
     smallest_intrinsic,
     verify_germ,
 )
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
 from .linalg import RowSpace, solve_linear
-from .localalg import ideal_span, jet_vector
+from .localalg import ideal_span
 
 NF_POLY_WARNING = (
     "The polynomial germ ring is not suitable for normal form computations."
@@ -39,12 +38,6 @@ class NotEquivalentError(ValueError):
     requested degree."""
 
 
-def _unit_vector(m, monos, index):
-    vec = [Fraction(0)] * len(monos)
-    vec[index[m]] = Fraction(1)
-    return vec
-
-
 def _ordered_monomials(k: int) -> list:
     """All monomials of degree <= k, best (lowest local order key... highest
     priority) first: 1, x, lam, x^2, ..."""
@@ -61,28 +54,13 @@ class SpanSpace:
     intrinsic: IntrinsicIdeal
     extra: List[Jet]
     degree: int
-    _space: Optional[RowSpace] = field(default=None, repr=False)
-
-    def space(self) -> RowSpace:
-        if self._space is None:
-            k = self.degree
-            monos = monomials_upto(2, k)
-            index = {m: i for i, m in enumerate(monos)}
-            sp = RowSpace(len(monos))
-            for m in monos:
-                if self.intrinsic.contains_monomial(m):
-                    sp.add(_unit_vector(m, monos, index))
-            for f in self.extra:
-                sp.add(jet_vector(f, k, index))
-            self._space = sp
-        return self._space
+    space: RowSpace = field(repr=False)
 
     def contains(self, f: Jet) -> bool:
-        return self.space().contains(jet_vector(f, self.degree))
+        return self.space.contains(f)
 
     def codimension(self) -> int:
-        monos = monomials_upto(2, self.degree)
-        return len(monos) - self.space().rank
+        return len(monomials_upto(2, self.degree)) - self.space.rank
 
     def __str__(self) -> str:
         parts = []
@@ -93,27 +71,26 @@ class SpanSpace:
         return " + ".join(parts) if parts else "0"
 
 
-def _span_to_spanspace(space: RowSpace, k: int,
-                       variables=("x", "lam")) -> SpanSpace:
-    members = monomial_members(space, k)
-    intr = intrinsic_from_members(members, k)
-    monos = monomials_upto(2, k)
-    index = {m: i for i, m in enumerate(monos)}
-    covered = RowSpace(len(monos))
-    for m in monos:
-        if intr.contains_monomial(m):
-            covered.add(_unit_vector(m, monos, index))
+def _ideal_space(ideal: IntrinsicIdeal, variables, k: int) -> RowSpace:
+    """The span of the degree-<=k monomials of an intrinsic ideal."""
+    space = RowSpace(variables, k)
+    for m in ideal.monomials_upto(k):
+        space.add(Jet.monomial(m, variables, 1, k))
+    return space
+
+
+def _span_to_spanspace(space: RowSpace) -> SpanSpace:
+    k = space.degree
+    intr = intrinsic_from_members(space.monomials(), k)
+    covered = _ideal_space(intr, space.variables, k)
     extra = []
-    for row in list(space.rows):
-        if covered.add(list(row)):
-            terms = {}
-            for m, c in zip(monos, row):
-                if c != 0 and not intr.contains_monomial(m):
-                    terms[m] = c
-            f = Jet(terms, variables, k)
+    for row in space.rows:
+        if covered.add(row):
+            f = Jet({m: c for m, c in row.terms.items()
+                     if not intr.contains_monomial(m)}, space.variables, k)
             if not f.is_zero():
                 extra.append(f)
-    return SpanSpace(intr, extra, k, _space=space)
+    return SpanSpace(intr, extra, k, space)
 
 
 def _rt_span(g: Jet, k: int) -> RowSpace:
@@ -128,16 +105,13 @@ def _t_span(g: Jet, k: int) -> RowSpace:
     gx = g.diff(g.variables[0])
     glam = g.diff(g.variables[1])
     gens = [f for f in (g, gx) if not f.is_zero()]
-    if gens:
-        space = ideal_span(gens, k)
-    else:
-        space = RowSpace(len(monomials_upto(2, k)))
+    space = ideal_span(gens, k) if gens else RowSpace(g.variables, k)
     lam = Jet.variable(g.variables[1], g.variables, g.degree)
     term = glam
     for _j in range(k + 1):
         if term.is_zero():
             break
-        space.add(jet_vector(term, k))
+        space.add(term)
         term = term * lam
     return space
 
@@ -146,14 +120,14 @@ def restricted_tangent(g: Jet, k: Optional[int] = None) -> SpanSpace:
     """RT(g) = E{g} + M{g_x} on degree-<=k jets."""
     k = k if k is not None else g.degree
     g = g.truncate(k)
-    return _span_to_spanspace(_rt_span(g, k), k, g.variables)
+    return _span_to_spanspace(_rt_span(g, k))
 
 
 def tangent_space(g: Jet, k: Optional[int] = None) -> SpanSpace:
     """T(g) = E{g, g_x} + E_lambda{g_lambda} on degree-<=k jets."""
     k = k if k is not None else g.degree
     g = g.truncate(k)
-    return _span_to_spanspace(_t_span(g, k), k, g.variables)
+    return _span_to_spanspace(_t_span(g, k))
 
 
 def tangent_perp(g: Jet, k: Optional[int] = None) -> list:
@@ -162,13 +136,11 @@ def tangent_perp(g: Jet, k: Optional[int] = None) -> list:
     k = k if k is not None else g.degree
     g = g.truncate(k)
     space = _t_span(g, k)
-    monos = monomials_upto(2, k)
-    index = {m: i for i, m in enumerate(monos)}
     chosen = []
     # within a degree prefer lambda-heavy monomials, so ties between a pure
     # x power and a mixed monomial resolve toward the mixed one
-    for m in sorted(monos, key=lambda m: (mdeg(m), m[0])):
-        if space.add(_unit_vector(m, monos, index)):
+    for m in sorted(monomials_upto(2, k), key=lambda m: (mdeg(m), m[0])):
+        if space.add(Jet.monomial(m, g.variables, 1, k)):
             chosen.append(m)
     return chosen
 
@@ -555,18 +527,17 @@ def universal_unfolding(expand: Callable[[int], Jet],
     # enumerate alternative monomial complements
     p = len(perp)
     space = _t_span(base, k)
-    all_monos = monomials_upto(2, k)
-    index = {m: i for i, m in enumerate(all_monos)}
-    candidates = [m for m in _ordered_monomials(k)
-                  if not space.contains(_unit_vector(m, all_monos, index))]
+    in_t = space.monomials()
+    candidates = [m for m in _ordered_monomials(k) if m not in in_t]
     from itertools import combinations
 
     results = []
     for combo in combinations(candidates, p):
-        trial = RowSpace(len(all_monos))
+        trial = RowSpace(base.variables, k)
         for row in space.rows:
-            trial.add(list(row))
-        ok = all(trial.add(_unit_vector(m, all_monos, index)) for m in combo)
+            trial.add(row)
+        ok = all(trial.add(Jet.monomial(m, base.variables, 1, k))
+                 for m in combo)
         if ok:
             if len(results) == LIST_CAP:
                 warnings.append("only the first %d monomial complements of T "
@@ -589,11 +560,7 @@ def check_universal(G: UnfoldingGerm, k: Optional[int] = None) -> str:
     if p != len(perp):
         return "No"
     space = _t_span(base_k, k)
-    added = 0
-    for i in range(p):
-        v = G.direction(i).truncate(k)
-        if space.add(jet_vector(v, k)):
-            added += 1
+    added = sum(space.add(G.direction(i)) for i in range(p))
     return "Yes" if added == p else "No"
 
 
@@ -660,11 +627,8 @@ def recognition_unfolding(g: Jet, p: int,
     candidates spanning T/Itr(T) followed by the p unfolding directions."""
     k = k if k is not None else g.degree
     g = g.truncate(k)
-    space = _t_span(g, k)
-    members = monomial_members(space, k)
-    itr = intrinsic_from_members(members, k)
-    monos = monomials_upto(2, k)
-    index = {m: i for i, m in enumerate(monos)}
+    itr = intrinsic_from_members(_t_span(g, k).monomials(), k)
+
     def column_key(m):
         # evaluation first, then pure lambda derivatives, then pure x,
         # then mixed ones
@@ -695,17 +659,14 @@ def recognition_unfolding(g: Jet, p: int,
         candidates.append(("g_x", m, gx.term_mul(m)))
     for j in range(1, 3):
         candidates.append(("g_lambda", (0, j), glam.term_mul((0, j))))
-    covered = RowSpace(len(monos))
-    for m in monos:
-        if itr.contains_monomial(m):
-            covered.add(_unit_vector(m, monos, index))
+    covered = _ideal_space(itr, g.variables, k)
     germ_rows = []
     for label, mult, h in candidates:
         if len(germ_rows) == n - p:
             break
         if h.is_zero():
             continue
-        if covered.add(jet_vector(h.truncate(k), k, index)):
+        if covered.add(h):
             germ_rows.append((label, mult))
     if len(germ_rows) < n - p:
         raise ValueError(

@@ -182,12 +182,12 @@ def test_criterion_07_alg_objects_tower():
         [(6, 0), (1, 3)], [],
         [j("x^4*lam"), j("3*lam^2*x^3 + 5*x^5"),
          j("lam^2*x^3 + x^5 + lam^3")], 6)
-    assert ts.spaces_equal(rt.space(), printed_rt)
+    assert ts.spaces_equal(rt.space, printed_rt)
     t = tangent_space(g, 6)
     printed_t = ts.span_of(
         [(5, 0), (0, 3)],
         [j("3/5*lam^2*x^2 + x^4"), j("x^3*lam + 3/2*lam^2")], [], 6)
-    assert ts.spaces_equal(t.space(), printed_t)
+    assert ts.spaces_equal(t.space, printed_t)
 
 
 def test_criterion_08_tangent_perp():

@@ -449,6 +449,15 @@ def test_linear_germ_corner_set():
     assert roots == {0, 1, -1}
 
 
+def test_corner_on_the_zero_set_for_every_parameter_is_dense():
+    # G(0, lambda, a1) = 0, so the corners at x = 0 lie on the zero set for
+    # every a1 and L_C is the whole parameter space
+    G = make_unfolding(jet({(3, 0): 1, (1, 1): -1}), [jet({(1, 0): 1})])
+    lc = nonpersistent_sets(G, (0, 1), (-1, 1)).components["L_C"]
+    assert lc.note == "dense" and not lc.systems
+    assert str(lc) == "L_C: whole parameter space"
+
+
 # -------------------------------------------------- region classification
 
 

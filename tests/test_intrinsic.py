@@ -6,12 +6,12 @@ from fractions import Fraction
 from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import (
     INCREASE_BOUND_WARNING,
+    INFINITE_CODIM_REMARK,
     IntrinsicIdeal,
     canonical_blocks,
     high_order_part,
     intrinsic_from_members,
     intrinsic_part,
-    monomial_members,
     smallest_intrinsic,
     span_with_extra,
     verify_germ,
@@ -73,11 +73,18 @@ def test_intrinsic_part_examples():
     assert intrinsic_part([j("x"), j("lam")]).ideal.blocks == ((1, 0),)
 
 
+def test_intrinsic_part_of_no_generators_is_zero():
+    for extra in (None, []):
+        r = intrinsic_part([], extra)
+        assert r.ideal.is_zero
+        assert r.remark == INFINITE_CODIM_REMARK
+
+
 def test_intrinsic_part_is_contained_and_maximal():
     A = [j("x^3*lam + lam^2"), j("3*x^3*lam"), j("3*x^2*lam^2")]
     k = 7
     space = span_with_extra([f.truncate(k) for f in A], None, k)
-    members = monomial_members(space, k)
+    members = space.monomials()
     I = intrinsic_part(A, None, k).ideal
     for m in monomials_upto(2, k):
         if I.contains_monomial(m):
@@ -108,7 +115,7 @@ def test_intrinsic_part_against_exhaustive_oracle():
         if not gens:
             continue
         space = span_with_extra(gens, None, k)
-        members = monomial_members(space, k)
+        members = space.monomials()
         got = intrinsic_part(gens, None, k).ideal
         expected = intrinsic_from_members(members, k)
         assert got.blocks == expected.blocks

@@ -8,7 +8,7 @@ from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import IntrinsicIdeal
 from germforge.jets import Jet, monomials_upto
 from germforge.linalg import RowSpace
-from germforge.localalg import ideal_span, jet_vector
+from germforge.localalg import ideal_span
 from germforge.singularity import (
     NF_POLY_WARNING,
     UNFOLDING_POLY_WARNING,
@@ -37,35 +37,27 @@ def j(text, k=None):
     return parse_and_expand(text, V, k)
 
 
-def unit_vec(m, monos, index):
-    vec = [Fraction(0)] * len(monos)
-    vec[index[m]] = Fraction(1)
-    return vec
-
-
 def span_of(intrinsic_blocks, extra_jets, extra_ideal_gens, k):
     """Brute-force span: intrinsic monomials + plain vectors + full ideal
     closure of further generators."""
-    monos = monomials_upto(2, k)
-    index = {m: i for i, m in enumerate(monos)}
-    space = RowSpace(len(monos))
+    space = RowSpace(V, k)
     ideal = IntrinsicIdeal.from_blocks(intrinsic_blocks)
-    for m in monos:
+    for m in monomials_upto(2, k):
         if ideal.contains_monomial(m):
-            space.add(unit_vec(m, monos, index))
+            space.add(Jet.monomial(m, V, 1, k))
     for f in extra_jets:
-        space.add(jet_vector(f.truncate(k), k, index))
+        space.add(f.truncate(k))
     if extra_ideal_gens:
         closure = ideal_span([f.truncate(k) for f in extra_ideal_gens], k)
         for row in closure.rows:
-            space.add(list(row))
+            space.add(row)
     return space
 
 
 def spaces_equal(a, b):
     if a.rank != b.rank:
         return False
-    return all(b.contains(list(r)) for r in a.rows)
+    return all(b.contains(r) for r in a.rows)
 
 
 QUINTIC = "x^5 + x^3*lam^2 + lam^3"
@@ -94,7 +86,7 @@ def test_rt_matches_printed_span():
         [(6, 0), (1, 3)], [],
         [j("x^4*lam"), j("3*lam^2*x^3 + 5*x^5"), j("lam^2*x^3 + x^5 + lam^3")],
         6)
-    assert spaces_equal(rt.space(), printed)
+    assert spaces_equal(rt.space, printed)
 
 
 def test_t_matches_printed_span():
@@ -105,7 +97,7 @@ def test_t_matches_printed_span():
         [(5, 0), (0, 3)],
         [j("3/5*lam^2*x^2 + x^4"), j("x^3*lam + 3/2*lam^2")],
         [], 6)
-    assert spaces_equal(t.space(), printed)
+    assert spaces_equal(t.space, printed)
 
 
 def test_tangent_perp_codim_20():
