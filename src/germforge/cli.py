@@ -4,6 +4,7 @@ local-ring algebra with text or JSON output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -454,7 +455,11 @@ def cmd_multmatrix(args):
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and `main` runs many times in one process when the CLI is
+    driven as a library."""
     p = argparse.ArgumentParser(
         prog="germforge",
         description="Qualitative analysis of local zeros of scalar germs "

@@ -68,9 +68,6 @@ class IntrinsicIdeal:
     def contains(self, f: Jet) -> bool:
         return all(self.contains_monomial(m) for m in f.terms)
 
-    def add(self, other: "IntrinsicIdeal") -> "IntrinsicIdeal":
-        return IntrinsicIdeal.from_blocks(self.blocks + other.blocks)
-
     def generators(self) -> list:
         """One monomial generator x^k*lambda^l per block."""
         return [(k, l) for k, l in self.blocks]

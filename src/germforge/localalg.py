@@ -58,32 +58,32 @@ def _weak_nf(g: Jet, G: List[Jet], order: MonomialOrder):
     zero = Jet.zero(variables, g.degree)
     h, unit = g, one
     quots = [zero] * len(G)
-    # reducers: (jet, index-into-G or None, unit, quotients); the latter two
-    # give the representation of intermediate results added by Mora's rule
-    reducers = [(f, i, None, None) for i, f in enumerate(G)]
     local = order.is_local
+    # reducers: (ecart, index into G or None, leading monomial, leading
+    # coefficient, jet, unit, quotients), the leading term and ecart taken
+    # once on entry; unit and quotients give the representation of an
+    # intermediate result added by Mora's rule
+    reducers = []
+    for i, f in enumerate(G):
+        fm, fc = f.leading_term(order)
+        reducers.append((f.total_degree() - mdeg(fm), i, fm, fc, f, None, None))
     steps = 0
     while not h.is_zero():
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
             raise RuntimeError("division did not terminate within the step cap")
         lm, lc = h.leading_term(order)
-        candidates = [t for t in reducers
-                      if mdivides(t[0].leading_monomial(order), lm)]
+        candidates = [t for t in reducers if mdivides(t[2], lm)]
         if not candidates:
             break
         if local:
-            chosen = min(
-                candidates,
-                key=lambda t: (t[0].ecart(order), t[1] is None,
-                               t[1] if t[1] is not None else 0),
-            )
-            if chosen[0].ecart(order) > h.total_degree() - mdeg(lm):
-                reducers.append((h, None, unit, list(quots)))
+            chosen = min(candidates, key=lambda t: (t[0], t[1] is None, t[1] or 0))
+            h_ecart = h.total_degree() - mdeg(lm)
+            if chosen[0] > h_ecart:
+                reducers.append((h_ecart, None, lm, lc, h, unit, list(quots)))
         else:
             chosen = candidates[0]
-        f, idx, f_unit, f_quots = chosen
-        fm, fc = f.leading_term(order)
+        _, idx, fm, fc, f, f_unit, f_quots = chosen
         m = mdiv(lm, fm)
         c = lc / fc
         h = h - f.term_mul(m, c)
@@ -96,11 +96,11 @@ def _weak_nf(g: Jet, G: List[Jet], order: MonomialOrder):
 
 
 def mora_divide(g: Jet, G: List[Jet], order: MonomialOrder,
-                k: Optional[int] = None, tail: bool = True) -> DivisionResult:
+                k: Optional[int] = None) -> DivisionResult:
     """Divide g by the list G.  For a local order this is Mora's division with
-    a unit multiplier; for a global order the unit stays 1.  With `tail` the
-    remainder is fully reduced: none of its terms is divisible by a divisor
-    leading monomial."""
+    a unit multiplier; for a global order the unit stays 1.  The remainder is
+    fully reduced: none of its terms is divisible by a divisor leading
+    monomial."""
     if not G or any(f.is_zero() for f in G):
         raise ValueError("divisor list must be nonempty and zero-free")
     variables = g.variables
@@ -142,9 +142,6 @@ def mora_divide(g: Jet, G: List[Jet], order: MonomialOrder,
                 lead = Jet.monomial(lm, variables, lc, h.degree)
                 remainder = remainder + lead
                 work = extra + (h - lead)
-        if not tail:
-            remainder = remainder + work
-            break
     return DivisionResult(quots, remainder, unit)
 
 
@@ -172,55 +169,38 @@ class StandardBasis:
         return f.is_zero() or self.reduce(f).is_zero()
 
 
-def _spoly(f: Jet, g: Jet, order: MonomialOrder) -> Jet:
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
-    lcm = mlcm(fm, gm)
-    return f.term_mul(mdiv(lcm, fm), 1 / fc) - g.term_mul(mdiv(lcm, gm), 1 / gc)
-
-
 def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
-    basis = []
+    """Mora's tangent-cone algorithm (Buchberger's for a global order) on
+    monic generators; `leads` holds each basis element's leading monomial
+    and `pairs` each pair's lcm, both taken once on entry."""
+    basis, leads, pairs = [], [], {}
+
+    def add(f):
+        lm, lc = f.leading_term(order)
+        new = len(basis)
+        basis.append(f.scale(1 / lc))
+        leads.append(lm)
+        pairs.update(((new, t), mlcm(lm, leads[t])) for t in range(new))
+
     for g in G:
         g = g.truncate(k) if k is not None else g
         if not g.is_zero():
-            basis.append(g.monic(order))
-    if not basis:
-        return []
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+            add(g)
     while pairs:
         # deterministic queue: smallest lcm first under the order's key
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                order.key(
-                    mlcm(
-                        basis[p[0]].leading_monomial(order),
-                        basis[p[1]].leading_monomial(order),
-                    )
-                ),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        mi = fi.leading_monomial(order)
-        mj = fj.leading_monomial(order)
-        lcm = mlcm(mi, mj)
+        i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
+        lcm = pairs.pop((i, j))
+        mi, mj = leads[i], leads[j]
         if lcm == mmul(mi, mj):  # coprime leading terms: S-pair reduces to 0
             continue
         if k is not None and mdeg(lcm) > k:
             continue
-        s = _spoly(fi, fj, order)
+        s = basis[i].term_mul(mdiv(lcm, mi)) - basis[j].term_mul(mdiv(lcm, mj))
         if s.is_zero():
             continue
-        r = mora_divide(s, basis, order, k, tail=False).remainder
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        new = len(basis) - 1
-        pairs.update((new, t) for t in range(new))
+        r = _weak_nf(s, basis, order)[0]
+        if not r.is_zero():
+            add(r)
     return basis
 
 
@@ -242,40 +222,35 @@ def _strip_unit_factor(g: Jet) -> Jet:
 
 def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
     # discard generators whose leading monomial is a multiple of another's
-    kept = []
-    for i, g in enumerate(basis):
-        lm = g.leading_monomial(order)
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            lm2 = h.leading_monomial(order)
-            if mdivides(lm2, lm) and (lm2 != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
+    leads = [g.leading_monomial(order) for g in basis]
+    kept = [
+        g for i, (g, lm) in enumerate(zip(basis, leads))
+        if not any(mdivides(lm2, lm) and (lm2 != lm or j < i)
+                   for j, lm2 in enumerate(leads) if j != i)
+    ]
     if order.is_local:
         kept = [_strip_unit_factor(g) for g in kept]
     # fully reduce each survivor against the others
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        if others:
-            lm, lc = g.leading_term(order)
-            tail_part = g - Jet.monomial(lm, g.variables, lc, g.degree)
-            if not tail_part.is_zero():
-                # untruncated local tails can reduce to infinite series, so
-                # only weak-normalize them in that case
-                full = k is not None or not order.is_local
-                res = mora_divide(tail_part, others, order, k, tail=full)
-                # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
-                # = lead*unit + r stays in the ideal
-                lead = Jet.monomial(lm, g.variables, lc, g.degree)
-                g = lead * res.unit + res.remainder
-        out.append(g.monic(order))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return out
+        lm, lc = g.leading_term(order)
+        lead = Jet.monomial(lm, g.variables, lc, g.degree)
+        tail_part = g - lead
+        if others and not tail_part.is_zero():
+            # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
+            # = lead*unit + r stays in the ideal; untruncated local tails
+            # can reduce to infinite series, so those are only
+            # weak-normalized
+            if k is None and order.is_local:
+                r, unit, _ = _weak_nf(tail_part, others, order)
+            else:
+                res = mora_divide(tail_part, others, order, k)
+                r, unit = res.remainder, res.unit
+            g = lead * unit + r
+        out.append((order.key(lm), g.scale(1 / lc)))
+    out.sort(key=lambda t: t[0], reverse=True)
+    return [g for _, g in out]
 
 
 def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
@@ -376,13 +351,12 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     sb = standard_basis(inter, LocalOrder(), None, check_stability=False)
     out = []
     for h in sb.generators:
-        res = mora_divide(h, [g], LocalOrder(), None, tail=False)
-        if not res.remainder.is_zero():
+        r, _, (q,) = _weak_nf(h, [g], LocalOrder())
+        if not r.is_zero():
             raise ArithmeticError(
                 "intersection generator not divisible by g; this indicates an "
                 "internal inconsistency"
             )
-        q = res.quotients[0]
         if k is not None:
             q = q.truncate(k)
         if not q.is_zero():

@@ -167,6 +167,39 @@ def test_membership_agrees_with_span_oracle():
         agreements += 1
 
 
+
+def test_leading_ideal_agrees_with_span_oracle():
+    # modulo degree > k the ideal is the span of the m*f, kept in echelon
+    # form with columns in descending local order, so its rows' leading
+    # monomials are all the leading monomials of the ideal; the standard
+    # basis must generate exactly those, and the normal set is the rest
+    from germforge.jets import mdivides
+    from germforge.localalg import InfiniteCodimensionError
+
+    rng = random.Random(4021)
+    cases = finite = 0
+    while cases < 300:
+        k = rng.randint(2, 7)
+        G = [random_jet(rng, k=k) for _ in range(rng.randint(1, 3))]
+        G = [f for f in G if not f.is_zero()]
+        if not G:
+            continue
+        sb = standard_basis(G, LO, k, check_stability=False)
+        leads = sb.leading_monomials()
+        monos = monomials_upto(2, k)
+        divisible = {m for m in monos if any(mdivides(lm, m) for lm in leads)}
+        spanned = {r.leading_monomial(LO) for r in ideal_span(G, k).rows}
+        assert divisible == spanned, (G, k)
+        try:
+            standard = normal_set(sb, k)
+        except InfiniteCodimensionError:
+            pass
+        else:
+            assert set(standard) == set(monos) - spanned
+            finite += 1
+        cases += 1
+    assert finite >= 100
+
 # ------------------------------------------------- intersection and colon
 
 def test_intersection_trivials():
