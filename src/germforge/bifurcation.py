@@ -604,10 +604,10 @@ def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
                    tuple(Fraction(a) for a in alpha))
 
 
-def root_count_signature(diagram: Diagram, lambdas: Sequence[float],
-                         merge_tol: float = 1e-5) -> tuple:
+def root_count_signature(diagram: Diagram,
+                         lambdas: Sequence[float]) -> tuple:
     """Number of distinct x-roots read off the traced curves at each lambda
-    sample."""
+    sample; roots closer than 1e-5 count once."""
     counts = []
     for c in lambdas:
         xs = []
@@ -623,7 +623,7 @@ def root_count_signature(diagram: Diagram, lambdas: Sequence[float],
         count = 0
         last = None
         for x in xs:
-            if last is None or x - last > merge_tol:
+            if last is None or x - last > 1e-5:
                 count += 1
             last = x
         counts.append(count)

@@ -1,5 +1,11 @@
 """Command-line front end: germ analysis, unfoldings, transition sets, and
-local-ring algebra with text or JSON output."""
+local-ring algebra with text or JSON output.
+
+Each `cmd_*` handler takes the parsed arguments and the (state, parameter)
+names from `--vars`, and returns (inputs, result, warnings, lines): the
+`inputs` and `result` objects of the JSON output, the warnings, and the
+text output.  Only `main` parses `--vars`, prints, and turns exceptions into
+exit codes."""
 
 from __future__ import annotations
 
@@ -13,18 +19,27 @@ from .germexpr import (
     GermSyntaxError,
     NonUnitDivisorError,
     UnknownVariableError,
+    is_polynomial_expr,
     parse_and_expand,
     parse_germ,
+    taylor_expand,
 )
 from .intrinsic import (
     INCREASE_BOUND_WARNING,
-    _is_polynomial_expr,
-    _upper_bound,
+    degree_bound,
     intrinsic_part,
     verify_germ,
     verify_ideal,
 )
-from .jets import GrLexOrder, Jet, LexOrder, LocalOrder, mdeg
+from .jets import (
+    GrLexOrder,
+    Jet,
+    LexOrder,
+    LocalOrder,
+    format_monomial,
+    format_term,
+    mdeg,
+)
 from .localalg import (
     InfiniteCodimensionError,
     colon_ideal,
@@ -64,11 +79,21 @@ RING_NAMES = {
 
 ORDERS = {"local": LocalOrder, "grlex": GrLexOrder, "lex": LexOrder}
 
+NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
+                "eight", "nine", "ten")
+
+
+class InputError(Exception):
+    """Input a command cannot use.  Exits with `status`: 2 for malformed
+    input, 1 for a germ that is zero at the working degree."""
+
+    def __init__(self, message, status=2):
+        super().__init__(message)
+        self.status = status
+
 
 def render_desc(jet: Jet) -> str:
     """Descending-degree rendering (x^3 - lambda rather than -lambda + x^3)."""
-    from .jets import format_term
-
     if not jet.terms:
         return "0"
     parts = []
@@ -82,57 +107,81 @@ def _split_names(text: str):
     return tuple(n.strip() for n in text.split(",") if n.strip())
 
 
-def _parse_vars(args) -> tuple:
-    names = _split_names(args.vars)
-    if len(names) != 2:
-        raise SystemExit2("--vars needs exactly 2 names (state, parameter)")
-    return names
+def _rationals(text, count, flag):
+    """The comma-separated rationals of a flag value; there must be `count`
+    of them."""
+    try:
+        values = [Fraction(v) for v in _split_names(text)]
+    except (ValueError, ZeroDivisionError):
+        raise InputError("%s takes comma-separated rationals, not %r"
+                         % (flag, text)) from None
+    if len(values) != count:
+        word = NUMBER_WORDS[count] if count < len(NUMBER_WORDS) else count
+        raise InputError("%s needs %s values" % (flag, word))
+    return values
 
 
-class SystemExit2(Exception):
-    """Usage error; exits with status 2."""
+def _jets(args, variables, texts, default_degree):
+    """Each germ text expanded at --degree, or at `default_degree` when
+    --degree is not given."""
+    k = args.degree if args.degree is not None else default_degree
+    return [parse_and_expand(t, variables, k) for t in texts]
 
 
-class MathError(Exception):
-    """Mathematical failure; exits with status 1."""
+def _nonzero(g: Jet) -> Jet:
+    if g.is_zero():
+        raise InputError("the germ is zero up to degree %d" % g.degree,
+                         status=1)
+    return g
 
 
 def _expander(text, variables):
+    """expand(k), the germ's k-jet, and whether the germ is a polynomial."""
     tree = parse_germ(text, variables)
 
     def expand(k):
-        from .germexpr import taylor_expand
-
         return taylor_expand(tree, variables, k)
 
-    return expand, _is_polynomial_expr(tree)
+    return expand, is_polynomial_expr(tree)
 
 
-def _unfolding_from_text(text, variables, params, degree):
-    all_vars = tuple(variables) + tuple(params)
-    k = degree if degree is not None else 2 * _upper_bound(None)
-    body = parse_and_expand(text, all_vars, k)
-    body = Jet(dict(body.terms), all_vars, None)
-    return UnfoldingGerm(body, tuple(params))
+def _unfolding(args, variables, degree):
+    """The germ as an unfolding in --params: expanded at `degree` (twice the
+    truncation-degree bound when None), then left untruncated."""
+    params = _split_names(args.params)
+    all_vars = tuple(variables) + params
+    k = degree if degree is not None else 2 * degree_bound()
+    body = parse_and_expand(args.germ[0], all_vars, k)
+    return UnfoldingGerm(Jet(dict(body.terms), all_vars, None), params)
 
 
-def _emit(args, command, inputs, result, warnings, text_lines):
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps({"command": command, "inputs": inputs,
-                          "result": result, "warnings": warnings},
-                         sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-        for w in warnings:
-            print(w)
+def _transition_unfolding(args, variables):
+    """The unfolding of a command that prints a transition set; a --plot
+    slice needs two parameters, which is checked before any elimination."""
+    G = _unfolding(args, variables, None)
+    if args.plot and len(G.params) != 2:
+        raise InputError("--plot draws a slice in exactly 2 parameters, "
+                         "not %d" % len(G.params))
+    return G
+
+
+def _transition_output(args, ts):
+    files = render_transition_slice(ts, args.plot) if args.plot else []
+    components = {
+        name: {"systems": [[str(p) for p in system]
+                           for system in comp.systems],
+               "side_conditions": [str(c) for c in comp.side_conditions],
+               "note": comp.note}
+        for name, comp in ts.components.items()}
+    return ({"germ": args.germ[0]},
+            {"components": components, "files": files},
+            ts.warnings, [str(ts)])
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_verify(args):
-    variables = _parse_vars(args)
+def cmd_verify(args, variables):
     bound = args.upper_bound
     if args.persistent:
         expand, poly_in = _expander(args.germ[0], variables)
@@ -143,18 +192,14 @@ def cmd_verify(args):
         k, warnings = persistent_truncation_degree(G,
                                                    upper_bound=bound or 12)
         if k is None:
-            _emit(args, "verify", {"germ": args.germ[0]},
-                  {"truncation_degree": None},
-                  [INCREASE_BOUND_WARNING] + warnings, [])
-            return
-        _emit(args, "verify", {"germ": args.germ[0], "mode": "persistent"},
-              {"truncation_degree": k}, warnings,
-              ["The least permissible truncation degree is: %d" % k])
-        return
+            return ({"germ": args.germ[0]}, {"truncation_degree": None},
+                    [INCREASE_BOUND_WARNING] + warnings, [])
+        return ({"germ": args.germ[0], "mode": "persistent"},
+                {"truncation_degree": k}, warnings,
+                ["The least permissible truncation degree is: %d" % k])
     if args.ideal:
-        k = args.degree if args.degree is not None else 12
-        jets = [parse_and_expand(t, variables, k) for t in args.germ]
-        rep = verify_ideal(jets, upper_bound=bound)
+        rep = verify_ideal(_jets(args, variables, args.germ, 12),
+                           upper_bound=bound)
         header = "The following rings are allowed as means of computations:"
         degree_line = "The truncated degree must be: %s"
     else:
@@ -172,180 +217,132 @@ def cmd_verify(args):
             lines.append(RING_NAMES[ring])
         lines.append("")
         lines.append(degree_line % rep.truncation_degree)
-    _emit(args, "verify", {"germ": args.germ},
-          {"rings": rep.permissible_rings,
-           "truncation_degree": rep.truncation_degree},
-          rep.warnings, lines)
+    return ({"germ": args.germ},
+            {"rings": rep.permissible_rings,
+             "truncation_degree": rep.truncation_degree},
+            rep.warnings, lines)
 
 
-def cmd_normalform(args):
-    variables = _parse_vars(args)
+def cmd_normalform(args, variables):
     expand, poly_in = _expander(args.germ[0], variables)
     nf = normal_form(expand, k=args.degree, ring=args.ring,
                      polynomial_input=poly_in)
-    _emit(args, "normalform", {"germ": args.germ[0], "ring": args.ring},
-          {"normal_form": render_desc(nf.germ), "degree": nf.degree},
-          nf.warnings, [render_desc(nf.germ)])
+    return ({"germ": args.germ[0], "ring": args.ring},
+            {"normal_form": render_desc(nf.germ), "degree": nf.degree},
+            nf.warnings, [render_desc(nf.germ)])
 
 
-def cmd_unfolding(args):
-    variables = _parse_vars(args)
+def cmd_unfolding(args, variables):
     expand, poly_in = _expander(args.germ[0], variables)
     out, warnings = universal_unfolding(
         expand, k=args.degree, normalform=args.normalform,
         want_list=args.list, ring=args.ring, polynomial_input=poly_in)
-    germs = out if args.list else [out]
-    lines = [str(u) for u in germs]
-    _emit(args, "unfolding", {"germ": args.germ[0]},
-          {"unfoldings": [str(u) for u in germs],
-           "params": [list(u.params) for u in germs]},
-          warnings, lines)
+    unfoldings = out if args.list else [out]
+    germs = [str(u) for u in unfoldings]
+    return ({"germ": args.germ[0]},
+            {"unfoldings": germs,
+             "params": [list(u.params) for u in unfoldings]},
+            warnings, germs)
 
 
-def cmd_recognize(args):
-    variables = _parse_vars(args)
-    k = args.degree if args.degree is not None else 6
-    g = parse_and_expand(args.germ[0], variables, k)
+def cmd_recognize(args, variables):
+    g = _nonzero(_jets(args, variables, args.germ[:1], 6)[0])
     if args.matrix is not None:
-        M = recognition_unfolding(g, args.matrix, k)
+        M = recognition_unfolding(g, args.matrix, g.degree)
         rows = M.render()
-        lines = ["[" + ", ".join(r) + "]" for r in rows]
-        _emit(args, "recognize", {"germ": args.germ[0], "matrix": args.matrix},
-              {"columns": [list(c) for c in M.columns], "rows": rows},
-              [], lines)
-    else:
-        rc = recognition_normal_form(g)
-        _emit(args, "recognize", {"germ": args.germ[0]},
-              {"zero": [list(m) for m in rc.zero],
-               "nonzero": [list(m) for m in rc.nonzero]},
-              [], [rc.render()])
+        return ({"germ": args.germ[0], "matrix": args.matrix},
+                {"columns": [list(c) for c in M.columns], "rows": rows},
+                [], ["[" + ", ".join(r) + "]" for r in rows])
+    rc = recognition_normal_form(g)
+    return ({"germ": args.germ[0]},
+            {"zero": [list(m) for m in rc.zero],
+             "nonzero": [list(m) for m in rc.nonzero]},
+            [], [rc.render()])
 
 
-def cmd_check_universal(args):
-    variables = _parse_vars(args)
-    params = _split_names(args.params)
-    G = _unfolding_from_text(args.germ[0], variables, params, args.degree)
-    answer = check_universal(G)
-    _emit(args, "check-universal", {"germ": args.germ[0]},
-          {"universal": answer}, [], [answer])
+def cmd_check_universal(args, variables):
+    answer = check_universal(_unfolding(args, variables, args.degree))
+    return {"germ": args.germ[0]}, {"universal": answer}, [], [answer]
 
 
-def cmd_transform(args):
-    variables = _parse_vars(args)
-    k = args.degree if args.degree is not None else 4
-    g = parse_and_expand(args.germ[0], variables, k)
-    f = parse_and_expand(args.germ[1], variables, k)
-    tr = transformation(g, f, k)
-    lines = ["X = %s" % tr.X, "Lambda = %s" % tr.L, "S = %s" % tr.S]
-    _emit(args, "transform", {"g": args.germ[0], "f": args.germ[1]},
-          {"X": str(tr.X), "Lambda": str(tr.L), "S": str(tr.S)}, [], lines)
+def cmd_transform(args, variables):
+    if len(args.germ) < 2:
+        raise InputError("transform needs two germs, g and f")
+    g, f = _jets(args, variables, args.germ[:2], 4)
+    tr = transformation(g, f, g.degree)
+    return ({"g": args.germ[0], "f": args.germ[1]},
+            {"X": str(tr.X), "Lambda": str(tr.L), "S": str(tr.S)}, [],
+            ["X = %s" % tr.X, "Lambda = %s" % tr.L, "S = %s" % tr.S])
 
 
-def _transition_result(ts):
-    out = {}
-    for name, comp in ts.components.items():
-        out[name] = {
-            "systems": [[str(p) for p in system] for system in comp.systems],
-            "side_conditions": [str(c) for c in comp.side_conditions],
-            "note": comp.note,
-        }
-    return out
-
-
-def cmd_transition_set(args):
-    variables = _parse_vars(args)
-    params = _split_names(args.params)
-    G = _unfolding_from_text(args.germ[0], variables, params, None)
+def cmd_transition_set(args, variables):
+    G = _transition_unfolding(args, variables)
     if args.degree is not None:
         G = UnfoldingGerm(truncate_xlam(G.body, args.degree), G.params)
-    ts = transition_set(G)
-    lines = [str(ts)]
-    files = []
-    if args.plot:
-        files = render_transition_slice(ts, args.plot)
-    _emit(args, "transition-set", {"germ": args.germ[0]},
-          {"components": _transition_result(ts), "files": files},
-          ts.warnings, lines)
+    return _transition_output(args, transition_set(G))
 
 
-def cmd_nonpersistent(args):
-    variables = _parse_vars(args)
-    params = _split_names(args.params)
-    G = _unfolding_from_text(args.germ[0], variables, params, None)
+def cmd_nonpersistent(args, variables):
+    G = _transition_unfolding(args, variables)
     if args.boundary is None:
-        raise SystemExit2("nonpersistent requires --boundary "
-                          "U_lo,U_hi,L_lo,L_hi")
-    vals = [Fraction(v) for v in _split_names(args.boundary)]
-    if len(vals) != 4:
-        raise SystemExit2("--boundary needs four values")
-    ts = nonpersistent_sets(G, (vals[0], vals[1]), (vals[2], vals[3]),
+        raise InputError("nonpersistent requires --boundary "
+                         "U_lo,U_hi,L_lo,L_hi")
+    u_lo, u_hi, l_lo, l_hi = _rationals(args.boundary, 4, "--boundary")
+    ts = nonpersistent_sets(G, (u_lo, u_hi), (l_lo, l_hi),
                             vertical=args.vertical,
                             horizontal=args.horizontal, k=args.degree)
-    lines = [str(ts)]
-    files = []
-    if args.plot:
-        files = render_transition_slice(ts, args.plot)
-    _emit(args, "nonpersistent", {"germ": args.germ[0]},
-          {"components": _transition_result(ts), "files": files},
-          ts.warnings, lines)
+    return _transition_output(args, ts)
 
 
-def cmd_persistent(args):
-    variables = _parse_vars(args)
-    params = _split_names(args.params)
-    G = _unfolding_from_text(args.germ[0], variables, params, args.degree)
-    ts = transition_set(G)
+def cmd_persistent(args, variables):
+    G = _unfolding(args, variables, args.degree)
     box = None
     if args.box:
-        nums = [Fraction(v) for v in _split_names(args.box)]
-        box = [(nums[2 * i], nums[2 * i + 1]) for i in range(len(nums) // 2)]
+        nums = _rationals(args.box, 2 * len(G.params), "--box")
+        box = list(zip(nums[::2], nums[1::2]))
+    window = ((-1.0, 1.0), (-1.0, 1.0))
+    if args.window:
+        nums = [float(v) for v in _rationals(args.window, 4, "--window")]
+        window = ((nums[0], nums[1]), (nums[2], nums[3]))
+    ts = transition_set(G)
     catalog = classify_regions(ts, box=box, grid=args.grid,
                                granularity=args.granularity)
-    lines = []
-    for i, (point, signs, _tag) in enumerate(catalog.representatives):
-        lines.append("region %d: alpha = (%s), signs = (%s)" % (
-            i + 1, ", ".join(str(v) for v in point),
-            ", ".join("+" if s > 0 else "-" for s in signs)))
+    points = [point for point, _signs, _tag in catalog.representatives]
+    lines = ["region %d: alpha = (%s), signs = (%s)" % (
+        i + 1, ", ".join(str(v) for v in point),
+        ", ".join("+" if s > 0 else "-" for s in signs))
+        for i, (point, signs, _tag) in enumerate(catalog.representatives)]
     files = []
     if args.plot:
-        window = ((-1.0, 1.0), (-1.0, 1.0))
-        if args.window:
-            nums = [float(Fraction(v)) for v in _split_names(args.window)]
-            window = ((nums[0], nums[1]), (nums[2], nums[3]))
-        for i, (point, _signs, _tag) in enumerate(catalog.representatives):
+        for i, point in enumerate(points):
             d = bifurcation_diagram(G, point, window=window,
                                     resolution=args.resolution)
             files += render_diagram(d, "%s/diagram_%03d.svg"
                                     % (args.plot, i + 1))
-    _emit(args, "persistent", {"germ": args.germ[0]},
-          {"representatives": [[str(v) for v in point]
-                               for point, _s, _t in catalog.representatives],
-           "files": files},
-          ts.warnings + catalog.warnings, lines)
+    return ({"germ": args.germ[0]},
+            {"representatives": [[str(v) for v in point]
+                                 for point in points],
+             "files": files},
+            ts.warnings + catalog.warnings, lines)
 
 
-def cmd_intrinsic(args):
-    variables = _parse_vars(args)
-    k = args.degree if args.degree is not None else 8
-    jets = [parse_and_expand(t, variables, k) for t in args.germ]
-    res = intrinsic_part(jets, None, args.degree)
-    warnings = [res.remark] if res.remark else []
-    _emit(args, "intrinsic", {"germs": args.germ},
-          {"ideal": str(res.ideal),
-           "blocks": [list(b) for b in res.ideal.blocks]},
-          warnings, [str(res.ideal)])
+def cmd_intrinsic(args, variables):
+    res = intrinsic_part(_jets(args, variables, args.germ, 8), None,
+                         args.degree)
+    return ({"germs": args.germ},
+            {"ideal": str(res.ideal),
+             "blocks": [list(b) for b in res.ideal.blocks]},
+            [res.remark] if res.remark else [], [str(res.ideal)])
 
 
-def cmd_algobjects(args):
-    variables = _parse_vars(args)
-    k = args.degree if args.degree is not None else 6
-    g = parse_and_expand(args.germ[0], variables, k)
-    ao = alg_objects(g, k)
+def cmd_algobjects(args, variables):
+    g = _nonzero(_jets(args, variables, args.germ[:1], 6)[0])
+    ao = alg_objects(g, g.degree)
+
     def fm(monos):
-        from .jets import format_monomial
-
         return "{%s}" % ", ".join(format_monomial(m, variables)
                                   for m in monos)
+
     lines = [
         "RT = %s" % ao.rt,
         "T = %s" % ao.t,
@@ -355,101 +352,72 @@ def cmd_algobjects(args):
         "S-perp basis = %s" % fm(ao.s_perp),
         "intrinsic generators = %s" % fm(ao.intrinsic_generators),
     ]
-    _emit(args, "algobjects", {"germ": args.germ[0]},
-          {"rt": str(ao.rt), "t": str(ao.t), "p": str(ao.p),
-           "s": str(ao.s),
-           "e_over_t": [list(m) for m in ao.e_over_t],
-           "s_perp": [list(m) for m in ao.s_perp],
-           "intrinsic_generators": [list(m) for m in
-                                    ao.intrinsic_generators]},
-          [], lines)
+    return ({"germ": args.germ[0]},
+            {"rt": str(ao.rt), "t": str(ao.t), "p": str(ao.p),
+             "s": str(ao.s),
+             "e_over_t": [list(m) for m in ao.e_over_t],
+             "s_perp": [list(m) for m in ao.s_perp],
+             "intrinsic_generators": [list(m) for m in
+                                      ao.intrinsic_generators]},
+            [], lines)
 
 
-def _order_from(args):
-    return ORDERS[args.order]()
+def cmd_division(args, variables):
+    if args.degree is None:
+        raise InputError("division requires --degree")
+    if len(args.germ) < 2:
+        raise InputError("division needs a germ and at least one divisor")
+    g, *divisors = _jets(args, variables, args.germ, None)
+    for text, f in zip(args.germ[1:], divisors):
+        if f.is_zero():
+            raise InputError("divisor %r is zero up to degree %d"
+                             % (text, args.degree))
+    res = mora_divide(g, divisors, ORDERS[args.order](), args.degree)
+    return ({"germ": args.germ[0]},
+            {"unit": str(res.unit),
+             "quotients": [str(q) for q in res.quotients],
+             "remainder": str(res.remainder)}, [],
+            ["unit = %s" % res.unit]
+            + ["q%d = %s" % (i + 1, q) for i, q in enumerate(res.quotients)]
+            + ["remainder = %s" % res.remainder])
 
 
-def cmd_division(args):
-    variables = _parse_vars(args)
-    k = args.degree
-    if k is None:
-        raise SystemExit2("division requires --degree")
-    g = parse_and_expand(args.germ[0], variables, k)
-    divisors = [parse_and_expand(t, variables, k) for t in args.germ[1:]]
-    res = mora_divide(g, divisors, _order_from(args), k)
-    lines = (["unit = %s" % res.unit]
-             + ["q%d = %s" % (i + 1, q) for i, q in enumerate(res.quotients)]
-             + ["remainder = %s" % res.remainder])
-    _emit(args, "division", {"germ": args.germ[0]},
-          {"unit": str(res.unit), "quotients": [str(q) for q in res.quotients],
-           "remainder": str(res.remainder)}, [], lines)
+def cmd_standard_basis(args, variables):
+    sb = standard_basis(_jets(args, variables, args.germ, 10),
+                        ORDERS[args.order](), args.degree)
+    basis = [str(f) for f in sb.generators]
+    return ({"germs": args.germ}, {"basis": basis},
+            [sb.warning] if sb.warning else [], basis)
 
 
-def cmd_standard_basis(args):
-    variables = _parse_vars(args)
-    k = args.degree
-    jets = [parse_and_expand(t, variables, k if k is not None else 10)
-            for t in args.germ]
-    sb = standard_basis(jets, _order_from(args), k)
-    warnings = [sb.warning] if sb.warning else []
-    lines = [str(f) for f in sb.generators]
-    _emit(args, "standard-basis", {"germs": args.germ},
-          {"basis": [str(f) for f in sb.generators]}, warnings, lines)
+def cmd_colon_ideal(args, variables):
+    *jets, g = _jets(args, variables, args.germ + [args.by], 10)
+    if g.is_zero():
+        raise InputError("--by is zero up to degree %d" % g.degree)
+    basis = [str(f) for f in colon_ideal(jets, g, args.degree)]
+    return ({"germs": args.germ, "by": args.by}, {"basis": basis}, [],
+            basis)
 
 
-def cmd_colon_ideal(args):
-    variables = _parse_vars(args)
-    k = args.degree
-    jets = [parse_and_expand(t, variables, k if k is not None else 10)
-            for t in args.germ]
-    g = parse_and_expand(args.by, variables, k if k is not None else 10)
-    basis = colon_ideal(jets, g, k)
-    lines = [str(f) for f in basis]
-    _emit(args, "colon-ideal", {"germs": args.germ, "by": args.by},
-          {"basis": [str(f) for f in basis]}, [], lines)
+def cmd_normalset(args, variables):
+    basis = normal_set(_jets(args, variables, args.germ, 10), args.degree)
+    names = [format_monomial(m, variables) for m in basis]
+    return ({"germs": args.germ}, {"basis": names}, [],
+            ["{%s}" % ", ".join(names)])
 
 
-def cmd_normalset(args):
-    variables = _parse_vars(args)
-    k = args.degree
-    jets = [parse_and_expand(t, variables, k if k is not None else 10)
-            for t in args.germ]
-    try:
-        basis = normal_set(jets, k)
-    except InfiniteCodimensionError as exc:
-        raise MathError(str(exc))
-    from .jets import format_monomial
-
-    lines = ["{%s}" % ", ".join(format_monomial(m, variables)
-                                for m in basis)]
-    _emit(args, "normalset", {"germs": args.germ},
-          {"basis": [format_monomial(m, variables) for m in basis]},
-          [], lines)
-
-
-def cmd_multmatrix(args):
-    variables = _parse_vars(args)
-    k = args.degree
-    jets = [parse_and_expand(t, variables, k if k is not None else 10)
-            for t in args.germ]
-    u = parse_and_expand(args.by, variables, k if k is not None else 10)
+def cmd_multmatrix(args, variables):
+    *jets, u = _jets(args, variables, args.germ + [args.by], 10)
     if len(u.terms) != 1 or list(u.terms.values())[0] != 1:
-        raise SystemExit2("--by must be a single monomial")
-    mono = list(u.terms.keys())[0]
-    try:
-        matrix, basis = mult_matrix(jets, mono, k)
-    except InfiniteCodimensionError as exc:
-        raise MathError(str(exc))
-    from .jets import format_monomial
-
-    lines = ["basis: {%s}" % ", ".join(format_monomial(m, variables)
-                                       for m in basis)]
-    for row in matrix:
-        lines.append("[" + ", ".join(str(c) for c in row) + "]")
-    _emit(args, "multmatrix", {"germs": args.germ, "by": args.by},
-          {"basis": [format_monomial(m, variables) for m in basis],
-           "matrix": [[str(c) for c in row] for row in matrix]},
-          [], lines)
+        raise InputError("--by must be a single monomial")
+    [mono] = u.terms
+    matrix, basis = mult_matrix(jets, mono, args.degree)
+    names = [format_monomial(m, variables) for m in basis]
+    return ({"germs": args.germ, "by": args.by},
+            {"basis": names,
+             "matrix": [[str(c) for c in row] for row in matrix]}, [],
+            ["basis: {%s}" % ", ".join(names)]
+            + ["[" + ", ".join(str(c) for c in row) + "]" for row in matrix])
 
 
 # ------------------------------------------------------------------ parser
@@ -467,129 +435,89 @@ def build_parser():
                     "transition sets, and local-ring algebra.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ngerms="+"):
-        sp.add_argument("germ", nargs=ngerms, help="germ expression(s)")
+    def command(name, func, *flags):
+        """Subcommand `name` with the common arguments, then `flags`, each a
+        (flag, add_argument options) pair."""
+        sp = sub.add_parser(name)
+        sp.add_argument("germ", nargs="+", help="germ expression(s)")
         sp.add_argument("--vars", required=True,
                         help="state variable and parameter, e.g. x,lambda")
         sp.add_argument("--degree", type=int, default=None)
         sp.add_argument("--format", choices=["text", "json"], default="text")
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("verify")
-    common(sp)
-    sp.add_argument("--ideal", action="store_true")
-    sp.add_argument("--persistent", action="store_true")
-    sp.add_argument("--upper-bound", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
+    switch = {"action": "store_true"}
+    ring = ("--ring", {"default": "fractional",
+                       "choices": ["fractional", "formal", "smooth",
+                                   "polynomial"]})
+    order = ("--order", {"default": "local", "choices": sorted(ORDERS)})
+    params = ("--params", {"required": True})
+    plot = ("--plot", {"default": None})
 
-    sp = sub.add_parser("normalform")
-    common(sp)
-    sp.add_argument("--ring", default="fractional",
-                    choices=["fractional", "formal", "smooth", "polynomial"])
-    sp.set_defaults(func=cmd_normalform)
-
-    sp = sub.add_parser("unfolding")
-    common(sp)
-    sp.add_argument("--ring", default="fractional",
-                    choices=["fractional", "formal", "smooth", "polynomial"])
-    sp.add_argument("--list", action="store_true")
-    sp.add_argument("--normalform", action="store_true")
-    sp.set_defaults(func=cmd_unfolding)
-
-    sp = sub.add_parser("recognize")
-    common(sp)
-    sp.add_argument("--matrix", type=int, default=None,
-                    help="number of unfolding parameters for the "
-                         "recognition matrix")
-    sp.set_defaults(func=cmd_recognize)
-
-    sp = sub.add_parser("check-universal")
-    common(sp)
-    sp.add_argument("--params", required=True)
-    sp.set_defaults(func=cmd_check_universal)
-
-    sp = sub.add_parser("transform")
-    common(sp)
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("transition-set")
-    common(sp)
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--plot", default=None)
-    sp.set_defaults(func=cmd_transition_set)
-
-    sp = sub.add_parser("nonpersistent")
-    common(sp)
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--boundary", default=None)
-    sp.add_argument("--vertical", action="store_true")
-    sp.add_argument("--horizontal", action="store_true")
-    sp.add_argument("--plot", default=None)
-    sp.set_defaults(func=cmd_nonpersistent)
-
-    sp = sub.add_parser("persistent")
-    common(sp)
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--box", default=None)
-    sp.add_argument("--grid", type=int, default=41)
-    sp.add_argument("--granularity", default="complete",
-                    choices=["short", "intermediate", "complete"])
-    sp.add_argument("--plot", default=None)
-    sp.add_argument("--window", default=None)
-    sp.add_argument("--resolution", type=int, default=400)
-    sp.set_defaults(func=cmd_persistent)
-
-    sp = sub.add_parser("intrinsic")
-    common(sp)
-    sp.set_defaults(func=cmd_intrinsic)
-
-    sp = sub.add_parser("algobjects")
-    common(sp)
-    sp.set_defaults(func=cmd_algobjects)
-
-    sp = sub.add_parser("division")
-    common(sp)
-    sp.add_argument("--order", default="local", choices=sorted(ORDERS))
-    sp.set_defaults(func=cmd_division)
-
-    sp = sub.add_parser("standard-basis")
-    common(sp)
-    sp.add_argument("--order", default="local", choices=sorted(ORDERS))
-    sp.set_defaults(func=cmd_standard_basis)
-
-    sp = sub.add_parser("colon-ideal")
-    common(sp)
-    sp.add_argument("--by", required=True, help="the germ g in (I : g)")
-    sp.set_defaults(func=cmd_colon_ideal)
-
-    sp = sub.add_parser("normalset")
-    common(sp)
-    sp.set_defaults(func=cmd_normalset)
-
-    sp = sub.add_parser("multmatrix")
-    common(sp)
-    sp.add_argument("--by", required=True, help="multiplier monomial")
-    sp.set_defaults(func=cmd_multmatrix)
-
+    command("verify", cmd_verify, ("--ideal", switch),
+            ("--persistent", switch),
+            ("--upper-bound", {"type": int, "default": None}))
+    command("normalform", cmd_normalform, ring)
+    command("unfolding", cmd_unfolding, ring, ("--list", switch),
+            ("--normalform", switch))
+    command("recognize", cmd_recognize,
+            ("--matrix", {"type": int, "default": None,
+                          "help": "number of unfolding parameters for the "
+                                  "recognition matrix"}))
+    command("check-universal", cmd_check_universal, params)
+    command("transform", cmd_transform)
+    command("transition-set", cmd_transition_set, params, plot)
+    command("nonpersistent", cmd_nonpersistent, params,
+            ("--boundary", {"default": None}), ("--vertical", switch),
+            ("--horizontal", switch), plot)
+    command("persistent", cmd_persistent, params,
+            ("--box", {"default": None}),
+            ("--grid", {"type": int, "default": 41}),
+            ("--granularity", {"default": "complete",
+                               "choices": ["short", "intermediate",
+                                           "complete"]}),
+            plot, ("--window", {"default": None}),
+            ("--resolution", {"type": int, "default": 400}))
+    command("intrinsic", cmd_intrinsic)
+    command("algobjects", cmd_algobjects)
+    command("division", cmd_division, order)
+    command("standard-basis", cmd_standard_basis, order)
+    command("colon-ideal", cmd_colon_ideal,
+            ("--by", {"required": True, "help": "the germ g in (I : g)"}))
+    command("normalset", cmd_normalset)
+    command("multmatrix", cmd_multmatrix,
+            ("--by", {"required": True, "help": "multiplier monomial"}))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        variables = _split_names(args.vars)
+        if len(variables) != 2:
+            raise InputError("--vars needs exactly 2 names "
+                             "(state, parameter)")
+        inputs, result, warnings, lines = args.func(args, variables)
+    except InputError as exc:
+        error, status = exc, exc.status
     except (GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (MathError, InfiniteCodimensionError,
-            NotEquivalentError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    return 0
+        error, status = exc, 2
+    except (InfiniteCodimensionError, NotEquivalentError) as exc:
+        error, status = exc, 1
+    else:
+        if args.format == "json":
+            print(json.dumps({"command": args.command, "inputs": inputs,
+                              "result": result, "warnings": warnings},
+                             sort_keys=True))
+        else:
+            for line in lines + warnings:
+                print(line)
+        return 0
+    print("error: %s" % error, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Union
 
 from .jets import Jet
@@ -187,6 +188,20 @@ def parse_germ(text: str, variables) -> Expr:
     return _Parser(text, variables).parse()
 
 
+def is_polynomial_expr(e: Expr) -> bool:
+    """True when the tree is a polynomial: no functions, and every divisor a
+    number."""
+    if isinstance(e, (Num, Var)):
+        return True
+    if isinstance(e, Pow):
+        return is_polynomial_expr(e.base)
+    if isinstance(e, BinOp):
+        if e.op == "/":
+            return isinstance(e.right, Num)
+        return is_polynomial_expr(e.left) and is_polynomial_expr(e.right)
+    return False
+
+
 def expr_to_string(e: Expr) -> str:
     """Render an expression tree back into the input grammar."""
     if isinstance(e, Num):
@@ -217,13 +232,6 @@ def _atom(e: Expr) -> str:
     return s
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _series(name: str, u: Jet, k: int) -> Jet:
     """Compose a transcendental series with a jet vanishing at the origin."""
     if u.constant_term() != 0:
@@ -245,15 +253,15 @@ def _series(name: str, u: Jet, k: int) -> Jet:
         if power.is_zero():
             break
         if name == "exp":
-            coeff = Fraction(1, _factorial(n))
+            coeff = Fraction(1, factorial(n))
         elif name == "sin":
             if n % 2 == 0:
                 continue
-            coeff = Fraction((-1) ** ((n - 1) // 2), _factorial(n))
+            coeff = Fraction((-1) ** ((n - 1) // 2), factorial(n))
         elif name == "cos":
             if n % 2 == 1:
                 continue
-            coeff = Fraction((-1) ** (n // 2), _factorial(n))
+            coeff = Fraction((-1) ** (n // 2), factorial(n))
         else:
             raise ValueError("unknown function %r" % name)
         acc = acc + power.scale(coeff)

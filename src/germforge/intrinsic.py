@@ -159,7 +159,6 @@ def smallest_intrinsic(g: Jet) -> IntrinsicIdeal:
 class VerifyReport:
     permissible_rings: List[str]
     truncation_degree: Optional[int]
-    recommended_ring: Optional[str] = None
     warnings: List[str] = field(default_factory=list)
 
 
@@ -178,23 +177,9 @@ def high_order_part(g: Jet, k: int) -> IntrinsicIdeal:
     return intrinsic_part(gens, None, k).ideal
 
 
-def _is_polynomial_expr(tree) -> bool:
-    from .germexpr import BinOp, Func, Num, Pow, Var
-
-    if isinstance(tree, (Num, Var)):
-        return True
-    if isinstance(tree, Func):
-        return False
-    if isinstance(tree, Pow):
-        return _is_polynomial_expr(tree.base)
-    if isinstance(tree, BinOp):
-        if tree.op == "/":
-            return isinstance(tree.right, Num)
-        return _is_polynomial_expr(tree.left) and _is_polynomial_expr(tree.right)
-    return False
-
-
-def _upper_bound(opt: Optional[int]) -> int:
+def degree_bound(opt: Optional[int] = None) -> int:
+    """The upper bound of truncation-degree searches: `opt` when given, else
+    the GERMFORGE_MAX_DEGREE environment variable, else 20."""
     if opt is not None:
         return opt
     env = os.environ.get("GERMFORGE_MAX_DEGREE")
@@ -211,7 +196,7 @@ def verify_germ(expand, upper_bound: Optional[int] = None,
     """Least truncation degree k with M^(k+1) inside P(g's k-jet) and the
     block form of P stable from k to k+1.  `expand` maps a degree to the jet
     of g at that degree."""
-    bound = _upper_bound(upper_bound)
+    bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         g = expand(k)
         if g.is_zero():
@@ -233,8 +218,7 @@ def verify_germ(expand, upper_bound: Optional[int] = None,
             rings.append("fractional")
         if polynomial_input:
             rings.append("polynomial")
-        return VerifyReport(rings, k, recommended_ring="fractional"
-                            if "fractional" in rings else "formal")
+        return VerifyReport(rings, k)
     return VerifyReport(["smooth", "formal"], None,
                         warnings=[INCREASE_BOUND_WARNING])
 
@@ -244,7 +228,7 @@ def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyRepor
     stable standard basis."""
     from .localalg import codimension
 
-    bound = _upper_bound(upper_bound)
+    bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         Gk = [f.truncate(None).truncate(k) for f in G]
         Gk = [f for f in Gk if not f.is_zero()]
@@ -256,6 +240,6 @@ def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyRepor
         if not sb.certified:
             continue
         rings = ["smooth", "formal", "fractional"]
-        return VerifyReport(rings, k, recommended_ring="fractional")
+        return VerifyReport(rings, k)
     return VerifyReport(["smooth", "formal"], None,
                         warnings=[INCREASE_BOUND_WARNING])

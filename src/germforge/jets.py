@@ -92,19 +92,14 @@ class LexOrder(MonomialOrder):
 
 class BlockOrder(MonomialOrder):
     """Eliminates the first `nblock` variables: monomials are compared on that
-    prefix first (graded lex), then on the remainder."""
+    prefix first, then on the remainder, both graded lex (global)."""
 
-    def __init__(self, nblock: int, tail: Optional[MonomialOrder] = None):
+    def __init__(self, nblock: int):
         self.nblock = nblock
-        self.tail = tail if tail is not None else GrLexOrder()
-
-    @property
-    def is_local(self):
-        return self.tail.is_local
 
     def key(self, m: Monomial):
         head, rest = m[: self.nblock], m[self.nblock :]
-        return ((mdeg(head), head), self.tail.key(rest))
+        return ((mdeg(head), head), (mdeg(rest), rest))
 
 
 class Jet:
@@ -186,11 +181,6 @@ class Jet:
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
         return self.leading_term(order)[0]
-
-    def ecart(self, order: MonomialOrder) -> int:
-        """total degree minus leading-term degree (Mora's selection weight)."""
-        m, _ = self.leading_term(order)
-        return self.total_degree() - mdeg(m)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -307,13 +297,14 @@ class Jet:
             acc = acc + power
         return acc.scale(1 / c0)
 
-    def compose(self, images: dict, degree=None):
+    def compose(self, images: dict):
         """Substitute jets for variables.  `images` maps variable name -> Jet
-        (all in a common target ring); unmapped variables keep themselves only
-        if present in the target ring."""
+        (all in a common target ring, whose degree the result takes);
+        unmapped variables keep themselves only if present in the target
+        ring."""
         sample = next(iter(images.values()))
         tvars = sample.variables
-        tdeg = degree if degree is not None else sample.degree
+        tdeg = sample.degree
         base = {}
         for v in self.variables:
             if v in images:
@@ -375,10 +366,6 @@ class Jet:
         return Jet(terms, variables, self.degree, _clean=False)
 
     # -- normalization and display -------------------------------------------
-
-    def monic(self, order: MonomialOrder):
-        _, c = self.leading_term(order)
-        return self.scale(1 / c)
 
     def primitive(self):
         """Clear denominators, divide by integer content, make the leading

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Callable, List, Optional, Tuple
 
 from .intrinsic import (
@@ -59,9 +60,6 @@ class SpanSpace:
     def contains(self, f: Jet) -> bool:
         return self.space.contains(f)
 
-    def codimension(self) -> int:
-        return len(monomials_upto(2, self.degree)) - self.space.rank
-
     def __str__(self) -> str:
         parts = []
         if not self.intrinsic.is_zero:
@@ -80,16 +78,11 @@ def _ideal_space(ideal: IntrinsicIdeal, variables, k: int) -> RowSpace:
 
 
 def _span_to_spanspace(space: RowSpace) -> SpanSpace:
+    """Every monomial of the intrinsic part is a reduced row of its own, and
+    the other rows vanish at those pivots: the extras are the other rows."""
     k = space.degree
     intr = intrinsic_from_members(space.monomials(), k)
-    covered = _ideal_space(intr, space.variables, k)
-    extra = []
-    for row in space.rows:
-        if covered.add(row):
-            f = Jet({m: c for m, c in row.terms.items()
-                     if not intr.contains_monomial(m)}, space.variables, k)
-            if not f.is_zero():
-                extra.append(f)
+    extra = [row for row in space.rows if not intr.contains(row)]
     return SpanSpace(intr, extra, k, space)
 
 
@@ -554,12 +547,10 @@ def check_universal(G: UnfoldingGerm, k: Optional[int] = None) -> str:
     if k is None:
         rep = verify_germ(lambda kk: base.truncate(kk))
         k = rep.truncation_degree if rep.truncation_degree else 6
-    base_k = base.truncate(k)
-    perp = tangent_perp(base_k, k)
+    space = _t_span(base.truncate(k), k)
     p = len(G.params)
-    if p != len(perp):
+    if p != len(monomials_upto(2, k)) - space.rank:
         return "No"
-    space = _t_span(base_k, k)
     added = sum(space.add(G.direction(i)) for i in range(p))
     return "Yes" if added == p else "No"
 
@@ -707,15 +698,9 @@ def recognition_matrix_value(matrix: RecognitionMatrix, g: Jet,
     """Evaluate the symbolic recognition matrix on a concrete unfolding and
     return its determinant."""
 
-    def fact(n):
-        out = 1
-        for i in range(2, n + 1):
-            out *= i
-        return out
-
     def deriv(h: Jet, m) -> Fraction:
         c = h.terms.get(m, Fraction(0))
-        return c * fact(m[0]) * fact(m[1])
+        return c * factorial(m[0]) * factorial(m[1])
 
     vals = []
     for row in matrix.entries:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from germforge.cli import main
 
 
@@ -210,3 +212,63 @@ def test_unfolding_list_cap_warns(capsys, monkeypatch):
     assert len(payload["result"]["unfoldings"]) == 1
     assert payload["warnings"] == [
         "only the first 1 monomial complements of T are listed"]
+
+
+CUBIC = ["x^3-lambda*x+a1", "--vars", "x,lambda", "--params", "a1"]
+WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
+               "--params", "a1,a2,a3"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}", "--window=0,1"],
+                 "--window", id="window-count"),
+    pytest.param(["persistent", *CUBIC, "--window=0,1,a,2"], "--window",
+                 id="window-value"),
+    pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1,a,2"],
+                 "--boundary", id="boundary-value"),
+    pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1/0,1,2"],
+                 "--boundary", id="boundary-zero-denominator"),
+    pytest.param(["persistent", *CUBIC, "--box=-1,1,2,3"], "--box",
+                 id="box-too-long"),
+    pytest.param(["persistent", *WINGED_CUSP, "--box=-1,1,-1,1"], "--box",
+                 id="box-too-short"),
+    pytest.param(["transition-set", *CUBIC, "--plot", "{tmp}/D"], "--plot",
+                 id="transition-set-plot-one-parameter"),
+    pytest.param(["nonpersistent", *WINGED_CUSP, "--boundary=-2,2,1,3",
+                  "--plot", "{tmp}/D"], "--plot",
+                 id="nonpersistent-plot-three-parameters"),
+    pytest.param(["division", "x", "0", "--vars", "x,lambda", "--degree",
+                  "3"], "'0'", id="division-zero-divisor"),
+    pytest.param(["division", "x", "x^9", "--vars", "x,lambda", "--degree",
+                  "8"], "'x^9'", id="division-divisor-zero-at-degree"),
+    pytest.param(["division", "x", "--vars", "x,lambda", "--degree", "3"],
+                 "divisor", id="division-no-divisor"),
+    pytest.param(["colon-ideal", "x", "--by", "lambda^4", "--vars",
+                  "x,lambda", "--degree", "3"], "--by",
+                 id="colon-ideal-by-zero"),
+    pytest.param(["transform", "x^3", "--vars", "x,lambda"], "two germs",
+                 id="transform-one-germ"),
+])
+def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
+    # the input is refused before anything is computed, with one message
+    # line and no traceback
+    for name in ("transition_set", "nonpersistent_sets", "classify_regions",
+                 "mora_divide", "colon_ideal", "transformation"):
+        monkeypatch.setattr("germforge.cli." + name, None)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["algobjects", "x^7"],
+    ["recognize", "0"],
+    ["recognize", "x^7"],
+    ["recognize", "x^7", "--matrix", "1"],
+], ids=" ".join)
+def test_germ_zero_at_working_degree_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--vars", "x,lambda")
+    assert (code, out) == (1, "")
+    assert err == "error: the germ is zero up to degree 6\n"

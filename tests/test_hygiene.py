@@ -1,11 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and only `localalg.py` imports sympy."""
+"""Source hygiene: no module of the package imports a name it never uses
+or a private name of another module, only `localalg.py` imports sympy, and
+the README shows every subcommand."""
 
+import argparse
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+from germforge import cli
+from test_readme import readme_commands
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "germforge"
 
@@ -30,6 +35,27 @@ def test_no_unused_module_level_imports():
     assert modules
     found = [u for p in modules for u in unused_imports(p)]
     assert found == []
+
+
+def private_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d %s" % (path.name, node.lineno, alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("germforge"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [u for p in modules for u in private_imports(p)]
+    assert found == []
+
+
+def test_every_subcommand_has_a_readme_example():
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    shown = {argv[0] for argv in readme_commands()}
+    assert sorted(set(subparsers.choices) - shown) == []
 
 
 def sympy_importers():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import IntrinsicIdeal
@@ -264,3 +266,23 @@ def test_transformation_random_roundtrips():
             tr = transformation(g, f, k)
             res = tr.residual(g, f)
             assert res.is_zero() or all(sum(m) >= k for m in res.terms)
+
+
+germ_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(germ_terms, st.integers(2, 6))
+def test_spanspace_is_intrinsic_part_plus_independent_extras(terms, k):
+    g = Jet(terms, V, k)
+    assume(not g.is_zero())  # the tower is defined for nonzero germs
+    for S in (restricted_tangent(g, k), tangent_space(g, k)):
+        span = RowSpace(V, k)
+        for m in S.intrinsic.monomials_upto(k):
+            span.add(Jet.monomial(m, V, 1, k))
+        # each extra enlarges the span of the intrinsic part and of the
+        # extras before it
+        assert all(span.add(f) for f in S.extra)
+        assert spaces_equal(span, S.space)
