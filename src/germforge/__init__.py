@@ -43,6 +43,7 @@ from .intrinsic import (
 from .singularity import (
     NotEquivalentError,
     UnfoldingGerm,
+    ZeroGermError,
     alg_objects,
     check_universal,
     equivalent,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,7 @@ from .localalg import (
 from .singularity import (
     NotEquivalentError,
     UnfoldingGerm,
+    ZeroGermError,
     alg_objects,
     check_universal,
     normal_form,
@@ -84,12 +86,7 @@ NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
 
 
 class InputError(Exception):
-    """Input a command cannot use.  Exits with `status`: 2 for malformed
-    input, 1 for a germ that is zero at the working degree."""
-
-    def __init__(self, message, status=2):
-        super().__init__(message)
-        self.status = status
+    """Malformed input: exits 2."""
 
 
 def render_desc(jet: Jet) -> str:
@@ -130,17 +127,30 @@ def _jets(args, variables, texts, default_degree):
 
 def _nonzero(g: Jet) -> Jet:
     if g.is_zero():
-        raise InputError("the germ is zero up to degree %d" % g.degree,
-                         status=1)
+        raise ZeroGermError(g.degree)
     return g
 
 
+def _plot_directory(directory):
+    """Refuse a --plot into a missing directory before anything is
+    computed."""
+    if not os.path.isdir(directory or "."):
+        raise InputError("--plot directory %r does not exist" % directory)
+
+
 def _expander(text, variables):
-    """expand(k), the germ's k-jet, and whether the germ is a polynomial."""
+    """expand(k), the germ's k-jet, and whether the germ is a polynomial.
+    A k-jet is the truncation of any higher jet, so expand keeps the highest
+    jet expanded so far and truncates it for a lower k; it never expands
+    above a degree it is asked for."""
     tree = parse_germ(text, variables)
+    top = None
 
     def expand(k):
-        return taylor_expand(tree, variables, k)
+        nonlocal top
+        if top is None or top.degree < k:
+            top = taylor_expand(tree, variables, k)
+        return top.truncate(k)
 
     return expand, is_polynomial_expr(tree)
 
@@ -157,11 +167,14 @@ def _unfolding(args, variables, degree):
 
 def _transition_unfolding(args, variables):
     """The unfolding of a command that prints a transition set; a --plot
-    slice needs two parameters, which is checked before any elimination."""
+    slice needs two parameters and an existing directory, both checked
+    before any elimination."""
     G = _unfolding(args, variables, None)
-    if args.plot and len(G.params) != 2:
-        raise InputError("--plot draws a slice in exactly 2 parameters, "
-                         "not %d" % len(G.params))
+    if args.plot:
+        if len(G.params) != 2:
+            raise InputError("--plot draws a slice in exactly 2 parameters, "
+                             "not %d" % len(G.params))
+        _plot_directory(os.path.dirname(args.plot))
     return G
 
 
@@ -304,6 +317,8 @@ def cmd_persistent(args, variables):
     if args.window:
         nums = [float(v) for v in _rationals(args.window, 4, "--window")]
         window = ((nums[0], nums[1]), (nums[2], nums[3]))
+    if args.plot:
+        _plot_directory(args.plot)
     ts = transition_set(G)
     catalog = classify_regions(ts, box=box, grid=args.grid,
                                granularity=args.granularity)
@@ -500,12 +515,11 @@ def main(argv=None) -> int:
             raise InputError("--vars needs exactly 2 names "
                              "(state, parameter)")
         inputs, result, warnings, lines = args.func(args, variables)
-    except InputError as exc:
-        error, status = exc, exc.status
-    except (GermSyntaxError, UnknownVariableError,
+    except (InputError, GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:
         error, status = exc, 2
-    except (InfiniteCodimensionError, NotEquivalentError) as exc:
+    except (InfiniteCodimensionError, NotEquivalentError,
+            ZeroGermError) as exc:
         error, status = exc, 1
     else:
         if args.format == "json":

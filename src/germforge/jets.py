@@ -4,12 +4,20 @@ A jet is a sparse multivariate polynomial with Fraction coefficients and an
 explicit truncation degree: terms of total degree above the bound are absent.
 A bound of None means "no truncation" (plain polynomial arithmetic).
 Monomials are exponent tuples indexed by the jet's ordered variable list.
+
+Invariant: a Jet's `terms` hold only nonzero `Fraction` coefficients, on
+monomials of degree <= its bound.  The constructor establishes it for
+arbitrary input; the arithmetic keeps it as it builds each result (a
+coefficient that cancels is deleted, terms above the result's bound are
+never stored), so results skip the cleaning pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import add, sub
 from typing import Optional
 
 
@@ -21,7 +29,7 @@ def mdeg(m: Monomial) -> int:
 
 
 def mmul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mdivides(a: Monomial, b: Monomial) -> bool:
@@ -31,7 +39,7 @@ def mdivides(a: Monomial, b: Monomial) -> bool:
 
 def mdiv(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(i - j for i, j in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mlcm(a: Monomial, b: Monomial) -> Monomial:
@@ -39,7 +47,13 @@ def mlcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomials_upto(nvars: int, k: int) -> list:
-    """All exponent tuples of total degree <= k, in a fixed deterministic order."""
+    """All exponent tuples of total degree <= k, in a fixed deterministic
+    order.  The list is the caller's own to modify."""
+    return list(_monomials_upto(nvars, k))
+
+
+@lru_cache(maxsize=None)
+def _monomials_upto(nvars, k):
     out = []
 
     def gen(slots, budget):
@@ -54,7 +68,7 @@ def monomials_upto(nvars: int, k: int) -> list:
         for e in gen(nvars, d):
             if sum(e) == d:
                 out.append(e)
-    return out
+    return tuple(out)
 
 
 class MonomialOrder:
@@ -197,21 +211,33 @@ class Jet:
                 "variable mismatch: %r vs %r" % (self.variables, other.variables)
             )
 
-    def __add__(self, other):
+    def _within(self, deg) -> dict:
+        """A copy of the terms of degree <= deg."""
+        if deg is None or (self.degree is not None and self.degree <= deg):
+            return dict(self.terms)
+        return {m: c for m, c in self.terms.items() if mdeg(m) <= deg}
+
+    def _sum(self, other, negate):
         self._check_vars(other)
         deg = self._joint_degree(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Jet(terms, self.variables, deg)
+        terms = self._within(deg)
+        for m, c in other._within(deg).items():
+            v = terms.get(m)
+            if v is None:
+                terms[m] = -c if negate else c
+            else:
+                v = v - c if negate else v + c
+                if v:
+                    terms[m] = v
+                else:
+                    del terms[m]
+        return Jet(terms, self.variables, deg, _clean=False)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        self._check_vars(other)
-        deg = self._joint_degree(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return Jet(terms, self.variables, deg)
+        return self._sum(other, True)
 
     def __neg__(self):
         return Jet({m: -c for m, c in self.terms.items()}, self.variables,
@@ -222,15 +248,24 @@ class Jet:
             return self.scale(other)
         self._check_vars(other)
         deg = self._joint_degree(other)
+        right = [(m, c, mdeg(m)) for m, c in other.terms.items()]
         terms = {}
         for m1, c1 in self.terms.items():
-            d1 = mdeg(m1)
-            for m2, c2 in other.terms.items():
-                if deg is not None and d1 + mdeg(m2) > deg:
+            room = None if deg is None else deg - mdeg(m1)
+            for m2, c2, d2 in right:
+                if room is not None and d2 > room:
                     continue
-                m = mmul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Jet(terms, self.variables, deg)
+                m = tuple(map(add, m1, m2))
+                v = terms.get(m)
+                if v is None:
+                    terms[m] = c1 * c2
+                else:
+                    v += c1 * c2
+                    if v:
+                        terms[m] = v
+                    else:
+                        del terms[m]
+        return Jet(terms, self.variables, deg, _clean=False)
 
     __rmul__ = __mul__
 
@@ -243,15 +278,17 @@ class Jet:
 
     def term_mul(self, m: Monomial, c=1):
         """Multiply by a single term c * x^m."""
-        c = Fraction(c)
-        deg = self.degree
+        one = c == 1
+        if not one:
+            c = Fraction(c)
+            if not c:
+                return Jet.zero(self.variables, self.degree)
+        room = None if self.degree is None else self.degree - mdeg(m)
         terms = {}
         for m1, c1 in self.terms.items():
-            m2 = mmul(m1, m)
-            if deg is not None and mdeg(m2) > deg:
-                continue
-            terms[m2] = c1 * c
-        return Jet(terms, self.variables, deg, _clean=False)
+            if room is None or mdeg(m1) <= room:
+                terms[tuple(map(add, m1, m))] = c1 if one else c1 * c
+        return Jet(terms, self.variables, self.degree, _clean=False)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -80,14 +80,18 @@ class RowSpace:
         vec = {m: c for m, c in f.terms.items() if m in self._col}
         # rows vanish at each other's pivots, so one pass clears them all
         for p in [m for m in vec if m in self._rows]:
-            c = vec.pop(p)
+            c = -vec.pop(p)
             for m, r in self._rows[p].items():
                 if m != p:
-                    v = vec.get(m, 0) - c * r
-                    if v:
-                        vec[m] = v
+                    v = vec.get(m)
+                    if v is None:
+                        vec[m] = c * r
                     else:
-                        del vec[m]
+                        v += c * r
+                        if v:
+                            vec[m] = v
+                        else:
+                            del vec[m]
         return vec
 
     def contains(self, f):
@@ -99,17 +103,26 @@ class RowSpace:
         if not vec:
             return False
         p = min(vec, key=self._col.__getitem__)
-        lead = vec[p]
-        vec = {m: c / lead for m, c in vec.items()}
+        lead = vec.pop(p)
+        if lead != 1:
+            vec = {m: c / lead for m, c in vec.items()}
+        # clear column p from the other rows; their entry there cancels
+        # against the new row's 1, so it is dropped, not computed
         for row in self._rows.values():
-            c = row.get(p)
-            if c:
+            c = row.pop(p, None)
+            if c is not None:
+                c = -c
                 for m, v in vec.items():
-                    x = row.get(m, 0) - c * v
-                    if x:
-                        row[m] = x
+                    x = row.get(m)
+                    if x is None:
+                        row[m] = c * v
                     else:
-                        del row[m]
+                        x += c * v
+                        if x:
+                            row[m] = x
+                        else:
+                            del row[m]
+        vec[p] = Fraction(1)
         self._rows[p] = vec
         return True
 

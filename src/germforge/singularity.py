@@ -39,6 +39,21 @@ class NotEquivalentError(ValueError):
     requested degree."""
 
 
+class ZeroGermError(ValueError):
+    """The germ's jet at the working degree is zero, so there is nothing to
+    classify or unfold."""
+
+    def __init__(self, k):
+        super().__init__("the germ is zero up to degree %d" % k)
+
+
+def _working_jet(expand: Callable[[int], Jet], k: int) -> Jet:
+    g = expand(k)
+    if g.is_zero():
+        raise ZeroGermError(k)
+    return g
+
+
 def _ordered_monomials(k: int) -> list:
     """All monomials of degree <= k, best (lowest local order key... highest
     priority) first: 1, x, lam, x^2, ..."""
@@ -91,7 +106,7 @@ def _rt_span(g: Jet, k: int) -> RowSpace:
     lam = Jet.variable(g.variables[1], g.variables, g.degree)
     gx = g.diff(g.variables[0])
     gens = [f for f in (g, x * gx, lam * gx) if not f.is_zero()]
-    return ideal_span(gens, k)
+    return ideal_span(gens, k) if gens else RowSpace(g.variables, k)
 
 
 def _t_span(g: Jet, k: int) -> RowSpace:
@@ -418,16 +433,18 @@ def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
                 polynomial_input: bool = False) -> NormalForm:
     """Normal form pipeline: expand, delete high-order terms, greedily
     eliminate intermediate terms via the transformation solver, normalize
-    scalable coefficients."""
+    scalable coefficients.  A zero jet at the working degree raises
+    ZeroGermError."""
     warnings = []
     if ring == "polynomial" and not polynomial_input:
         warnings.append(NF_POLY_WARNING)
     if k is None:
         rep = verify_germ(expand)
         if rep.truncation_degree is None:
-            return NormalForm(expand(6), 6, warnings + rep.warnings)
+            return NormalForm(_working_jet(expand, 6), 6,
+                              warnings + rep.warnings)
         k = rep.truncation_degree
-    g = expand(k)
+    g = _working_jet(expand, k)
     P = high_order_part(Jet(dict(g.terms), g.variables, k + 1), k + 1)
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
     base = Jet(terms, g.variables, k)
@@ -497,7 +514,8 @@ def universal_unfolding(expand: Callable[[int], Jet],
     """A universal unfolding of g (or of its normal form): one parameter per
     monomial in a complement of T.  The list option enumerates the monomial
     complements of T, at most LIST_CAP of them; a longer list is cut there
-    with a warning."""
+    with a warning.  A zero jet at the working degree raises
+    ZeroGermError."""
     warnings = []
     if ring == "polynomial" and not polynomial_input:
         warnings.append(UNFOLDING_POLY_WARNING)
@@ -511,7 +529,7 @@ def universal_unfolding(expand: Callable[[int], Jet],
             rep = verify_germ(expand)
             k = rep.truncation_degree if rep.truncation_degree else 6
             warnings.extend(rep.warnings)
-        base = expand(k)
+        base = _working_jet(expand, k)
     perp = tangent_perp(base, k)
     monos = [Jet.monomial(m, base.variables, 1, k) for m in perp]
     main = make_unfolding(base, monos)

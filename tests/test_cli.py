@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from germforge import cli
 from germforge.cli import main
+from germforge.germexpr import parse_germ, taylor_expand
 
 
 def run(capsys, *argv):
@@ -248,6 +250,11 @@ WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                  id="colon-ideal-by-zero"),
     pytest.param(["transform", "x^3", "--vars", "x,lambda"], "two germs",
                  id="transform-one-germ"),
+    pytest.param(["transition-set", "x^3 - lam*x + a1 + a2*x^2", "--vars",
+                  "x,lam", "--params", "a1,a2", "--plot", "{tmp}/nodir/ts"],
+                 "--plot", id="transition-set-plot-missing-directory"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}/plots/pd"],
+                 "--plot", id="persistent-plot-missing-directory"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
@@ -267,8 +274,41 @@ def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     ["recognize", "0"],
     ["recognize", "x^7"],
     ["recognize", "x^7", "--matrix", "1"],
+    ["normalform", "0"],
+    ["normalform", "x^7", "--degree", "3"],
+    ["unfolding", "0"],
+    ["unfolding", "0", "--normalform"],
+    ["unfolding", "x^7", "--degree", "3", "--list"],
+    ["verify", "--persistent", "0"],
 ], ids=" ".join)
 def test_germ_zero_at_working_degree_exit_1(capsys, argv):
+    k = argv[argv.index("--degree") + 1] if "--degree" in argv else "6"
     code, out, err = run(capsys, *argv, "--vars", "x,lambda")
     assert (code, out) == (1, "")
-    assert err == "error: the germ is zero up to degree 6\n"
+    assert err == "error: the germ is zero up to degree %s\n" % k
+
+
+@pytest.mark.parametrize("text", [
+    "sin(x + lambda^2) - x*lambda",
+    "exp(x) - 1 - lambda",
+    "x^3/(1 - lambda + x^2) + lambda",
+    "(1 + x - lambda)^5 - x^3",
+])
+def test_expander_truncates_its_highest_jet(monkeypatch, text):
+    # expand(k) after a higher expand(K) is the direct k-jet, and no jet is
+    # expanded above a degree that was asked for
+    variables = ("x", "lambda")
+    expanded = []
+
+    def recording(tree, names, k):
+        expanded.append(k)
+        return taylor_expand(tree, names, k)
+
+    monkeypatch.setattr(cli, "taylor_expand", recording)
+    expand, _poly = cli._expander(text, variables)
+    tree = parse_germ(text, variables)
+    for k in (5, 2, 5, 3, 8, 1):
+        jet = expand(k)
+        assert jet.degree == k
+        assert jet == taylor_expand(tree, variables, k)
+    assert expanded == [5, 8]

@@ -138,3 +138,92 @@ def test_truncation_is_a_ring_map(ta, tb, k):
     rhs = (a.truncate(k) * b.truncate(k)).truncate(k)
     assert lhs == rhs
     assert (a + b).truncate(k) == a.truncate(k) + b.truncate(k)
+
+
+# The kernel invariant: every arithmetic result holds only nonzero Fraction
+# coefficients on monomials of degree <= its bound, and equals a naive
+# reference made with the constructor's cleaning rule.
+
+bounds = st.one_of(st.none(), st.integers(0, 6))
+small_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def joint(*degrees):
+    known = [d for d in degrees if d is not None]
+    return min(known) if known else None
+
+
+def cleaned(terms, degree):
+    """Drop zero coefficients and terms above `degree`; Fractions only."""
+    return {m: Fraction(c) for m, c in terms.items()
+            if c != 0 and (degree is None or mdeg(m) <= degree)}
+
+
+def naive_sum(*dicts):
+    out = {}
+    for terms in dicts:
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + c
+    return out
+
+
+def naive_mul(ta, tb):
+    out = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1])
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def naive_pow(ta, n):
+    out = {(0, 0): 1}
+    for _ in range(n):
+        out = naive_mul(out, ta)
+    return out
+
+
+def assert_kernel(f, reference, degree):
+    assert f.degree == degree
+    for m, c in f.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert degree is None or mdeg(m) <= degree
+    assert f.terms == cleaned(reference, degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_terms, bounds, jet_terms, bounds, small_monomials, coeffs,
+       st.integers(0, 3), bounds)
+def test_arithmetic_keeps_the_kernel_invariant(ta, da, tb, db, m, c, n, k):
+    a, b = J(ta, da), J(tb, db)
+    deg = joint(da, db)
+    neg_b = {mb: -cb for mb, cb in b.terms.items()}
+    assert_kernel(a + b, naive_sum(a.terms, b.terms), deg)
+    assert_kernel(a - b, naive_sum(a.terms, neg_b), deg)
+    assert_kernel(a - a, {}, da)
+    assert_kernel(a * b, naive_mul(a.terms, b.terms), deg)
+    assert_kernel(a.term_mul(m), naive_mul(a.terms, {m: 1}), da)
+    assert_kernel(a.term_mul(m, c), naive_mul(a.terms, {m: c}), da)
+    assert_kernel(a ** n, naive_pow(a.terms, n), da)
+    assert_kernel(a.truncate(k), a.terms, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jet_terms, bounds, jet_terms, jet_terms, bounds)
+def test_compose_keeps_the_kernel_invariant(ta, da, tx, tl, dt):
+    a = J(ta, da)
+    X, L = J(tx, dt), J(tl, dt)
+    reference = naive_sum(*(
+        naive_mul({(0, 0): c}, naive_mul(naive_pow(X.terms, i),
+                                         naive_pow(L.terms, j)))
+        for (i, j), c in a.terms.items()))
+    assert_kernel(a.compose({"x": X, "lam": L}), reference, dt)
+
+
+def test_monomials_upto_hands_out_its_own_list():
+    first = monomials_upto(2, 3)
+    first.append((9, 9))
+    first[0] = (7, 7)
+    assert monomials_upto(2, 3) == [
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+        (3, 0), (2, 1), (1, 2), (0, 3)]

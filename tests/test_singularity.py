@@ -15,6 +15,7 @@ from germforge.singularity import (
     NF_POLY_WARNING,
     UNFOLDING_POLY_WARNING,
     NotEquivalentError,
+    ZeroGermError,
     alg_objects,
     check_universal,
     equivalent,
@@ -266,6 +267,24 @@ def test_transformation_random_roundtrips():
             tr = transformation(g, f, k)
             res = tr.residual(g, f)
             assert res.is_zero() or all(sum(m) >= k for m in res.terms)
+
+
+def test_zero_germ_has_zero_tangent_spans():
+    zero = Jet({}, V, 2)
+    for S in (restricted_tangent(zero, 2), tangent_space(zero, 2)):
+        assert S.space.rank == 0 and S.extra == [] and str(S) == "0"
+
+
+def test_alg_objects_of_zero_germ_says_so():
+    with pytest.raises(ValueError, match="zero germ"):
+        alg_objects(Jet({}, V, 2), 2)
+
+
+def test_zero_working_jet_raises():
+    with pytest.raises(ZeroGermError, match="zero up to degree 3"):
+        normal_form(lambda k: j("x^7", k), 3)
+    with pytest.raises(ZeroGermError, match="zero up to degree 6"):
+        universal_unfolding(lambda k: j("0", k))
 
 
 germ_terms = st.dictionaries(
