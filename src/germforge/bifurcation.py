@@ -278,40 +278,29 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
             comps["L_C"] = Component("L_C", systems=[
                 [p] for p in corners if not _is_const(p)])
 
+    def boundary_family(name, values, system, drop):
+        comp = comps[name] = Component(name)
+        for v in values:
+            polys = eliminate(system(v), drop)
+            if _cuts_out(polys):
+                comp.systems.append(polys)
+
     if want_x:
-        sh = Component("L_SH")
-        for xv in (u_lo, u_hi):
-            polys = eliminate([_fix(body, {0: xv}), _fix(fx, {0: xv})], [ln])
-            if _cuts_out(polys):
-                sh.systems.append(polys)
-        comps["L_SH"] = sh
-
-        lt = Component("L_T")
-        for xv in (u_lo, u_hi):
-            polys = eliminate([_fix(body, {0: xv}), _fix(flam, {0: xv})],
-                              [ln])
-            if _cuts_out(polys):
-                lt.systems.append(polys)
-        comps["L_T"] = lt
-
+        boundary_family("L_SH", (u_lo, u_hi),
+                        lambda xv: [_fix(body, {0: xv}), _fix(fx, {0: xv})],
+                        [ln])
+        boundary_family("L_T", (u_lo, u_hi),
+                        lambda xv: [_fix(body, {0: xv}), _fix(flam, {0: xv})],
+                        [ln])
     if want_l:
-        sv = Component("L_SV")
-        for lv in (l_lo, l_hi):
-            polys = eliminate([_fix(body, {1: lv}), _fix(fx, {1: lv})],
-                              [xn])
-            if _cuts_out(polys):
-                sv.systems.append(polys)
-        comps["L_SV"] = sv
-
+        boundary_family("L_SV", (l_lo, l_hi),
+                        lambda lv: [_fix(body, {1: lv}), _fix(fx, {1: lv})],
+                        [xn])
     if want_x:
-        g1 = Component("G_1")
-        for xv in (u_lo, u_hi):
-            boundary = _fix(body, {0: xv}).rename(body.variables)
-            polys = eliminate([boundary, body, fx], [xn, ln])
-            if _cuts_out(polys):
-                g1.systems.append(polys)
-        comps["G_1"] = g1
-
+        boundary_family("G_1", (u_lo, u_hi),
+                        lambda xv: [_fix(body, {0: xv}).rename(body.variables),
+                                    body, fx],
+                        [xn, ln])
         g2_polys = eliminate([_fix(body, {0: u_lo}), _fix(body, {0: u_hi})],
                              [ln])
         comps["G_2"] = _component_from_elimination("G_2", g2_polys)

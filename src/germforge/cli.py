@@ -219,6 +219,9 @@ def cmd_verify(args, variables):
         expand, poly_in = _expander(args.germ[0], variables)
         rep = verify_germ(expand, upper_bound=bound,
                           polynomial_input=poly_in)
+        if rep.truncation_degree is None:
+            # a raised bound cannot help a germ that is zero up to it
+            _nonzero(expand(degree_bound(bound)))
         header = ("The following rings are allowed as the means of "
                   "computations:")
         degree_line = "The truncation degree must be: %s"

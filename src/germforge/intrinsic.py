@@ -165,16 +165,10 @@ class VerifyReport:
 def high_order_part(g: Jet, k: int) -> IntrinsicIdeal:
     """P(g), the ideal of negligible high-order terms: the largest intrinsic
     ideal inside M*RT(g) = M{g} + M^2{g_x}, from the degree-k jet."""
-    gk = g.truncate(k)
-    x = Jet.variable(gk.variables[0], gk.variables, gk.degree)
-    lam = Jet.variable(gk.variables[1], gk.variables, gk.degree)
-    gx = gk.diff(gk.variables[0])
-    gens = [x * gk, lam * gk,
-            x * x * gx, x * lam * gx, lam * lam * gx]
-    gens = [f for f in gens if not f.is_zero()]
-    if not gens:
-        return IntrinsicIdeal.from_blocks([])
-    return intrinsic_part(gens, None, k).ideal
+    space = RowSpace(g.variables, k)
+    space.add_multiples(g, 1)
+    space.add_multiples(g.diff(g.variables[0]), 2)
+    return intrinsic_from_members(space.monomials(), k)
 
 
 def degree_bound(opt: Optional[int] = None) -> int:
@@ -197,19 +191,21 @@ def verify_germ(expand, upper_bound: Optional[int] = None,
     block form of P stable from k to k+1.  `expand` maps a degree to the jet
     of g at that degree."""
     bound = degree_bound(upper_bound)
+    # P of the (k+1)-jet at degree k+2, computed at step k as p_high, is
+    # step k+1's p_low; a step that stops before p_high carries nothing
+    p_next = None
     for k in range(1, bound + 1):
+        p_low, p_next = p_next, None
         g = expand(k)
         if g.is_zero():
             continue
         # work one degree above the jet so the M^(k+1) boundary is visible
-        lifted = Jet(dict(g.terms), g.variables, k + 1)
-        p_low = high_order_part(lifted, k + 1)
+        if p_low is None:
+            p_low = high_order_part(g, k + 1)
         boundary = [m for m in monomials_upto(2, k + 1) if mdeg(m) == k + 1]
         if not all(p_low.contains_monomial(m) for m in boundary):
             continue
-        g_high = expand(k + 1)
-        lifted_high = Jet(dict(g_high.terms), g_high.variables, k + 2)
-        p_high = high_order_part(lifted_high, k + 2)
+        p_high = p_next = high_order_part(expand(k + 1), k + 2)
         if p_low.blocks != p_high.blocks:
             continue
         rings = ["smooth", "formal"]

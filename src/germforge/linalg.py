@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .jets import Jet, monomials_upto
+from .jets import Jet, mdeg, monomials_upto
 
 
 def rref(rows):
@@ -96,6 +96,22 @@ class RowSpace:
 
     def contains(self, f):
         return not self._reduce(f)
+
+    def copy(self):
+        """An independent RowSpace with the same span."""
+        other = RowSpace(self.variables, self.degree)
+        other._rows = {p: dict(row) for p, row in self._rows.items()}
+        return other
+
+    def add_multiples(self, f, least=0):
+        """Insert m*f for every monomial m with least <= deg m <= k - ord f,
+        which spans M^least{f} modulo degree > k; a zero f adds nothing."""
+        f = f.truncate(self.degree)
+        if f.is_zero():
+            return
+        for m in monomials_upto(len(self.variables), self.degree - f.order()):
+            if mdeg(m) >= least:
+                self.add(f.term_mul(m))
 
     def add(self, f):
         """Insert a jet; returns True when it enlarged the span."""

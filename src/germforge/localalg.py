@@ -439,14 +439,9 @@ def mult_matrix(A, u, k: Optional[int] = None):
 def ideal_span(G: List[Jet], k: int) -> RowSpace:
     """Brute-force coefficient span of {m*f : f in G, deg(m*f) <= k} in the
     degree-<=k jet space.  Used as the independent membership oracle."""
-    variables = G[0].variables
-    space = RowSpace(variables, k)
+    space = RowSpace(G[0].variables, k)
     for f in G:
-        f = f.truncate(k)
-        if f.is_zero():
-            continue
-        for m in monomials_upto(len(variables), k - f.order()):
-            space.add(f.term_mul(m))
+        space.add_multiples(f)
     return space
 
 

@@ -19,7 +19,6 @@ from .intrinsic import (
 )
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
 from .linalg import RowSpace, solve_linear
-from .localalg import ideal_span
 
 NF_POLY_WARNING = (
     "The polynomial germ ring is not suitable for normal form computations."
@@ -102,26 +101,34 @@ def _span_to_spanspace(space: RowSpace) -> SpanSpace:
 
 
 def _rt_span(g: Jet, k: int) -> RowSpace:
-    x = Jet.variable(g.variables[0], g.variables, g.degree)
-    lam = Jet.variable(g.variables[1], g.variables, g.degree)
-    gx = g.diff(g.variables[0])
-    gens = [f for f in (g, x * gx, lam * gx) if not f.is_zero()]
-    return ideal_span(gens, k) if gens else RowSpace(g.variables, k)
+    """RT(g) = E{g} + M{g_x}."""
+    space = RowSpace(g.variables, k)
+    space.add_multiples(g)
+    space.add_multiples(g.diff(g.variables[0]), 1)
+    return space
 
 
 def _t_span(g: Jet, k: int) -> RowSpace:
-    gx = g.diff(g.variables[0])
+    """T(g) = E{g, g_x} + E_lambda{g_lambda}."""
+    space = RowSpace(g.variables, k)
+    space.add_multiples(g)
+    space.add_multiples(g.diff(g.variables[0]))
     glam = g.diff(g.variables[1])
-    gens = [f for f in (g, gx) if not f.is_zero()]
-    space = ideal_span(gens, k) if gens else RowSpace(g.variables, k)
-    lam = Jet.variable(g.variables[1], g.variables, g.degree)
-    term = glam
-    for _j in range(k + 1):
-        if term.is_zero():
-            break
-        space.add(term)
-        term = term * lam
+    for j in range(k + 1):
+        space.add(glam.term_mul((0, j)))
     return space
+
+
+def _complement(space: RowSpace) -> list:
+    """tangent_perp's greedy monomial complement, chosen on a copy of the
+    span."""
+    trial = space.copy()
+    k = space.degree
+    # within a degree prefer lambda-heavy monomials, so ties between a pure
+    # x power and a mixed monomial resolve toward the mixed one
+    monos = sorted(monomials_upto(2, k), key=lambda m: (mdeg(m), m[0]))
+    return [m for m in monos
+            if trial.add(Jet.monomial(m, space.variables, 1, k))]
 
 
 def restricted_tangent(g: Jet, k: Optional[int] = None) -> SpanSpace:
@@ -142,15 +149,7 @@ def tangent_perp(g: Jet, k: Optional[int] = None) -> list:
     """Monomial basis of a complement of T(g), greedily chosen from the
     lowest local-order monomials (so 1 comes first when possible)."""
     k = k if k is not None else g.degree
-    g = g.truncate(k)
-    space = _t_span(g, k)
-    chosen = []
-    # within a degree prefer lambda-heavy monomials, so ties between a pure
-    # x power and a mixed monomial resolve toward the mixed one
-    for m in sorted(monomials_upto(2, k), key=lambda m: (mdeg(m), m[0])):
-        if space.add(Jet.monomial(m, g.variables, 1, k)):
-            chosen.append(m)
-    return chosen
+    return _complement(_t_span(g.truncate(k), k))
 
 
 def s_perp(g: Jet) -> list:
@@ -182,11 +181,12 @@ class AlgObjects:
 def alg_objects(g: Jet, k: Optional[int] = None) -> AlgObjects:
     k = k if k is not None else g.degree
     g = g.truncate(k)
+    t = _t_span(g, k)
     return AlgObjects(
         rt=restricted_tangent(g, k),
-        t=tangent_space(g, k),
+        t=_span_to_spanspace(t),
         p=high_order_part(g, k),
-        e_over_t=tangent_perp(g, k),
+        e_over_t=_complement(t),
         s=smallest_intrinsic(g),
         s_perp=s_perp(g),
         intrinsic_generators=intrinsic_gens(g),
@@ -337,11 +337,10 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
     S = Jet.constant(s0, variables, k)
 
     for _round in range(k + 2):
-        G = S * g.compose({variables[0]: X, variables[1]: L})
-        r = (f - G).truncate(k - 1)
+        G = g.compose({variables[0]: X, variables[1]: L})
+        r = (f - S * G).truncate(k - 1)
         if r.is_zero():
             break
-        Gfull = g.compose({variables[0]: X, variables[1]: L})
         SGx = S * g.diff(variables[0]).compose(
             {variables[0]: X, variables[1]: L})
         SGlam = S * g.diff(variables[1]).compose(
@@ -354,7 +353,7 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
         unknowns = []  # (kind, monomial, contribution jet)
         for dd in range(1, k - d0):
             for m in _homogeneous_monomials(dd):
-                unknowns.append(("S", m, S * Gfull.term_mul(m)))
+                unknowns.append(("S", m, S * G.term_mul(m)))
         oX = SGx.order() if not SGx.is_zero() else None
         if oX is not None:
             for dd in range(2, k - oX):
@@ -445,7 +444,7 @@ def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
                               warnings + rep.warnings)
         k = rep.truncation_degree
     g = _working_jet(expand, k)
-    P = high_order_part(Jet(dict(g.terms), g.variables, k + 1), k + 1)
+    P = high_order_part(g, k + 1)
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
     base = Jet(terms, g.variables, k)
     gens = set(smallest_intrinsic(base).generators()) if not base.is_zero() else set()
@@ -530,23 +529,21 @@ def universal_unfolding(expand: Callable[[int], Jet],
             k = rep.truncation_degree if rep.truncation_degree else 6
             warnings.extend(rep.warnings)
         base = _working_jet(expand, k)
-    perp = tangent_perp(base, k)
+    space = _t_span(base, k)
+    perp = _complement(space)
     monos = [Jet.monomial(m, base.variables, 1, k) for m in perp]
     main = make_unfolding(base, monos)
     if not want_list:
         return main, warnings
     # enumerate alternative monomial complements
     p = len(perp)
-    space = _t_span(base, k)
     in_t = space.monomials()
     candidates = [m for m in _ordered_monomials(k) if m not in in_t]
     from itertools import combinations
 
     results = []
     for combo in combinations(candidates, p):
-        trial = RowSpace(base.variables, k)
-        for row in space.rows:
-            trial.add(row)
+        trial = space.copy()
         ok = all(trial.add(Jet.monomial(m, base.variables, 1, k))
                  for m in combo)
         if ok:

@@ -288,6 +288,18 @@ def test_germ_zero_at_working_degree_exit_1(capsys, argv):
     assert err == "error: the germ is zero up to degree %s\n" % k
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["verify", "0"], 20),
+    (["verify", "x^5", "--upper-bound", "4"], 4),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_verify_germ_zero_up_to_the_bound_exit_1(capsys, argv, k):
+    # no truncation degree exists below the bound, and raising the bound
+    # is no advice for a germ that is zero up to it
+    code, out, err = run(capsys, *argv, "--vars", "x,lambda")
+    assert (code, out) == (1, "")
+    assert err == "error: the germ is zero up to degree %d\n" % k
+
+
 @pytest.mark.parametrize("text", [
     "sin(x + lambda^2) - x*lambda",
     "exp(x) - 1 - lambda",

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from germforge import intrinsic
 from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import (
     INCREASE_BOUND_WARNING,
@@ -160,6 +163,28 @@ def test_verify_germ():
     assert rep.truncation_degree == 3
     assert rep.permissible_rings == ["smooth", "formal", "fractional"]
     assert rep.warnings == []
+
+
+@pytest.mark.parametrize("jets, degree, calls", [
+    # step 1's p_high, P of x^2 + lam at degree 3, is step 2's p_low
+    ({1: "x + lam"}, 2, [2, 3, 4]),
+    # step 2 stops at a zero jet, so step 3 computes its own p_low
+    ({1: "x + lam", 2: "0"}, 3, [2, 3, 4, 5]),
+])
+def test_verify_germ_computes_each_high_order_part_once(monkeypatch, jets,
+                                                        degree, calls):
+    # an expand that is not a Taylor series, so that P changes after M^(k+1)
+    # already lies inside it
+    seen = []
+
+    def recording(g, k):
+        seen.append(k)
+        return high_order_part(g, k)
+
+    monkeypatch.setattr(intrinsic, "high_order_part", recording)
+    rep = verify_germ(lambda k: j(jets.get(k, "x^2 + lam"), k))
+    assert rep.truncation_degree == degree
+    assert seen == calls
 
 
 def test_verify_germ_bound_warning():

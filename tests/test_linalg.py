@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germforge.jets import Jet, monomials_upto
+from germforge.jets import Jet, mdeg, monomials_upto
 from germforge.linalg import RowSpace, rref
 
 V = ("x", "lam")
@@ -69,3 +69,43 @@ def test_rowspace_truncates_and_orders_rows_by_pivot():
     assert all(r.degree == 2 for r in space.rows)
     assert space.contains(lam + x * x + 3 * x)
     assert space.monomials() == {(1, 0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_lists(), st.integers(0, 3))
+def test_add_multiples_spans_the_explicit_products(case, least):
+    k, jets, _probes = case
+    space, products = RowSpace(V, k), RowSpace(V, k)
+    for f in jets:
+        space.add_multiples(f, least)
+        for m in monomials_upto(2, k):
+            if mdeg(m) >= least:
+                products.add(f.term_mul(m))
+    assert space.rows == products.rows
+
+
+def test_add_multiples_truncates_and_skips_zero():
+    x = Jet.variable("x", V, None)
+    lam = Jet.variable("lam", V, None)
+    space = RowSpace(V, 2)
+    space.add_multiples(Jet.zero(V, 2))
+    space.add_multiples(x ** 3 + lam ** 4)  # zero modulo degree > 2
+    assert space.rank == 0
+    space.add_multiples(x + x ** 3, 1)  # M{x}: x^2 and x*lam
+    assert space.monomials() == {(2, 0), (1, 1)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(jet_lists())
+def test_copy_is_independent(case):
+    k, jets, probes = case
+    space = RowSpace(V, k)
+    for f in jets:
+        space.add(f)
+    rows, rank = space.rows, space.rank
+    twin = space.copy()
+    assert twin.rows == rows
+    for g in probes + [Jet.monomial(m, V, 1, k) for m in monomials_upto(2, k)]:
+        twin.add(g)
+    assert twin.rank == len(monomials_upto(2, k))
+    assert space.rows == rows and space.rank == rank

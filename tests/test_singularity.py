@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from germforge.germexpr import parse_and_expand
-from germforge.intrinsic import IntrinsicIdeal
-from germforge.jets import Jet, monomials_upto
+from germforge.intrinsic import (
+    IntrinsicIdeal,
+    high_order_part,
+    intrinsic_from_members,
+)
+from germforge.jets import Jet, mdeg, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import ideal_span
 from germforge.singularity import (
@@ -305,3 +309,37 @@ def test_spanspace_is_intrinsic_part_plus_independent_extras(terms, k):
         # extras before it
         assert all(span.add(f) for f in S.extra)
         assert spaces_equal(span, S.space)
+
+
+def products_span(gens, plain, k):
+    """m*f for every f in gens and every monomial m, plus the jets in
+    `plain`, added one by one modulo degree > k."""
+    space = RowSpace(V, k)
+    for f in gens:
+        for m in monomials_upto(2, k):
+            space.add(f.term_mul(m))
+    for f in plain:
+        space.add(f)
+    return space
+
+
+@settings(max_examples=40, deadline=None)
+@given(germ_terms, st.integers(1, 6))
+@example({(5, 0): 1, (3, 2): 1, (0, 3): 1}, 6)  # needs g_lambda*lambda
+def test_tangent_spans_agree_with_their_generator_products(terms, k):
+    g = Jet(terms, V, k)
+    x, lam = Jet.variable("x", V, k), Jet.variable("lam", V, k)
+    gx, glam = g.diff("x"), g.diff("lam")
+    rt = products_span([g, x * gx, lam * gx], [], k)
+    assert restricted_tangent(g, k).space.rows == rt.rows
+    t = products_span([g, gx], [glam * lam ** i for i in range(k + 1)], k)
+    assert tangent_space(g, k).space.rows == t.rows
+    perp = []
+    for m in sorted(monomials_upto(2, k), key=lambda m: (mdeg(m), m[0])):
+        if t.add(Jet.monomial(m, V, 1, k)):
+            perp.append(m)
+    assert tangent_perp(g, k) == perp
+    # P(g) sits inside M*RT(g) = M{g} + M^2{g_x}
+    mrt = products_span([x * g, lam * g, x * x * gx, x * lam * gx,
+                         lam * lam * gx], [], k)
+    assert high_order_part(g, k) == intrinsic_from_members(mrt.monomials(), k)
