@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intrinsic import verify_germ
@@ -336,100 +338,92 @@ class RegionCatalog:
 
 
 def _grid_points(box, n):
+    """An iterator over the n^p grid points of the box in grid order, the
+    last axis fastest: point (i_1, ..., i_p) has coordinate
+    lo + (hi - lo) * i / (n - 1) on each axis, or the axis midpoint when
+    n == 1."""
     axes = []
     for lo, hi in box:
         lo, hi = Fraction(lo), Fraction(hi)
         axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)]
                     if n > 1 else [(lo + hi) / 2])
-    points = [()]
-    for axis in axes:
-        points = [p + (v,) for p in points for v in axis]
-    return points
+    return product(*axes)
+
+
+def _flood_regions(signs):
+    """The region of each index of the sign table: its connected component
+    of same-sign indices under steps of +-1 on one index, named by its first
+    index in grid order."""
+    region = {}
+    for start, vec in signs.items():
+        if start in region:
+            continue
+        region[start] = start
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for axis, i in enumerate(cur):
+                for j in (i - 1, i + 1):
+                    nxt = cur[:axis] + (j,) + cur[axis + 1:]
+                    if nxt not in region and signs.get(nxt) == vec:
+                        region[nxt] = start
+                        stack.append(nxt)
+    return region
 
 
 def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
                      granularity: str = "complete") -> RegionCatalog:
-    """Pick persistent representatives off the transition set.  short: one
-    point per sign of the product polynomial; intermediate: one per
-    per-polynomial sign vector; complete: one per orthogonally connected
-    component of same-sign grid points."""
+    """Pick persistent representatives off the transition set.  The sign
+    table holds, for each grid index off the zeros of every polynomial, the
+    vector of their signs.  One pass over it in grid order keeps the first
+    index of each key: the product of the signs (short), the sign vector
+    (intermediate), or the region of same-sign indices connected by steps of
+    one on one index (complete)."""
+    if granularity not in ("short", "intermediate", "complete"):
+        raise ValueError("unknown granularity %r" % granularity)
     params = sigma.params
-    p = len(params)
     if box is None:
-        box = [(Fraction(-1), Fraction(1))] * p
+        box = [(-1, 1)] * len(params)
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
     polys = [poly for _n, poly in sigma.all_polys()]
-    warnings = []
     if not polys:
-        center = tuple((Fraction(lo) + Fraction(hi)) / 2 for lo, hi in box)
-        return RegionCatalog([(center, (), granularity)], box, grid, warnings)
+        center = tuple((lo + hi) / 2 for lo, hi in box)
+        return RegionCatalog([(center, (), granularity)], box, grid, [])
 
-    points = _grid_points(box, grid)
-    signs = {}
-    for pt in points:
+    def grid_order():
+        """The (index tuple, point) pairs of the grid, in grid order."""
+        return zip(product(range(grid), repeat=len(params)),
+                   _grid_points(box, grid))
+
+    signs, vecs = {}, {}
+    for idx, pt in grid_order():
         env = dict(zip(params, pt))
         vec = []
-        ok = True
         for poly in polys:
             v = poly.evaluate(env)
             if v == 0:
-                ok = False
                 break
             vec.append(1 if v > 0 else -1)
-        if ok:
-            signs[pt] = tuple(vec)
-    for i, poly in enumerate(polys):
-        seen = {vec[i] for vec in signs.values()}
-        if len(seen) == 1:
-            warnings.append(
-                "grid may be too coarse: %s keeps one sign on the grid"
-                % poly)
+        else:
+            # equal sign vectors share one tuple, so the table holds one
+            # tuple per distinct vector
+            vec = tuple(vec)
+            signs[idx] = vecs.setdefault(vec, vec)
+    warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
+                for i, poly in enumerate(polys)
+                if len({vec[i] for vec in vecs}) == 1]
 
-    reps = []
-    if granularity == "short":
-        by_key = {}
-        for pt in points:
-            if pt in signs:
-                key = 1
-                for s in signs[pt]:
-                    key *= s
-                if key not in by_key:
-                    by_key[key] = pt
-        reps = [(pt, signs[pt], "short") for pt in by_key.values()]
+    if granularity == "complete":
+        key = _flood_regions(signs)
     elif granularity == "intermediate":
-        by_key = {}
-        for pt in points:
-            if pt in signs and signs[pt] not in by_key:
-                by_key[signs[pt]] = pt
-        reps = [(pt, signs[pt], "intermediate") for pt in by_key.values()]
+        key = signs
     else:
-        # flood fill over same-sign orthogonal neighbors
-        steps = []
-        for lo, hi in box:
-            lo, hi = Fraction(lo), Fraction(hi)
-            steps.append((hi - lo) / (grid - 1) if grid > 1 else Fraction(0))
-        seen = set()
-        for pt in points:
-            if pt not in signs or pt in seen:
-                continue
-            stack = [pt]
-            seen.add(pt)
-            while stack:
-                cur = stack.pop()
-                for axis in range(p):
-                    for direction in (-1, 1):
-                        if steps[axis] == 0:
-                            continue
-                        nxt = tuple(
-                            v + direction * steps[axis] if i == axis else v
-                            for i, v in enumerate(cur))
-                        if nxt in signs and nxt not in seen \
-                                and signs[nxt] == signs[pt]:
-                            seen.add(nxt)
-                            stack.append(nxt)
-            reps.append((pt, signs[pt], "complete"))
-    reps.sort(key=lambda r: r[0])
-    return RegionCatalog(reps, [(Fraction(lo), Fraction(hi))
-                                for lo, hi in box], grid, warnings)
+        key = {idx: prod(vec) for idx, vec in signs.items()}
+    firsts = {}
+    for idx, pt in grid_order():
+        if idx in signs:
+            firsts.setdefault(key[idx], (pt, signs[idx], granularity))
+    return RegionCatalog(sorted(firsts.values()), box, grid, warnings)
 
 
 # ------------------------------------------------------------ diagrams
@@ -632,57 +626,52 @@ def exact_root_counts(G: UnfoldingGerm, alpha, lambdas, xwindow) -> tuple:
 _SVG_SIZE = 480
 
 
-def _svg_header():
-    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
-            '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-            'viewBox="0 0 %d %d">\n' % (_SVG_SIZE, _SVG_SIZE,
-                                        _SVG_SIZE, _SVG_SIZE))
-
-
-def _svg_axes(window):
+def _write_plot(path: str, window, header: str, curves,
+                row=lambda point: point) -> List[str]:
+    """Write the (label, color, polyline) curves over window = ((hlo, hhi),
+    (vlo, vhi)) as an SVG with the axes through the origin, and one CSV line
+    label,row(vertex) per polyline vertex under `header`.  The files are
+    path's base (without .svg) with .svg and .csv; returns both paths."""
     (hlo, hhi), (vlo, vhi) = window
-    parts = []
+
+    def px(h):
+        return _SVG_SIZE * (h - hlo) / (hhi - hlo)
+
+    def py(v):
+        return _SVG_SIZE * (1 - (v - vlo) / (vhi - vlo))
+
+    svg = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+           '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+           'viewBox="0 0 %d %d">\n' % ((_SVG_SIZE,) * 4)]
     if hlo < 0 < hhi:
-        px = _SVG_SIZE * (0 - hlo) / (hhi - hlo)
-        parts.append('<line x1="%.2f" y1="0" x2="%.2f" y2="%d" '
-                     'stroke="#CCCCCC" stroke-width="1"/>\n'
-                     % (px, px, _SVG_SIZE))
+        svg.append('<line x1="%.2f" y1="0" x2="%.2f" y2="%d" '
+                   'stroke="#CCCCCC" stroke-width="1"/>\n'
+                   % (px(0), px(0), _SVG_SIZE))
     if vlo < 0 < vhi:
-        py = _SVG_SIZE * (1 - (0 - vlo) / (vhi - vlo))
-        parts.append('<line x1="0" y1="%.2f" x2="%d" y2="%.2f" '
-                     'stroke="#CCCCCC" stroke-width="1"/>\n'
-                     % (py, _SVG_SIZE, py))
-    return "".join(parts)
-
-
-def _svg_path(points, window, color):
-    (hlo, hhi), (vlo, vhi) = window
-    coords = []
-    for h, v in points:
-        px = _SVG_SIZE * (h - hlo) / (hhi - hlo)
-        py = _SVG_SIZE * (1 - (v - vlo) / (vhi - vlo))
-        coords.append("%.3f,%.3f" % (px, py))
-    return ('<polyline fill="none" stroke="%s" stroke-width="1.5" '
-            'points="%s"/>\n' % (color, " ".join(coords)))
+        svg.append('<line x1="0" y1="%.2f" x2="%d" y2="%.2f" '
+                   'stroke="#CCCCCC" stroke-width="1"/>\n'
+                   % (py(0), _SVG_SIZE, py(0)))
+    csv = [header + "\n"]
+    for label, color, curve in curves:
+        svg.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
+                   'points="%s"/>\n' % (color, " ".join(
+                       "%.3f,%.3f" % (px(h), py(v)) for h, v in curve)))
+        csv += [label + "," + ",".join("%.12g" % float(v) for v in row(pt))
+                + "\n" for pt in curve]
+    svg.append("</svg>\n")
+    base = path[:-4] if path.endswith(".svg") else path
+    paths = [base + ".svg", base + ".csv"]
+    for target, lines in zip(paths, (svg, csv)):
+        with open(target, "w") as fh:
+            fh.write("".join(lines))
+    return paths
 
 
 def render_diagram(diagram: Diagram, path: str) -> List[str]:
     """Write the diagram as SVG plus a CSV of polyline vertices."""
-    svg = [_svg_header(), _svg_axes(diagram.window)]
-    for curve in diagram.curves:
-        svg.append(_svg_path(curve, diagram.window, "#000000"))
-    svg.append("</svg>\n")
-    base = path[:-4] if path.endswith(".svg") else path
-    svg_path = base + ".svg"
-    csv_path = base + ".csv"
-    with open(svg_path, "w") as fh:
-        fh.write("".join(svg))
-    with open(csv_path, "w") as fh:
-        fh.write("curve_id,lambda,x\n")
-        for cid, curve in enumerate(diagram.curves):
-            for lam, x in curve:
-                fh.write("%d,%.12g,%.12g\n" % (cid, lam, x))
-    return [svg_path, csv_path]
+    return _write_plot(path, diagram.window, "curve_id,lambda,x",
+                       [(str(cid), "#000000", curve)
+                        for cid, curve in enumerate(diagram.curves)])
 
 
 def render_transition_slice(sigma: TransitionSet, path: str,
@@ -703,33 +692,23 @@ def render_transition_slice(sigma: TransitionSet, path: str,
         if n not in free and n not in fixed:
             fixed[n] = 0
 
-    window = ((float(Fraction(box[0][0])), float(Fraction(box[0][1]))),
-              (float(Fraction(box[1][0])), float(Fraction(box[1][1]))))
-    svg = [_svg_header(), _svg_axes(window)]
-    rows = []
+    window = tuple((float(Fraction(lo)), float(Fraction(hi)))
+                   for lo, hi in box[:2])
+    curves = []
     for name, comp in sigma.components.items():
         color = COLORS.get(name, "#444444")
         for poly in comp.polys():
             g = _PlanePoly(poly, free[1], free[0], fixed)
-            for curve in _march(g, window, resolution):
-                svg.append(_svg_path(curve, window, color))
-                for a, b in curve:
-                    point = dict(fixed)
-                    point[free[0]] = a
-                    point[free[1]] = b
-                    rows.append((name, [point[n] for n in params]))
-    svg.append("</svg>\n")
-    base = path[:-4] if path.endswith(".svg") else path
-    svg_path = base + ".svg"
-    csv_path = base + ".csv"
-    with open(svg_path, "w") as fh:
-        fh.write("".join(svg))
-    with open(csv_path, "w") as fh:
-        fh.write("component," + ",".join(params) + "\n")
-        for name, vals in rows:
-            fh.write(name + "," + ",".join("%.12g" % float(v)
-                                           for v in vals) + "\n")
-    return [svg_path, csv_path]
+            curves += [(name, color, curve)
+                       for curve in _march(g, window, resolution)]
+
+    def row(point):
+        values = dict(fixed)
+        values.update(zip(free, point))
+        return [values[n] for n in params]
+
+    return _write_plot(path, window, "component," + ",".join(params), curves,
+                       row)
 
 
 def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,

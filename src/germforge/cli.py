@@ -277,8 +277,9 @@ def cmd_recognize(args, variables):
 
 
 def cmd_check_universal(args, variables):
-    answer = check_universal(_unfolding(args, variables, args.degree))
-    return {"germ": args.germ[0]}, {"universal": answer}, [], [answer]
+    answer, warnings = check_universal(_unfolding(args, variables,
+                                                  args.degree))
+    return {"germ": args.germ[0]}, {"universal": answer}, warnings, [answer]
 
 
 def cmd_transform(args, variables):
@@ -311,6 +312,10 @@ def cmd_nonpersistent(args, variables):
 
 
 def cmd_persistent(args, variables):
+    for flag, value in (("--grid", args.grid),
+                        ("--resolution", args.resolution)):
+        if value < 1:
+            raise InputError("%s must be at least 1, not %d" % (flag, value))
     G = _unfolding(args, variables, args.degree)
     box = None
     if args.box:

@@ -202,36 +202,6 @@ def is_polynomial_expr(e: Expr) -> bool:
     return False
 
 
-def expr_to_string(e: Expr) -> str:
-    """Render an expression tree back into the input grammar."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Pow):
-        return "%s^%d" % (_atom(e.base), e.exponent)
-    if isinstance(e, Func):
-        return "%s(%s)" % (e.name, expr_to_string(e.arg))
-    if isinstance(e, BinOp):
-        left = expr_to_string(e.left)
-        right = expr_to_string(e.right)
-        if e.op in "*/":
-            left = _atom(e.left)
-            right = _atom(e.right)
-        elif e.op == "-":
-            if isinstance(e.right, BinOp) and e.right.op in "+-":
-                right = "(%s)" % right
-        return "%s %s %s" % (left, e.op, right)
-    raise TypeError(e)
-
-
-def _atom(e: Expr) -> str:
-    s = expr_to_string(e)
-    if isinstance(e, (BinOp,)) or (isinstance(e, Num) and e.value < 0):
-        return "(%s)" % s
-    return s
-
-
 def _series(name: str, u: Jet, k: int) -> Jet:
     """Compose a transcendental series with a jet vanishing at the origin."""
     if u.constant_term() != 0:

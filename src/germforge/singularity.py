@@ -556,18 +556,24 @@ def universal_unfolding(expand: Callable[[int], Jet],
     return results, warnings
 
 
-def check_universal(G: UnfoldingGerm, k: Optional[int] = None) -> str:
-    """\"Yes\" when G is a universal unfolding of its own base germ."""
+def check_universal(G: UnfoldingGerm, k: Optional[int] = None
+                    ) -> Tuple[str, List[str]]:
+    """(\"Yes\" or \"No\", warnings): \"Yes\" when G is a universal
+    unfolding of its own base germ.  Without k, the degree is the base
+    germ's truncation degree, or 6 with `verify_germ`'s warnings when it
+    finds none."""
     base = G.base()
+    warnings = []
     if k is None:
         rep = verify_germ(lambda kk: base.truncate(kk))
         k = rep.truncation_degree if rep.truncation_degree else 6
+        warnings.extend(rep.warnings)
     space = _t_span(base.truncate(k), k)
     p = len(G.params)
     if p != len(monomials_upto(2, k)) - space.rank:
-        return "No"
+        return "No", warnings
     added = sum(space.add(G.direction(i)) for i in range(p))
-    return "Yes" if added == p else "No"
+    return ("Yes" if added == p else "No"), warnings
 
 
 # -------------------------------------------------------------- recognition

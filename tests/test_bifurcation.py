@@ -475,6 +475,8 @@ def test_classify_regions_single_line():
     assert len(cat.representatives) == 2
     assert {r[1] for r in cat.representatives} == {(-1,), (1,)}
     assert not cat.warnings
+    with pytest.raises(ValueError):
+        classify_regions(sigma, granularity="full")
 
 
 def test_classify_regions_coarse_grid_warning():
@@ -502,7 +504,7 @@ def reference_regions(sigma, box, grid, granularity):
     """classify_regions by brute force: Jet.evaluate at every grid point,
     then a flood fill over Fraction tuples."""
     polys = [poly for _n, poly in sigma.all_polys()]
-    points = _grid_points(box, grid)
+    points = list(_grid_points(box, grid))
     signs = {}
     for pt in points:
         vals = [poly.evaluate(dict(zip(sigma.params, pt))) for poly in polys]
@@ -556,6 +558,12 @@ ASYMMETRIC_BOX = [(Fraction(-1, 3), Fraction(2, 7)),
                   (Fraction(-1), Fraction(1, 2)),
                   (Fraction(0), Fraction(5, 3))]
 
+# a reversed axis (index order against coordinate order) and a zero-width
+# axis (grid points that coincide)
+REVERSED_FLAT_BOX = [(Fraction(1, 2), Fraction(-1, 3)),
+                     (Fraction(1, 4), Fraction(1, 4)),
+                     (Fraction(-1), Fraction(1))]
+
 
 @pytest.mark.parametrize("granularity", ["short", "intermediate", "complete"])
 def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
@@ -564,7 +572,9 @@ def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
     cases = [(wc_sigma, cube, 9), (quintic_sigma, cube, 13),
              (wc_sigma, ASYMMETRIC_BOX, 8), (quintic_sigma, ASYMMETRIC_BOX, 8),
              (with_extra_polys(wc_sigma), cube, 9),
-             (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 8)]
+             (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 8),
+             (wc_sigma, REVERSED_FLAT_BOX, 9),
+             (with_extra_polys(quintic_sigma), REVERSED_FLAT_BOX, 8)]
     for sigma, box, grid in cases:
         cat = classify_regions(sigma, box=box, grid=grid,
                                granularity=granularity)

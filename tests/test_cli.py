@@ -7,6 +7,7 @@ import pytest
 from germforge import cli
 from germforge.cli import main
 from germforge.germexpr import parse_germ, taylor_expand
+from germforge.intrinsic import INCREASE_BOUND_WARNING
 
 
 def run(capsys, *argv):
@@ -90,6 +91,19 @@ def test_check_universal(capsys):
                           "--vars", "x,lambda", "--params", "a1,a2,a3")
     assert code == 0
     assert out == "Yes\n"
+
+
+def test_check_universal_warns_without_truncation_degree(capsys):
+    # x^2 has no truncation degree: the answer is computed at degree 6 and
+    # says so, as `unfolding` and `normalform` do
+    argv = ["check-universal", "x^2 + a1", "--params", "a1", "--vars",
+            "x,lambda"]
+    code, out, _err = run(capsys, *argv)
+    assert (code, out) == (0, "No\n" + INCREASE_BOUND_WARNING + "\n")
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert payload["result"] == {"universal": "No"}
+    assert payload["warnings"] == [INCREASE_BOUND_WARNING]
 
 
 def test_recognize(capsys):
@@ -255,6 +269,12 @@ WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                  "--plot", id="transition-set-plot-missing-directory"),
     pytest.param(["persistent", *CUBIC, "--plot", "{tmp}/plots/pd"],
                  "--plot", id="persistent-plot-missing-directory"),
+    pytest.param(["persistent", *CUBIC, "--grid", "0"], "--grid",
+                 id="persistent-grid-zero"),
+    pytest.param(["persistent", *CUBIC, "--grid=-3"], "--grid",
+                 id="persistent-grid-negative"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}", "--resolution",
+                  "0"], "--resolution", id="persistent-resolution-zero"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message

@@ -161,13 +161,13 @@ def test_universal_unfolding_list():
         "a1 - x*lam + x^3 + x^2*a2",
     }
     for u in results:
-        assert check_universal(u) == "Yes"
+        assert check_universal(u) == ("Yes", [])
 
 
 def test_universal_unfolding_main_and_warning():
     main, warns = universal_unfolding(lambda k: j("x^3 - x*lam", k))
     assert warns == []
-    assert check_universal(main) == "Yes"
+    assert check_universal(main) == ("Yes", [])
     _main, warns2 = universal_unfolding(lambda k: j("x^3 - x*lam", k),
                                         ring="polynomial")
     assert UNFOLDING_POLY_WARNING in warns2
@@ -175,11 +175,11 @@ def test_universal_unfolding_main_and_warning():
 
 def test_check_universal_quintic():
     G = make_unfolding(j("x^5 - lam"), [j("x"), j("x^2"), j("x^3")])
-    assert check_universal(G) == "Yes"
+    assert check_universal(G) == ("Yes", [])
     bad = make_unfolding(j("x^5 - lam"), [j("x"), j("2*x"), j("x^3")])
-    assert check_universal(bad) == "No"
+    assert check_universal(bad) == ("No", [])
     short = make_unfolding(j("x^5 - lam"), [j("x"), j("x^2")])
-    assert check_universal(short) == "No"
+    assert check_universal(short) == ("No", [])
 
 
 def test_recognition_conditions():
