@@ -4,6 +4,7 @@ G(x, lambda, alpha)."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -381,6 +382,8 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     one on one index (complete)."""
     if granularity not in ("short", "intermediate", "complete"):
         raise ValueError("unknown granularity %r" % granularity)
+    if grid < 1:
+        raise ValueError("grid must be at least 1, not %d" % grid)
     params = sigma.params
     if box is None:
         box = [(-1, 1)] * len(params)
@@ -498,6 +501,8 @@ def _march(g, window, n):
     kept.  Other crossings are bisected, once per edge.  A saddle cell is
     split by the sign of g at its centre.  Segments meet at identical
     endpoints and are chained through a dict keyed by endpoint."""
+    if n < 1:
+        raise ValueError("resolution must be at least 1, not %d" % n)
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
@@ -715,8 +720,6 @@ def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
                   values: Sequence, free: Tuple[str, str],
                   box=((-1, 1), (-1, 1)), resolution: int = 120) -> List[str]:
     """One SVG frame per swept parameter value plus an index file."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     index_lines = []

@@ -81,6 +81,10 @@ RING_NAMES = {
 
 ORDERS = {"local": LocalOrder, "grlex": GrLexOrder, "lex": LexOrder}
 
+# integer flags that take no value below 1, refused before anything is
+# computed
+POSITIVE_FLAGS = ("--degree", "--upper-bound", "--grid", "--resolution")
+
 NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
                 "eight", "nine", "ten")
 
@@ -312,10 +316,6 @@ def cmd_nonpersistent(args, variables):
 
 
 def cmd_persistent(args, variables):
-    for flag, value in (("--grid", args.grid),
-                        ("--resolution", args.resolution)):
-        if value < 1:
-            raise InputError("%s must be at least 1, not %d" % (flag, value))
     G = _unfolding(args, variables, args.degree)
     box = None
     if args.box:
@@ -522,6 +522,11 @@ def main(argv=None) -> int:
         if len(variables) != 2:
             raise InputError("--vars needs exactly 2 names "
                              "(state, parameter)")
+        for flag in POSITIVE_FLAGS:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value < 1:
+                raise InputError("%s must be at least 1, not %d"
+                                 % (flag, value))
         inputs, result, warnings, lines = args.func(args, variables)
     except (InputError, GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:

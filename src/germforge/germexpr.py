@@ -214,7 +214,8 @@ def _series(name: str, u: Jet, k: int) -> Jet:
     if name == "exp":
         acc = Jet.constant(1, variables, k)
     if u.is_zero():
-        return acc
+        # the series' constant term: cos(0) = exp(0) = 1, sin(0) = 0
+        return Jet.constant(0 if name == "sin" else 1, variables, k)
     ord_u = u.order()
     power = Jet.constant(1, variables, k)
     nmax = k // ord_u

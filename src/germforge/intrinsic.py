@@ -12,9 +12,9 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .jets import Jet, LocalOrder, mdeg, monomials_upto
+from .jets import Jet, LocalOrder, monomials_upto
 from .linalg import RowSpace
-from .localalg import ideal_span, standard_basis
+from .localalg import codimension, ideal_span, standard_basis
 
 DEFAULT_UPPER_BOUND = 20
 
@@ -187,34 +187,28 @@ def degree_bound(opt: Optional[int] = None) -> int:
 
 def verify_germ(expand, upper_bound: Optional[int] = None,
                 polynomial_input: bool = False) -> VerifyReport:
-    """Least truncation degree k with M^(k+1) inside P(g's k-jet) and the
-    block form of P stable from k to k+1.  `expand` maps a degree to the jet
-    of g at that degree."""
+    """Least truncation degree k with M^(k+1) inside P(j^k g), one expand
+    and one P per degree; `expand(k)` must be j^k g, the k-jet of one germ.
+    With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
+    - P is stable from k to k+1: the test gives M^(k+1) in N(j^k g) +
+      M^(k+2), so in N(j^k g) (Nakayama); j^(k+1) g - j^k g lies in M^(k+1),
+      so N(j^(k+1) g) + M^(k+2) = N(j^k g) + M^(k+2), and as both contain
+      M^(k+1) they are equal.  P(j^(k+1) g) at degree k+2 keeps every block
+      with l <= k+1, and its extra block <lambda^(k+2)> lies in the l = 0 one.
+    - the fractional ring is valid: one nonzero generator is its own
+      standard basis at k and at k+1, with leading degree ord g <= k."""
     bound = degree_bound(upper_bound)
-    # P of the (k+1)-jet at degree k+2, computed at step k as p_high, is
-    # step k+1's p_low; a step that stops before p_high carries nothing
-    p_next = None
     for k in range(1, bound + 1):
-        p_low, p_next = p_next, None
         g = expand(k)
         if g.is_zero():
             continue
         # work one degree above the jet so the M^(k+1) boundary is visible
-        if p_low is None:
-            p_low = high_order_part(g, k + 1)
-        boundary = [m for m in monomials_upto(2, k + 1) if mdeg(m) == k + 1]
-        if not all(p_low.contains_monomial(m) for m in boundary):
-            continue
-        p_high = p_next = high_order_part(expand(k + 1), k + 2)
-        if p_low.blocks != p_high.blocks:
-            continue
-        rings = ["smooth", "formal"]
-        sb = standard_basis([expand(k)], LocalOrder(), k)
-        if sb.certified:
-            rings.append("fractional")
-        if polynomial_input:
-            rings.append("polynomial")
-        return VerifyReport(rings, k)
+        P = high_order_part(g, k + 1)
+        if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
+            rings = ["smooth", "formal", "fractional"]
+            if polynomial_input:
+                rings.append("polynomial")
+            return VerifyReport(rings, k)
     return VerifyReport(["smooth", "formal"], None,
                         warnings=[INCREASE_BOUND_WARNING])
 
@@ -222,8 +216,6 @@ def verify_germ(expand, upper_bound: Optional[int] = None,
 def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:
     """Least truncation degree with finite codimension and a leading-term
     stable standard basis."""
-    from .localalg import codimension
-
     bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         Gk = [f.truncate(None).truncate(k) for f in G]

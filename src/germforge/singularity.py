@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Callable, List, Optional, Tuple
 
@@ -232,8 +233,6 @@ def _primes_of(values) -> set:
 def _integer_particular(A, b):
     """An integer solution of A x = b, searched by forcing subsets of the
     unknowns to zero (the systems here have at most three unknowns)."""
-    from itertools import combinations
-
     n = len(A[0]) if A else 0
     for r in range(n + 1):
         for zero in combinations(range(n), r):
@@ -539,8 +538,6 @@ def universal_unfolding(expand: Callable[[int], Jet],
     p = len(perp)
     in_t = space.monomials()
     candidates = [m for m in _ordered_monomials(k) if m not in in_t]
-    from itertools import combinations
-
     results = []
     for combo in combinations(candidates, p):
         trial = space.copy()

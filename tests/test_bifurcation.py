@@ -479,6 +479,28 @@ def test_classify_regions_single_line():
         classify_regions(sigma, granularity="full")
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_sampling_sizes_below_one_raise(tmp_path, size):
+    # the library refuses sizes that the CLI refuses, before sampling
+    params = ("a1", "a2", "a3")
+    line = Jet({(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}, params, None)
+    sigma = TransitionSet({"B": Component("B", systems=[[line]])}, params)
+    no_polys = TransitionSet({"B": Component("B")}, ("a1",))
+    calls = [
+        lambda: classify_regions(sigma, grid=size),
+        lambda: classify_regions(no_polys, grid=size),
+        lambda: bifurcation_diagram(fold(), (0,), resolution=size),
+        lambda: render_transition_slice(sigma, str(tmp_path / "s"),
+                                        resolution=size),
+        lambda: render_frames(sigma, str(tmp_path / "f"), "a3", [0],
+                              ("a1", "a2"), resolution=size),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="at least 1"):
+            call()
+    assert list(tmp_path.rglob("*.svg")) == []
+
+
 def test_classify_regions_coarse_grid_warning():
     poly = Jet({(2,): Fraction(1)}, ("a1",), None)  # one sign off its zero
     sigma = TransitionSet({"B": Component("B", systems=[[poly]])}, ("a1",))

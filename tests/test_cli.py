@@ -275,12 +275,22 @@ WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                  id="persistent-grid-negative"),
     pytest.param(["persistent", *CUBIC, "--plot", "{tmp}", "--resolution",
                   "0"], "--resolution", id="persistent-resolution-zero"),
+    pytest.param(["transform", "x^3-lambda", "x^3-lambda", "--vars",
+                  "x,lambda", "--degree", "0"], "--degree",
+                 id="transform-degree-zero"),
+    pytest.param(["transform", "x^3-lambda", "x^3-lambda", "--vars",
+                  "x,lambda", "--degree=-1"], "--degree",
+                 id="transform-degree-negative"),
+    pytest.param(["verify", "x^3-lambda", "--vars", "x,lambda",
+                  "--upper-bound", "0"], "--upper-bound",
+                 id="verify-upper-bound-zero"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
     # line and no traceback
     for name in ("transition_set", "nonpersistent_sets", "classify_regions",
-                 "mora_divide", "colon_ideal", "transformation"):
+                 "mora_divide", "colon_ideal", "transformation",
+                 "verify_germ"):
         monkeypatch.setattr("germforge.cli." + name, None)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run(capsys, *argv)

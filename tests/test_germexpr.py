@@ -48,6 +48,18 @@ def test_series_expansions():
     assert j("sin(x^3 + lam)", 4) == j("lam + x^3 - 1/6*lam^3", 4)
 
 
+@pytest.mark.parametrize("text, k, jet", [
+    ("cos(x*lam)", 1, "1"),
+    ("cos(x)", 0, "1"),
+    ("cos(x^2) - 1", 1, "0"),
+    ("exp(lam^3)", 2, "1"),
+    ("sin(x^2)", 1, "0"),
+])
+def test_series_of_an_argument_above_the_degree(text, k, jet):
+    # the argument's k-jet is zero, so the k-jet is the series' constant
+    assert j(text, k) == j(jet, k)
+
+
 def test_unit_division():
     assert j("1/(1 + x)", 3) == j("1 - x + x^2 - x^3", 3)
     assert j("x/(1 - lam)", 3) == j("x + x*lam + x*lam^2", 3)

@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or a private name of another module, only `localalg.py` imports sympy, and
-the README shows every subcommand."""
+"""Source hygiene: imports live at module level, no module of the package
+imports a name it never uses or a private name of another module, only
+`localalg.py` imports sympy, and the README shows every subcommand."""
 
 import argparse
 import ast
@@ -58,19 +58,38 @@ def test_every_subcommand_has_a_readme_example():
     assert sorted(set(subparsers.choices) - shown) == []
 
 
+def imported_modules(node):
+    """The absolute modules an import statement names; none for a relative
+    one."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if node.level == 0 else []
+
+
+def is_sympy_import(node):
+    return any(n.split(".")[0] == "sympy" for n in imported_modules(node))
+
+
 def sympy_importers():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(n.split(".")[0] == "sympy" for n in names):
-                found.append(path.name)
-    return sorted(set(found))
+    return sorted({path.name for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and is_sympy_import(node)})
+
+
+def nested_imports(path):
+    """Imports below module level, which the unused-import check does not
+    see; `localalg.py` imports sympy lazily and is allowed to."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and node not in tree.body
+            and not (path.name == "localalg.py" and is_sympy_import(node))]
+
+
+def test_imports_live_at_module_level():
+    found = [u for p in sorted(PACKAGE.glob("*.py")) for u in nested_imports(p)]
+    assert found == []
 
 
 def test_only_localalg_imports_sympy():

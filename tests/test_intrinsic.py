@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import intrinsic
 from germforge.germexpr import parse_and_expand
@@ -20,7 +22,8 @@ from germforge.intrinsic import (
     verify_germ,
     verify_ideal,
 )
-from germforge.jets import Jet, monomials_upto
+from germforge.jets import Jet, LocalOrder, monomials_upto
+from germforge.localalg import standard_basis
 
 V = ("x", "lam")
 
@@ -165,26 +168,65 @@ def test_verify_germ():
     assert rep.warnings == []
 
 
-@pytest.mark.parametrize("jets, degree, calls", [
-    # step 1's p_high, P of x^2 + lam at degree 3, is step 2's p_low
-    ({1: "x + lam"}, 2, [2, 3, 4]),
-    # step 2 stops at a zero jet, so step 3 computes its own p_low
-    ({1: "x + lam", 2: "0"}, 3, [2, 3, 4, 5]),
+@pytest.mark.parametrize("text, degree, nonzero", [
+    ("x^3 - sin(lam)", 3, [1, 2, 3]),
+    # the 1-jet is zero, so degree 1 computes no P
+    ("x^3 + exp(lam^2) - 1", 3, [2, 3]),
 ])
-def test_verify_germ_computes_each_high_order_part_once(monkeypatch, jets,
-                                                        degree, calls):
-    # an expand that is not a Taylor series, so that P changes after M^(k+1)
-    # already lies inside it
-    seen = []
+def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
+        monkeypatch, text, degree, nonzero):
+    # each degree up to the answer is expanded once and each nonzero jet
+    # has its P computed once, one degree above the jet; no degree above
+    # the answer is expanded and no standard basis is computed
+    expanded, seen = [], []
+
+    def expand(k):
+        expanded.append(k)
+        return j(text, k)
 
     def recording(g, k):
         seen.append(k)
         return high_order_part(g, k)
 
     monkeypatch.setattr(intrinsic, "high_order_part", recording)
-    rep = verify_germ(lambda k: j(jets.get(k, "x^2 + lam"), k))
+    monkeypatch.setattr(intrinsic, "standard_basis", None)
+    rep = verify_germ(expand)
     assert rep.truncation_degree == degree
-    assert seen == calls
+    assert rep.permissible_rings == ["smooth", "formal", "fractional"]
+    assert expanded == list(range(1, degree + 1))
+    assert seen == [k + 1 for k in nonzero]
+
+
+polynomial_germs = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    min_size=1, max_size=4).map(lambda terms: Jet(terms, V, None))
+
+
+def nonzero_jets(g, top):
+    """(k, j^k g) for every k in 1..top with a nonzero k-jet."""
+    return [(k, g.truncate(k)) for k in range(1, top + 1)
+            if not g.truncate(k).is_zero()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_germs)
+def test_high_order_part_is_stable_once_it_holds_the_boundary(g):
+    # the P re-check that verify_germ leaves out: M^(k+1) inside
+    # P(j^k g) makes P(j^(k+1) g) at degree k+2 the same ideal
+    for k, gk in nonzero_jets(g, 8):
+        P = high_order_part(gk, k + 1)
+        if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
+            assert high_order_part(g.truncate(k + 1), k + 2).blocks == P.blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_germs)
+def test_one_germ_is_a_certified_standard_basis(g):
+    # the certificate that verify_germ leaves out: the fractional ring
+    # holds for every nonzero jet
+    for k, gk in nonzero_jets(g, 8):
+        assert standard_basis([gk], LocalOrder(), k).certified
 
 
 def test_verify_germ_bound_warning():
