@@ -215,8 +215,9 @@ def cmd_verify(args, variables):
                 {"truncation_degree": k}, warnings,
                 ["The least permissible truncation degree is: %d" % k])
     if args.ideal:
-        rep = verify_ideal(_jets(args, variables, args.germ, 12),
-                           upper_bound=bound)
+        # expanded at the search bound, so every degree searched is a jet
+        rep = verify_ideal(_jets(args, variables, args.germ,
+                                 degree_bound(bound)), upper_bound=bound)
         header = "The following rings are allowed as means of computations:"
         degree_line = "The truncated degree must be: %s"
     else:

@@ -151,7 +151,6 @@ class StandardBasis:
     order: MonomialOrder
     degree: Optional[int]
     warning: Optional[str] = None
-    certified: bool = True
     _leads: Optional[list] = field(default=None, repr=False)
 
     def leading_monomials(self):
@@ -254,27 +253,29 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
 
 
 def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
-                   k: Optional[int] = None,
-                   check_stability: bool = True) -> StandardBasis:
+                   k: Optional[int] = None) -> StandardBasis:
     """Inter-reduced standard basis of <G> (Groebner basis for a global
-    order).  With a truncation degree the result is checked for stability by
-    recomputing at k+1; an unstable leading-term ideal only sets a warning."""
+    order), computed once.
+
+    Under a local order a truncated basis is stable by its leading forms
+    (Greuel and Pfister, section 1.7): in J_k = <G> + M^(k+1), an f of order
+    <= k is i + m with i in <G> and m in M^(k+1), so f and i have the same
+    lowest-degree form and the same leading monomial.  L(J_k) and L(J_(k+1))
+    both agree with L(<G>) in every degree <= k, so a basis at k+1 has no
+    other leading monomials of degree <= k.  A global order has no such
+    lemma: there the basis is recomputed at k+1, and a different set of
+    leading monomials of degree <= k only sets a warning."""
     order = order or LocalOrder()
     if not G:
         raise ValueError("empty generating list")
     basis = _interreduce(_basis_loop(G, order, k), order, k)
     sb = StandardBasis(basis, order, k)
-    if k is not None and check_stability and basis:
+    if k is not None and not order.is_local and basis:
         lifted = [g.truncate(None).truncate(k + 1) for g in G]
         higher = _interreduce(_basis_loop(lifted, order, k + 1), order, k + 1)
-        lt_low = {g.leading_monomial(order) for g in basis}
-        lt_high = {
-            h.leading_monomial(order)
-            for h in higher
-            if mdeg(h.leading_monomial(order)) <= k
-        }
-        if lt_low != lt_high:
-            sb.certified = False
+        lt_low = set(sb.leading_monomials())
+        lt_high = {h.leading_monomial(order) for h in higher}
+        if lt_low != {m for m in lt_high if mdeg(m) <= k}:
             sb.warning = (
                 "The truncation degree is not sufficiently high and thus, "
                 "the following results might be wrong."
@@ -332,7 +333,7 @@ def ideal_intersection(I: List[Jet], J: List[Jet],
         out = [g.truncate(k) for g in out]
         out = [g for g in out if not g.is_zero()]
         if out:
-            out = standard_basis(out, LocalOrder(), k, check_stability=False).generators
+            out = standard_basis(out, LocalOrder(), k).generators
     return out
 
 
@@ -348,7 +349,7 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     inter = ideal_intersection(I, [g], None)
     if not inter:
         return []
-    sb = standard_basis(inter, LocalOrder(), None, check_stability=False)
+    sb = standard_basis(inter, LocalOrder(), None)
     out = []
     for h in sb.generators:
         r, _, (q,) = _weak_nf(h, [g], LocalOrder())
@@ -385,7 +386,7 @@ def normal_set(I, k: Optional[int] = None) -> list:
     local order descending (1 first).  `I` may be a generator list or a
     precomputed StandardBasis."""
     sb = I if isinstance(I, StandardBasis) else standard_basis(
-        I, LocalOrder(), k, check_stability=False)
+        I, LocalOrder(), k)
     if not sb.generators:
         raise InfiniteCodimensionError("the ideal is of infinite codimension")
     bounds = _pure_power_bounds(sb)
@@ -418,7 +419,7 @@ def mult_matrix(A, u, k: Optional[int] = None):
     """Matrix of multiplication by the monomial u on E/<A> in the normal-set
     basis (descending local order).  Returns (matrix, basis)."""
     sb = A if isinstance(A, StandardBasis) else standard_basis(
-        A, LocalOrder(), k, check_stability=False)
+        A, LocalOrder(), k)
     basis = normal_set(sb, k)
     variables = sb.generators[0].variables
     index = {m: i for i, m in enumerate(basis)}

@@ -55,6 +55,36 @@ def test_verify_low_upper_bound_warns(capsys):
     assert "Increase the upper bound for the truncation degree!" in out
 
 
+def test_verify_ideal_expands_at_the_search_bound(capsys):
+    # an answer above 12 needs the germs expanded past degree 12
+    code, out, _err = run(capsys, "verify", "--ideal", "x^13", "lambda",
+                          "--vars", "x,lambda")
+    assert code == 0
+    assert out.endswith("The truncated degree must be: 13\n")
+    code, out, _err = run(capsys, "verify", "--ideal", "x^13", "lambda",
+                          "--vars", "x,lambda", "--upper-bound", "12")
+    assert code == 0
+    assert out == INCREASE_BOUND_WARNING + "\n"
+
+
+STABILITY_WARNING = ("The truncation degree is not sufficiently high and "
+                     "thus, the following results might be wrong.")
+
+
+@pytest.mark.parametrize("order, warned", [("lex", True), ("local", False)])
+def test_standard_basis_warns_only_under_a_global_order(capsys, order,
+                                                       warned):
+    # x^2 - 3/2*x^3 - x^2*lambda^2 and -3/2*x - x*lambda^2 under lex at
+    # degree 4: the basis at degree 5 has other leading monomials of
+    # degree <= 4; the local basis is stable by its leading forms
+    code, out, _err = run(capsys, "standard-basis",
+                          "x^2 - 3/2*x^3 - x^2*lambda^2",
+                          "-3/2*x - x*lambda^2", "--vars", "x,lambda",
+                          "--order", order, "--degree", "4")
+    assert code == 0
+    assert (STABILITY_WARNING in out.splitlines()) == warned
+
+
 def test_verify_persistent(capsys):
     code, out, _err = run(capsys, "verify", "--persistent",
                           "x^3-sin(lambda)", "--vars", "x,lambda")

@@ -1,6 +1,7 @@
 """Source hygiene: imports live at module level, no module of the package
 imports a name it never uses or a private name of another module, only
-`localalg.py` imports sympy, and the README shows every subcommand."""
+`localalg.py` imports sympy, no module reads the environment, and the
+README shows every subcommand."""
 
 import argparse
 import ast
@@ -94,6 +95,26 @@ def test_imports_live_at_module_level():
 
 def test_only_localalg_imports_sympy():
     assert sympy_importers() == ["localalg.py"]
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    """Uses of os.environ or os.getenv, as attributes or imported names:
+    every option of the package is a parameter or a command-line flag."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READERS)
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(a.name in ENVIRONMENT_READERS for a in node.names))]
+
+
+def test_no_module_reads_the_environment():
+    found = [u for p in sorted(PACKAGE.glob("*.py"))
+             for u in environment_reads(p)]
+    assert found == []
 
 
 GERM_ALGEBRA_RUN = """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germforge import intrinsic
+from germforge import intrinsic, localalg
 from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import (
     INCREASE_BOUND_WARNING,
@@ -22,7 +22,7 @@ from germforge.intrinsic import (
     verify_germ,
     verify_ideal,
 )
-from germforge.jets import Jet, LocalOrder, monomials_upto
+from germforge.jets import Jet, LexOrder, LocalOrder, monomials_upto
 from germforge.localalg import standard_basis
 
 V = ("x", "lam")
@@ -168,6 +168,10 @@ def test_verify_germ():
     assert rep.warnings == []
 
 
+def no_basis_loop(*args):
+    raise AssertionError("a standard basis was computed")
+
+
 @pytest.mark.parametrize("text, degree, nonzero", [
     ("x^3 - sin(lam)", 3, [1, 2, 3]),
     # the 1-jet is zero, so degree 1 computes no P
@@ -189,7 +193,7 @@ def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
         return high_order_part(g, k)
 
     monkeypatch.setattr(intrinsic, "high_order_part", recording)
-    monkeypatch.setattr(intrinsic, "standard_basis", None)
+    monkeypatch.setattr(localalg, "_basis_loop", no_basis_loop)
     rep = verify_germ(expand)
     assert rep.truncation_degree == degree
     assert rep.permissible_rings == ["smooth", "formal", "fractional"]
@@ -220,13 +224,22 @@ def test_high_order_part_is_stable_once_it_holds_the_boundary(g):
             assert high_order_part(g.truncate(k + 1), k + 2).blocks == P.blocks
 
 
+def local_leads(G, k):
+    return set(standard_basis(G, LocalOrder(), k).leading_monomials())
+
+
 @settings(max_examples=60, deadline=None)
-@given(polynomial_germs)
-def test_one_germ_is_a_certified_standard_basis(g):
-    # the certificate that verify_germ leaves out: the fractional ring
-    # holds for every nonzero jet
-    for k, gk in nonzero_jets(g, 8):
-        assert standard_basis([gk], LocalOrder(), k).certified
+@given(st.lists(polynomial_germs, min_size=1, max_size=3))
+def test_local_standard_basis_is_stable_by_its_leading_forms(G):
+    # the leading-form lemma that lets standard_basis and verify_ideal
+    # skip the basis at k+1 under the local order: its leading monomials
+    # of degree <= k are those of the basis at k
+    for k in range(1, 9):
+        Gk = [f.truncate(k) for f in G if not f.truncate(k).is_zero()]
+        if not Gk:
+            continue
+        higher = local_leads([f.truncate(k + 1) for f in G], k + 1)
+        assert local_leads(Gk, k) == {m for m in higher if sum(m) <= k}
 
 
 def test_verify_germ_bound_warning():
@@ -241,3 +254,32 @@ def test_verify_ideal():
     rep = verify_ideal(G)
     assert rep.truncation_degree == 4
     assert rep.permissible_rings == ["smooth", "formal", "fractional"]
+
+
+@pytest.mark.parametrize("texts, degree, nonzero", [
+    (["x^2 - lam^3", "x*lam"], 4, [2, 3, 4]),
+    (["x - lam^2", "lam^3 + x*lam"], 3, [1, 2, 3]),
+])
+def test_local_standard_basis_is_computed_once(monkeypatch, texts, degree,
+                                               nonzero):
+    # one basis loop per local standard basis, two under a global order
+    # with a truncation degree, and one per degree with a nonzero jet in
+    # verify_ideal
+    calls = []
+    basis_loop = localalg._basis_loop
+
+    def counting(G, order, k):
+        calls.append(k)
+        return basis_loop(G, order, k)
+
+    monkeypatch.setattr(localalg, "_basis_loop", counting)
+    G = [j(t, 12) for t in texts]
+    standard_basis(G, LocalOrder(), 6)
+    standard_basis(G, LocalOrder(), None)
+    assert calls == [6, None]
+    calls.clear()
+    standard_basis(G, LexOrder(), 6)
+    assert calls == [6, 7]
+    calls.clear()
+    assert verify_ideal(G).truncation_degree == degree
+    assert calls == nonzero

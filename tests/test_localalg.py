@@ -158,7 +158,7 @@ def test_membership_agrees_with_span_oracle():
         G = [f for f in G if not f.is_zero()]
         if not G:
             continue
-        sb = standard_basis(G, LO, k, check_stability=False)
+        sb = standard_basis(G, LO, k)
         f = random_jet(rng, k=k)
         span = ideal_span(G, k)
         expected = span.contains(f)
@@ -184,7 +184,7 @@ def test_leading_ideal_agrees_with_span_oracle():
         G = [f for f in G if not f.is_zero()]
         if not G:
             continue
-        sb = standard_basis(G, LO, k, check_stability=False)
+        sb = standard_basis(G, LO, k)
         leads = sb.leading_monomials()
         monos = monomials_upto(2, k)
         divisible = {m for m in monos if any(mdivides(lm, m) for lm in leads)}
