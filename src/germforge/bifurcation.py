@@ -338,6 +338,12 @@ class RegionCatalog:
     warnings: List[str] = field(default_factory=list)
 
 
+def _check_size(name: str, n: int) -> None:
+    """Refuse a grid or resolution below 1."""
+    if n < 1:
+        raise ValueError("%s must be at least 1, not %d" % (name, n))
+
+
 def _grid_points(box, n):
     """An iterator over the n^p grid points of the box in grid order, the
     last axis fastest: point (i_1, ..., i_p) has coordinate
@@ -382,8 +388,7 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     one on one index (complete)."""
     if granularity not in ("short", "intermediate", "complete"):
         raise ValueError("unknown granularity %r" % granularity)
-    if grid < 1:
-        raise ValueError("grid must be at least 1, not %d" % grid)
+    _check_size("grid", grid)
     params = sigma.params
     if box is None:
         box = [(-1, 1)] * len(params)
@@ -501,8 +506,7 @@ def _march(g, window, n):
     kept.  Other crossings are bisected, once per edge.  A saddle cell is
     split by the sign of g at its centre.  Segments meet at identical
     endpoints and are chained through a dict keyed by endpoint."""
-    if n < 1:
-        raise ValueError("resolution must be at least 1, not %d" % n)
+    _check_size("resolution", n)
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
@@ -720,6 +724,7 @@ def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
                   values: Sequence, free: Tuple[str, str],
                   box=((-1, 1), (-1, 1)), resolution: int = 120) -> List[str]:
     """One SVG frame per swept parameter value plus an index file."""
+    _check_size("resolution", resolution)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     index_lines = []

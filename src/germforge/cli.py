@@ -58,6 +58,7 @@ from .singularity import (
     normal_form,
     recognition_normal_form,
     recognition_unfolding,
+    require_nonzero,
     transformation,
     universal_unfolding,
 )
@@ -69,7 +70,6 @@ from .bifurcation import (
     render_diagram,
     render_transition_slice,
     transition_set,
-    truncate_xlam,
 )
 
 RING_NAMES = {
@@ -78,6 +78,13 @@ RING_NAMES = {
     "fractional": "Ring of fractional germs",
     "polynomial": "Ring of polynomials",
 }
+NF_POLY_WARNING = (
+    "The polynomial germ ring is not suitable for normal form computations."
+)
+UNFOLDING_POLY_WARNING = (
+    "The ring of polynomial germs is not suitable for normal form "
+    "computations of g."
+)
 
 ORDERS = {"local": LocalOrder, "grlex": GrLexOrder, "lex": LexOrder}
 
@@ -129,12 +136,6 @@ def _jets(args, variables, texts, default_degree):
     return [parse_and_expand(t, variables, k) for t in texts]
 
 
-def _nonzero(g: Jet) -> Jet:
-    if g.is_zero():
-        raise ZeroGermError(g.degree)
-    return g
-
-
 def _plot_directory(directory):
     """Refuse a --plot into a missing directory before anything is
     computed."""
@@ -157,6 +158,14 @@ def _expander(text, variables):
         return top.truncate(k)
 
     return expand, is_polynomial_expr(tree)
+
+
+def _ring_warnings(args, polynomial, warning, warnings):
+    """`warnings`, led by `warning` when --ring polynomial is asked of a germ
+    that is not a polynomial.  The ring changes no computation."""
+    if args.ring == "polynomial" and not polynomial:
+        return [warning] + warnings
+    return warnings
 
 
 def _unfolding(args, variables, degree):
@@ -201,11 +210,10 @@ def _transition_output(args, ts):
 def cmd_verify(args, variables):
     bound = args.upper_bound
     if args.persistent:
-        expand, poly_in = _expander(args.germ[0], variables)
+        expand, _polynomial = _expander(args.germ[0], variables)
         # persistent analysis is contact-qualitative: work on the normal form
         # so inessential high-order Taylor terms cannot postpone stability
-        G, _w = universal_unfolding(expand, normalform=True,
-                                    polynomial_input=poly_in)
+        G, _w = universal_unfolding(expand, normalform=True)
         k, warnings = persistent_truncation_degree(G,
                                                    upper_bound=bound or 12)
         if k is None:
@@ -218,58 +226,62 @@ def cmd_verify(args, variables):
         # expanded at the search bound, so every degree searched is a jet
         rep = verify_ideal(_jets(args, variables, args.germ,
                                  degree_bound(bound)), upper_bound=bound)
+        polynomial = False
         header = "The following rings are allowed as means of computations:"
         degree_line = "The truncated degree must be: %s"
     else:
-        expand, poly_in = _expander(args.germ[0], variables)
-        rep = verify_germ(expand, upper_bound=bound,
-                          polynomial_input=poly_in)
+        expand, polynomial = _expander(args.germ[0], variables)
+        rep = verify_germ(expand, upper_bound=bound)
         if rep.truncation_degree is None:
             # a raised bound cannot help a germ that is zero up to it
-            _nonzero(expand(degree_bound(bound)))
+            require_nonzero(expand(degree_bound(bound)))
         header = ("The following rings are allowed as the means of "
                   "computations:")
         degree_line = "The truncation degree must be: %s"
+    rings = ["smooth", "formal"]
     lines = []
     if rep.truncation_degree is not None:
+        rings.append("fractional")
+        if polynomial:
+            rings.append("polynomial")
         lines.append(header)
-        for ring in rep.permissible_rings:
+        for ring in rings:
             lines.append("")
             lines.append(RING_NAMES[ring])
         lines.append("")
         lines.append(degree_line % rep.truncation_degree)
     return ({"germ": args.germ},
-            {"rings": rep.permissible_rings,
-             "truncation_degree": rep.truncation_degree},
+            {"rings": rings, "truncation_degree": rep.truncation_degree},
             rep.warnings, lines)
 
 
 def cmd_normalform(args, variables):
-    expand, poly_in = _expander(args.germ[0], variables)
-    nf = normal_form(expand, k=args.degree, ring=args.ring,
-                     polynomial_input=poly_in)
+    expand, polynomial = _expander(args.germ[0], variables)
+    nf = normal_form(expand, k=args.degree)
     return ({"germ": args.germ[0], "ring": args.ring},
-            {"normal_form": render_desc(nf.germ), "degree": nf.degree},
-            nf.warnings, [render_desc(nf.germ)])
+            {"normal_form": render_desc(nf.germ), "degree": nf.germ.degree},
+            _ring_warnings(args, polynomial, NF_POLY_WARNING, nf.warnings),
+            [render_desc(nf.germ)])
 
 
 def cmd_unfolding(args, variables):
-    expand, poly_in = _expander(args.germ[0], variables)
+    expand, polynomial = _expander(args.germ[0], variables)
     out, warnings = universal_unfolding(
         expand, k=args.degree, normalform=args.normalform,
-        want_list=args.list, ring=args.ring, polynomial_input=poly_in)
+        want_list=args.list)
     unfoldings = out if args.list else [out]
     germs = [str(u) for u in unfoldings]
     return ({"germ": args.germ[0]},
             {"unfoldings": germs,
              "params": [list(u.params) for u in unfoldings]},
-            warnings, germs)
+            _ring_warnings(args, polynomial, UNFOLDING_POLY_WARNING,
+                           warnings), germs)
 
 
 def cmd_recognize(args, variables):
-    g = _nonzero(_jets(args, variables, args.germ[:1], 6)[0])
+    g = require_nonzero(_jets(args, variables, args.germ[:1], 6)[0])
     if args.matrix is not None:
-        M = recognition_unfolding(g, args.matrix, g.degree)
+        M = recognition_unfolding(g, args.matrix)
         rows = M.render()
         return ({"germ": args.germ[0], "matrix": args.matrix},
                 {"columns": [list(c) for c in M.columns], "rows": rows},
@@ -299,9 +311,7 @@ def cmd_transform(args, variables):
 
 def cmd_transition_set(args, variables):
     G = _transition_unfolding(args, variables)
-    if args.degree is not None:
-        G = UnfoldingGerm(truncate_xlam(G.body, args.degree), G.params)
-    return _transition_output(args, transition_set(G))
+    return _transition_output(args, transition_set(G, args.degree))
 
 
 def cmd_nonpersistent(args, variables):
@@ -360,8 +370,8 @@ def cmd_intrinsic(args, variables):
 
 
 def cmd_algobjects(args, variables):
-    g = _nonzero(_jets(args, variables, args.germ[:1], 6)[0])
-    ao = alg_objects(g, g.degree)
+    g = require_nonzero(_jets(args, variables, args.germ[:1], 6)[0])
+    ao = alg_objects(g)
 
     def fm(monos):
         return "{%s}" % ", ".join(format_monomial(m, variables)

@@ -1,4 +1,4 @@
-"""Intrinsic ideals in two variables and the ring/degree verification.
+"""Intrinsic ideals in two variables and the truncation-degree search.
 
 An intrinsic ideal is invariant under contact equivalences; in two variables
 every one is a finite sum of blocks M^k<lambda^l>.  The block calculus below
@@ -156,7 +156,6 @@ def smallest_intrinsic(g: Jet) -> IntrinsicIdeal:
 
 @dataclass
 class VerifyReport:
-    permissible_rings: List[str]
     truncation_degree: Optional[int]
     warnings: List[str] = field(default_factory=list)
 
@@ -176,8 +175,7 @@ def degree_bound(opt: Optional[int] = None) -> int:
     return DEFAULT_UPPER_BOUND if opt is None else opt
 
 
-def verify_germ(expand, upper_bound: Optional[int] = None,
-                polynomial_input: bool = False) -> VerifyReport:
+def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
     """Least truncation degree k with M^(k+1) inside P(j^k g), one expand
     and one P per degree; `expand(k)` must be j^k g, the k-jet of one germ.
     With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
@@ -196,12 +194,8 @@ def verify_germ(expand, upper_bound: Optional[int] = None,
         # work one degree above the jet so the M^(k+1) boundary is visible
         P = high_order_part(g, k + 1)
         if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
-            rings = ["smooth", "formal", "fractional"]
-            if polynomial_input:
-                rings.append("polynomial")
-            return VerifyReport(rings, k)
-    return VerifyReport(["smooth", "formal"], None,
-                        warnings=[INCREASE_BOUND_WARNING])
+            return VerifyReport(k)
+    return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])
 
 
 def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:
@@ -214,6 +208,5 @@ def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyRepor
         Gk = [f.truncate(k) for f in G]
         Gk = [f for f in Gk if not f.is_zero()]
         if Gk and codimension(Gk, k) is not None:
-            return VerifyReport(["smooth", "formal", "fractional"], k)
-    return VerifyReport(["smooth", "formal"], None,
-                        warnings=[INCREASE_BOUND_WARNING])
+            return VerifyReport(k)
+    return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])

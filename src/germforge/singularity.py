@@ -21,13 +21,6 @@ from .intrinsic import (
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
 from .linalg import RowSpace, solve_linear
 
-NF_POLY_WARNING = (
-    "The polynomial germ ring is not suitable for normal form computations."
-)
-UNFOLDING_POLY_WARNING = (
-    "The ring of polynomial germs is not suitable for normal form "
-    "computations of g."
-)
 # most monomial complements of T that `universal_unfolding` lists
 LIST_CAP = 40
 
@@ -47,10 +40,10 @@ class ZeroGermError(ValueError):
         super().__init__("the germ is zero up to degree %d" % k)
 
 
-def _working_jet(expand: Callable[[int], Jet], k: int) -> Jet:
-    g = expand(k)
+def require_nonzero(g: Jet) -> Jet:
+    """g itself; ZeroGermError when g is the zero jet."""
     if g.is_zero():
-        raise ZeroGermError(k)
+        raise ZeroGermError(g.degree)
     return g
 
 
@@ -69,7 +62,6 @@ class SpanSpace:
 
     intrinsic: IntrinsicIdeal
     extra: List[Jet]
-    degree: int
     space: RowSpace = field(repr=False)
 
     def contains(self, f: Jet) -> bool:
@@ -98,24 +90,24 @@ def _span_to_spanspace(space: RowSpace) -> SpanSpace:
     k = space.degree
     intr = intrinsic_from_members(space.monomials(), k)
     extra = [row for row in space.rows if not intr.contains(row)]
-    return SpanSpace(intr, extra, k, space)
+    return SpanSpace(intr, extra, space)
 
 
-def _rt_span(g: Jet, k: int) -> RowSpace:
+def _rt_span(g: Jet) -> RowSpace:
     """RT(g) = E{g} + M{g_x}."""
-    space = RowSpace(g.variables, k)
+    space = RowSpace(g.variables, g.degree)
     space.add_multiples(g)
     space.add_multiples(g.diff(g.variables[0]), 1)
     return space
 
 
-def _t_span(g: Jet, k: int) -> RowSpace:
+def _t_span(g: Jet) -> RowSpace:
     """T(g) = E{g, g_x} + E_lambda{g_lambda}."""
-    space = RowSpace(g.variables, k)
+    space = RowSpace(g.variables, g.degree)
     space.add_multiples(g)
     space.add_multiples(g.diff(g.variables[0]))
     glam = g.diff(g.variables[1])
-    for j in range(k + 1):
+    for j in range(g.degree + 1):
         space.add(glam.term_mul((0, j)))
     return space
 
@@ -132,25 +124,20 @@ def _complement(space: RowSpace) -> list:
             if trial.add(Jet.monomial(m, space.variables, 1, k))]
 
 
-def restricted_tangent(g: Jet, k: Optional[int] = None) -> SpanSpace:
-    """RT(g) = E{g} + M{g_x} on degree-<=k jets."""
-    k = k if k is not None else g.degree
-    g = g.truncate(k)
-    return _span_to_spanspace(_rt_span(g, k))
+def restricted_tangent(g: Jet) -> SpanSpace:
+    """RT(g) = E{g} + M{g_x} on jets of g's degree."""
+    return _span_to_spanspace(_rt_span(g))
 
 
-def tangent_space(g: Jet, k: Optional[int] = None) -> SpanSpace:
-    """T(g) = E{g, g_x} + E_lambda{g_lambda} on degree-<=k jets."""
-    k = k if k is not None else g.degree
-    g = g.truncate(k)
-    return _span_to_spanspace(_t_span(g, k))
+def tangent_space(g: Jet) -> SpanSpace:
+    """T(g) = E{g, g_x} + E_lambda{g_lambda} on jets of g's degree."""
+    return _span_to_spanspace(_t_span(g))
 
 
-def tangent_perp(g: Jet, k: Optional[int] = None) -> list:
+def tangent_perp(g: Jet) -> list:
     """Monomial basis of a complement of T(g), greedily chosen from the
     lowest local-order monomials (so 1 comes first when possible)."""
-    k = k if k is not None else g.degree
-    return _complement(_t_span(g.truncate(k), k))
+    return _complement(_t_span(g))
 
 
 def s_perp(g: Jet) -> list:
@@ -176,22 +163,19 @@ class AlgObjects:
     s: IntrinsicIdeal
     s_perp: list
     intrinsic_generators: list
-    degree: int
 
 
-def alg_objects(g: Jet, k: Optional[int] = None) -> AlgObjects:
-    k = k if k is not None else g.degree
-    g = g.truncate(k)
-    t = _t_span(g, k)
+def alg_objects(g: Jet) -> AlgObjects:
+    """The algebraic objects of g at g's degree."""
+    t = _t_span(g)
     return AlgObjects(
-        rt=restricted_tangent(g, k),
+        rt=restricted_tangent(g),
         t=_span_to_spanspace(t),
-        p=high_order_part(g, k),
+        p=high_order_part(g, g.degree),
         e_over_t=_complement(t),
         s=smallest_intrinsic(g),
         s_perp=s_perp(g),
         intrinsic_generators=intrinsic_gens(g),
-        degree=k,
     )
 
 
@@ -295,7 +279,6 @@ class TransformationTriple:
     X: Jet
     L: Jet
     S: Jet
-    degree: int
 
     def apply(self, g: Jet) -> Jet:
         names = g.variables
@@ -321,7 +304,7 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
             return TransformationTriple(
                 Jet.variable(variables[0], variables, k),
                 Jet.variable(variables[1], variables, k),
-                Jet.constant(1, variables, k), k)
+                Jet.constant(1, variables, k))
         raise NotEquivalentError("not equivalent up to degree %d" % k)
 
     d0 = g.order()
@@ -383,7 +366,7 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
                 L = L + delta
     else:
         raise NotEquivalentError("not equivalent up to degree %d" % k)
-    return TransformationTriple(X, L, S, k)
+    return TransformationTriple(X, L, S)
 
 
 def equivalent(g: Jet, f: Jet, k: int) -> bool:
@@ -400,7 +383,6 @@ def equivalent(g: Jet, f: Jet, k: int) -> bool:
 @dataclass
 class NormalForm:
     germ: Jet
-    degree: int
     warnings: List[str] = field(default_factory=list)
 
 
@@ -426,23 +408,18 @@ def _scaling_normalize(g: Jet) -> Jet:
     return Jet(terms, g.variables, g.degree)
 
 
-def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
-                ring: str = "fractional",
-                polynomial_input: bool = False) -> NormalForm:
+def normal_form(expand: Callable[[int], Jet],
+                k: Optional[int] = None) -> NormalForm:
     """Normal form pipeline: expand, delete high-order terms, greedily
     eliminate intermediate terms via the transformation solver, normalize
-    scalable coefficients.  A zero jet at the working degree raises
-    ZeroGermError."""
-    warnings = []
-    if ring == "polynomial" and not polynomial_input:
-        warnings.append(NF_POLY_WARNING)
+    scalable coefficients.  The normal form's degree is the working degree.
+    A zero jet at the working degree raises ZeroGermError."""
     if k is None:
         rep = verify_germ(expand)
         if rep.truncation_degree is None:
-            return NormalForm(_working_jet(expand, 6), 6,
-                              warnings + rep.warnings)
+            return NormalForm(require_nonzero(expand(6)), rep.warnings)
         k = rep.truncation_degree
-    g = _working_jet(expand, k)
+    g = require_nonzero(expand(k))
     P = high_order_part(g, k + 1)
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
     base = Jet(terms, g.variables, k)
@@ -454,7 +431,7 @@ def normal_form(expand: Callable[[int], Jet], k: Optional[int] = None,
         candidate = current - Jet.monomial(m, current.variables, c, k)
         if not candidate.is_zero() and equivalent(g, candidate, k + 1):
             current = candidate
-    return NormalForm(_scaling_normalize(current), k, warnings)
+    return NormalForm(_scaling_normalize(current))
 
 
 # -------------------------------------------------------------- unfoldings
@@ -506,29 +483,25 @@ def make_unfolding(base: Jet, directions: List[Jet]) -> UnfoldingGerm:
 def universal_unfolding(expand: Callable[[int], Jet],
                         k: Optional[int] = None,
                         normalform: bool = False,
-                        want_list: bool = False,
-                        ring: str = "fractional",
-                        polynomial_input: bool = False):
+                        want_list: bool = False):
     """A universal unfolding of g (or of its normal form): one parameter per
     monomial in a complement of T.  The list option enumerates the monomial
     complements of T, at most LIST_CAP of them; a longer list is cut there
     with a warning.  A zero jet at the working degree raises
     ZeroGermError."""
     warnings = []
-    if ring == "polynomial" and not polynomial_input:
-        warnings.append(UNFOLDING_POLY_WARNING)
     if normalform:
-        nf = normal_form(expand, k, polynomial_input=polynomial_input)
+        nf = normal_form(expand, k)
         base = nf.germ
-        k = nf.degree
+        k = base.degree
         warnings.extend(nf.warnings)
     else:
         if k is None:
             rep = verify_germ(expand)
             k = rep.truncation_degree if rep.truncation_degree else 6
             warnings.extend(rep.warnings)
-        base = _working_jet(expand, k)
-    space = _t_span(base, k)
+        base = require_nonzero(expand(k))
+    space = _t_span(base)
     perp = _complement(space)
     monos = [Jet.monomial(m, base.variables, 1, k) for m in perp]
     main = make_unfolding(base, monos)
@@ -565,7 +538,7 @@ def check_universal(G: UnfoldingGerm, k: Optional[int] = None
         rep = verify_germ(lambda kk: base.truncate(kk))
         k = rep.truncation_degree if rep.truncation_degree else 6
         warnings.extend(rep.warnings)
-    space = _t_span(base.truncate(k), k)
+    space = _t_span(base.truncate(k))
     p = len(G.params)
     if p != len(monomials_upto(2, k)) - space.rank:
         return "No", warnings
@@ -629,14 +602,13 @@ class RecognitionMatrix:
         return out
 
 
-def recognition_unfolding(g: Jet, p: int,
-                          k: Optional[int] = None) -> RecognitionMatrix:
-    """The universal-unfolding recognition matrix: columns are derivative
-    functionals dual to a monomial basis of E/Itr(T(g)); rows are germ
-    candidates spanning T/Itr(T) followed by the p unfolding directions."""
-    k = k if k is not None else g.degree
-    g = g.truncate(k)
-    itr = intrinsic_from_members(_t_span(g, k).monomials(), k)
+def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
+    """The universal-unfolding recognition matrix at g's degree: columns are
+    derivative functionals dual to a monomial basis of E/Itr(T(g)); rows are
+    germ candidates spanning T/Itr(T) followed by the p unfolding
+    directions."""
+    k = g.degree
+    itr = intrinsic_from_members(_t_span(g).monomials(), k)
 
     def column_key(m):
         # evaluation first, then pure lambda derivatives, then pure x,

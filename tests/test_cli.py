@@ -67,6 +67,64 @@ def test_verify_ideal_expands_at_the_search_bound(capsys):
     assert out == INCREASE_BOUND_WARNING + "\n"
 
 
+FOUND_RINGS = ["smooth", "formal", "fractional"]
+
+
+@pytest.mark.parametrize("argv, rings", [
+    (["x^3 - lambda"], FOUND_RINGS + ["polynomial"]),
+    (["x^3 - sin(lambda)"], FOUND_RINGS),
+    (["--ideal", "x^2 - lambda^3", "x*lambda"], FOUND_RINGS),
+    (["x^3 - lambda", "--upper-bound", "2"], ["smooth", "formal"]),
+])
+def test_verify_names_the_permitted_rings(capsys, argv, rings):
+    # polynomials are permitted for a polynomial germ once a truncation
+    # degree is found, never for an ideal; the text names the rings only
+    # with a degree
+    code, out, _err = run(capsys, "verify", *argv, "--vars", "x,lambda",
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["rings"] == rings
+    code, out, _err = run(capsys, "verify", *argv, "--vars", "x,lambda")
+    named = [line for line in out.splitlines() if line.startswith("Ring ")]
+    assert named == ([cli.RING_NAMES[r] for r in rings]
+                     if "fractional" in rings else [])
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["normalform"], cli.NF_POLY_WARNING),
+    (["unfolding"], cli.UNFOLDING_POLY_WARNING),
+    (["unfolding", "--normalform"], cli.UNFOLDING_POLY_WARNING),
+])
+@pytest.mark.parametrize("germ, polynomial", [
+    ("x^3 + sin(lambda)", False),
+    ("x*sin(lambda)", False),  # also warns that no degree is found
+    ("x^3 + lambda", True),
+    ("x*lambda", True),
+])
+def test_ring_polynomial_only_warns_for_a_nonpolynomial_germ(
+        capsys, argv, warning, germ, polynomial):
+    # --ring polynomial changes no result; for a germ that is not a
+    # polynomial its warning comes once, before the other warnings
+    common = [argv[0], germ, *argv[1:], "--vars", "x,lambda"]
+    outputs = {}
+    for ring in ("fractional", "polynomial"):
+        for fmt in ("text", "json"):
+            code, out, _err = run(capsys, *common, "--ring", ring,
+                                  "--format", fmt)
+            assert code == 0
+            outputs[ring, fmt] = out
+    plain = json.loads(outputs["fractional", "json"])
+    warned = json.loads(outputs["polynomial", "json"])
+    assert warning not in plain["warnings"]
+    assert warned["result"] == plain["result"]
+    expected = ([] if polynomial else [warning]) + plain["warnings"]
+    assert warned["warnings"] == expected
+    lines = outputs["fractional", "text"].splitlines()
+    first_warning = len(lines) - len(plain["warnings"])
+    assert outputs["polynomial", "text"].splitlines() == \
+        lines[:first_warning] + expected
+
+
 STABILITY_WARNING = ("The truncation degree is not sufficiently high and "
                      "thus, the following results might be wrong.")
 

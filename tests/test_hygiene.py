@@ -1,7 +1,8 @@
 """Source hygiene: imports live at module level, no module of the package
 imports a name it never uses or a private name of another module, only
-`localalg.py` imports sympy, no module reads the environment, and the
-README shows every subcommand."""
+`localalg.py` imports sympy, no module reads the environment, only
+`cli.py` names the rings of computation, and the README shows every
+subcommand."""
 
 import argparse
 import ast
@@ -114,6 +115,25 @@ def environment_reads(path):
 def test_no_module_reads_the_environment():
     found = [u for p in sorted(PACKAGE.glob("*.py"))
              for u in environment_reads(p)]
+    assert found == []
+
+
+RINGS = {"smooth", "formal", "fractional", "polynomial"}
+
+
+def ring_names(path):
+    """String constants that name a ring of computation."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d %s" % (path.name, node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in RINGS]
+
+
+def test_rings_are_named_only_by_the_cli():
+    # the library finds the truncation degree; which rings it permits is
+    # said once, by the command line
+    found = [u for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"
+             for u in ring_names(p)]
     assert found == []
 
 

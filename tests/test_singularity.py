@@ -16,8 +16,6 @@ from germforge.jets import Jet, mdeg, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import ideal_span
 from germforge.singularity import (
-    NF_POLY_WARNING,
-    UNFOLDING_POLY_WARNING,
     NotEquivalentError,
     ZeroGermError,
     alg_objects,
@@ -72,7 +70,7 @@ QUINTIC = "x^5 + x^3*lam^2 + lam^3"
 
 def test_alg_objects_tower():
     g = j(QUINTIC, 6)
-    ao = alg_objects(g, 6)
+    ao = alg_objects(g)
     assert ao.p.blocks == ((6, 0), (1, 3))
     assert ao.s.blocks == ((5, 0), (0, 3))
     assert ao.intrinsic_generators == [(5, 0), (0, 3)]
@@ -87,7 +85,7 @@ def test_alg_objects_tower():
 
 def test_rt_matches_printed_span():
     g = j(QUINTIC, 6)
-    rt = restricted_tangent(g, 6)
+    rt = restricted_tangent(g)
     assert rt.intrinsic.blocks == ((6, 0), (1, 3))
     printed = span_of(
         [(6, 0), (1, 3)], [],
@@ -98,7 +96,7 @@ def test_rt_matches_printed_span():
 
 def test_t_matches_printed_span():
     g = j(QUINTIC, 6)
-    t = tangent_space(g, 6)
+    t = tangent_space(g)
     assert t.intrinsic.blocks == ((5, 0), (0, 3))
     printed = span_of(
         [(5, 0), (0, 3)],
@@ -109,7 +107,7 @@ def test_t_matches_printed_span():
 
 def test_tangent_perp_codim_20():
     g = j("x^8 + sin(lam^3)", 9)
-    tp = tangent_perp(g, 9)
+    tp = tangent_perp(g)
     expected = ({(a, 0) for a in range(7)} | {(a, 1) for a in range(7)}
                 | {(a, 2) for a in range(1, 7)})
     assert set(tp) == expected
@@ -118,7 +116,7 @@ def test_tangent_perp_codim_20():
 
 def test_tangent_perp_cubic():
     g = j("x^3 + lam^2", 4)
-    assert set(tangent_perp(g, 4)) == {(0, 0), (1, 0), (1, 1)}
+    assert set(tangent_perp(g)) == {(0, 0), (1, 0), (1, 1)}
 
 
 def test_intrinsic_gens_codim_13():
@@ -134,21 +132,13 @@ def test_normal_forms():
     ]
     for text, expected in cases:
         nf = normal_form(lambda k, t=text: j(t, k))
-        assert nf.germ == j(expected, nf.degree)
+        assert nf.germ == j(expected, nf.germ.degree)
         assert nf.warnings == []
 
 
 def test_normal_form_scaling():
     nf = normal_form(lambda k: j("x^4 + 4*x^3 - lam*x", k))
-    assert nf.germ == j("x^3 - x*lam", nf.degree)
-
-
-def test_normal_form_polynomial_ring_warning():
-    nf = normal_form(lambda k: j("x^5 + x^3*lam + sin(lam^2)", k),
-                     ring="polynomial")
-    assert NF_POLY_WARNING in nf.warnings
-    # the computed germ itself is unchanged
-    assert nf.germ == j("x^5 + x^3*lam + lam^2", nf.degree)
+    assert nf.germ == j("x^3 - x*lam", nf.germ.degree)
 
 
 def test_universal_unfolding_list():
@@ -168,9 +158,6 @@ def test_universal_unfolding_main_and_warning():
     main, warns = universal_unfolding(lambda k: j("x^3 - x*lam", k))
     assert warns == []
     assert check_universal(main) == ("Yes", [])
-    _main, warns2 = universal_unfolding(lambda k: j("x^3 - x*lam", k),
-                                        ring="polynomial")
-    assert UNFOLDING_POLY_WARNING in warns2
 
 
 def test_check_universal_quintic():
@@ -194,7 +181,7 @@ def test_recognition_conditions():
 
 def test_recognition_matrix_pattern():
     g = j("x^3 + exp(lam^2) - 1", 4)
-    M = recognition_unfolding(g, 3, 4)
+    M = recognition_unfolding(g, 3)
     assert M.columns == [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1)]
     assert M.germ_rows == [("g_x", (0, 0)), ("g_lambda", (0, 0))]
     rows = M.render()
@@ -206,7 +193,7 @@ def test_recognition_matrix_pattern():
 
 def test_recognition_matrix_determinant():
     g = j("x^3 + exp(lam^2) - 1", 4)
-    M = recognition_unfolding(g, 3, 4)
+    M = recognition_unfolding(g, 3)
     base = j("x^3 + lam^2", 4)
     good = make_unfolding(base, [j("1"), j("x"), j("x*lam")])
     bad = make_unfolding(base, [j("1"), j("x"), j("2*x")])
@@ -275,13 +262,13 @@ def test_transformation_random_roundtrips():
 
 def test_zero_germ_has_zero_tangent_spans():
     zero = Jet({}, V, 2)
-    for S in (restricted_tangent(zero, 2), tangent_space(zero, 2)):
+    for S in (restricted_tangent(zero), tangent_space(zero)):
         assert S.space.rank == 0 and S.extra == [] and str(S) == "0"
 
 
 def test_alg_objects_of_zero_germ_says_so():
     with pytest.raises(ValueError, match="zero germ"):
-        alg_objects(Jet({}, V, 2), 2)
+        alg_objects(Jet({}, V, 2))
 
 
 def test_zero_working_jet_raises():
@@ -301,7 +288,7 @@ germ_terms = st.dictionaries(
 def test_spanspace_is_intrinsic_part_plus_independent_extras(terms, k):
     g = Jet(terms, V, k)
     assume(not g.is_zero())  # the tower is defined for nonzero germs
-    for S in (restricted_tangent(g, k), tangent_space(g, k)):
+    for S in (restricted_tangent(g), tangent_space(g)):
         span = RowSpace(V, k)
         for m in S.intrinsic.monomials_upto(k):
             span.add(Jet.monomial(m, V, 1, k))
@@ -331,14 +318,14 @@ def test_tangent_spans_agree_with_their_generator_products(terms, k):
     x, lam = Jet.variable("x", V, k), Jet.variable("lam", V, k)
     gx, glam = g.diff("x"), g.diff("lam")
     rt = products_span([g, x * gx, lam * gx], [], k)
-    assert restricted_tangent(g, k).space.rows == rt.rows
+    assert restricted_tangent(g).space.rows == rt.rows
     t = products_span([g, gx], [glam * lam ** i for i in range(k + 1)], k)
-    assert tangent_space(g, k).space.rows == t.rows
+    assert tangent_space(g).space.rows == t.rows
     perp = []
     for m in sorted(monomials_upto(2, k), key=lambda m: (mdeg(m), m[0])):
         if t.add(Jet.monomial(m, V, 1, k)):
             perp.append(m)
-    assert tangent_perp(g, k) == perp
+    assert tangent_perp(g) == perp
     # P(g) sits inside M*RT(g) = M{g} + M^2{g_x}
     mrt = products_span([x * g, lam * g, x * x * gx, x * lam * gx,
                          lam * lam * gx], [], k)
