@@ -42,6 +42,7 @@ from .intrinsic import (
 )
 from .singularity import (
     NotEquivalentError,
+    TooFewParametersError,
     UnfoldingGerm,
     ZeroGermError,
     alg_objects,

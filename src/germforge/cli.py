@@ -51,6 +51,7 @@ from .localalg import (
 )
 from .singularity import (
     NotEquivalentError,
+    TooFewParametersError,
     UnfoldingGerm,
     ZeroGermError,
     alg_objects,
@@ -88,9 +89,10 @@ UNFOLDING_POLY_WARNING = (
 
 ORDERS = {"local": LocalOrder, "grlex": GrLexOrder, "lex": LexOrder}
 
-# integer flags that take no value below 1, refused before anything is
-# computed
-POSITIVE_FLAGS = ("--degree", "--upper-bound", "--grid", "--resolution")
+# the least value of each integer flag, refused below it before anything
+# is computed
+FLAG_MINIMA = {"--degree": 1, "--upper-bound": 1, "--grid": 1,
+               "--resolution": 1, "--matrix": 0}
 
 NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
                 "eight", "nine", "ten")
@@ -113,6 +115,18 @@ def render_desc(jet: Jet) -> str:
 
 def _split_names(text: str):
     return tuple(n.strip() for n in text.split(",") if n.strip())
+
+
+def _distinct_names(variables, params):
+    """Refuse a name given twice across --vars and --params."""
+    names = variables + params
+    for name in names:
+        if names.count(name) > 1:
+            flags = [flag for flag, group in (("--vars", variables),
+                                             ("--params", params))
+                     if name in group]
+            raise InputError("%r is named twice in %s"
+                             % (name, " and ".join(flags)))
 
 
 def _rationals(text, count, flag):
@@ -533,17 +547,18 @@ def main(argv=None) -> int:
         if len(variables) != 2:
             raise InputError("--vars needs exactly 2 names "
                              "(state, parameter)")
-        for flag in POSITIVE_FLAGS:
+        _distinct_names(variables, _split_names(getattr(args, "params", "")))
+        for flag, least in FLAG_MINIMA.items():
             value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value < 1:
-                raise InputError("%s must be at least 1, not %d"
-                                 % (flag, value))
+            if value is not None and value < least:
+                raise InputError("%s must be at least %d, not %d"
+                                 % (flag, least, value))
         inputs, result, warnings, lines = args.func(args, variables)
     except (InputError, GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:
         error, status = exc, 2
     except (InfiniteCodimensionError, NotEquivalentError,
-            ZeroGermError) as exc:
+            TooFewParametersError, ZeroGermError) as exc:
         error, status = exc, 1
     else:
         if args.format == "json":

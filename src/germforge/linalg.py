@@ -2,9 +2,10 @@
 (dimensions are a few hundred at most).
 
 `RowSpace` is the span of a set of jets, kept as sparse reduced rows keyed
-by monomial; it is the one place where monomials become columns.  The dense
-solvers below (`rref`, `solve_linear`, `nullspace`, `rank`) take lists of
-rows and solve linear systems."""
+by monomial; it is the one place where monomials become columns and the
+only row reduction.  The dense functions below take lists of rows and run
+on a RowSpace, reading a row (v_0, ..., v_(n-1)) as the one-variable jet
+v_0 + v_1*c + ... + v_(n-1)*c^(n-1), whose columns are in that order."""
 
 from __future__ import annotations
 
@@ -12,36 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .jets import Jet, mdeg, monomials_upto
-
-
-def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 class RowSpace:
@@ -118,6 +89,11 @@ class RowSpace:
         vec = self._reduce(f)
         if not vec:
             return False
+        self._insert(vec)
+        return True
+
+    def _insert(self, vec):
+        """Add a nonzero reduced vector as a row; returns (pivot, lead)."""
         p = min(vec, key=self._col.__getitem__)
         lead = vec.pop(p)
         if lead != 1:
@@ -140,7 +116,7 @@ class RowSpace:
                             del row[m]
         vec[p] = Fraction(1)
         self._rows[p] = vec
-        return True
+        return p, lead
 
 
 @lru_cache(maxsize=None)
@@ -150,19 +126,36 @@ def _columns(nvars, k):
     return {m: i for i, m in enumerate(monomials_upto(nvars, k))}
 
 
+_C = ("c",)
+
+
+def _as_jet(row, n):
+    """A dense row of length n as a jet in the one variable c."""
+    return Jet({(i,): v for i, v in enumerate(row)}, _C, n - 1)
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    if not rows:
+        return [], []
+    n = len(rows[0])
+    space = RowSpace(_C, n - 1)
+    for row in rows:
+        space.add(_as_jet(row, n))
+    reduced, zero = space.rows, Fraction(0)
+    return ([[r.terms.get((i,), zero) for i in range(n)] for r in reduced],
+            [min(r.terms)[0] for r in reduced])
+
+
 def solve_linear(matrix, rhs):
     """One solution of matrix * x = rhs with free variables set to 0, or None
     when inconsistent.  `matrix` is a list of rows."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
-    for row in reduced:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
-        return None  # pivot in the augmented column
+        return None  # a row 0 = b with b != 0
     x = [Fraction(0)] * ncols
     for row, p in zip(reduced, pivots):
         x[p] = row[-1]
@@ -188,3 +181,20 @@ def nullspace(matrix, ncols=None):
 
 def rank(matrix):
     return len(rref(matrix)[0])
+
+
+def det(matrix):
+    """Determinant of a square matrix (list of rows).  Each row, reduced by
+    the rows before it, vanishes at their pivots, so the determinant is the
+    product of the leads, signed by the permutation of the pivot columns."""
+    n = len(matrix)
+    space = RowSpace(_C, n - 1)
+    value, pivots = Fraction(1), []
+    for row in matrix:
+        vec = space._reduce(_as_jet(row, n))
+        if not vec:
+            return Fraction(0)
+        (p,), lead = space._insert(vec)
+        value *= -lead if sum(q > p for q in pivots) % 2 else lead
+        pivots.append(p)
+    return value

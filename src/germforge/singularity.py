@@ -19,7 +19,7 @@ from .intrinsic import (
     verify_germ,
 )
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
-from .linalg import RowSpace, solve_linear
+from .linalg import RowSpace, det, solve_linear
 
 # most monomial complements of T that `universal_unfolding` lists
 LIST_CAP = 40
@@ -28,8 +28,19 @@ _LOCAL = LocalOrder()
 
 
 class NotEquivalentError(ValueError):
-    """The transformation solver proved the two germs inequivalent up to the
-    requested degree."""
+    """The transformation solver gives no contact transformation.  The
+    message says "not equivalent" only where an invariant proves it (the
+    orders differ, or exactly one germ is zero); otherwise no witness was
+    found."""
+
+
+class TooFewParametersError(ValueError):
+    """Fewer unfolding parameters than codim T(g): no unfolding by them is
+    universal."""
+
+    def __init__(self, codim, p):
+        super().__init__("a universal unfolding needs at least codim T = %d "
+                         "parameters, not %d" % (codim, p))
 
 
 class ZeroGermError(ValueError):
@@ -93,9 +104,17 @@ def _span_to_spanspace(space: RowSpace) -> SpanSpace:
     return SpanSpace(intr, extra, space)
 
 
+def _jet_space(g: Jet) -> RowSpace:
+    """An empty RowSpace at g's degree; ValueError when g is untruncated."""
+    if g.degree is None:
+        raise ValueError("the tangent spaces need a truncated jet, not the "
+                         "untruncated %s" % g)
+    return RowSpace(g.variables, g.degree)
+
+
 def _rt_span(g: Jet) -> RowSpace:
     """RT(g) = E{g} + M{g_x}."""
-    space = RowSpace(g.variables, g.degree)
+    space = _jet_space(g)
     space.add_multiples(g)
     space.add_multiples(g.diff(g.variables[0]), 1)
     return space
@@ -103,7 +122,7 @@ def _rt_span(g: Jet) -> RowSpace:
 
 def _t_span(g: Jet) -> RowSpace:
     """T(g) = E{g, g_x} + E_lambda{g_lambda}."""
-    space = RowSpace(g.variables, g.degree)
+    space = _jet_space(g)
     space.add_multiples(g)
     space.add_multiples(g.diff(g.variables[0]))
     glam = g.diff(g.variables[1])
@@ -295,7 +314,9 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
     The lowest-order homogeneous parts are matched exactly first by positive
     scalings of x, lambda and the germ; after that every degree-by-degree
     correction strictly raises the residual order, so the loop terminates.
-    Raises NotEquivalentError when a step is infeasible."""
+    Raises NotEquivalentError: "not equivalent" when the orders differ or
+    exactly one germ is zero, "no contact transformation found" when a step
+    is infeasible."""
     variables = g.variables
     g = Jet(dict(g.terms), variables, k)
     f = Jet(dict(f.terms), variables, k)
@@ -310,9 +331,10 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
     d0 = g.order()
     if f.order() != d0:
         raise NotEquivalentError("not equivalent up to degree %d" % k)
+    not_found = "no contact transformation found up to degree %d" % k
     scaling = _match_rigid(g, f)
     if scaling is None:
-        raise NotEquivalentError("not equivalent up to degree %d" % k)
+        raise NotEquivalentError(not_found)
     s0, a0, c0 = scaling
     X = Jet.variable(variables[0], variables, k).scale(a0)
     L = Jet.variable(variables[1], variables, k).scale(c0)
@@ -346,14 +368,14 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
             for dd in range(2, k - oL):
                 unknowns.append(("L", (0, dd), SGlam.term_mul((0, dd))))
         if not unknowns:
-            raise NotEquivalentError("not equivalent up to degree %d" % k)
+            raise NotEquivalentError(not_found)
         rows_m = [m for m in monomials_upto(2, k - 1)]
         A = [[u[2].terms.get(m, Fraction(0)) for u in unknowns]
              for m in rows_m]
         b = [r.terms.get(m, Fraction(0)) for m in rows_m]
         sol = solve_linear(A, b)
         if sol is None:
-            raise NotEquivalentError("not equivalent up to degree %d" % k)
+            raise NotEquivalentError(not_found)
         for c, (kind, m, _contrib) in zip(sol, unknowns):
             if c == 0:
                 continue
@@ -365,7 +387,7 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
             else:
                 L = L + delta
     else:
-        raise NotEquivalentError("not equivalent up to degree %d" % k)
+        raise NotEquivalentError(not_found)
     return TransformationTriple(X, L, S)
 
 
@@ -606,9 +628,14 @@ def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
     """The universal-unfolding recognition matrix at g's degree: columns are
     derivative functionals dual to a monomial basis of E/Itr(T(g)); rows are
     germ candidates spanning T/Itr(T) followed by the p unfolding
-    directions."""
+    directions.  Fewer than codim T(g) directions raise
+    TooFewParametersError."""
+    t = _t_span(g)
     k = g.degree
-    itr = intrinsic_from_members(_t_span(g).monomials(), k)
+    codim = len(monomials_upto(2, k)) - t.rank
+    if p < codim:
+        raise TooFewParametersError(codim, p)
+    itr = intrinsic_from_members(t.monomials(), k)
 
     def column_key(m):
         # evaluation first, then pure lambda derivatives, then pure x,
@@ -705,20 +732,4 @@ def recognition_matrix_value(matrix: RecognitionMatrix, g: Jet,
                 else:
                     line.append(coeff * deriv(G.direction(param - 1), m))
         vals.append(line)
-    # Bareiss-free plain fraction Gaussian elimination
-    n = len(vals)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if vals[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            vals[c], vals[pivot] = vals[pivot], vals[c]
-            det = -det
-        det *= vals[c][c]
-        inv = 1 / vals[c][c]
-        for r in range(c + 1, n):
-            f = vals[r][c] * inv
-            if f != 0:
-                vals[r] = [a - f * b for a, b in zip(vals[r], vals[c])]
-    return det
+    return det(vals)

@@ -319,6 +319,10 @@ def test_unfolding_list_cap_warns(capsys, monkeypatch):
 
 
 CUBIC = ["x^3-lambda*x+a1", "--vars", "x,lambda", "--params", "a1"]
+# with --params a1 the transition set has H = {a1 = 0} and the unfolding is
+# universal
+REPEATED_PARAM = ["x^3-lambda+a1*x", "--vars", "x,lambda", "--params",
+                  "a1,a1"]
 WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                "--params", "a1,a2,a3"]
 
@@ -372,13 +376,27 @@ WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
     pytest.param(["verify", "x^3-lambda", "--vars", "x,lambda",
                   "--upper-bound", "0"], "--upper-bound",
                  id="verify-upper-bound-zero"),
+    pytest.param(["transition-set", *REPEATED_PARAM], "--params",
+                 id="transition-set-repeated-param"),
+    pytest.param(["check-universal", *REPEATED_PARAM], "--params",
+                 id="check-universal-repeated-param"),
+    pytest.param(["persistent", *REPEATED_PARAM], "--params",
+                 id="persistent-repeated-param"),
+    pytest.param(["normalform", "x^2+x^3", "--vars", "x,x"], "--vars",
+                 id="normalform-repeated-var"),
+    pytest.param(["transition-set", "x^3-lambda+a1*x", "--vars", "x,lambda",
+                  "--params", "x"], "--vars and --params",
+                 id="transition-set-param-named-as-var"),
+    pytest.param(["recognize", "x^3 + x*lambda", "--vars", "x,lambda",
+                  "--matrix=-1"], "--matrix", id="recognize-matrix-negative"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
     # line and no traceback
     for name in ("transition_set", "nonpersistent_sets", "classify_regions",
                  "mora_divide", "colon_ideal", "transformation",
-                 "verify_germ"):
+                 "verify_germ", "normal_form", "check_universal",
+                 "recognition_unfolding"):
         monkeypatch.setattr("germforge.cli." + name, None)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run(capsys, *argv)
@@ -404,6 +422,30 @@ def test_germ_zero_at_working_degree_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv, "--vars", "x,lambda")
     assert (code, out) == (1, "")
     assert err == "error: the germ is zero up to degree %s\n" % k
+
+
+def test_recognize_matrix_below_codim_t_exit_1(capsys):
+    # E/T = {1, lambda}, so one parameter cannot unfold x^3 + x*lambda
+    code, out, err = run(capsys, "recognize", "x^3 + x*lambda", "--matrix",
+                         "1", "--vars", "x,lambda")
+    assert (code, out) == (1, "")
+    assert err == ("error: a universal unfolding needs at least codim T = 2 "
+                   "parameters, not 1\n")
+
+
+@pytest.mark.parametrize("g, f, message", [
+    # the orders differ, or exactly one germ is zero: proved inequivalent
+    ("x^2 + lambda^2", "x^3 - lambda", "not equivalent"),
+    ("0", "x^3 - lambda", "not equivalent"),
+    # equivalent by X = x - 6*lambda, which the solver does not find
+    ("x^3 - x*lambda + 6*lambda^2", "x^3 - x*lambda",
+     "no contact transformation found"),
+])
+def test_transform_says_not_equivalent_only_where_proved(capsys, g, f,
+                                                        message):
+    code, out, err = run(capsys, "transform", g, f, "--vars", "x,lambda")
+    assert (code, out) == (1, "")
+    assert err == "error: %s up to degree 4\n" % message
 
 
 @pytest.mark.parametrize("argv, k", [

@@ -1,4 +1,5 @@
-"""RowSpace, the sparse span of jets, against the dense rref reference."""
+"""RowSpace, the sparse span of jets, and the dense functions built on it,
+against a dense Gauss-Jordan reference and Laplace expansion."""
 
 from fractions import Fraction
 
@@ -6,9 +7,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge.jets import Jet, mdeg, monomials_upto
-from germforge.linalg import RowSpace, rref
+from germforge.linalg import RowSpace, det, nullspace, rank, rref, solve_linear
 
 V = ("x", "lam")
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination on dense rows:
+    (reduced rows, pivot columns).  The reference for RowSpace."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
+                     None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def dense_nullspace(matrix):
+    """Basis of the right null space of `matrix`, read off `dense_rref`."""
+    reduced, pivots = dense_rref(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j]
+               * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
 
 
 @st.composite
@@ -34,7 +85,7 @@ def dense(f, k):
 
 
 def dense_rank(rows):
-    return len(rref(rows)[0])
+    return len(dense_rref(rows)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -49,7 +100,7 @@ def test_rowspace_agrees_with_dense_rref(case):
         rows.append(dense(f, k))
         assert grew == (dense_rank(rows) > before)
         assert space.rank == dense_rank(rows)
-    assert [dense(r, k) for r in space.rows] == rref(rows)[0]
+    assert [dense(r, k) for r in space.rows] == dense_rref(rows)[0]
     for g in probes:
         unchanged = dense_rank(rows + [dense(g, k)]) == dense_rank(rows)
         assert space.contains(g) == unchanged
@@ -109,3 +160,46 @@ def test_copy_is_independent(case):
         twin.add(g)
     assert twin.rank == len(monomials_upto(2, k))
     assert space.rows == rows and space.rank == rank
+
+
+ENTRIES = st.sampled_from([Fraction(0)] * 3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def matrices(draw):
+    """Dense matrices of 1 to 6 rows and columns, some rows combinations of
+    others (zero rows among them), in random order."""
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+            for _ in range(draw(st.integers(0, nrows)))]
+    while len(rows) < nrows:
+        coeffs = draw(st.lists(ENTRIES, min_size=len(rows),
+                               max_size=len(rows)))
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)),
+                         Fraction(0)) for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_dense_functions_agree_with_the_reference(A, data):
+    ncols = len(A[0])
+    reduced, pivots = dense_rref(A)
+    assert rref(A) == (reduced, pivots)
+    assert rank(A) == len(pivots)
+    assert nullspace(A) == dense_nullspace(A)
+    # one right-hand side in the column space and one drawn freely, which
+    # is inconsistent when A is rank deficient and it misses the span
+    y = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    free = data.draw(st.lists(ENTRIES, min_size=len(A), max_size=len(A)))
+    for b in ([sum(a * v for a, v in zip(row, y)) for row in A], free):
+        x = solve_linear(A, b)
+        if dense_rank([row + [v] for row, v in zip(A, b)]) > len(pivots):
+            assert x is None
+        else:
+            assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+            assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
+    m = min(len(A), ncols)
+    square = [row[:m] for row in A[:m]]
+    assert det(square) == laplace_det(square)

@@ -7,6 +7,7 @@ import pytest
 
 from germforge.germexpr import parse_and_expand
 from germforge.jets import Jet, LexOrder, LocalOrder, monomials_upto
+from germforge.linalg import RowSpace
 from germforge.localalg import (
     buchberger,
     codimension,
@@ -20,6 +21,7 @@ from germforge.localalg import (
     normal_set,
     standard_basis,
 )
+from test_linalg import dense_nullspace
 
 V = ("x", "lam")
 LO = LocalOrder()
@@ -218,7 +220,6 @@ def test_intersection_against_span_oracle():
     si = ideal_span(I, k)
     sj = ideal_span(J2, k)
     monos = monomials_upto(2, k)
-    from germforge.linalg import RowSpace, nullspace
 
     # vectors v in both spans: v = A^T a = B^T b; solve [A^T | -B^T] null space
     matA = [[r.terms.get(m, Fraction(0)) for m in monos] for r in si.rows]
@@ -228,7 +229,7 @@ def test_intersection_against_span_oracle():
     for c in range(cols):
         rowsAB.append([r[c] for r in matA] + [-r[c] for r in matB])
     both = RowSpace(V, k)
-    for vec in nullspace(rowsAB):
+    for vec in dense_nullspace(rowsAB):
         a = vec[: len(matA)]
         v = Jet({m: sum(ai * r[c] for ai, r in zip(a, matA))
                  for c, m in enumerate(monos)}, V, k)

@@ -271,6 +271,14 @@ def test_alg_objects_of_zero_germ_says_so():
         alg_objects(Jet({}, V, 2))
 
 
+def test_tangent_layer_refuses_an_untruncated_jet():
+    g = Jet({(3, 0): 1, (0, 1): 1}, V, None)
+    for call in (restricted_tangent, tangent_space, tangent_perp, alg_objects,
+                 lambda h: recognition_unfolding(h, 1)):
+        with pytest.raises(ValueError, match="need a truncated jet"):
+            call(g)
+
+
 def test_zero_working_jet_raises():
     with pytest.raises(ZeroGermError, match="zero up to degree 3"):
         normal_form(lambda k: j("x^7", k), 3)
