@@ -68,7 +68,6 @@ from .bifurcation import (
     render_diagram,
     render_frames,
     render_transition_slice,
-    root_count_signature,
     transition_set,
 )
 

@@ -596,32 +596,6 @@ def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
                    tuple(Fraction(a) for a in alpha))
 
 
-def root_count_signature(diagram: Diagram,
-                         lambdas: Sequence[float]) -> tuple:
-    """Number of distinct x-roots read off the traced curves at each lambda
-    sample; roots closer than 1e-5 count once."""
-    counts = []
-    for c in lambdas:
-        xs = []
-        for curve in diagram.curves:
-            for (l0, x0), (l1, x1) in zip(curve, curve[1:]):
-                if (l0 - c) * (l1 - c) <= 0 and l0 != l1:
-                    t = (c - l0) / (l1 - l0)
-                    if 0.0 <= t <= 1.0:
-                        xs.append(x0 + t * (x1 - x0))
-                elif l0 == l1 == c:
-                    xs.extend([x0, x1])
-        xs.sort()
-        count = 0
-        last = None
-        for x in xs:
-            if last is None or x - last > 1e-5:
-                count += 1
-            last = x
-        counts.append(count)
-    return tuple(counts)
-
-
 def exact_root_counts(G: UnfoldingGerm, alpha, lambdas, xwindow) -> tuple:
     """Sturm-sequence real-root counts of the lambda-slice polynomials."""
     body = _fix(G.body, {2 + i: Fraction(a) for i, a in enumerate(alpha)})

@@ -375,8 +375,7 @@ def cmd_persistent(args, variables):
 
 
 def cmd_intrinsic(args, variables):
-    res = intrinsic_part(_jets(args, variables, args.germ, 8), None,
-                         args.degree)
+    res = intrinsic_part(_jets(args, variables, args.germ, 8), args.degree)
     return ({"germs": args.germ},
             {"ideal": str(res.ideal),
              "blocks": [list(b) for b in res.ideal.blocks]},

@@ -96,16 +96,6 @@ class IntrinsicIdeal:
         return " + ".join(parts)
 
 
-def span_with_extra(I: List[Jet], extra: Optional[List[Jet]], k: int) -> RowSpace:
-    """Jet-space span of the ideal generated by I plus the plain linear span
-    of `extra`; I and extra hold at least one jet between them."""
-    extra = list(extra or [])
-    space = ideal_span(I, k) if I else RowSpace(extra[0].variables, k)
-    for f in extra:
-        space.add(f)
-    return space
-
-
 @dataclass
 class IntrinsicResult:
     ideal: IntrinsicIdeal
@@ -129,17 +119,15 @@ def intrinsic_from_members(members: set, k: int) -> IntrinsicIdeal:
     return IntrinsicIdeal.from_blocks(blocks)
 
 
-def intrinsic_part(I: List[Jet], extra: Optional[List[Jet]] = None,
-                   k: Optional[int] = None) -> IntrinsicResult:
-    """Largest intrinsic ideal contained in <I> + span(extra) modulo degree
-    k.  Infinite codimension is reported as a remark, not an error."""
-    if not I and not extra:
+def intrinsic_part(I: List[Jet], k: Optional[int] = None) -> IntrinsicResult:
+    """Largest intrinsic ideal contained in <I> modulo degree k.  Infinite
+    codimension is reported as a remark, not an error."""
+    if not I:
         return IntrinsicResult(IntrinsicIdeal(()), INFINITE_CODIM_REMARK)
     if k is None:
-        degrees = [f.total_degree() for f in list(I) + list(extra or [])
-                   if not f.is_zero()]
+        degrees = [f.total_degree() for f in I if not f.is_zero()]
         k = max(degrees) + 1 if degrees else 1
-    ideal = intrinsic_from_members(span_with_extra(I, extra, k).monomials(), k)
+    ideal = intrinsic_from_members(ideal_span(I, k).monomials(), k)
     remark = None
     if not any(l == 0 for _k, l in ideal.blocks):
         remark = INFINITE_CODIM_REMARK

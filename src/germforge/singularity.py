@@ -205,65 +205,59 @@ def _homogeneous_monomials(d: int) -> list:
     return [(d - j, j) for j in range(d + 1)]
 
 
-def _prime_valuation(q: Fraction, p: int) -> int:
-    n, e = abs(q.numerator), 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    m = q.denominator
-    while m % p == 0:
-        m //= p
-        e -= 1
-    return e
-
-
-def _primes_of(values) -> set:
-    primes = set()
-    for q in values:
-        for n in (abs(q.numerator), q.denominator):
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                primes.add(n)
-    return primes
-
-
-def _integer_particular(A, b):
-    """An integer solution of A x = b, searched by forcing subsets of the
-    unknowns to zero (the systems here have at most three unknowns)."""
-    n = len(A[0]) if A else 0
-    for r in range(n + 1):
-        for zero in combinations(range(n), r):
-            keep = [i for i in range(n) if i not in zero]
-            A2 = [[row[i] for i in keep] for row in A]
-            sol2 = solve_linear(A2, b)
-            if sol2 is None or any(s.denominator != 1 for s in sol2):
-                continue
-            x = [Fraction(0)] * n
-            for i, v in zip(keep, sol2):
-                x[i] = v
-            return x
-    return None
+def _rational_root(q: Fraction, n: int) -> Optional[Fraction]:
+    """The positive rational q^(1/n) for q > 0 and n != 0, or None when it
+    is irrational: Newton's iteration on integers, from above, for the
+    numerator and the denominator."""
+    if n < 0:
+        q, n = 1 / q, -n
+    roots = []
+    for m in (q.numerator, q.denominator):
+        x = 1 << -(-m.bit_length() // n)
+        while (y := ((n - 1) * x + m // x ** (n - 1)) // n) < x:
+            x = y
+        if x ** n != m:
+            return None
+        roots.append(x)
+    return Fraction(*roots)
 
 
 def _solve_scaling(ratios: dict):
-    """Positive rationals (s, a, c) with s * a^i * c^j = ratios[(i, j)] for
-    every listed monomial, or None.  Solved prime by prime on exponents."""
-    s = a = c = Fraction(1)
-    for p in _primes_of(ratios.values()):
-        A = [[Fraction(1), Fraction(m[0]), Fraction(m[1])] for m in ratios]
-        b = [Fraction(_prime_valuation(r, p)) for r in ratios.values()]
-        sol = _integer_particular(A, b)
-        if sol is None:
+    """Positive rationals (s, a, c) with s * a^i * c^j = ratios[(i, j)] > 0
+    for every listed monomial, or None when there are none.
+
+    Divided by the first equation, each reads a^di * c^dj = q.  Unimodular
+    column operations (Euclid on the two columns) bring the integer rows
+    (di, dj) to column echelon form, so with (a, c) = t^U each pivot row
+    fixes one new unknown t_k as an exact rational root; a column with no
+    pivot is free and t_k = 1.  The solution is unique up to the free
+    columns, so a failed root or a failed final check means there is
+    none."""
+    (i0, j0), r0 = next(iter(ratios.items()))
+    # cols[k] holds the exponents of t_k in (a, c)
+    cols = [[1, 0], [0, 1]]
+    t = [Fraction(1), Fraction(1)]
+    pivots = 0
+    for (i, j), r in ratios.items():
+        e = [(i - i0) * u[0] + (j - j0) * u[1] for u in cols]
+        if pivots == 0:
+            while e[1]:
+                f = e[0] // e[1]
+                cols[0] = [x - f * y for x, y in zip(cols[0], cols[1])]
+                cols.reverse()
+                e = [e[1], e[0] - f * e[1]]
+        if pivots == 2 or e[pivots] == 0:
+            continue
+        # t[0] is still 1 while the first pivot is being solved
+        t[pivots] = _rational_root(r / r0 / t[0] ** e[0], e[pivots])
+        if t[pivots] is None:
             return None
-        s *= Fraction(p) ** int(sol[0])
-        a *= Fraction(p) ** int(sol[1])
-        c *= Fraction(p) ** int(sol[2])
+        pivots += 1
+    a = t[0] ** cols[0][0] * t[1] ** cols[1][0]
+    c = t[0] ** cols[0][1] * t[1] ** cols[1][1]
+    s = r0 / (a ** i0 * c ** j0)
+    if any(s * a ** i * c ** j != r for (i, j), r in ratios.items()):
+        return None
     return s, a, c
 
 
@@ -463,6 +457,13 @@ def normal_form(expand: Callable[[int], Jet],
 class UnfoldingGerm:
     body: Jet          # in variables (x, lam, a1..ap)
     params: Tuple[str, ...]
+
+    def __post_init__(self):
+        names = self.body.variables
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError("%r is named twice in the unfolding's "
+                                 "variables %s" % (name, ", ".join(names)))
 
     def base(self) -> Jet:
         restricted = {}

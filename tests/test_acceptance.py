@@ -165,9 +165,9 @@ def test_criterion_06_intrinsic_examples():
          j("5*x^4*lam + 3*x^2*lam^2")]
     B = [j("lam*x^3 + 2*lam^2"), j("x^3 + 2*lam"), j("x^4 + 3/5*lam*x^2"),
          j("lam^2"), j("x^5")]
-    r2 = intrinsic_part(A, B)
-    assert r2.ideal.blocks == ((5, 0), (3, 1), (0, 2))
-    assert str(r2.ideal) == "M^5 + M^3<lambda> + <lambda^2>"
+    r2 = ti.intrinsic_part_of_sum(A, B)
+    assert r2.blocks == ((5, 0), (3, 1), (0, 2))
+    assert str(r2) == "M^5 + M^3<lambda> + <lambda^2>"
 
 
 def test_criterion_07_alg_objects_tower():

@@ -6,7 +6,7 @@ import pytest
 
 from germforge import cli
 from germforge.cli import main
-from germforge.germexpr import parse_germ, taylor_expand
+from germforge.germexpr import parse_and_expand, parse_germ, taylor_expand
 from germforge.intrinsic import INCREASE_BOUND_WARNING
 
 
@@ -210,6 +210,28 @@ def test_transform(capsys):
     assert out == ("X = x\n"
                    "Lambda = lambda\n"
                    "S = 1 + 1/6*lambda^2\n")
+
+
+def test_transform_scales_every_variable(capsys):
+    # the scaling S = 16, X = x/2, Lambda = lambda/4 moves all three
+    # exponents at every prime of the ratio 2
+    g, f = "x^3 + lambda^2", "2*x^3 + lambda^2"
+    code, out, _err = run(capsys, "transform", g, f, "--vars", "x,lambda")
+    assert code == 0
+    names = ("x", "lambda")
+    X, L, S = (parse_and_expand(line.split(" = ")[1], names, 4)
+               for line in out.splitlines())
+    residual = (parse_and_expand(f, names, 4)
+                - S * parse_and_expand(g, names, 4).compose(
+                    {"x": X, "lambda": L}))
+    assert all(sum(m) >= 4 for m in residual.terms)
+
+
+def test_normalform_of_a_large_prime_coefficient(capsys):
+    code, out, _err = run(capsys, "normalform",
+                          "10000000000000061*x^2 + lambda",
+                          "--vars", "x,lambda")
+    assert (code, out) == (0, "x^2 + lambda\n")
 
 
 def test_division(capsys):

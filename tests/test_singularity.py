@@ -17,7 +17,9 @@ from germforge.linalg import RowSpace
 from germforge.localalg import ideal_span
 from germforge.singularity import (
     NotEquivalentError,
+    UnfoldingGerm,
     ZeroGermError,
+    _solve_scaling,
     alg_objects,
     check_universal,
     equivalent,
@@ -129,6 +131,10 @@ def test_normal_forms():
         ("x^3 - sin(lam)", "x^3 - lam"),
         ("1 - 1/(1 + x^4 - lam^2)", "x^4 - lam^2"),
         ("x^5 + x^3*lam + sin(lam^2)", "x^5 + x^3*lam + lam^2"),
+        # scalings whose exponents are all nonzero: 2*x^3 + lam^2 needs
+        # S = 16, X = x/2, Lambda = lam/4
+        ("2*x^3 + lam^2", "x^3 + lam^2"),
+        ("3*x^3 + 5*lam^2", "x^3 + lam^2"),
     ]
     for text, expected in cases:
         nf = normal_form(lambda k, t=text: j(t, k))
@@ -236,6 +242,48 @@ def test_transformation_scaling():
     assert tr.S.constant_term() > 0 and tr.L.terms[(0, 1)] > 0
 
 
+positive = st.fractions(min_value=Fraction(1, 30), max_value=30)
+exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+def reproduces(scaling, ratios):
+    s, a, c = scaling
+    return (min(scaling) > 0
+            and all(s * a ** i * c ** j == r for (i, j), r in ratios.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive, positive, positive,
+       st.lists(exponents, min_size=1, max_size=5, unique=True),
+       st.data())
+def test_solve_scaling_reproduces_every_ratio(s, a, c, monos, data):
+    ratios = {(i, j): s * a ** i * c ** j for i, j in monos}
+    assert reproduces(_solve_scaling(ratios), ratios)
+    # an extra prime factor on one ratio leaves no solution or another one
+    m = data.draw(st.sampled_from(monos))
+    ratios[m] *= data.draw(st.sampled_from([2, 3, 5, 7]))
+    scaling = _solve_scaling(ratios)
+    assert scaling is None or reproduces(scaling, ratios)
+
+
+@pytest.mark.parametrize("ratios, expected", [
+    # the first ratio fixes s; a and c are free
+    ({(2, 0): Fraction(1, 10000000000000061)},
+     (Fraction(1, 10000000000000061), 1, 1)),
+    # 2^(1/2) is irrational
+    ({(0, 0): Fraction(1), (2, 0): Fraction(2)}, None),
+    # s * a^3 = 2 and s * c^2 = 1: no exponent of the witness is zero
+    ({(3, 0): Fraction(2), (0, 2): Fraction(1)},
+     (Fraction(16), Fraction(1, 2), Fraction(1, 4))),
+    # a^2 = 9/4 and c^3 = 8/27 from large rational roots
+    ({(0, 0): Fraction(10**40), (2, 0): Fraction(9, 4) * 10**40,
+      (0, 3): Fraction(8, 27) * 10**40},
+     (Fraction(10**40), Fraction(3, 2), Fraction(2, 3))),
+])
+def test_solve_scaling_examples(ratios, expected):
+    assert _solve_scaling(ratios) == expected
+
+
 def test_transformation_random_roundtrips():
     # applying a known transformation and solving back must succeed
     import random
@@ -258,6 +306,17 @@ def test_transformation_random_roundtrips():
             tr = transformation(g, f, k)
             res = tr.residual(g, f)
             assert res.is_zero() or all(sum(m) >= k for m in res.terms)
+
+
+def test_unfolding_refuses_a_repeated_name():
+    names = ("x", "lam", "a1")
+    body = parse_and_expand("x^3 - lam + a1*x", names, 12)
+    G = UnfoldingGerm(Jet(dict(body.terms), names, None), ("a1",))
+    assert check_universal(G) == ("Yes", [])
+    twice = names + ("a1",)
+    body = parse_and_expand("x^3 - lam + a1*x", twice, 12)
+    with pytest.raises(ValueError, match="'a1' is named twice"):
+        UnfoldingGerm(Jet(dict(body.terms), twice, None), ("a1", "a1"))
 
 
 def test_zero_germ_has_zero_tangent_spans():
