@@ -46,8 +46,9 @@ class RowSpace:
         monomial alone."""
         return {p for p, row in self._rows.items() if len(row) == 1}
 
-    def _reduce(self, f):
-        """f truncated to degree k, minus its projection on the span."""
+    def residue(self, f):
+        """f truncated to degree k, minus its projection on the span, as a
+        sparse vector {monomial: Fraction}; empty when f lies in the span."""
         vec = {m: c for m, c in f.terms.items() if m in self._col}
         # rows vanish at each other's pivots, so one pass clears them all
         for p in [m for m in vec if m in self._rows]:
@@ -66,7 +67,7 @@ class RowSpace:
         return vec
 
     def contains(self, f):
-        return not self._reduce(f)
+        return not self.residue(f)
 
     def copy(self):
         """An independent RowSpace with the same span."""
@@ -86,7 +87,7 @@ class RowSpace:
 
     def add(self, f):
         """Insert a jet; returns True when it enlarged the span."""
-        vec = self._reduce(f)
+        vec = self.residue(f)
         if not vec:
             return False
         self._insert(vec)
@@ -163,10 +164,10 @@ def solve_linear(matrix, rhs):
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the right null space of `matrix` (list of rows)."""
-    if not matrix:
-        return []
-    ncols = ncols if ncols is not None else len(matrix[0])
+    """Basis of the right null space of `matrix` (list of rows); `ncols`
+    gives the width of a matrix that may have no rows."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
     reduced, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -191,7 +192,7 @@ def det(matrix):
     space = RowSpace(_C, n - 1)
     value, pivots = Fraction(1), []
     for row in matrix:
-        vec = space._reduce(_as_jet(row, n))
+        vec = space.residue(_as_jet(row, n))
         if not vec:
             return Fraction(0)
         (p,), lead = space._insert(vec)

@@ -25,7 +25,7 @@ from .jets import (
     mmul,
     monomials_upto,
 )
-from .linalg import RowSpace
+from .linalg import RowSpace, nullspace
 
 _MAX_REDUCTION_STEPS = 200_000
 
@@ -338,13 +338,25 @@ def ideal_intersection(I: List[Jet], J: List[Jet],
 
 
 def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
-    """Generators of the colon ideal I : <g> in the local ring: a local
-    standard basis {h_i} of I ∩ <g> is divided exactly by g (the Mora unit is
-    absorbed, which changes generators only by unit factors)."""
+    """Generators of the colon ideal I : <g> in the local ring.
+
+    With a truncation degree k the answer is the reduced local standard
+    basis of (I + M^(k+1)) : g in the jet space J^k = E/M^(k+1), found by
+    linear algebra: the kernel of m -> (m*g modulo the span of I in J^k)
+    over the monomials m of degree <= k, in reduced echelon form (RowSpace
+    columns run in local-order-descending order, so each row's pivot is its
+    leading monomial).  The rows whose pivot is divisible by no other pivot
+    are returned, made primitive.
+
+    Without k, a local standard basis {h_i} of I ∩ <g> (the t-trick of
+    `ideal_intersection`) is divided exactly by g; the Mora unit is
+    absorbed, which changes generators only by unit factors, and a unit g
+    gives I itself."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
+    if k is not None:
+        return _truncated_colon(I, g, k)
     if g.constant_term() != 0:
-        # colon by a unit is the ideal itself
         return list(I)
     inter = ideal_intersection(I, [g], None)
     if not inter:
@@ -358,11 +370,26 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
                 "intersection generator not divisible by g; this indicates an "
                 "internal inconsistency"
             )
-        if k is not None:
-            q = q.truncate(k)
-        if not q.is_zero():
-            out.append(q.primitive())
+        out.append(q.primitive())
     return out
+
+
+def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
+    if not I:
+        raise ValueError("empty generating list")
+    span = ideal_span(I, k)
+    g = g.truncate(k)
+    monos = monomials_upto(len(g.variables), k)
+    residues = [span.residue(g.term_mul(m)) for m in monos]
+    columns = {c for r in residues for c in r}
+    kernel = RowSpace(g.variables, k)
+    for vec in nullspace([[r.get(c, 0) for r in residues] for c in columns],
+                         len(monos)):
+        kernel.add(Jet(dict(zip(monos, vec)), g.variables, k))
+    rows = kernel.rows
+    pivots = [h.leading_monomial(LocalOrder()) for h in rows]
+    return [h.primitive() for h, p in zip(rows, pivots)
+            if not any(q != p and mdivides(q, p) for q in pivots)]
 
 
 def _pure_power_bounds(sb: StandardBasis):
@@ -438,8 +465,10 @@ def mult_matrix(A, u, k: Optional[int] = None):
 
 
 def ideal_span(G: List[Jet], k: int) -> RowSpace:
-    """Brute-force coefficient span of {m*f : f in G, deg(m*f) <= k} in the
-    degree-<=k jet space.  Used as the independent membership oracle."""
+    """The ideal <G> in the jet space J^k = E/M^(k+1): the coefficient span
+    of {m*f : f in G, deg(m*f) <= k}.  The truncated colon ideal and
+    `intrinsic_part` work on it, and the tests use it as a membership
+    oracle."""
     space = RowSpace(G[0].variables, k)
     for f in G:
         space.add_multiples(f)

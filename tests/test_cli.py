@@ -327,6 +327,18 @@ def test_colon_ideal_aux_name_does_not_clash(capsys):
     assert out == "x*_t\n"
 
 
+def test_colon_ideal_degree_answers_in_the_jet_space(capsys):
+    # with --degree the colon is taken in J^6, where x^7 = 0, so x^6 joins
+    # lambda; without it the colon is taken in the local ring
+    argv = ["colon-ideal", "x*lambda", "--by", "x", "--vars", "x,lambda"]
+    code, out, _err = run(capsys, *argv, "--degree", "6")
+    assert code == 0
+    assert out == "lambda\nx^6\n"
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    assert out == "lambda\n"
+
+
 def test_unfolding_list_cap_warns(capsys, monkeypatch):
     # x^3 + x*lambda^2 + lambda^4 has 4 monomial complements of T; a cap of
     # 1 lists the first and says the list was cut

@@ -203,3 +203,9 @@ def test_dense_functions_agree_with_the_reference(A, data):
     m = min(len(A), ncols)
     square = [row[:m] for row in A[:m]]
     assert det(square) == laplace_det(square)
+
+
+def test_nullspace_of_a_matrix_with_no_rows():
+    # no equations constrain the ncols unknowns: the whole space
+    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([]) == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from germforge.germexpr import parse_and_expand
-from germforge.jets import Jet, LexOrder, LocalOrder, monomials_upto
+from germforge.jets import Jet, LexOrder, LocalOrder, mdivides, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import (
     buchberger,
@@ -21,7 +21,7 @@ from germforge.localalg import (
     normal_set,
     standard_basis,
 )
-from test_linalg import dense_nullspace
+from test_linalg import dense_nullspace, dense_rref
 
 V = ("x", "lam")
 LO = LocalOrder()
@@ -79,8 +79,6 @@ def test_division_identity_randomized():
         assert res.unit.constant_term() != 0
         leads = [f.truncate(k).leading_monomial(LO) for f in G
                  if not f.truncate(k).is_zero()]
-        from germforge.jets import mdivides
-
         for m in res.remainder.terms:
             assert not any(mdivides(lm, m) for lm in leads)
         checked += 1
@@ -175,7 +173,6 @@ def test_leading_ideal_agrees_with_span_oracle():
     # form with columns in descending local order, so its rows' leading
     # monomials are all the leading monomials of the ideal; the standard
     # basis must generate exactly those, and the normal set is the rest
-    from germforge.jets import mdivides
     from germforge.localalg import InfiniteCodimensionError
 
     rng = random.Random(4021)
@@ -265,6 +262,10 @@ def test_colon_example_ideal_equality():
 def test_colon_trivials():
     assert [str(f) for f in colon_ideal([j("x*lam")], j("x"))] == ["lam"]
     assert [str(f) for f in colon_ideal([j("x^2")], j("1"))] == ["x^2"]
+    # with a truncation degree a unit divisor takes the kernel solve too:
+    # x^2 + x^3 = x^2*(1 + x), so the colon is <x^2>, reduced
+    assert [str(f) for f in colon_ideal([j("x^2 + x^3")], j("1 + x"),
+                                        6)] == ["x^2"]
 
 
 def test_colon_keeps_mora_unit_in_interreduction():
@@ -285,6 +286,103 @@ def test_colon_keeps_mora_unit_in_interreduction():
     monos = monomials_upto(2, k)
     rank = sum(image.add((Jet.monomial(m, V) * g).truncate(k)) for m in monos)
     assert ideal_span(out, k).rank == len(monos) - rank
+
+
+def test_colon_keeps_mora_unit_in_interreduction_untruncated():
+    # the same input without a truncation degree runs the untruncated
+    # interreduction that the test above was written for
+    g = j("x + lam^2")
+    I = [j("x^2 - 1/2*x*lam^2 + x^2*lam^2"),
+         j("lam^2 + lam^4 - x^2*lam^2"), j("x*lam")]
+    out = colon_ideal(I, g)
+    assert out
+    sb = standard_basis(I, LO)
+    for f in out:
+        assert sb.contains(f * g)
+
+
+def dense_truncated_colon(I, g, k):
+    """(I + M^(k+1)) : g in J^k by dense Gauss-Jordan alone: the vectors
+    h = sum(a_m*m) with h*g = sum(b*m'*f) modulo degree > k, f in I, as
+    `dense_rref`'s (reduced rows, pivot columns) over `monomials_upto`."""
+    monos = monomials_upto(2, k)
+    span = [dense_vector(f.truncate(k).term_mul(m), k) for f in I
+            for m in monos]
+    images = [dense_vector(g.truncate(k).term_mul(m), k) for m in monos]
+    rows = [[im[c] for im in images] + [-s[c] for s in span]
+            for c in range(len(monos))]
+    return dense_rref([v[:len(monos)] for v in dense_nullspace(rows)])
+
+
+def dense_vector(f, k):
+    return [f.terms.get(m, Fraction(0)) for m in monomials_upto(2, k)]
+
+
+def random_nonunit(rng, k):
+    f = random_jet(rng, k=k)
+    return f - Jet.constant(f.constant_term(), V, k)
+
+
+def random_colon_case(rng, k):
+    """(I, g): a finite-codimension ideal (pure powers of x and lam join
+    it) or an infinite-codimension one (every generator is a multiple of
+    one germ), and a divisor that is a unit one time in four."""
+    I = [random_nonunit(rng, k) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        I += [j("x^%d" % rng.randint(2, k), k),
+              j("lam^%d" % rng.randint(2, k), k)]
+    else:
+        common = j(rng.choice(["x", "lam", "x + lam^2", "x*lam"]), k)
+        I = [f * common for f in I]
+    g = random_nonunit(rng, k)
+    if rng.random() < 0.25:
+        g = g + Jet.constant(rng.randint(1, 3), V, k)
+    return [f for f in I if not f.is_zero()], g
+
+
+def test_truncated_colon_against_dense_reference():
+    rng = random.Random(1807)
+    cases = 0
+    while cases < 40:
+        k = rng.randint(2, 6)
+        I, g = random_colon_case(rng, k)
+        if not I or g.is_zero():
+            continue
+        out = colon_ideal(I, g, k)
+        monos = monomials_upto(2, k)
+        # equal spans: the ideal the answer generates in J^k
+        generated = [dense_vector(h.term_mul(m), k) for h in out
+                     for m in monos]
+        assert dense_rref(generated) == dense_truncated_colon(I, g, k)
+        # every generator times g lies in I + M^(k+1)
+        span_i = dense_rref([dense_vector(f.truncate(k).term_mul(m), k)
+                             for f in I for m in monos])[0]
+        for h in out:
+            with_hg = span_i + [dense_vector((h * g).truncate(k), k)]
+            assert len(dense_rref(with_hg)[0]) == len(span_i)
+        # reduced: leading monomials pairwise do not divide, and no tail
+        # monomial is divisible by a leading monomial
+        leads = [h.leading_monomial(LO) for h in out]
+        for h, lm in zip(out, leads):
+            assert not any(mdivides(o, lm) for o in leads if o != lm)
+            assert not any(mdivides(o, m) for m in h.terms if m != lm
+                           for o in leads)
+        cases += 1
+
+
+def test_colon_paths_agree_where_the_ideal_contains_a_power_of_m():
+    # x^a and lam^b in I give M^(a+b-1) in I, so with a + b - 1 <= k
+    # I + M^(k+1) = I, and both paths answer the same ideal mod M^(k+1)
+    rng = random.Random(2718)
+    for _ in range(8):
+        k = rng.randint(4, 6)
+        a = rng.randint(2, k - 1)
+        b = rng.randint(2, k + 1 - a)
+        I = [j("x^%d" % a), j("lam^%d" % b), random_nonunit(rng, None)]
+        g = random_nonunit(rng, None)
+        if g.is_zero():
+            continue
+        assert ideals_equal(colon_ideal(I, g), colon_ideal(I, g, k), k)
 
 # --------------------------------------------------- normal sets, codim
 
