@@ -42,7 +42,7 @@ from .intrinsic import (
 )
 from .singularity import (
     NotEquivalentError,
-    TooFewParametersError,
+    ParameterCountError,
     UnfoldingGerm,
     ZeroGermError,
     alg_objects,

@@ -51,7 +51,7 @@ from .localalg import (
 )
 from .singularity import (
     NotEquivalentError,
-    TooFewParametersError,
+    ParameterCountError,
     UnfoldingGerm,
     ZeroGermError,
     alg_objects,
@@ -557,7 +557,7 @@ def main(argv=None) -> int:
             NonUnitDivisorError) as exc:
         error, status = exc, 2
     except (InfiniteCodimensionError, NotEquivalentError,
-            TooFewParametersError, ZeroGermError) as exc:
+            ParameterCountError, ZeroGermError) as exc:
         error, status = exc, 1
     else:
         if args.format == "json":

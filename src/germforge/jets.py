@@ -47,8 +47,11 @@ def mlcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomials_upto(nvars: int, k: int) -> list:
-    """All exponent tuples of total degree <= k, in a fixed deterministic
-    order.  The list is the caller's own to modify."""
+    """All exponent tuples of total degree <= k in descending local order
+    (`LocalOrder`): degree ascending, then the earlier variables heavier
+    first.  RowSpace pivots, the truncated colon ideal, `s_perp` and the
+    recognition rows rely on this order.  The list is the caller's own to
+    modify."""
     return list(_monomials_upto(nvars, k))
 
 

@@ -350,8 +350,10 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
 
     Without k, a local standard basis {h_i} of I ∩ <g> (the t-trick of
     `ideal_intersection`) is divided exactly by g; the Mora unit is
-    absorbed, which changes generators only by unit factors, and a unit g
-    gives I itself."""
+    absorbed, which changes generators only by unit factors.  The quotients
+    are interreduced under the local order (`_interreduce`, with weak
+    normal forms of the tails) and made primitive.  A unit g gives I
+    itself."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
     if k is not None:
@@ -370,8 +372,8 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
                 "intersection generator not divisible by g; this indicates an "
                 "internal inconsistency"
             )
-        out.append(q.primitive())
-    return out
+        out.append(q)
+    return [q.primitive() for q in _interreduce(out, LocalOrder(), None)]
 
 
 def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:

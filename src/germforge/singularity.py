@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 from typing import Callable, List, Optional, Tuple
 
@@ -34,13 +34,19 @@ class NotEquivalentError(ValueError):
     found."""
 
 
-class TooFewParametersError(ValueError):
-    """Fewer unfolding parameters than codim T(g): no unfolding by them is
-    universal."""
+class ParameterCountError(ValueError):
+    """A recognition matrix asked for p parameters outside [codim T(g),
+    dim E/Itr(T(g))]: fewer than codim T cannot unfold g universally, and
+    more than dim E/Itr(T) do not fit in the square matrix."""
 
-    def __init__(self, codim, p):
-        super().__init__("a universal unfolding needs at least codim T = %d "
-                         "parameters, not %d" % (codim, p))
+    def __init__(self, codim, n, p):
+        if p < codim:
+            message = ("a universal unfolding needs at least codim T = %d "
+                       "parameters, not %d" % (codim, p))
+        else:
+            message = ("the recognition matrix takes at most dim E/Itr(T) = "
+                       "%d parameters, not %d" % (n, p))
+        super().__init__(message)
 
 
 class ZeroGermError(ValueError):
@@ -56,14 +62,6 @@ def require_nonzero(g: Jet) -> Jet:
     if g.is_zero():
         raise ZeroGermError(g.degree)
     return g
-
-
-def _ordered_monomials(k: int) -> list:
-    """All monomials of degree <= k, best (lowest local order key... highest
-    priority) first: 1, x, lam, x^2, ..."""
-    monos = monomials_upto(2, k)
-    monos.sort(key=_LOCAL.key, reverse=True)
-    return monos
 
 
 @dataclass
@@ -163,7 +161,7 @@ def s_perp(g: Jet) -> list:
     """The low-order monomials: every monomial outside S(g)."""
     S = smallest_intrinsic(g)
     bound = max(kk + ll for kk, ll in S.blocks)
-    out = [m for m in _ordered_monomials(bound)
+    out = [m for m in monomials_upto(2, bound)
            if not S.contains_monomial(m)]
     return out
 
@@ -533,7 +531,7 @@ def universal_unfolding(expand: Callable[[int], Jet],
     # enumerate alternative monomial complements
     p = len(perp)
     in_t = space.monomials()
-    candidates = [m for m in _ordered_monomials(k) if m not in in_t]
+    candidates = [m for m in monomials_upto(2, k) if m not in in_t]
     results = []
     for combo in combinations(candidates, p):
         trial = space.copy()
@@ -549,18 +547,15 @@ def universal_unfolding(expand: Callable[[int], Jet],
     return results, warnings
 
 
-def check_universal(G: UnfoldingGerm, k: Optional[int] = None
-                    ) -> Tuple[str, List[str]]:
+def check_universal(G: UnfoldingGerm) -> Tuple[str, List[str]]:
     """(\"Yes\" or \"No\", warnings): \"Yes\" when G is a universal
-    unfolding of its own base germ.  Without k, the degree is the base
-    germ's truncation degree, or 6 with `verify_germ`'s warnings when it
-    finds none."""
+    unfolding of its own base germ.  The degree is the base germ's
+    truncation degree, or 6 with `verify_germ`'s warnings when it finds
+    none."""
     base = G.base()
-    warnings = []
-    if k is None:
-        rep = verify_germ(lambda kk: base.truncate(kk))
-        k = rep.truncation_degree if rep.truncation_degree else 6
-        warnings.extend(rep.warnings)
+    rep = verify_germ(lambda kk: base.truncate(kk))
+    k = rep.truncation_degree if rep.truncation_degree else 6
+    warnings = list(rep.warnings)
     space = _t_span(base.truncate(k))
     p = len(G.params)
     if p != len(monomials_upto(2, k)) - space.rank:
@@ -604,7 +599,6 @@ def recognition_normal_form(g: Jet) -> RecognitionConditions:
 class RecognitionMatrix:
     columns: List[tuple]          # derivative monomials (a, b)
     germ_rows: List[Tuple[str, tuple]]   # (label, multiplier monomial)
-    param_rows: List[int]         # parameter indices 1..p
     entries: List[List[Optional[tuple]]]
     # each entry: None (structural zero) or (coeff, name, monomial, param)
 
@@ -627,15 +621,16 @@ class RecognitionMatrix:
 
 def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
     """The universal-unfolding recognition matrix at g's degree: columns are
-    derivative functionals dual to a monomial basis of E/Itr(T(g)); rows are
-    germ candidates spanning T/Itr(T) followed by the p unfolding
-    directions.  Fewer than codim T(g) directions raise
-    TooFewParametersError."""
+    derivative functionals dual to a monomial basis of E/Itr(T(g)), of
+    dimension n; rows are the first n - p of T(g)'s generators that are
+    independent modulo Itr(T), followed by the p unfolding directions.
+    Those generators span T/Itr(T), of dimension n - codim T, so any p with
+    codim T <= p <= n has its rows; another p raises
+    ParameterCountError."""
     t = _t_span(g)
     k = g.degree
-    codim = len(monomials_upto(2, k)) - t.rank
-    if p < codim:
-        raise TooFewParametersError(codim, p)
+    monos = monomials_upto(2, k)
+    codim = len(monos) - t.rank
     itr = intrinsic_from_members(t.monomials(), k)
 
     def column_key(m):
@@ -652,39 +647,30 @@ def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
             group = 3
         return (group, mdeg(m), a)
 
-    columns = sorted((m for m in monomials_upto(2, k)
-                      if not itr.contains_monomial(m)), key=column_key)
+    columns = sorted((m for m in monos if not itr.contains_monomial(m)),
+                     key=column_key)
     n = len(columns)
-    if p >= n:
-        raise ValueError("quotient dimension %d leaves no room for %d "
-                         "parameters" % (n, p))
+    if not codim <= p <= n:
+        raise ParameterCountError(codim, n, p)
     # zero conditions of the germ: derivatives indexed by S-perp monomials
     zero_set = set(s_perp(g))
-    gx = g.diff(g.variables[0])
-    glam = g.diff(g.variables[1])
-    candidates = [("g_x", (0, 0), gx), ("g_lambda", (0, 0), glam),
-                  ("g", (0, 0), g)]
-    for m in _ordered_monomials(2)[1:]:
-        candidates.append(("g_x", m, gx.term_mul(m)))
-    for j in range(1, 3):
-        candidates.append(("g_lambda", (0, j), glam.term_mul((0, j))))
+    # T's generators m*g_x, lambda^j*g_lambda and m*g: g_x, g_lambda and g,
+    # the g_x and g_lambda multiples of degree 1-2, then 3 to k, then m*g;
+    # each label names its jet and that jet's derivative monomial of g
+    bases = {"g_x": (g.diff(g.variables[0]), (1, 0)),
+             "g_lambda": (g.diff(g.variables[1]), (0, 1)), "g": (g, (0, 0))}
+    candidates = [("g_x", (0, 0)), ("g_lambda", (0, 0)), ("g", (0, 0))]
+    for low, high in ((1, 2), (3, k)):
+        candidates += [("g_x", m) for m in monos if low <= mdeg(m) <= high]
+        candidates += [("g_lambda", (0, j)) for j in range(low, high + 1)]
+    candidates += [("g", m) for m in monos[1:]]
     covered = _ideal_space(itr, g.variables, k)
-    germ_rows = []
-    for label, mult, h in candidates:
-        if len(germ_rows) == n - p:
-            break
-        if h.is_zero():
-            continue
-        if covered.add(h):
-            germ_rows.append((label, mult))
-    if len(germ_rows) < n - p:
-        raise ValueError(
-            "could not span T/Itr(T) (quotient dimension %d) from the "
-            "candidate germ list" % n)
+    germ_rows = list(islice((c for c in candidates
+                             if covered.add(bases[c[0]][0].term_mul(c[1]))),
+                            n - p))
     entries = []
     for label, mult in germ_rows:
-        base_m = (1, 0) if label == "g_x" else (0, 1) if label == "g_lambda" \
-            else (0, 0)
+        base_m = bases[label][1]
         row = []
         for col in columns:
             # functional d^col applied to mult * (d^base_m g): nonzero only
@@ -707,8 +693,7 @@ def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
         entries.append(row)
     for i in range(1, p + 1):
         entries.append([(Fraction(1), "G", col, i) for col in columns])
-    return RecognitionMatrix(columns, germ_rows, list(range(1, p + 1)),
-                             entries)
+    return RecognitionMatrix(columns, germ_rows, entries)
 
 
 def recognition_matrix_value(matrix: RecognitionMatrix, g: Jet,

@@ -467,6 +467,33 @@ def test_recognize_matrix_below_codim_t_exit_1(capsys):
                    "parameters, not 1\n")
 
 
+def test_recognize_matrix_spans_t_over_itr_from_t_generators(capsys):
+    # codim T = 9 of dim E/Itr(T) = 20: the 11 germ rows need T's
+    # generators beyond the ten of degree <= 2
+    code, out, _err = run(capsys, "recognize", "x^3 + lambda^5", "--matrix",
+                          "9", "--vars", "x,lambda", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["columns"]) == 20
+    assert [len(row) for row in result["rows"]] == [20] * 20
+
+
+def test_recognize_matrix_of_the_isola_is_one_parameter_row(capsys):
+    # T(x^2 + lambda^2) = Itr(T) = M: no germ row, and the matrix is GS's
+    # condition G_alpha(0) != 0
+    code, out, err = run(capsys, "recognize", "x^2 + lambda^2", "--matrix",
+                         "1", "--vars", "x,lambda")
+    assert (code, out, err) == (0, "[G_{alpha1}(0)]\n", "")
+
+
+def test_recognize_matrix_above_dim_e_over_itr_exit_1(capsys):
+    code, out, err = run(capsys, "recognize", "x^2 + lambda^2", "--matrix",
+                         "2", "--vars", "x,lambda")
+    assert (code, out) == (1, "")
+    assert err == ("error: the recognition matrix takes at most "
+                   "dim E/Itr(T) = 1 parameters, not 2\n")
+
+
 @pytest.mark.parametrize("g, f, message", [
     # the orders differ, or exactly one germ is zero: proved inequivalent
     ("x^2 + lambda^2", "x^3 - lambda", "not equivalent"),

@@ -40,6 +40,16 @@ def test_monomials_upto_counts():
     assert monomials_upto(2, 1) == [(0, 0), (1, 0), (0, 1)]
 
 
+def test_monomials_upto_is_descending_local_order():
+    # the RowSpace pivots, the truncated colon ideal, s_perp and the
+    # recognition rows read this order as "leading monomial first"
+    key = LocalOrder().key
+    for n in range(1, 5):
+        for k in range(11):
+            monos = monomials_upto(n, k)
+            assert monos == sorted(monos, key=key, reverse=True)
+
+
 def test_local_order_prefers_low_degree():
     # the leading term under a local order is the lowest-order term
     lo = LocalOrder()

@@ -301,6 +301,19 @@ def test_colon_keeps_mora_unit_in_interreduction_untruncated():
         assert sb.contains(f * g)
 
 
+def test_untruncated_colon_basis_is_reduced():
+    # the exact quotients of I ∩ <g> by g were 2*x + lam^2 and lam^2: the
+    # first one's tail held the second's leading monomial
+    I = [j("x^2 + 3/2*lam^3"), j("lam^2 - x^2*lam - x*lam^3"),
+         j("-lam^3 - x*lam^2")]
+    out = colon_ideal(I, j("x - 1/2*lam^2"))
+    assert [str(f) for f in out] == ["x", "lam^2"]
+    leads = [f.leading_monomial(LO) for f in out]
+    for f, lead in zip(out, leads):
+        tail = [m for m in f.terms if m != lead]
+        assert not any(mdivides(q, m) for q in leads for m in tail)
+
+
 def dense_truncated_colon(I, g, k):
     """(I + M^(k+1)) : g in J^k by dense Gauss-Jordan alone: the vectors
     h = sum(a_m*m) with h*g = sum(b*m'*f) modulo degree > k, f in I, as

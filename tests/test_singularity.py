@@ -1,5 +1,6 @@
 """Tangent spaces, normal forms, unfoldings, recognition, transformations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from germforge.intrinsic import (
     IntrinsicIdeal,
     high_order_part,
     intrinsic_from_members,
+    verify_germ,
 )
 from germforge.jets import Jet, mdeg, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import ideal_span
 from germforge.singularity import (
     NotEquivalentError,
+    ParameterCountError,
     UnfoldingGerm,
     ZeroGermError,
     _solve_scaling,
@@ -205,6 +208,65 @@ def test_recognition_matrix_determinant():
     bad = make_unfolding(base, [j("1"), j("x"), j("2*x")])
     assert recognition_matrix_value(M, base, good) != 0
     assert recognition_matrix_value(M, base, bad) == 0
+
+
+# GS I ch. IV's normal forms of codimension <= 3, and four germs of larger
+# codimension; x^3 + lam^5 needs T(g)'s generators of degree 3
+RECOGNITION_GERMS = [
+    "x^2 - lam", "x^3 - lam", "x^3 + lam", "x^2 + lam^2", "x^2 - lam^2",
+    "x^3 - x*lam", "x^4 - lam", "x^2 + lam^3", "x^5 - lam", "x^3 + lam^2",
+    "x^4 - x*lam", "x^2 - lam^4",
+    "x^3 + lam^5", "x^3 + lam^4", "x^4 + lam^3", "x^5 + lam^2",
+]
+
+
+@pytest.mark.parametrize("text", RECOGNITION_GERMS)
+def test_recognition_matrix_rows_decide_universality(text):
+    rng = random.Random(text)
+    k = verify_germ(lambda kk: j(text, kk)).truncation_degree
+    g = j(text, k)
+    main, _warnings = universal_unfolding(lambda kk: j(text, kk))
+    codim = len(main.params)
+    t = tangent_space(g)
+    outside = [m for m in monomials_upto(2, k)
+               if not t.intrinsic.contains_monomial(m)]
+    n = len(outside)
+    bases = {"g_x": g.diff("x"), "g_lambda": g.diff("lam"), "g": g}
+    for p in range(codim, n + 1):
+        M = recognition_unfolding(g, p)
+        assert sorted(M.columns) == sorted(outside)
+        assert len(M.entries) == n and all(len(r) == n for r in M.entries)
+        # n - p germ rows, independent modulo Itr(T)
+        assert len(M.germ_rows) == n - p
+        space = RowSpace(V, k)
+        for m in monomials_upto(2, k):
+            if t.intrinsic.contains_monomial(m):
+                space.add(Jet.monomial(m, V, 1, k))
+        assert all(space.add(bases[label].term_mul(mult))
+                   for label, mult in M.germ_rows)
+    with pytest.raises(ParameterCountError, match="at most"):
+        recognition_unfolding(g, n + 1)
+    if codim:
+        with pytest.raises(ParameterCountError, match="at least"):
+            recognition_unfolding(g, codim - 1)
+    # at p = codim T the germ rows span T/Itr(T): det != 0 exactly when the
+    # unfolding is universal
+    M = recognition_unfolding(g, codim)
+    candidates = [main]
+    if codim:
+        dirs = [main.direction(i) for i in range(codim)]
+        rows = t.space.rows
+        member = sum((row.scale(rng.randint(1, 3))
+                      for row in rng.sample(rows, min(3, len(rows)))),
+                     Jet.zero(V, k))
+        dirs[rng.randrange(codim)] = member
+        candidates.append(make_unfolding(g, dirs))
+    answers = []
+    for G in candidates:
+        answer, _warnings = check_universal(G)
+        assert (recognition_matrix_value(M, g, G) != 0) == (answer == "Yes")
+        answers.append(answer)
+    assert answers == ["Yes", "No"][:len(candidates)]
 
 
 def test_transformation_cubic_example():
