@@ -159,7 +159,8 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
     (w, params) that involve w.  A pair is real where w >= 0; an element
     a*w - b whose coefficient a is coprime to D's single polynomial gives
     w = b/a on D, hence the condition a*b >= 0, written with the
-    odd-multiplicity factors of a*b as one sign-normalized polynomial.
+    odd-multiplicity factors of a*b's square-free decomposition as one
+    sign-normalized polynomial.
     Returns [] when a*b >= 0 holds everywhere and None when no element
     gives a condition."""
     if len(d_polys) != 1:
@@ -175,20 +176,15 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
                          params), R)
         if not a.gcd(dpoly).is_ground:
             continue
-        ab = a * b
-        odd, even = R.one, R.one
-        for f, k in ab.factor_list()[1]:
-            if k % 2:
-                odd *= f
-            else:
-                even *= f ** k
+        content, factors = (a * b).sqf_list()
+        odd = prod((f for f, k in factors if k % 2), start=R.one)
+        # a*b = content * odd * (a square), and odd is a product of monic
+        # factors, so norm is odd times a positive rational
         norm = from_ring(odd, params).primitive()
-        # a*b = lead * even * norm with even >= 0
-        lead = ab.exquo(even * to_ring(norm, R)).LC
         if _is_const(norm):
-            # a*b >= 0 everywhere, or nowhere off the zeros of `even`
-            return [] if lead > 0 else None
-        return [SideCondition(norm, ">=" if lead > 0 else "<=")]
+            # a*b >= 0 everywhere, or nowhere off the zeros of the square
+            return [] if content > 0 else None
+        return [SideCondition(norm, ">=" if content > 0 else "<=")]
     return None
 
 
@@ -716,20 +712,30 @@ def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
     return written
 
 
-def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12
+def persistent_truncation_degree(F: UnfoldingGerm,
+                                 upper_bound: Optional[int] = None
                                  ) -> Tuple[Optional[int], List[str]]:
-    """Least state-variable truncation degree, from the determinacy degree of
-    the base germ on, from which the transition-set polynomials stop
-    changing (compared against degree k + 1), with the warnings of the
-    transition sets computed on the way.  A truncation below the determinacy
-    degree is not equivalent to the germ, so no smaller degree is tried;
-    (None, []) when that degree is not found up to `upper_bound`."""
+    """Least state-variable truncation degree, from the determinacy degree
+    of the base germ on, from which the transition-set polynomials stop
+    changing, with the warnings of the transition sets computed on the way;
+    (None, []) when `verify_germ` finds no determinacy degree up to
+    `upper_bound`.  A truncation below the determinacy degree is not
+    equivalent to the germ, so no smaller degree is tried.
+
+    A truncation at or above the body's largest x-lambda degree top is the
+    body itself, so the transition set cannot change there: a determinacy
+    degree of at least top is the answer and no transition set is
+    computed.  Otherwise the search steps down from top while the
+    polynomials equal those at top, at the cost of one transition set per
+    degree from top down to the answer (and the one below it that
+    differs, unless the answer is the determinacy degree)."""
     base = F.base()
     start = verify_germ(lambda kk: base.truncate(kk),
                         upper_bound=upper_bound).truncation_degree
     warnings: List[str] = []
-    if start is None:
-        return None, warnings
+    top = max((m[0] + m[1] for m in F.body.terms), default=0)
+    if start is None or start >= top:
+        return start, warnings
 
     def polys_at(k):
         ts = transition_set(F, k)
@@ -739,12 +745,8 @@ def persistent_truncation_degree(F: UnfoldingGerm, upper_bound: int = 12
                              for p in comp.polys())
                 for name, comp in ts.components.items()}
 
-    prev = None
-    prev_k = None
-    for k in range(start, upper_bound + 1):
-        cur = polys_at(k)
-        if prev is not None and cur == prev:
-            return prev_k, warnings
-        prev = cur
-        prev_k = k
-    return None, warnings
+    stable = polys_at(top)
+    k = top
+    while k > start and polys_at(k - 1) == stable:
+        k -= 1
+    return k, warnings

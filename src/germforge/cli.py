@@ -228,8 +228,7 @@ def cmd_verify(args, variables):
         # persistent analysis is contact-qualitative: work on the normal form
         # so inessential high-order Taylor terms cannot postpone stability
         G, _w = universal_unfolding(expand, normalform=True)
-        k, warnings = persistent_truncation_degree(G,
-                                                   upper_bound=bound or 12)
+        k, warnings = persistent_truncation_degree(G, upper_bound=bound)
         if k is None:
             return ({"germ": args.germ[0]}, {"truncation_degree": None},
                     [INCREASE_BOUND_WARNING] + warnings, [])

@@ -346,14 +346,15 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     over the monomials m of degree <= k, in reduced echelon form (RowSpace
     columns run in local-order-descending order, so each row's pivot is its
     leading monomial).  The rows whose pivot is divisible by no other pivot
-    are returned, made primitive.
+    are returned, made primitive with a positive local leading
+    coefficient.
 
     Without k, a local standard basis {h_i} of I ∩ <g> (the t-trick of
     `ideal_intersection`) is divided exactly by g; the Mora unit is
     absorbed, which changes generators only by unit factors.  The quotients
     are interreduced under the local order (`_interreduce`, with weak
-    normal forms of the tails) and made primitive.  A unit g gives I
-    itself."""
+    normal forms of the tails) and made primitive the same way.  A unit g
+    gives I itself."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
     if k is not None:
@@ -373,7 +374,15 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
                 "internal inconsistency"
             )
         out.append(q)
-    return [q.primitive() for q in _interreduce(out, LocalOrder(), None)]
+    return [_local_primitive(q)
+            for q in _interreduce(out, LocalOrder(), None)]
+
+
+def _local_primitive(h: Jet) -> Jet:
+    """h made primitive with a positive coefficient at its local leading
+    monomial, the sign in which local answers print."""
+    h = h.primitive()
+    return -h if h.leading_term(LocalOrder())[1] < 0 else h
 
 
 def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
@@ -390,7 +399,7 @@ def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
         kernel.add(Jet(dict(zip(monos, vec)), g.variables, k))
     rows = kernel.rows
     pivots = [h.leading_monomial(LocalOrder()) for h in rows]
-    return [h.primitive() for h, p in zip(rows, pivots)
+    return [_local_primitive(h) for h, p in zip(rows, pivots)
             if not any(q != p and mdivides(q, p) for q in pivots)]
 
 
@@ -508,16 +517,14 @@ def from_ring(p, names) -> Jet:
 
 
 def radical(f: Jet) -> Jet:
-    """The product of the distinct irreducible factors of f, made
-    primitive (Jet.primitive); a constant f gives the constant 1 and the
-    zero jet stays zero."""
+    """The square-free part of f (the product of its distinct irreducible
+    factors, found by gcds without factoring), made primitive
+    (Jet.primitive); a constant f gives the constant 1 and the zero jet
+    stays zero."""
     if f.is_zero():
         return f
     R = poly_ring(f.variables)
-    out = R.one
-    for q, _mult in to_ring(f, R).factor_list()[1]:
-        out *= q
-    return from_ring(out, f.variables).primitive()
+    return from_ring(to_ring(f, R).sqf_part(), f.variables).primitive()
 
 
 def real_root_count(f: Jet, lo, hi) -> int:

@@ -319,10 +319,9 @@ def test_double_limit_without_realness_condition_warns():
                       A1 * (3125 * A1 ** 4 - 768 * A2 ** 5), (A1, A2))
     assert not comp.side_conditions
     assert len(sigma.warnings) == 1 and "complex" in sigma.warnings[0]
-    k, warnings = persistent_truncation_degree(G)
-    assert k == 6
-    assert warnings == ["truncation degree %d: %s" % (d, sigma.warnings[0])
-                        for d in (6, 7)]
+    # the determinacy degree 6 is the body's state degree, so no transition
+    # set is computed there and no warning is forwarded
+    assert persistent_truncation_degree(G) == (6, [])
 
 # ----------------------------------------------------- boundary components
 
@@ -682,8 +681,9 @@ def test_quintic_complete_list_diagrams(quintic_sigma):
 
 
 def test_persistent_truncation_degree():
-    # at k = 2 the truncation -lam + a1*x has double limit points all along
-    # lam = 0 when a1 = 0, so D = {a1 = 0}; from k = 3 on D is empty
+    # the determinacy degree 3 of x^3 - lam is the body's state degree, so
+    # no truncation can change the transition set (below 3, -lam + a1*x
+    # would have D = {a1 = 0}, but it is not equivalent to the germ)
     G = make_unfolding(jet({(3, 0): 1, (0, 1): -1}), [jet({(1, 0): 1})])
     assert persistent_truncation_degree(G) == (3, [])
 
@@ -694,6 +694,29 @@ def test_persistent_truncation_degree_starts_at_determinacy():
     # determinacy degree is equivalent to the germ
     assert persistent_truncation_degree(winged_cusp()) == (4, [])
     assert persistent_truncation_degree(quintic()) == (5, [])
+
+
+NO_REALNESS = ("D: no exact realness condition was found; D may include "
+               "points whose double limit points are complex")
+
+
+@pytest.mark.parametrize("text, params, degree, warned", [
+    # H is {a1 = 0} at degrees 3 and 4 and {-9*a1 + 20*a1^2 = 0} at 5
+    ("x^3 - lam + a1*x + x^5", ("a1",), 5, ()),
+    ("x^3 - x*lam + a1 + a2*x^2 + x^5", ("a1", "a2"), 5, ()),
+    ("x^2 + lam^2 + a1 + x^4", ("a1",), 4, (4,)),
+])
+def test_persistent_truncation_degree_above_determinacy(text, params,
+                                                        degree, warned):
+    # terms above the determinacy degree may still change the transition
+    # set, so two equal consecutive truncations (here at the determinacy
+    # degree and one above it) do not settle the answer; the search steps
+    # down from the body's own state degree, and forwards the warnings of
+    # the two transition sets it computes
+    G = UnfoldingGerm(parse_and_expand(text, X + params, None), params)
+    assert persistent_truncation_degree(G) == (
+        degree, ["truncation degree %d: %s" % (d, NO_REALNESS)
+                 for d in warned])
 
 
 @pytest.mark.parametrize("text, params, hysteresis", [

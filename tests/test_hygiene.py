@@ -145,6 +145,9 @@ jobs = [
     ["standard-basis", "x^2 - lambda^3", "x*lambda", "--vars", "x,lambda"],
     ["normalform", "sin(lambda) - x^3", "--vars", "x,lambda"],
     ["unfolding", "x^3 - x*lambda", "--vars", "x,lambda"],
+    # the body's state degree is the determinacy degree 3, so no transition
+    # set (and no elimination) is needed
+    ["verify", "--persistent", "x^3 - sin(lambda)", "--vars", "x,lambda"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in jobs]
@@ -158,4 +161,4 @@ def test_germ_algebra_never_loads_sympy():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", GERM_ALGEBRA_RUN], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0] False"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] False"

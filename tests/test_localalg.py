@@ -314,6 +314,20 @@ def test_untruncated_colon_basis_is_reduced():
         assert not any(mdivides(q, m) for q in leads for m in tail)
 
 
+def test_colon_answers_have_positive_local_leading_coefficient():
+    # Jet.primitive makes the lexicographically first coefficient positive
+    # (x^2 in lam - x^2, lam^2 in lam - lam^2); a local answer is signed by
+    # its local leading term instead, on both colon paths
+    I = [j("x^3 + 1/2*x*lam^3 + 1/2*x^3*lam^2"),
+         j("lam^2 - lam^3 + x*lam^2"), j("3/2*x^2*lam")]
+    assert [str(f) for f in colon_ideal(I, j("lam - x^2"))] \
+        == ["lam - lam^2", "x^2"]
+    assert [str(f) for f in colon_ideal([j("x*lam - x^3")], j("x"))] \
+        == ["lam - x^2"]
+    assert [str(f) for f in colon_ideal([j("x*lam - x^3")], j("x"), 6)] \
+        == ["lam - x^2", "x^6"]
+
+
 def dense_truncated_colon(I, g, k):
     """(I + M^(k+1)) : g in J^k by dense Gauss-Jordan alone: the vectors
     h = sum(a_m*m) with h*g = sum(b*m'*f) modulo degree > k, f in I, as
