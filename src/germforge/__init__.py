@@ -66,7 +66,6 @@ from .bifurcation import (
     classify_regions,
     nonpersistent_sets,
     render_diagram,
-    render_frames,
     render_transition_slice,
     transition_set,
 )

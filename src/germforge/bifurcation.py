@@ -4,7 +4,6 @@ G(x, lambda, alpha)."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -688,28 +687,6 @@ def render_transition_slice(sigma: TransitionSet, path: str,
 
     return _write_plot(path, window, "component," + ",".join(params), curves,
                        row)
-
-
-def render_frames(sigma: TransitionSet, out_dir: str, sweep: str,
-                  values: Sequence, free: Tuple[str, str],
-                  box=((-1, 1), (-1, 1)), resolution: int = 120) -> List[str]:
-    """One SVG frame per swept parameter value plus an index file."""
-    _check_size("resolution", resolution)
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    index_lines = []
-    for i, v in enumerate(values):
-        name = "frame_%04d.svg" % i
-        target = os.path.join(out_dir, name)
-        render_transition_slice(sigma, target, free=free, fixed={sweep: v},
-                                box=box, resolution=resolution)
-        written.append(target)
-        index_lines.append("%s %s" % (name, v))
-    index = os.path.join(out_dir, "index.txt")
-    with open(index, "w") as fh:
-        fh.write("\n".join(index_lines) + "\n")
-    written.append(index)
-    return written
 
 
 def persistent_truncation_degree(F: UnfoldingGerm,

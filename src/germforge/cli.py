@@ -143,11 +143,16 @@ def _rationals(text, count, flag):
     return values
 
 
-def _jets(args, variables, texts, default_degree):
+def _jets(args, variables, texts, default_degree=None):
     """Each germ text expanded at --degree, or at `default_degree` when
-    --degree is not given."""
+    --degree is not given; with neither, each germ exactly, which only a
+    polynomial allows."""
     k = args.degree if args.degree is not None else default_degree
-    return [parse_and_expand(t, variables, k) for t in texts]
+    trees = [parse_germ(t, variables) for t in texts]
+    for text, tree in zip(texts, trees):
+        if k is None and not is_polynomial_expr(tree):
+            raise InputError("%r is not a polynomial; give --degree" % text)
+    return [taylor_expand(tree, variables, k) for tree in trees]
 
 
 def _plot_directory(directory):
@@ -374,7 +379,7 @@ def cmd_persistent(args, variables):
 
 
 def cmd_intrinsic(args, variables):
-    res = intrinsic_part(_jets(args, variables, args.germ, 8), args.degree)
+    res = intrinsic_part(_jets(args, variables, args.germ), args.degree)
     return ({"germs": args.germ},
             {"ideal": str(res.ideal),
              "blocks": [list(b) for b in res.ideal.blocks]},
@@ -413,7 +418,7 @@ def cmd_division(args, variables):
         raise InputError("division requires --degree")
     if len(args.germ) < 2:
         raise InputError("division needs a germ and at least one divisor")
-    g, *divisors = _jets(args, variables, args.germ, None)
+    g, *divisors = _jets(args, variables, args.germ)
     for text, f in zip(args.germ[1:], divisors):
         if f.is_zero():
             raise InputError("divisor %r is zero up to degree %d"
@@ -429,7 +434,7 @@ def cmd_division(args, variables):
 
 
 def cmd_standard_basis(args, variables):
-    sb = standard_basis(_jets(args, variables, args.germ, 10),
+    sb = standard_basis(_jets(args, variables, args.germ),
                         ORDERS[args.order](), args.degree)
     basis = [str(f) for f in sb.generators]
     return ({"germs": args.germ}, {"basis": basis},
@@ -437,23 +442,24 @@ def cmd_standard_basis(args, variables):
 
 
 def cmd_colon_ideal(args, variables):
-    *jets, g = _jets(args, variables, args.germ + [args.by], 10)
+    *jets, g = _jets(args, variables, args.germ + [args.by])
     if g.is_zero():
-        raise InputError("--by is zero up to degree %d" % g.degree)
+        raise InputError("--by is zero" if g.degree is None
+                         else "--by is zero up to degree %d" % g.degree)
     basis = [str(f) for f in colon_ideal(jets, g, args.degree)]
     return ({"germs": args.germ, "by": args.by}, {"basis": basis}, [],
             basis)
 
 
 def cmd_normalset(args, variables):
-    basis = normal_set(_jets(args, variables, args.germ, 10), args.degree)
+    basis = normal_set(_jets(args, variables, args.germ), args.degree)
     names = [format_monomial(m, variables) for m in basis]
     return ({"germs": args.germ}, {"basis": names}, [],
             ["{%s}" % ", ".join(names)])
 
 
 def cmd_multmatrix(args, variables):
-    *jets, u = _jets(args, variables, args.germ + [args.by], 10)
+    *jets, u = _jets(args, variables, args.germ + [args.by])
     if len(u.terms) != 1 or list(u.terms.values())[0] != 1:
         raise InputError("--by must be a single monomial")
     [mono] = u.terms

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from .jets import Jet, monomials_upto
 from .linalg import RowSpace
-from .localalg import codimension, ideal_span
+from .localalg import codimension, ideal_span, span_degree
 
 DEFAULT_UPPER_BOUND = 20
 
@@ -120,16 +120,19 @@ def intrinsic_from_members(members: set, k: int) -> IntrinsicIdeal:
 
 
 def intrinsic_part(I: List[Jet], k: Optional[int] = None) -> IntrinsicResult:
-    """Largest intrinsic ideal contained in <I> modulo degree k.  Infinite
-    codimension is reported as a remark, not an error."""
+    """Largest intrinsic ideal contained in <I> modulo degree k, read at
+    `span_degree` (exact at the own degree of polynomials), or one degree
+    above the largest total degree of polynomials of infinite codimension.
+    That, or no block M^a, is remarked on as infinite codimension."""
     if not I:
         return IntrinsicResult(IntrinsicIdeal(()), INFINITE_CODIM_REMARK)
-    if k is None:
+    d = finite = span_degree(I, k)
+    if finite is None:
         degrees = [f.total_degree() for f in I if not f.is_zero()]
-        k = max(degrees) + 1 if degrees else 1
-    ideal = intrinsic_from_members(ideal_span(I, k).monomials(), k)
+        d = max(degrees) + 1 if degrees else 1
+    ideal = intrinsic_from_members(ideal_span(I, d).monomials(), d)
     remark = None
-    if not any(l == 0 for _k, l in ideal.blocks):
+    if finite is None or not any(l == 0 for _k, l in ideal.blocks):
         remark = INFINITE_CODIM_REMARK
     return IntrinsicResult(ideal, remark)
 
@@ -173,7 +176,7 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
       M^(k+1) they are equal.  P(j^(k+1) g) at degree k+2 keeps every block
       with l <= k+1, and its extra block <lambda^(k+2)> lies in the l = 0 one.
     - the fractional ring is valid: its basis is stable by the leading-form
-      lemma of `localalg.standard_basis`, here for one generator."""
+      lemma of `localalg.ideal_span`, here for one generator."""
     bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         g = expand(k)
@@ -188,13 +191,10 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
 
 def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:
     """Least truncation degree k >= 1 at which the truncated ideal has
-    finite codimension, one standard basis per degree with a nonzero jet.
-    Its basis is stable by the leading-form lemma of
-    `localalg.standard_basis`, so the fractional ring is valid."""
+    finite codimension, one span per degree; its pivots are stable
+    (`localalg.ideal_span`), so the fractional ring is valid."""
     bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
-        Gk = [f.truncate(k) for f in G]
-        Gk = [f for f in Gk if not f.is_zero()]
-        if Gk and codimension(Gk, k) is not None:
+        if codimension(G, k) is not None:
             return VerifyReport(k)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])

@@ -38,8 +38,11 @@ class RowSpace:
     def rows(self):
         """The reduced rows as jets, in pivot column order."""
         return [Jet(dict(self._rows[p]), self.variables, self.degree,
-                    _clean=False)
-                for p in sorted(self._rows, key=self._col.__getitem__)]
+                    _clean=False) for p in self.pivots()]
+
+    def pivots(self):
+        """The pivot monomials (leading local monomials), in column order."""
+        return sorted(self._rows, key=self._col.__getitem__)
 
     def monomials(self):
         """The monomials lying in the span: those whose pivot row is the

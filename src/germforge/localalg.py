@@ -1,15 +1,17 @@
 """Standard-basis machinery for local and global monomial orders.
 
-Local computations use Mora's tangent-cone algorithm: division carries a unit
-multiplier, reducer selection is guided by the ecart, and intermediate
-results join the divisor list.  Global computations fall back to classical
-Buchberger/polynomial division.
+Local answers about an ideal are read from one `ideal_span` at the degree
+`span_degree` gives.  Mora's tangent-cone algorithm (a unit multiplier,
+reducers chosen by ecart) serves division, the own degree of polynomial
+ideals and the ideals of infinite codimension.  Global orders use classical
+Buchberger and polynomial division.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import List, Optional
 
 from .jets import (
@@ -151,27 +153,21 @@ class StandardBasis:
     order: MonomialOrder
     degree: Optional[int]
     warning: Optional[str] = None
-    _leads: Optional[list] = field(default=None, repr=False)
 
     def leading_monomials(self):
-        if self._leads is None:
-            self._leads = [g.leading_monomial(self.order) for g in self.generators]
-        return self._leads
-
-    def reduce(self, f: Jet) -> Jet:
-        if f.is_zero():
-            return f
-        return mora_divide(f, self.generators, self.order, self.degree).remainder
+        return [g.leading_monomial(self.order) for g in self.generators]
 
     def contains(self, f: Jet) -> bool:
         f = f.truncate(self.degree) if self.degree is not None else f
-        return f.is_zero() or self.reduce(f).is_zero()
+        return f.is_zero() or mora_divide(
+            f, self.generators, self.order, self.degree).remainder.is_zero()
 
 
 def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
     """Mora's tangent-cone algorithm (Buchberger's for a global order) on
     monic generators; `leads` holds each basis element's leading monomial
-    and `pairs` each pair's lcm, both taken once on entry."""
+    and `pairs` each pair's lcm, both taken once on entry.  A local loop
+    stops once `_least_degree` of the leading monomials is found."""
     basis, leads, pairs = [], [], {}
 
     def add(f):
@@ -185,7 +181,8 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         g = g.truncate(k) if k is not None else g
         if not g.is_zero():
             add(g)
-    while pairs:
+    while pairs and not (order.is_local
+                         and _least_degree(leads, len(leads[0])) is not None):
         # deterministic queue: smallest lcm first under the order's key
         i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
         lcm = pairs.pop((i, j))
@@ -238,10 +235,10 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
         tail_part = g - lead
         if others and not tail_part.is_zero():
             # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
-            # = lead*unit + r stays in the ideal; untruncated local tails
+            # = lead*unit + r stays in the ideal; local tails (untruncated)
             # can reduce to infinite series, so those are only
             # weak-normalized
-            if k is None and order.is_local:
+            if order.is_local:
                 r, unit, _ = _weak_nf(tail_part, others, order)
             else:
                 res = mora_divide(tail_part, others, order, k)
@@ -252,25 +249,76 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
     return [g for _, g in out]
 
 
+def _least_degree(leads, nvars: int) -> Optional[int]:
+    """The least d at which one of the leading monomials `leads` divides
+    every monomial of degree d, so M^d lies in the ideal; None without a
+    pure power of every variable (infinite codimension)."""
+    if not all(any(mdeg(lm) == lm[i] for lm in leads) for i in range(nvars)):
+        return None
+    return next(d for d in count() if all(
+        any(mdivides(lm, m) for lm in leads)
+        for m in monomials_upto(nvars, d) if mdeg(m) == d))
+
+
+def _own_degree(G: List[Jet]):
+    """(D, basis) for polynomials G: Mora's local basis of <G> and the own
+    degree D = `_least_degree` of L(<G>), read from the pivots of the span
+    at the degree where the loop stopped; D is None for infinite
+    codimension, where the basis is complete."""
+    basis = _basis_loop(G, LocalOrder(), None)
+    nvars = len(G[0].variables)
+    d = _least_degree([f.leading_monomial(LocalOrder()) for f in basis],
+                      nvars)
+    if d is not None:
+        d = _least_degree(ideal_span(G, d).pivots(), nvars)
+    return d, basis
+
+
+def span_degree(G: List[Jet], k: Optional[int] = None) -> Optional[int]:
+    """The degree of the one `ideal_span` that answers for <G>: k, else the
+    least degree of G's truncated jets, else the own degree D of the
+    polynomials G (`_own_degree`), where M^D lies in <G> so that J^D answers
+    exactly; None for polynomials of infinite codimension."""
+    if not G:
+        raise ValueError("empty generating list")
+    if k is None:
+        k = min((f.degree for f in G if f.degree is not None), default=None)
+    return k if k is not None else _own_degree(G)[0]
+
+
+def _minimal_rows(span: RowSpace) -> List[Jet]:
+    """The reduced rows whose pivot no other pivot divides: for an ideal of
+    J^k its reduced local standard basis, since pivots are leading
+    monomials, multiples of pivots are pivots and tails hold no pivot."""
+    pivots = span.pivots()
+    return [h for h, p in zip(span.rows, pivots)
+            if not any(q != p and mdivides(q, p) for q in pivots)]
+
+
 def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
                    k: Optional[int] = None) -> StandardBasis:
-    """Inter-reduced standard basis of <G> (Groebner basis for a global
-    order), computed once.
+    """Reduced standard basis of <G> (Groebner basis for a global order).
 
-    Under a local order a truncated basis is stable by its leading forms
-    (Greuel and Pfister, section 1.7): in J_k = <G> + M^(k+1), an f of order
-    <= k is i + m with i in <G> and m in M^(k+1), so f and i have the same
-    lowest-degree form and the same leading monomial.  L(J_k) and L(J_(k+1))
-    both agree with L(<G>) in every degree <= k, so a basis at k+1 has no
-    other leading monomials of degree <= k.  A global order has no such
-    lemma: there the basis is recomputed at k+1, and a different set of
-    leading monomials of degree <= k only sets a warning."""
+    Under the local order it is `_minimal_rows` of the span at
+    `span_degree`, untruncated for polynomials G, or Mora's interreduced
+    basis for polynomials of infinite codimension.  A global order with k
+    recomputes the basis at k+1 and warns when the leading monomials of
+    degree <= k differ."""
     order = order or LocalOrder()
     if not G:
         raise ValueError("empty generating list")
-    basis = _interreduce(_basis_loop(G, order, k), order, k)
-    sb = StandardBasis(basis, order, k)
-    if k is not None and not order.is_local and basis:
+    if order.is_local:
+        if k is not None or any(f.degree is not None for f in G):
+            k = span_degree(G, k)
+            return StandardBasis(_minimal_rows(ideal_span(G, k)), order, k)
+        d, basis = _own_degree(G)
+        if d is None:
+            return StandardBasis(_interreduce(basis, order, None), order, None)
+        return StandardBasis([h.truncate(None) for h in
+                              _minimal_rows(ideal_span(G, d))], order, None)
+    sb = StandardBasis(_interreduce(_basis_loop(G, order, k), order, k),
+                       order, k)
+    if k is not None and sb.generators:
         lifted = [g.truncate(None).truncate(k + 1) for g in G]
         higher = _interreduce(_basis_loop(lifted, order, k + 1), order, k + 1)
         lt_low = set(sb.leading_monomials())
@@ -309,10 +357,8 @@ def _with_t(f: Jet, tvars) -> Jet:
     return f.truncate(None).rename(tvars)
 
 
-def ideal_intersection(I: List[Jet], J: List[Jet],
-                       k: Optional[int] = None) -> List[Jet]:
-    """Generators of <I> ∩ <J>, via the t-trick in the polynomial ring; with a
-    truncation degree the result is re-normalized by a local standard basis."""
+def ideal_intersection(I: List[Jet], J: List[Jet]) -> List[Jet]:
+    """Generators of <I> ∩ <J>, via the t-trick in the polynomial ring."""
     if not I or not J:
         raise ValueError("both generator lists must be nonempty")
     variables = I[0].variables
@@ -323,45 +369,37 @@ def ideal_intersection(I: List[Jet], J: List[Jet],
     gens = [t * _with_t(f, tvars) for f in I]
     gens += [(one - t) * _with_t(g, tvars) for g in J]
     gb = buchberger(gens, BlockOrder(1))
-    out = []
-    for g in gb:
-        if all(m[0] == 0 for m in g.terms):
-            out.append(g.restrict(variables))
-    if not out:
-        return []
-    if k is not None:
-        out = [g.truncate(k) for g in out]
-        out = [g for g in out if not g.is_zero()]
-        if out:
-            out = standard_basis(out, LocalOrder(), k).generators
-    return out
+    return [g.restrict(variables) for g in gb
+            if all(m[0] == 0 for m in g.terms)]
 
 
 def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     """Generators of the colon ideal I : <g> in the local ring.
 
-    With a truncation degree k the answer is the reduced local standard
-    basis of (I + M^(k+1)) : g in the jet space J^k = E/M^(k+1), found by
-    linear algebra: the kernel of m -> (m*g modulo the span of I in J^k)
-    over the monomials m of degree <= k, in reduced echelon form (RowSpace
-    columns run in local-order-descending order, so each row's pivot is its
-    leading monomial).  The rows whose pivot is divisible by no other pivot
-    are returned, made primitive with a positive local leading
-    coefficient.
+    At `span_degree` it is the reduced local standard basis of
+    (I + M^(k+1)) : g in J^k: the kernel of m -> (m*g modulo the span of I)
+    over the monomials m of degree <= k, in reduced echelon form, of which
+    `_minimal_rows` are returned, made primitive with a positive local
+    leading coefficient.  At the own degree D of polynomials I, M^D lies in
+    I and in I : g, so the answer is exact.  Without k a unit g gives I.
 
-    Without k, a local standard basis {h_i} of I ∩ <g> (the t-trick of
-    `ideal_intersection`) is divided exactly by g; the Mora unit is
-    absorbed, which changes generators only by unit factors.  The quotients
-    are interreduced under the local order (`_interreduce`, with weak
-    normal forms of the tails) and made primitive the same way.  A unit g
-    gives I itself."""
+    For polynomials I of infinite codimension a local standard
+    basis {h_i} of I ∩ <g> (the t-trick of `ideal_intersection`) is divided
+    exactly by g; the Mora unit is absorbed, which changes generators only
+    by unit factors.  The quotients are interreduced under the local order
+    (`_interreduce`, with weak normal forms of the tails) and made
+    primitive the same way."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
-    if k is not None:
-        return _truncated_colon(I, g, k)
-    if g.constant_term() != 0:
+    if k is None and g.constant_term() != 0:
         return list(I)
-    inter = ideal_intersection(I, [g], None)
+    d = span_degree(I, k)
+    if d is not None:
+        out = _truncated_colon(I, g, d)
+        if k is None and all(f.degree is None for f in I):
+            out = [h.truncate(None) for h in out]
+        return out
+    inter = ideal_intersection(I, [g])
     if not inter:
         return []
     sb = standard_basis(inter, LocalOrder(), None)
@@ -386,8 +424,6 @@ def _local_primitive(h: Jet) -> Jet:
 
 
 def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
-    if not I:
-        raise ValueError("empty generating list")
     span = ideal_span(I, k)
     g = g.truncate(k)
     monos = monomials_upto(len(g.variables), k)
@@ -397,55 +433,31 @@ def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
     for vec in nullspace([[r.get(c, 0) for r in residues] for c in columns],
                          len(monos)):
         kernel.add(Jet(dict(zip(monos, vec)), g.variables, k))
-    rows = kernel.rows
-    pivots = [h.leading_monomial(LocalOrder()) for h in rows]
-    return [_local_primitive(h) for h, p in zip(rows, pivots)
-            if not any(q != p and mdivides(q, p) for q in pivots)]
+    return [_local_primitive(h) for h in _minimal_rows(kernel)]
 
 
-def _pure_power_bounds(sb: StandardBasis):
-    """Per-variable minimal pure-power exponents in the leading-term ideal,
-    or None where there is no pure power."""
-    nvars = len(sb.generators[0].variables) if sb.generators else 0
-    bounds = [None] * nvars
-    for lm in sb.leading_monomials():
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-        elif len(support) == 0:
-            return [0] * nvars
-    return bounds
+def _quotient(I: List[Jet], k: Optional[int]):
+    """(span, normal set): the span of <I> at `span_degree` and its
+    non-pivot monomials in descending local order; raises for infinite
+    codimension."""
+    k = span_degree(I, k)
+    if k is None:
+        raise InfiniteCodimensionError("the ideal is of infinite codimension")
+    span = ideal_span(I, k)
+    pivots = set(span.pivots())
+    nvars = len(span.variables)
+    if _least_degree(pivots, nvars) is None:
+        raise InfiniteCodimensionError("the ideal is of infinite codimension")
+    return span, [m for m in monomials_upto(nvars, k) if m not in pivots]
 
 
-def normal_set(I, k: Optional[int] = None) -> list:
+def normal_set(I: List[Jet], k: Optional[int] = None) -> list:
     """Standard monomials of <I>: the monomial basis of E/<I>, ordered by the
-    local order descending (1 first).  `I` may be a generator list or a
-    precomputed StandardBasis."""
-    sb = I if isinstance(I, StandardBasis) else standard_basis(
-        I, LocalOrder(), k)
-    if not sb.generators:
-        raise InfiniteCodimensionError("the ideal is of infinite codimension")
-    bounds = _pure_power_bounds(sb)
-    if any(b is None for b in bounds):
-        raise InfiniteCodimensionError("the ideal is of infinite codimension")
-    leads = sb.leading_monomials()
-    order = sb.order
-    out = []
-    # a standard monomial has every exponent below the pure-power bound
-    for m in monomials_upto(len(bounds), sum(bounds)):
-        if any(e >= b for e, b in zip(m, bounds)):
-            continue
-        if k is not None and mdeg(m) > k:
-            continue
-        if not any(mdivides(lm, m) for lm in leads):
-            out.append(m)
-    out.sort(key=order.key, reverse=True)
-    return out
+    local order descending (1 first); the non-pivots of one `ideal_span`."""
+    return _quotient(I, k)[1]
 
 
-def codimension(I, k: Optional[int] = None):
+def codimension(I: List[Jet], k: Optional[int] = None):
     """Number of standard monomials, or None for infinite codimension."""
     try:
         return len(normal_set(I, k))
@@ -453,33 +465,28 @@ def codimension(I, k: Optional[int] = None):
         return None
 
 
-def mult_matrix(A, u, k: Optional[int] = None):
+def mult_matrix(A: List[Jet], u, k: Optional[int] = None):
     """Matrix of multiplication by the monomial u on E/<A> in the normal-set
-    basis (descending local order).  Returns (matrix, basis)."""
-    sb = A if isinstance(A, StandardBasis) else standard_basis(
-        A, LocalOrder(), k)
-    basis = normal_set(sb, k)
-    variables = sb.generators[0].variables
+    basis (descending local order), column j the residue of u*b_j against
+    the span.  Returns (matrix, basis)."""
+    span, basis = _quotient(A, k)
     index = {m: i for i, m in enumerate(basis)}
     n = len(basis)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for j, b in enumerate(basis):
-        prod = Jet.monomial(mmul(tuple(u), b), variables, 1, sb.degree)
-        if prod.is_zero():
-            continue
-        r = sb.reduce(prod)
-        for m, c in r.terms.items():
-            if m not in index:
-                raise ArithmeticError("reduction left a non-standard monomial")
+        prod = Jet.monomial(mmul(tuple(u), b), span.variables)
+        for m, c in span.residue(prod).items():
             matrix[index[m]][j] = c
     return matrix, basis
 
 
 def ideal_span(G: List[Jet], k: int) -> RowSpace:
     """The ideal <G> in the jet space J^k = E/M^(k+1): the coefficient span
-    of {m*f : f in G, deg(m*f) <= k}.  The truncated colon ideal and
-    `intrinsic_part` work on it, and the tests use it as a membership
-    oracle."""
+    of {m*f : f in G, deg(m*f) <= k}, from which local answers are read.
+    Its pivots are the leading monomials of <G> of degree <= k (the
+    leading-form lemma, Greuel and Pfister, section 1.7: an f of order <= k
+    in <G> + M^(k+1) is i + m with i in <G>, m in M^(k+1), so f and i have
+    the same leading monomial)."""
     space = RowSpace(G[0].variables, k)
     for f in G:
         space.add_multiples(f)

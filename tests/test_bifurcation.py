@@ -1,7 +1,6 @@
 """Transition sets, boundary non-persistence, region catalogs, diagrams,
 and rendering."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from germforge import (
     nonpersistent_sets,
     parse_and_expand,
     render_diagram,
-    render_frames,
     render_transition_slice,
     transition_set,
 )
@@ -491,8 +489,6 @@ def test_sampling_sizes_below_one_raise(tmp_path, size):
         lambda: bifurcation_diagram(fold(), (0,), resolution=size),
         lambda: render_transition_slice(sigma, str(tmp_path / "s"),
                                         resolution=size),
-        lambda: render_frames(sigma, str(tmp_path / "f"), "a3", [0],
-                              ("a1", "a2"), resolution=size),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="at least 1"):
@@ -792,17 +788,3 @@ def test_transition_slice_polylines_are_chained(tmp_path):
     points = svg.split('points="')[1].split('"')[0].split()
     assert len(points) > 2 and points[0] == points[-1]
     assert len(open(paths[1]).read().splitlines()) == len(points) + 1
-
-
-def test_render_frames(wc_sigma, tmp_path):
-    out = str(tmp_path / "frames")
-    written = render_frames(wc_sigma, out, "a3",
-                            [Fraction(-1, 2), 0, Fraction(1, 2)],
-                            ("a1", "a2"), resolution=40)
-    frames = [p for p in written if p.endswith(".svg")]
-    assert len(frames) == 3
-    for p in frames:
-        assert os.path.exists(p)
-    index = open(os.path.join(out, "index.txt")).read().splitlines()
-    assert len(index) == 3
-    assert index[0].startswith("frame_0000.svg ")

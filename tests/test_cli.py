@@ -339,6 +339,41 @@ def test_colon_ideal_degree_answers_in_the_jet_space(capsys):
     assert out == "lambda\n"
 
 
+@pytest.mark.parametrize("argv, degree, expected", [
+    # without --degree these were cut at degree 10 (8 for intrinsic)
+    (["standard-basis", "x^11 + lambda^2", "x*lambda"], 12,
+     "x*lambda\nlambda^2 + x^11\nx^12\n"),
+    (["normalset", "x^11 + lambda^2", "x*lambda"], 12,
+     "{1, x, lambda, x^2, x^3, x^4, x^5, x^6, x^7, x^8, x^9, x^10, x^11}\n"),
+    (["colon-ideal", "x^11 + lambda^2", "x*lambda", "--by", "lambda"], 12,
+     "x\nlambda^2\n"),
+    (["intrinsic", "x^9 + lambda", "x^10"], 12, "M^10 + M<lambda>\n"),
+    (["intrinsic", "lambda - x^2", "lambda^2"], 8,
+     "M^4 + M^2<lambda> + <lambda^2>\n"),
+    # the untruncated colon is reduced: the t-trick gave a first generator
+    # whose tail held lambda^3
+    (["colon-ideal", "x^2", "lambda^3 + 1/2*lambda^4 - 1/2*x^4*lambda",
+      "3/2*x^2", "--by", "x - lambda^2"], 8, "x + lambda^2\nlambda^3\n"),
+], ids=["standard-basis", "normalset", "colon-ideal", "intrinsic-x^9",
+        "intrinsic-codim-4", "colon-ideal-reduced"])
+def test_polynomial_input_is_exact_without_degree(capsys, argv, degree,
+                                                  expected):
+    # a polynomial ideal of finite codimension is answered at its own
+    # degree, as at any sufficient --degree
+    exact = run(capsys, *argv, "--vars", "x,lambda")
+    assert exact == (0, expected, "")
+    assert run(capsys, *argv, "--vars", "x,lambda", "--degree",
+               str(degree)) == exact
+
+
+def test_nonpolynomial_germ_needs_a_degree(capsys):
+    argv = ["normalset", "sin(x)", "lambda^2", "--vars", "x,lambda"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "give --degree" in err
+    assert run(capsys, *argv, "--degree", "4") == (0, "{1, lambda}\n", "")
+
+
 def test_unfolding_list_cap_warns(capsys, monkeypatch):
     # x^3 + x*lambda^2 + lambda^4 has 4 monomial complements of T; a cap of
     # 1 lists the first and says the list was cut

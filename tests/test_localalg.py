@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge.germexpr import parse_and_expand
 from germforge.jets import Jet, LexOrder, LocalOrder, mdivides, monomials_upto
@@ -19,6 +21,7 @@ from germforge.localalg import (
     mora_divide,
     mult_matrix,
     normal_set,
+    span_degree,
     standard_basis,
 )
 from test_linalg import dense_nullspace, dense_rref
@@ -190,7 +193,7 @@ def test_leading_ideal_agrees_with_span_oracle():
         spanned = {r.leading_monomial(LO) for r in ideal_span(G, k).rows}
         assert divisible == spanned, (G, k)
         try:
-            standard = normal_set(sb, k)
+            standard = normal_set(G, k)
         except InfiniteCodimensionError:
             pass
         else:
@@ -202,9 +205,9 @@ def test_leading_ideal_agrees_with_span_oracle():
 # ------------------------------------------------- intersection and colon
 
 def test_intersection_trivials():
-    out = ideal_intersection([j("x")], [j("lam")], None)
+    out = ideal_intersection([j("x")], [j("lam")])
     assert [str(f) for f in out] == ["x*lam"]
-    out = ideal_intersection([j("x"), j("lam")], [j("x")], None)
+    out = ideal_intersection([j("x"), j("lam")], [j("x")])
     assert [str(f) for f in out] == ["x"]
 
 
@@ -212,7 +215,8 @@ def test_intersection_against_span_oracle():
     k = 8
     I = [j("x^2", k)]
     J2 = [j("x^3 - lam", k)]
-    out = ideal_intersection([j("x^2")], [j("x^3 - lam")], k)
+    # the exact intersection, read in J^k
+    out = ideal_intersection([j("x^2")], [j("x^3 - lam")])
     # brute-force intersection of the two coefficient spans
     si = ideal_span(I, k)
     sj = ideal_span(J2, k)
@@ -316,12 +320,15 @@ def test_untruncated_colon_basis_is_reduced():
 
 def test_colon_answers_have_positive_local_leading_coefficient():
     # Jet.primitive makes the lexicographically first coefficient positive
-    # (x^2 in lam - x^2, lam^2 in lam - lam^2); a local answer is signed by
-    # its local leading term instead, on both colon paths
+    # (x^2 in lam - x^2); a local answer is signed by its local leading term
+    # instead, on both colon paths.  I has finite codimension, so its colon
+    # is read from the jet space at I's own degree and is reduced (lam, not
+    # the unit multiple lam - lam^2); x*lam - x^3 has infinite codimension
+    # and takes the t-trick
     I = [j("x^3 + 1/2*x*lam^3 + 1/2*x^3*lam^2"),
          j("lam^2 - lam^3 + x*lam^2"), j("3/2*x^2*lam")]
     assert [str(f) for f in colon_ideal(I, j("lam - x^2"))] \
-        == ["lam - lam^2", "x^2"]
+        == ["lam", "x^2"]
     assert [str(f) for f in colon_ideal([j("x*lam - x^3")], j("x"))] \
         == ["lam - x^2"]
     assert [str(f) for f in colon_ideal([j("x*lam - x^3")], j("x"), 6)] \
@@ -499,6 +506,50 @@ def test_mult_matrix_trivial_and_commutation():
     Mxl, _ = mult_matrix(A, (1, 1), 6)
     assert matmul(Mx, Ml) == Mxl
 
+
+# --------------------------------------------- untruncated finite ideals
+
+def polynomials(top, size):
+    return st.dictionaries(
+        st.tuples(st.integers(0, top), st.integers(0, top)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=size).map(lambda terms: Jet(terms, V, None))
+
+
+def above(f, d):
+    """The terms of f of degree above d."""
+    return Jet({m: c for m, c in f.terms.items() if sum(m) > d}, V, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), polynomials(4, 3),
+       polynomials(4, 3), polynomials(2, 2), polynomials(2, 2),
+       st.lists(polynomials(4, 3), max_size=1), polynomials(4, 3),
+       st.integers(0, 2))
+def test_untruncated_answers_equal_those_at_any_degree_from_d(
+        a, b, h1, h2, p, q, extra, g, more):
+    # <x^a + h1, lam^b + h2> has finite codimension, and so an own degree
+    # D with M^D inside it; the generators are mixed by p and q, which
+    # keeps the ideal, so Mora's loop may have to find the pure powers.
+    # Every untruncated answer is the answer in J^k for every k >= D, and
+    # the basis is reduced: no tail term is divisible by a leading monomial
+    f1 = j("x^%d" % a) + above(h1, a)
+    f2 = j("lam^%d" % b) + above(h2, b)
+    f1 = f1 + p * f2
+    I = [f1, f2 + q * f1] + [f for f in extra if not f.is_zero()]
+    k = span_degree(I) + more
+    sb = standard_basis(I)
+    assert sb.generators == standard_basis(I, LO, k).generators
+    assert all(f.degree is None for f in sb.generators)
+    assert normal_set(I) == normal_set(I, k)
+    assert mult_matrix(I, (1, 0)) == mult_matrix(I, (1, 0), k)
+    g = g - Jet.constant(g.constant_term(), V)
+    if not g.is_zero():
+        assert colon_ideal(I, g) == colon_ideal(I, g, k)
+    leads = sb.leading_monomials()
+    for f, lm in zip(sb.generators, leads):
+        assert not any(mdivides(o, m) for o in leads for m in f.terms
+                       if m != lm)
 
 # -------------------------------------------------------------- eliminate
 
