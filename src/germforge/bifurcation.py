@@ -689,15 +689,14 @@ def render_transition_slice(sigma: TransitionSet, path: str,
                        row)
 
 
-def persistent_truncation_degree(F: UnfoldingGerm,
-                                 upper_bound: Optional[int] = None
+def persistent_truncation_degree(F: UnfoldingGerm
                                  ) -> Tuple[Optional[int], List[str]]:
     """Least state-variable truncation degree, from the determinacy degree
     of the base germ on, from which the transition-set polynomials stop
     changing, with the warnings of the transition sets computed on the way;
-    (None, []) when `verify_germ` finds no determinacy degree up to
-    `upper_bound`.  A truncation below the determinacy degree is not
-    equivalent to the germ, so no smaller degree is tried.
+    (None, []) when `verify_germ` finds no determinacy degree.  A
+    truncation below the determinacy degree is not equivalent to the germ,
+    so no smaller degree is tried.
 
     A truncation at or above the body's largest x-lambda degree top is the
     body itself, so the transition set cannot change there: a determinacy
@@ -707,8 +706,7 @@ def persistent_truncation_degree(F: UnfoldingGerm,
     degree from top down to the answer (and the one below it that
     differs, unless the answer is the determinacy degree)."""
     base = F.base()
-    start = verify_germ(lambda kk: base.truncate(kk),
-                        upper_bound=upper_bound).truncation_degree
+    start = verify_germ(lambda kk: base.truncate(kk)).truncation_degree
     warnings: List[str] = []
     top = max((m[0] + m[1] for m in F.body.terms), default=0)
     if start is None or start >= top:

@@ -21,12 +21,10 @@ from .germexpr import (
     NonUnitDivisorError,
     UnknownVariableError,
     is_polynomial_expr,
-    parse_and_expand,
     parse_germ,
     taylor_expand,
 )
 from .intrinsic import (
-    INCREASE_BOUND_WARNING,
     degree_bound,
     intrinsic_part,
     verify_germ,
@@ -67,7 +65,6 @@ from .bifurcation import (
     bifurcation_diagram,
     classify_regions,
     nonpersistent_sets,
-    persistent_truncation_degree,
     render_diagram,
     render_transition_slice,
     transition_set,
@@ -143,16 +140,21 @@ def _rationals(text, count, flag):
     return values
 
 
-def _jets(args, variables, texts, default_degree=None):
-    """Each germ text expanded at --degree, or at `default_degree` when
-    --degree is not given; with neither, each germ exactly, which only a
-    polynomial allows."""
-    k = args.degree if args.degree is not None else default_degree
+def _expanded(texts, variables, k):
+    """Each germ text expanded at k; with k None, each germ exactly, which
+    only a polynomial allows."""
     trees = [parse_germ(t, variables) for t in texts]
     for text, tree in zip(texts, trees):
         if k is None and not is_polynomial_expr(tree):
             raise InputError("%r is not a polynomial; give --degree" % text)
     return [taylor_expand(tree, variables, k) for tree in trees]
+
+
+def _jets(args, variables, texts, default_degree=None):
+    """Each germ text expanded at --degree, or at `default_degree` when
+    --degree is not given; with neither, each germ exactly."""
+    k = args.degree if args.degree is not None else default_degree
+    return _expanded(texts, variables, k)
 
 
 def _plot_directory(directory):
@@ -188,20 +190,22 @@ def _ring_warnings(args, polynomial, warning, warnings):
 
 
 def _unfolding(args, variables, degree):
-    """The germ as an unfolding in --params: expanded at `degree` (twice the
-    truncation-degree bound when None), then left untruncated."""
+    """The germ as an unfolding in --params: expanded at `degree`, or exactly
+    when it is None (a polynomial only), then left untruncated."""
     params = _split_names(args.params)
     all_vars = tuple(variables) + params
-    k = degree if degree is not None else 2 * degree_bound()
-    body = parse_and_expand(args.germ[0], all_vars, k)
+    [body] = _expanded(args.germ[:1], all_vars, degree)
     return UnfoldingGerm(Jet(dict(body.terms), all_vars, None), params)
 
 
 def _transition_unfolding(args, variables):
-    """The unfolding of a command that prints a transition set; a --plot
+    """The unfolding of a command that prints a transition set: exact
+    without --degree, else expanded at twice the truncation-degree bound,
+    as the library cuts only its x-lambda degree at --degree.  A --plot
     slice needs two parameters and an existing directory, both checked
     before any elimination."""
-    G = _unfolding(args, variables, None)
+    G = _unfolding(args, variables,
+                   None if args.degree is None else 2 * degree_bound())
     if args.plot:
         if len(G.params) != 2:
             raise InputError("--plot draws a slice in exactly 2 parameters, "
@@ -228,19 +232,7 @@ def _transition_output(args, ts):
 
 def cmd_verify(args, variables):
     bound = args.upper_bound
-    if args.persistent:
-        expand, _polynomial = _expander(args.germ[0], variables)
-        # persistent analysis is contact-qualitative: work on the normal form
-        # so inessential high-order Taylor terms cannot postpone stability
-        G, _w = universal_unfolding(expand, normalform=True)
-        k, warnings = persistent_truncation_degree(G, upper_bound=bound)
-        if k is None:
-            return ({"germ": args.germ[0]}, {"truncation_degree": None},
-                    [INCREASE_BOUND_WARNING] + warnings, [])
-        return ({"germ": args.germ[0], "mode": "persistent"},
-                {"truncation_degree": k}, warnings,
-                ["The least permissible truncation degree is: %d" % k])
-    if args.ideal:
+    if args.ideal and not args.persistent:
         # expanded at the search bound, so every degree searched is a jet
         rep = verify_ideal(_jets(args, variables, args.germ,
                                  degree_bound(bound)), upper_bound=bound)
@@ -253,6 +245,16 @@ def cmd_verify(args, variables):
         if rep.truncation_degree is None:
             # a raised bound cannot help a germ that is zero up to it
             require_nonzero(expand(degree_bound(bound)))
+        if args.persistent:
+            # the determinacy degree is a contact invariant and bounds the
+            # x-lambda degree of the normal form's universal unfolding
+            k = rep.truncation_degree
+            if k is None:
+                return ({"germ": args.germ[0]}, {"truncation_degree": None},
+                        rep.warnings, [])
+            return ({"germ": args.germ[0], "mode": "persistent"},
+                    {"truncation_degree": k}, [],
+                    ["The least permissible truncation degree is: %d" % k])
         header = ("The following rings are allowed as the means of "
                   "computations:")
         degree_line = "The truncation degree must be: %s"
@@ -312,8 +314,8 @@ def cmd_recognize(args, variables):
 
 
 def cmd_check_universal(args, variables):
-    answer, warnings = check_universal(_unfolding(args, variables,
-                                                  args.degree))
+    degree = args.degree if args.degree is not None else 2 * degree_bound()
+    answer, warnings = check_universal(_unfolding(args, variables, degree))
     return {"germ": args.germ[0]}, {"universal": answer}, warnings, [answer]
 
 

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from .jets import Jet, monomials_upto
 from .linalg import RowSpace
-from .localalg import codimension, ideal_span, span_degree
+from .localalg import codimension, ideal_span, least_degree, span_degree
 
 DEFAULT_UPPER_BOUND = 20
 
@@ -123,18 +123,18 @@ def intrinsic_part(I: List[Jet], k: Optional[int] = None) -> IntrinsicResult:
     """Largest intrinsic ideal contained in <I> modulo degree k, read at
     `span_degree` (exact at the own degree of polynomials), or one degree
     above the largest total degree of polynomials of infinite codimension.
-    That, or no block M^a, is remarked on as infinite codimension."""
+    Infinite codimension is remarked on when the span's pivots hold no pure
+    power of some variable, the test of `localalg.normal_set`."""
     if not I:
         return IntrinsicResult(IntrinsicIdeal(()), INFINITE_CODIM_REMARK)
-    d = finite = span_degree(I, k)
-    if finite is None:
+    d = span_degree(I, k)
+    if d is None:
         degrees = [f.total_degree() for f in I if not f.is_zero()]
         d = max(degrees) + 1 if degrees else 1
-    ideal = intrinsic_from_members(ideal_span(I, d).monomials(), d)
-    remark = None
-    if finite is None or not any(l == 0 for _k, l in ideal.blocks):
-        remark = INFINITE_CODIM_REMARK
-    return IntrinsicResult(ideal, remark)
+    span = ideal_span(I, d)
+    infinite = least_degree(span.pivots(), len(span.variables)) is None
+    return IntrinsicResult(intrinsic_from_members(span.monomials(), d),
+                           INFINITE_CODIM_REMARK if infinite else None)
 
 
 def smallest_intrinsic(g: Jet) -> IntrinsicIdeal:
@@ -149,15 +149,22 @@ def smallest_intrinsic(g: Jet) -> IntrinsicIdeal:
 class VerifyReport:
     truncation_degree: Optional[int]
     warnings: List[str] = field(default_factory=list)
+    high_order: Optional[IntrinsicIdeal] = None  # a germ's P(j^k g) at k+1
+
+
+def mrt_span(g: Jet, k: int) -> RowSpace:
+    """M*RT(g) = M{g} + M^2{g_x} in the degree-k jet space, the first of the
+    nested spans M*RT(g) in RT(g) in T(g)."""
+    space = RowSpace(g.variables, k)
+    space.add_multiples(g, 1)
+    space.add_multiples(g.diff(g.variables[0]), 2)
+    return space
 
 
 def high_order_part(g: Jet, k: int) -> IntrinsicIdeal:
     """P(g), the ideal of negligible high-order terms: the largest intrinsic
-    ideal inside M*RT(g) = M{g} + M^2{g_x}, from the degree-k jet."""
-    space = RowSpace(g.variables, k)
-    space.add_multiples(g, 1)
-    space.add_multiples(g.diff(g.variables[0]), 2)
-    return intrinsic_from_members(space.monomials(), k)
+    ideal inside M*RT(g), from the degree-k jet."""
+    return intrinsic_from_members(mrt_span(g, k).monomials(), k)
 
 
 def degree_bound(opt: Optional[int] = None) -> int:
@@ -167,8 +174,8 @@ def degree_bound(opt: Optional[int] = None) -> int:
 
 
 def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
-    """Least truncation degree k with M^(k+1) inside P(j^k g), one expand
-    and one P per degree; `expand(k)` must be j^k g, the k-jet of one germ.
+    """Least truncation degree k with M^(k+1) inside P(j^k g), reported with
+    that P; one expand and one P per degree, `expand(k)` the k-jet of g.
     With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
     - P is stable from k to k+1: the test gives M^(k+1) in N(j^k g) +
       M^(k+2), so in N(j^k g) (Nakayama); j^(k+1) g - j^k g lies in M^(k+1),
@@ -185,7 +192,7 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
         # work one degree above the jet so the M^(k+1) boundary is visible
         P = high_order_part(g, k + 1)
         if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
-            return VerifyReport(k)
+            return VerifyReport(k, high_order=P)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])
 
 

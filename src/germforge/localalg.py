@@ -167,7 +167,7 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
     """Mora's tangent-cone algorithm (Buchberger's for a global order) on
     monic generators; `leads` holds each basis element's leading monomial
     and `pairs` each pair's lcm, both taken once on entry.  A local loop
-    stops once `_least_degree` of the leading monomials is found."""
+    stops once `least_degree` of the leading monomials is found."""
     basis, leads, pairs = [], [], {}
 
     def add(f):
@@ -182,7 +182,7 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         if not g.is_zero():
             add(g)
     while pairs and not (order.is_local
-                         and _least_degree(leads, len(leads[0])) is not None):
+                         and least_degree(leads, len(leads[0])) is not None):
         # deterministic queue: smallest lcm first under the order's key
         i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
         lcm = pairs.pop((i, j))
@@ -249,7 +249,7 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
     return [g for _, g in out]
 
 
-def _least_degree(leads, nvars: int) -> Optional[int]:
+def least_degree(leads, nvars: int) -> Optional[int]:
     """The least d at which one of the leading monomials `leads` divides
     every monomial of degree d, so M^d lies in the ideal; None without a
     pure power of every variable (infinite codimension)."""
@@ -262,15 +262,15 @@ def _least_degree(leads, nvars: int) -> Optional[int]:
 
 def _own_degree(G: List[Jet]):
     """(D, basis) for polynomials G: Mora's local basis of <G> and the own
-    degree D = `_least_degree` of L(<G>), read from the pivots of the span
+    degree D = `least_degree` of L(<G>), read from the pivots of the span
     at the degree where the loop stopped; D is None for infinite
     codimension, where the basis is complete."""
     basis = _basis_loop(G, LocalOrder(), None)
     nvars = len(G[0].variables)
-    d = _least_degree([f.leading_monomial(LocalOrder()) for f in basis],
+    d = least_degree([f.leading_monomial(LocalOrder()) for f in basis],
                       nvars)
     if d is not None:
-        d = _least_degree(ideal_span(G, d).pivots(), nvars)
+        d = least_degree(ideal_span(G, d).pivots(), nvars)
     return d, basis
 
 
@@ -446,7 +446,7 @@ def _quotient(I: List[Jet], k: Optional[int]):
     span = ideal_span(I, k)
     pivots = set(span.pivots())
     nvars = len(span.variables)
-    if _least_degree(pivots, nvars) is None:
+    if least_degree(pivots, nvars) is None:
         raise InfiniteCodimensionError("the ideal is of infinite codimension")
     return span, [m for m in monomials_upto(nvars, k) if m not in pivots]
 

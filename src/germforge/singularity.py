@@ -15,6 +15,7 @@ from .intrinsic import (
     IntrinsicIdeal,
     high_order_part,
     intrinsic_from_members,
+    mrt_span,
     smallest_intrinsic,
     verify_germ,
 )
@@ -73,9 +74,6 @@ class SpanSpace:
     extra: List[Jet]
     space: RowSpace = field(repr=False)
 
-    def contains(self, f: Jet) -> bool:
-        return self.space.contains(f)
-
     def __str__(self) -> str:
         parts = []
         if not self.intrinsic.is_zero:
@@ -102,31 +100,29 @@ def _span_to_spanspace(space: RowSpace) -> SpanSpace:
     return SpanSpace(intr, extra, space)
 
 
-def _jet_space(g: Jet) -> RowSpace:
-    """An empty RowSpace at g's degree; ValueError when g is untruncated."""
+def _tangent_spans(g: Jet):
+    """M*RT(g) in RT(g) in T(g) at g's degree: one RowSpace, yielded after
+    each stage as it grows in place.  M*RT(g) = M{g} + M^2{g_x}; RT(g) =
+    E{g} + M{g_x} adds g, x*g_x and lambda*g_x; T(g) = E{g, g_x} +
+    E_lambda{g_lambda} adds g_x and E_lambda{g_lambda}.  ValueError when g
+    is untruncated."""
     if g.degree is None:
         raise ValueError("the tangent spaces need a truncated jet, not the "
                          "untruncated %s" % g)
-    return RowSpace(g.variables, g.degree)
-
-
-def _rt_span(g: Jet) -> RowSpace:
-    """RT(g) = E{g} + M{g_x}."""
-    space = _jet_space(g)
-    space.add_multiples(g)
-    space.add_multiples(g.diff(g.variables[0]), 1)
-    return space
+    space = mrt_span(g, g.degree)
+    yield space
+    gx, glam = g.diff(g.variables[0]), g.diff(g.variables[1])
+    for f in (g, gx.term_mul((1, 0)), gx.term_mul((0, 1))):
+        space.add(f)
+    yield space
+    for f in [gx] + [glam.term_mul((0, j)) for j in range(g.degree + 1)]:
+        space.add(f)
+    yield space
 
 
 def _t_span(g: Jet) -> RowSpace:
-    """T(g) = E{g, g_x} + E_lambda{g_lambda}."""
-    space = _jet_space(g)
-    space.add_multiples(g)
-    space.add_multiples(g.diff(g.variables[0]))
-    glam = g.diff(g.variables[1])
-    for j in range(g.degree + 1):
-        space.add(glam.term_mul((0, j)))
-    return space
+    *_, t = _tangent_spans(g)
+    return t
 
 
 def _complement(space: RowSpace) -> list:
@@ -143,7 +139,8 @@ def _complement(space: RowSpace) -> list:
 
 def restricted_tangent(g: Jet) -> SpanSpace:
     """RT(g) = E{g} + M{g_x} on jets of g's degree."""
-    return _span_to_spanspace(_rt_span(g))
+    _mrt, rt = islice(_tangent_spans(g), 2)
+    return _span_to_spanspace(rt)
 
 
 def tangent_space(g: Jet) -> SpanSpace:
@@ -183,12 +180,16 @@ class AlgObjects:
 
 
 def alg_objects(g: Jet) -> AlgObjects:
-    """The algebraic objects of g at g's degree."""
-    t = _t_span(g)
+    """The algebraic objects of g at g's degree.  P, RT and T come from one
+    span grown through M*RT(g) in RT(g) in T(g)."""
+    spans = _tangent_spans(g)
+    p = intrinsic_from_members(next(spans).monomials(), g.degree)
+    rt = _span_to_spanspace(next(spans).copy())
+    t = next(spans)
     return AlgObjects(
-        rt=restricted_tangent(g),
+        rt=rt,
         t=_span_to_spanspace(t),
-        p=high_order_part(g, g.degree),
+        p=p,
         e_over_t=_complement(t),
         s=smallest_intrinsic(g),
         s_perp=s_perp(g),
@@ -427,14 +428,17 @@ def normal_form(expand: Callable[[int], Jet],
     """Normal form pipeline: expand, delete high-order terms, greedily
     eliminate intermediate terms via the transformation solver, normalize
     scalable coefficients.  The normal form's degree is the working degree.
+    Without k, P is the one `verify_germ` tested at the truncation degree.
     A zero jet at the working degree raises ZeroGermError."""
+    P = None
     if k is None:
         rep = verify_germ(expand)
         if rep.truncation_degree is None:
             return NormalForm(require_nonzero(expand(6)), rep.warnings)
-        k = rep.truncation_degree
+        k, P = rep.truncation_degree, rep.high_order
     g = require_nonzero(expand(k))
-    P = high_order_part(g, k + 1)
+    if P is None:
+        P = high_order_part(g, k + 1)
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
     base = Jet(terms, g.variables, k)
     gens = set(smallest_intrinsic(base).generators()) if not base.is_zero() else set()

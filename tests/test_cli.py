@@ -156,6 +156,45 @@ def test_verify_persistent(capsys):
         assert out == "The least permissible truncation degree is: %d\n" % k
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_verify_persistent_reads_the_determinacy_degree(capsys, monkeypatch):
+    # no normal form, unfolding or second search: the search bound is the
+    # user's, so a degree above 20 is found
+    for name in ("cli.normal_form", "cli.universal_unfolding",
+                 "cli.persistent_truncation_degree",
+                 "bifurcation.persistent_truncation_degree"):
+        monkeypatch.setattr("germforge." + name, refuse, raising=False)
+    code, out, err = run(capsys, "verify", "--persistent", "x^21 - lambda",
+                         "--vars", "x,lambda", "--upper-bound", "25")
+    assert (code, out, err) == (
+        0, "The least permissible truncation degree is: 21\n", "")
+
+
+# the moduli-free normal forms of codimension <= 3 (Golubitsky and
+# Schaeffer I, ch. IV, Table 2.1)
+CATALOG_FORMS = ["x^2 - lambda", "x^3 - lambda", "x^3 + lambda",
+                 "x^2 + lambda^2", "x^2 - lambda^2", "x^3 - x*lambda",
+                 "x^4 - lambda", "x^2 + lambda^3", "x^5 - lambda",
+                 "x^3 + lambda^2", "x^4 - x*lambda", "x^2 - lambda^4"]
+
+
+@pytest.mark.parametrize("f", CATALOG_FORMS)
+def test_verify_persistent_is_verify_on_contact_images(capsys, f):
+    # S*f(X, Lambda) with X carrying a lambda term
+    g = "(1 + 1/2*x - lambda)*(%s)" % f.replace("lambda", "L").replace(
+        "x", "(3/2*x + 1/2*lambda - x^2)").replace("L", "(2*lambda - lambda^2)")
+    degrees = []
+    for mode in ([], ["--persistent"]):
+        code, out, _err = run(capsys, "verify", *mode, g, "--vars",
+                              "x,lambda", "--format", "json")
+        assert code == 0
+        degrees.append(json.loads(out)["result"]["truncation_degree"])
+    assert degrees[0] is not None and degrees[0] == degrees[1]
+
+
 def test_normalform(capsys):
     code, out, _err = run(capsys, "normalform", "sin(lambda)-x^3",
                           "--vars", "x,lambda")
@@ -394,6 +433,9 @@ REPEATED_PARAM = ["x^3-lambda+a1*x", "--vars", "x,lambda", "--params",
                   "a1,a1"]
 WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                "--params", "a1,a2,a3"]
+# not a polynomial, so the unfolding commands need --degree
+SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
+              "a1"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -458,6 +500,12 @@ WINGED_CUSP = ["x^3-lambda*x+a1+a2*lambda+a3*x^2", "--vars", "x,lambda",
                  id="transition-set-param-named-as-var"),
     pytest.param(["recognize", "x^3 + x*lambda", "--vars", "x,lambda",
                   "--matrix=-1"], "--matrix", id="recognize-matrix-negative"),
+    pytest.param(["transition-set", *SINE_CUBIC], "--degree",
+                 id="transition-set-not-polynomial"),
+    pytest.param(["nonpersistent", *SINE_CUBIC, "--boundary=-2,2,1,3"],
+                 "--degree", id="nonpersistent-not-polynomial"),
+    pytest.param(["persistent", *SINE_CUBIC, "--grid", "5"], "--degree",
+                 id="persistent-not-polynomial"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
@@ -484,7 +532,6 @@ def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     ["unfolding", "0"],
     ["unfolding", "0", "--normalform"],
     ["unfolding", "x^7", "--degree", "3", "--list"],
-    ["verify", "--persistent", "0"],
 ], ids=" ".join)
 def test_germ_zero_at_working_degree_exit_1(capsys, argv):
     k = argv[argv.index("--degree") + 1] if "--degree" in argv else "6"
@@ -547,10 +594,12 @@ def test_transform_says_not_equivalent_only_where_proved(capsys, g, f,
 @pytest.mark.parametrize("argv, k", [
     (["verify", "0"], 20),
     (["verify", "x^5", "--upper-bound", "4"], 4),
+    (["verify", "--persistent", "0"], 20),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_verify_germ_zero_up_to_the_bound_exit_1(capsys, argv, k):
     # no truncation degree exists below the bound, and raising the bound
-    # is no advice for a germ that is zero up to it
+    # is no advice for a germ that is zero up to it; `verify --persistent`
+    # searches as `verify` does
     code, out, err = run(capsys, *argv, "--vars", "x,lambda")
     assert (code, out) == (1, "")
     assert err == "error: the germ is zero up to degree %d\n" % k

@@ -93,6 +93,15 @@ def test_intrinsic_part_examples():
     assert intrinsic_part([j("x"), j("lam")]).ideal.blocks == ((1, 0),)
 
 
+def test_intrinsic_part_remarks_exactly_without_a_pure_power():
+    # <x^4, lam^4> has codimension 16, though its intrinsic part at degree
+    # 4 has no block M^a
+    r = intrinsic_part([j("x^4"), j("lam^4")], 4)
+    assert (r.ideal.blocks, r.remark) == (((0, 4),), None)
+    r = intrinsic_part([j("x^4"), j("x*lam")], 4)
+    assert r.remark == INFINITE_CODIM_REMARK
+
+
 def test_intrinsic_part_of_no_generators_is_zero():
     r = intrinsic_part([])
     assert r.ideal.is_zero

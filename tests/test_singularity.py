@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from germforge import intrinsic, singularity
 from germforge.germexpr import parse_and_expand
 from germforge.intrinsic import (
     IntrinsicIdeal,
@@ -86,6 +87,42 @@ def test_alg_objects_tower():
     assert set(ao.s_perp) == expected_sperp
     assert len(ao.e_over_t) == 10
     assert len(ao.s_perp) == 12
+
+
+def test_alg_objects_inserts_each_tangent_product_once(monkeypatch):
+    # P, RT and T grow in one span, M*RT(g) in RT(g) in T(g), so the
+    # inserts are T's generator products E{g}, E{g_x} and E_lambda{g_lambda},
+    # each once, then one trial insert per monomial for E/T
+    calls = []
+    add = RowSpace.add
+
+    def counting(self, f):
+        calls.append(f)
+        return add(self, f)
+
+    monkeypatch.setattr(RowSpace, "add", counting)
+    g = j(QUINTIC, 6)  # ord g = 3, ord g_x = 4
+    alg_objects(g)
+
+    def up_to(d):
+        return len(monomials_upto(2, d))
+
+    assert len(calls) == up_to(6 - 3) + up_to(6 - 4) + 7 + up_to(6)
+
+
+def test_normal_form_computes_one_p_per_degree_searched(monkeypatch):
+    # the last P of the truncation-degree search is the normal form's P
+    seen = []
+
+    def recording(g, k):
+        seen.append(k)
+        return high_order_part(g, k)
+
+    monkeypatch.setattr(intrinsic, "high_order_part", recording)
+    monkeypatch.setattr(singularity, "high_order_part", recording)
+    nf = normal_form(lambda k: j("x^3 - sin(lam)", k))
+    assert nf.germ == j("x^3 - lam", 3)
+    assert seen == [2, 3, 4]  # P of the k-jet at k + 1, for k = 1, 2, 3
 
 
 def test_rt_matches_printed_span():
