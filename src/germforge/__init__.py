@@ -39,6 +39,7 @@ from .intrinsic import (
     smallest_intrinsic,
     verify_germ,
     verify_ideal,
+    working_degree,
 )
 from .singularity import (
     NotEquivalentError,

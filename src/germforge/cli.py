@@ -29,6 +29,7 @@ from .intrinsic import (
     intrinsic_part,
     verify_germ,
     verify_ideal,
+    working_degree,
 )
 from .jets import (
     GrLexOrder,
@@ -68,6 +69,7 @@ from .bifurcation import (
     render_diagram,
     render_transition_slice,
     transition_set,
+    truncate_xlam,
 )
 
 RING_NAMES = {
@@ -140,21 +142,43 @@ def _rationals(text, count, flag):
     return values
 
 
-def _expanded(texts, variables, k):
-    """Each germ text expanded at k; with k None, each germ exactly, which
-    only a polynomial allows."""
-    trees = [parse_germ(t, variables) for t in texts]
-    for text, tree in zip(texts, trees):
-        if k is None and not is_polynomial_expr(tree):
+def _germ(text, variables):
+    """expand(k), the germ's k-jet, and whether the germ is a polynomial.
+    A polynomial is expanded once, exactly: expand(k) truncates it, and
+    expand(None) is the polynomial.  Any other germ keeps its highest jet
+    expanded so far, which truncates to every lower k, and is expanded no
+    higher than asked; expand(None) asks for --degree."""
+    tree = parse_germ(text, variables)
+    if is_polynomial_expr(tree):
+        exact = taylor_expand(tree, variables, None)
+        return exact.truncate, True
+    top = None
+
+    def expand(k):
+        nonlocal top
+        if k is None:
             raise InputError("%r is not a polynomial; give --degree" % text)
-    return [taylor_expand(tree, variables, k) for tree in trees]
+        if top is None or top.degree < k:
+            top = taylor_expand(tree, variables, k)
+        return top.truncate(k)
+
+    return expand, False
 
 
-def _jets(args, variables, texts, default_degree=None):
-    """Each germ text expanded at --degree, or at `default_degree` when
-    --degree is not given; with neither, each germ exactly."""
-    k = args.degree if args.degree is not None else default_degree
-    return _expanded(texts, variables, k)
+def _jets(texts, variables, k):
+    """Each germ's k-jet; with k None, each germ exactly, which only a
+    polynomial allows."""
+    return [_germ(text, variables)[0](k) for text in texts]
+
+
+def _answer_jet(args, variables):
+    """The first germ's jet at the degree where `recognize` and
+    `algobjects` answer: --degree; else one degree above the working degree,
+    where `verify_germ` read P and M^(k+1) shows; else the working degree,
+    with the warning that no truncation degree was found."""
+    expand, _polynomial = _germ(args.germ[0], variables)
+    k, P, warnings = working_degree(expand, args.degree)
+    return require_nonzero(expand(k if P is None else k + 1)), warnings
 
 
 def _plot_directory(directory):
@@ -162,23 +186,6 @@ def _plot_directory(directory):
     computed."""
     if not os.path.isdir(directory or "."):
         raise InputError("--plot directory %r does not exist" % directory)
-
-
-def _expander(text, variables):
-    """expand(k), the germ's k-jet, and whether the germ is a polynomial.
-    A k-jet is the truncation of any higher jet, so expand keeps the highest
-    jet expanded so far and truncates it for a lower k; it never expands
-    above a degree it is asked for."""
-    tree = parse_germ(text, variables)
-    top = None
-
-    def expand(k):
-        nonlocal top
-        if top is None or top.degree < k:
-            top = taylor_expand(tree, variables, k)
-        return top.truncate(k)
-
-    return expand, is_polynomial_expr(tree)
 
 
 def _ring_warnings(args, polynomial, warning, warnings):
@@ -189,23 +196,24 @@ def _ring_warnings(args, polynomial, warning, warnings):
     return warnings
 
 
-def _unfolding(args, variables, degree):
-    """The germ as an unfolding in --params: expanded at `degree`, or exactly
-    when it is None (a polynomial only), then left untruncated."""
+def _unfolding(args, variables):
+    """The germ as an unfolding in --params, left untruncated: a polynomial
+    exactly; any other germ needs --degree and is expanded at twice the
+    truncation-degree bound, since the library cuts only its x-lambda
+    degree at --degree."""
     params = _split_names(args.params)
     all_vars = tuple(variables) + params
-    [body] = _expanded(args.germ[:1], all_vars, degree)
+    expand, polynomial = _germ(args.germ[0], all_vars)
+    body = expand(None if polynomial or args.degree is None
+                  else 2 * degree_bound())
     return UnfoldingGerm(Jet(dict(body.terms), all_vars, None), params)
 
 
 def _transition_unfolding(args, variables):
-    """The unfolding of a command that prints a transition set: exact
-    without --degree, else expanded at twice the truncation-degree bound,
-    as the library cuts only its x-lambda degree at --degree.  A --plot
+    """The unfolding of a command that prints a transition set.  A --plot
     slice needs two parameters and an existing directory, both checked
     before any elimination."""
-    G = _unfolding(args, variables,
-                   None if args.degree is None else 2 * degree_bound())
+    G = _unfolding(args, variables)
     if args.plot:
         if len(G.params) != 2:
             raise InputError("--plot draws a slice in exactly 2 parameters, "
@@ -232,15 +240,17 @@ def _transition_output(args, ts):
 
 def cmd_verify(args, variables):
     bound = args.upper_bound
-    if args.ideal and not args.persistent:
+    if args.ideal and args.persistent:
+        raise InputError("--persistent takes one germ, not an --ideal")
+    if args.ideal:
         # expanded at the search bound, so every degree searched is a jet
-        rep = verify_ideal(_jets(args, variables, args.germ,
-                                 degree_bound(bound)), upper_bound=bound)
+        k = args.degree if args.degree is not None else degree_bound(bound)
+        rep = verify_ideal(_jets(args.germ, variables, k), upper_bound=bound)
         polynomial = False
         header = "The following rings are allowed as means of computations:"
         degree_line = "The truncated degree must be: %s"
     else:
-        expand, polynomial = _expander(args.germ[0], variables)
+        expand, polynomial = _germ(args.germ[0], variables)
         rep = verify_germ(expand, upper_bound=bound)
         if rep.truncation_degree is None:
             # a raised bound cannot help a germ that is zero up to it
@@ -276,7 +286,7 @@ def cmd_verify(args, variables):
 
 
 def cmd_normalform(args, variables):
-    expand, polynomial = _expander(args.germ[0], variables)
+    expand, polynomial = _germ(args.germ[0], variables)
     nf = normal_form(expand, k=args.degree)
     return ({"germ": args.germ[0], "ring": args.ring},
             {"normal_form": render_desc(nf.germ), "degree": nf.germ.degree},
@@ -285,7 +295,7 @@ def cmd_normalform(args, variables):
 
 
 def cmd_unfolding(args, variables):
-    expand, polynomial = _expander(args.germ[0], variables)
+    expand, polynomial = _germ(args.germ[0], variables)
     out, warnings = universal_unfolding(
         expand, k=args.degree, normalform=args.normalform,
         want_list=args.list)
@@ -299,33 +309,40 @@ def cmd_unfolding(args, variables):
 
 
 def cmd_recognize(args, variables):
-    g = require_nonzero(_jets(args, variables, args.germ[:1], 6)[0])
+    g, warnings = _answer_jet(args, variables)
     if args.matrix is not None:
         M = recognition_unfolding(g, args.matrix)
         rows = M.render()
         return ({"germ": args.germ[0], "matrix": args.matrix},
                 {"columns": [list(c) for c in M.columns], "rows": rows},
-                [], ["[" + ", ".join(r) + "]" for r in rows])
+                warnings, ["[" + ", ".join(r) + "]" for r in rows])
     rc = recognition_normal_form(g)
     return ({"germ": args.germ[0]},
             {"zero": [list(m) for m in rc.zero],
              "nonzero": [list(m) for m in rc.nonzero]},
-            [], [rc.render()])
+            warnings, [rc.render()])
 
 
 def cmd_check_universal(args, variables):
-    degree = args.degree if args.degree is not None else 2 * degree_bound()
-    answer, warnings = check_universal(_unfolding(args, variables, degree))
+    answer, warnings = check_universal(_unfolding(args, variables),
+                                       args.degree)
     return {"germ": args.germ[0]}, {"universal": answer}, warnings, [answer]
 
 
 def cmd_transform(args, variables):
     if len(args.germ) < 2:
         raise InputError("transform needs two germs, g and f")
-    g, f = _jets(args, variables, args.germ[:2], 4)
-    tr = transformation(g, f, g.degree)
+    expands = [_germ(text, variables)[0] for text in args.germ[:2]]
+    k, warnings = args.degree, []
+    if k is None:
+        # one degree above both truncation degrees, both jets determine
+        # their germs, so a witness proves the germs equivalent
+        found = [working_degree(expand) for expand in expands]
+        k = max(d for d, _P, _w in found) + 1
+        warnings = list(dict.fromkeys(w for _d, _P, ws in found for w in ws))
+    tr = transformation(expands[0](k), expands[1](k), k)
     return ({"g": args.germ[0], "f": args.germ[1]},
-            {"X": str(tr.X), "Lambda": str(tr.L), "S": str(tr.S)}, [],
+            {"X": str(tr.X), "Lambda": str(tr.L), "S": str(tr.S)}, warnings,
             ["X = %s" % tr.X, "Lambda = %s" % tr.L, "S = %s" % tr.S])
 
 
@@ -347,7 +364,10 @@ def cmd_nonpersistent(args, variables):
 
 
 def cmd_persistent(args, variables):
-    G = _unfolding(args, variables, args.degree)
+    G = _unfolding(args, variables)
+    if args.degree is not None:
+        # the diagrams trace the truncation whose transition set is printed
+        G = UnfoldingGerm(truncate_xlam(G.body, args.degree), G.params)
     box = None
     if args.box:
         nums = _rationals(args.box, 2 * len(G.params), "--box")
@@ -381,7 +401,7 @@ def cmd_persistent(args, variables):
 
 
 def cmd_intrinsic(args, variables):
-    res = intrinsic_part(_jets(args, variables, args.germ), args.degree)
+    res = intrinsic_part(_jets(args.germ, variables, args.degree), args.degree)
     return ({"germs": args.germ},
             {"ideal": str(res.ideal),
              "blocks": [list(b) for b in res.ideal.blocks]},
@@ -389,7 +409,7 @@ def cmd_intrinsic(args, variables):
 
 
 def cmd_algobjects(args, variables):
-    g = require_nonzero(_jets(args, variables, args.germ[:1], 6)[0])
+    g, warnings = _answer_jet(args, variables)
     ao = alg_objects(g)
 
     def fm(monos):
@@ -412,7 +432,7 @@ def cmd_algobjects(args, variables):
              "s_perp": [list(m) for m in ao.s_perp],
              "intrinsic_generators": [list(m) for m in
                                       ao.intrinsic_generators]},
-            [], lines)
+            warnings, lines)
 
 
 def cmd_division(args, variables):
@@ -420,7 +440,7 @@ def cmd_division(args, variables):
         raise InputError("division requires --degree")
     if len(args.germ) < 2:
         raise InputError("division needs a germ and at least one divisor")
-    g, *divisors = _jets(args, variables, args.germ)
+    g, *divisors = _jets(args.germ, variables, args.degree)
     for text, f in zip(args.germ[1:], divisors):
         if f.is_zero():
             raise InputError("divisor %r is zero up to degree %d"
@@ -436,7 +456,7 @@ def cmd_division(args, variables):
 
 
 def cmd_standard_basis(args, variables):
-    sb = standard_basis(_jets(args, variables, args.germ),
+    sb = standard_basis(_jets(args.germ, variables, args.degree),
                         ORDERS[args.order](), args.degree)
     basis = [str(f) for f in sb.generators]
     return ({"germs": args.germ}, {"basis": basis},
@@ -444,7 +464,7 @@ def cmd_standard_basis(args, variables):
 
 
 def cmd_colon_ideal(args, variables):
-    *jets, g = _jets(args, variables, args.germ + [args.by])
+    *jets, g = _jets(args.germ + [args.by], variables, args.degree)
     if g.is_zero():
         raise InputError("--by is zero" if g.degree is None
                          else "--by is zero up to degree %d" % g.degree)
@@ -454,14 +474,14 @@ def cmd_colon_ideal(args, variables):
 
 
 def cmd_normalset(args, variables):
-    basis = normal_set(_jets(args, variables, args.germ), args.degree)
+    basis = normal_set(_jets(args.germ, variables, args.degree), args.degree)
     names = [format_monomial(m, variables) for m in basis]
     return ({"germs": args.germ}, {"basis": names}, [],
             ["{%s}" % ", ".join(names)])
 
 
 def cmd_multmatrix(args, variables):
-    *jets, u = _jets(args, variables, args.germ + [args.by])
+    *jets, u = _jets(args.germ + [args.by], variables, args.degree)
     if len(u.terms) != 1 or list(u.terms.values())[0] != 1:
         raise InputError("--by must be a single monomial")
     [mono] = u.terms

@@ -16,6 +16,8 @@ from .linalg import RowSpace
 from .localalg import codimension, ideal_span, least_degree, span_degree
 
 DEFAULT_UPPER_BOUND = 20
+# the working degree of a germ for which `verify_germ` finds none
+FALLBACK_DEGREE = 6
 
 INCREASE_BOUND_WARNING = "Increase the upper bound for the truncation degree!"
 INFINITE_CODIM_REMARK = "the ideal is of infinite codimension"
@@ -194,6 +196,20 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
         if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
             return VerifyReport(k, high_order=P)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])
+
+
+def working_degree(expand, k: Optional[int] = None
+                   ) -> Tuple[int, Optional[IntrinsicIdeal], List[str]]:
+    """(k, P, warnings): the degree at which a germ's questions are
+    answered.  That is the given k; else `verify_germ`'s truncation degree,
+    with the P it tested there (at k + 1); else 6, with `verify_germ`'s
+    warning.  P is None unless `verify_germ` found the degree."""
+    if k is not None:
+        return k, None, []
+    rep = verify_germ(expand)
+    if rep.truncation_degree is None:
+        return FALLBACK_DEGREE, None, rep.warnings
+    return rep.truncation_degree, rep.high_order, []
 
 
 def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:

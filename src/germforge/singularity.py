@@ -17,7 +17,7 @@ from .intrinsic import (
     intrinsic_from_members,
     mrt_span,
     smallest_intrinsic,
-    verify_germ,
+    working_degree,
 )
 from .jets import Jet, LocalOrder, mdeg, monomials_upto
 from .linalg import RowSpace, det, solve_linear
@@ -427,16 +427,14 @@ def normal_form(expand: Callable[[int], Jet],
                 k: Optional[int] = None) -> NormalForm:
     """Normal form pipeline: expand, delete high-order terms, greedily
     eliminate intermediate terms via the transformation solver, normalize
-    scalable coefficients.  The normal form's degree is the working degree.
-    Without k, P is the one `verify_germ` tested at the truncation degree.
-    A zero jet at the working degree raises ZeroGermError."""
-    P = None
-    if k is None:
-        rep = verify_germ(expand)
-        if rep.truncation_degree is None:
-            return NormalForm(require_nonzero(expand(6)), rep.warnings)
-        k, P = rep.truncation_degree, rep.high_order
+    scalable coefficients.  The normal form's degree is the working degree
+    (`intrinsic.working_degree`); where `verify_germ` found none, the germ's
+    jet there is returned with the warning.  A zero jet at the working
+    degree raises ZeroGermError."""
+    k, P, warnings = working_degree(expand, k)
     g = require_nonzero(expand(k))
+    if warnings:
+        return NormalForm(g, warnings)
     if P is None:
         P = high_order_part(g, k + 1)
     terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
@@ -512,19 +510,13 @@ def universal_unfolding(expand: Callable[[int], Jet],
     """A universal unfolding of g (or of its normal form): one parameter per
     monomial in a complement of T.  The list option enumerates the monomial
     complements of T, at most LIST_CAP of them; a longer list is cut there
-    with a warning.  A zero jet at the working degree raises
-    ZeroGermError."""
-    warnings = []
+    with a warning.  The degree is the working degree
+    (`intrinsic.working_degree`); a zero jet there raises ZeroGermError."""
     if normalform:
         nf = normal_form(expand, k)
-        base = nf.germ
-        k = base.degree
-        warnings.extend(nf.warnings)
+        base, k, warnings = nf.germ, nf.germ.degree, nf.warnings
     else:
-        if k is None:
-            rep = verify_germ(expand)
-            k = rep.truncation_degree if rep.truncation_degree else 6
-            warnings.extend(rep.warnings)
+        k, _P, warnings = working_degree(expand, k)
         base = require_nonzero(expand(k))
     space = _t_span(base)
     perp = _complement(space)
@@ -551,15 +543,14 @@ def universal_unfolding(expand: Callable[[int], Jet],
     return results, warnings
 
 
-def check_universal(G: UnfoldingGerm) -> Tuple[str, List[str]]:
+def check_universal(G: UnfoldingGerm,
+                    k: Optional[int] = None) -> Tuple[str, List[str]]:
     """(\"Yes\" or \"No\", warnings): \"Yes\" when G is a universal
-    unfolding of its own base germ.  The degree is the base germ's
-    truncation degree, or 6 with `verify_germ`'s warnings when it finds
-    none."""
+    unfolding of its own base germ, answered at the base germ's working
+    degree (`intrinsic.working_degree`), a cut of x and lambda degree that
+    leaves the parameters alone."""
     base = G.base()
-    rep = verify_germ(lambda kk: base.truncate(kk))
-    k = rep.truncation_degree if rep.truncation_degree else 6
-    warnings = list(rep.warnings)
+    k, _P, warnings = working_degree(base.truncate, k)
     space = _t_span(base.truncate(k))
     p = len(G.params)
     if p != len(monomials_upto(2, k)) - space.rank:

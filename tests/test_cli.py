@@ -323,6 +323,16 @@ def test_persistent_regions(capsys):
     assert lines[1].startswith("region 2: alpha = (")
 
 
+def test_persistent_degree_cuts_only_x_and_lambda(capsys):
+    # a1*x^2 has x-lambda degree 2, so --degree 2 keeps it, as it does for
+    # transition-set; a cut in total degree dropped it
+    argv = ["persistent", "x^2 - lambda + a1*x^2", "--vars", "x,lambda",
+            "--params", "a1", "--grid", "5"]
+    exact = run(capsys, *argv)
+    assert exact[0] == 0 and "signs = (+, +)" in exact[1]
+    assert run(capsys, *argv, "--degree", "2") == exact
+
+
 def test_json_format(capsys):
     code, out, _err = run(capsys, "normalform", "sin(lambda)-x^3",
                           "--vars", "x,lambda", "--format", "json")
@@ -506,14 +516,17 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
                  "--degree", id="nonpersistent-not-polynomial"),
     pytest.param(["persistent", *SINE_CUBIC, "--grid", "5"], "--degree",
                  id="persistent-not-polynomial"),
+    pytest.param(["verify", "--persistent", "--ideal", "x^3 - lambda",
+                  "--vars", "x,lambda"], "--ideal",
+                 id="verify-persistent-ideal"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
     # line and no traceback
     for name in ("transition_set", "nonpersistent_sets", "classify_regions",
                  "mora_divide", "colon_ideal", "transformation",
-                 "verify_germ", "normal_form", "check_universal",
-                 "recognition_unfolding"):
+                 "verify_germ", "working_degree", "normal_form",
+                 "check_universal", "recognition_unfolding"):
         monkeypatch.setattr("germforge.cli." + name, None)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run(capsys, *argv)
@@ -576,19 +589,54 @@ def test_recognize_matrix_above_dim_e_over_itr_exit_1(capsys):
                    "dim E/Itr(T) = 1 parameters, not 2\n")
 
 
-@pytest.mark.parametrize("g, f, message", [
-    # the orders differ, or exactly one germ is zero: proved inequivalent
-    ("x^2 + lambda^2", "x^3 - lambda", "not equivalent"),
-    ("0", "x^3 - lambda", "not equivalent"),
+@pytest.mark.parametrize("g, f, message, k", [
+    # the orders differ, or exactly one germ is zero: proved inequivalent;
+    # the degree is one above the larger truncation degree, and 0 has none,
+    # so its working degree is 6
+    pytest.param("x^2 + lambda^2", "x^3 - lambda", "not equivalent", 4,
+                 id="x^2 + lambda^2-x^3 - lambda-not equivalent"),
+    pytest.param("0", "x^3 - lambda", "not equivalent", 7,
+                 id="0-x^3 - lambda-not equivalent"),
     # equivalent by X = x - 6*lambda, which the solver does not find
-    ("x^3 - x*lambda + 6*lambda^2", "x^3 - x*lambda",
-     "no contact transformation found"),
+    pytest.param("x^3 - x*lambda + 6*lambda^2", "x^3 - x*lambda",
+                 "no contact transformation found", 4,
+                 id="x^3 - x*lambda + 6*lambda^2-x^3 - x*lambda-"
+                    "no contact transformation found"),
+    # truncation degrees 5 and 6; at degree 4 both jets were -lambda and
+    # the identity was printed
+    pytest.param("x^5 - lambda", "x^6 - lambda",
+                 "no contact transformation found", 7,
+                 id="x^5 - lambda-x^6 - lambda"),
 ])
 def test_transform_says_not_equivalent_only_where_proved(capsys, g, f,
-                                                        message):
+                                                        message, k):
     code, out, err = run(capsys, "transform", g, f, "--vars", "x,lambda")
     assert (code, out) == (1, "")
-    assert err == "error: %s up to degree 4\n" % message
+    assert err == "error: %s up to degree %d\n" % (message, k)
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("recognize", "f_{x,x,x,x,x,x,x}(0)!=0"),
+    # codim T(x^7 - lambda) = 5
+    ("algobjects", "E/T basis = {x, x^2, x^3, x^4, x^5}\n"),
+], ids=["recognize", "algobjects"])
+def test_answers_one_degree_above_the_truncation_degree(capsys, command,
+                                                        shown):
+    # x^7 - lambda has truncation degree 7; at the old fixed degree 6 its
+    # jet was -lambda
+    argv = [command, "x^7 - lambda", "--vars", "x,lambda"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and shown in out
+    assert run(capsys, *argv, "--degree", "8") == (code, out, err)
+
+
+def test_recognize_warns_without_truncation_degree(capsys):
+    # x*lambda has no truncation degree: the conditions are read at degree
+    # 6 and say so
+    code, out, _err = run(capsys, "recognize", "x*lambda", "--vars",
+                          "x,lambda")
+    assert code == 0
+    assert out.endswith("\n" + INCREASE_BOUND_WARNING + "\n")
 
 
 @pytest.mark.parametrize("argv, k", [
@@ -605,13 +653,15 @@ def test_verify_germ_zero_up_to_the_bound_exit_1(capsys, argv, k):
     assert err == "error: the germ is zero up to degree %d\n" % k
 
 
-@pytest.mark.parametrize("text", [
-    "sin(x + lambda^2) - x*lambda",
-    "exp(x) - 1 - lambda",
-    "x^3/(1 - lambda + x^2) + lambda",
-    "(1 + x - lambda)^5 - x^3",
-])
-def test_expander_truncates_its_highest_jet(monkeypatch, text):
+@pytest.mark.parametrize("text, expansions", [
+    pytest.param(text, expansions, id=text) for text, expansions in [
+        ("sin(x + lambda^2) - x*lambda", [5, 8]),
+        ("exp(x) - 1 - lambda", [5, 8]),
+        ("x^3/(1 - lambda + x^2) + lambda", [5, 8]),
+        # a polynomial is expanded once, exactly
+        ("(1 + x - lambda)^5 - x^3", [None]),
+    ]])
+def test_expander_truncates_its_highest_jet(monkeypatch, text, expansions):
     # expand(k) after a higher expand(K) is the direct k-jet, and no jet is
     # expanded above a degree that was asked for
     variables = ("x", "lambda")
@@ -622,10 +672,15 @@ def test_expander_truncates_its_highest_jet(monkeypatch, text):
         return taylor_expand(tree, names, k)
 
     monkeypatch.setattr(cli, "taylor_expand", recording)
-    expand, _poly = cli._expander(text, variables)
+    expand, polynomial = cli._germ(text, variables)
     tree = parse_germ(text, variables)
     for k in (5, 2, 5, 3, 8, 1):
         jet = expand(k)
         assert jet.degree == k
         assert jet == taylor_expand(tree, variables, k)
-    assert expanded == [5, 8]
+    assert expanded == expansions
+    if polynomial:
+        assert expand(None) == taylor_expand(tree, variables, None)
+    else:
+        with pytest.raises(cli.InputError, match="give --degree"):
+            expand(None)

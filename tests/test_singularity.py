@@ -215,6 +215,21 @@ def test_check_universal_quintic():
     assert check_universal(short) == ("No", [])
 
 
+def test_check_universal_answers_at_the_given_degree():
+    # at degree 4 the base x^5 - lam is -lam, whose E/T = {x, .., x^4}
+    # takes four parameters; x^2 has no truncation degree, so only the
+    # default degree warns
+    G = make_unfolding(j("x^5 - lam"), [j("x"), j("x^2"), j("x^3")])
+    assert check_universal(G, 5) == ("Yes", [])
+    assert check_universal(G, 4) == ("No", [])
+    assert check_universal(make_unfolding(j("-lam"), [j("x"), j("x^2"),
+                                                      j("x^3")]), 3) == \
+        ("Yes", [])
+    fold = make_unfolding(j("x^2"), [j("1"), j("lam")])
+    assert check_universal(fold, 6)[1] == []
+    assert check_universal(fold)[1] == [intrinsic.INCREASE_BOUND_WARNING]
+
+
 def test_recognition_conditions():
     rc = recognition_normal_form(j("x^3 + sin(lam)", 4))
     assert rc.zero == [(0, 0), (1, 0), (2, 0)]
