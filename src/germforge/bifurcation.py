@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .intrinsic import verify_germ
 from .jets import Jet, mdeg
 from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
-                       real_root_count, to_ring)
+                       real_root_count, to_integer_ring, to_ring)
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
@@ -175,11 +175,14 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
                          params), R)
         if not a.gcd(dpoly).is_ground:
             continue
-        content, factors = (a * b).sqf_list()
-        odd = prod((f for f, k in factors if k % 2), start=R.one)
-        # a*b = content * odd * (a square), and odd is a product of monic
-        # factors, so norm is odd times a positive rational
-        norm = from_ring(odd, params).primitive()
+        # a*b times a positive integer is, over ZZ, content * odd * (a
+        # square), and odd is a product of primitive factors with a positive
+        # leading coefficient, so by Gauss's lemma odd is primitive with a
+        # positive lexicographically first coefficient: norm is odd itself
+        ab = to_integer_ring(a * b, params)
+        content, factors = ab.sqf_list()
+        norm = from_ring(prod((f for f, k in factors if k % 2),
+                              start=ab.ring.one), params)
         if _is_const(norm):
             # a*b >= 0 everywhere, or nowhere off the zeros of the square
             return [] if content > 0 else None

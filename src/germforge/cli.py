@@ -340,6 +340,11 @@ def cmd_transform(args, variables):
         found = [working_degree(expand) for expand in expands]
         k = max(d for d, _P, _w in found) + 1
         warnings = list(dict.fromkeys(w for _d, _P, ws in found for w in ws))
+        # the truncation degree verify finds is a contact invariant, so two
+        # found degrees that differ prove the germs inequivalent
+        if (all(P is not None for _d, P, _w in found)
+                and found[0][0] != found[1][0]):
+            raise NotEquivalentError("not equivalent up to degree %d" % k)
     tr = transformation(expands[0](k), expands[1](k), k)
     return ({"g": args.germ[0], "f": args.germ[1]},
             {"X": str(tr.X), "Lambda": str(tr.L), "S": str(tr.S)}, warnings,

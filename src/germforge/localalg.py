@@ -493,14 +493,14 @@ def ideal_span(G: List[Jet], k: int) -> RowSpace:
     return space
 
 
-def poly_ring(names):
-    """sympy's sparse polynomial ring QQ[names] in lex order, with the
-    generators in the order given."""
-    from sympy.polys.domains import QQ
+def poly_ring(names, integer: bool = False):
+    """sympy's sparse polynomial ring QQ[names] (ZZ[names] with `integer`)
+    in lex order, with the generators in the order given."""
+    from sympy.polys.domains import QQ, ZZ
     from sympy.polys.orderings import lex
     from sympy.polys.rings import PolyRing
 
-    return PolyRing(list(names), QQ, lex)
+    return PolyRing(list(names), ZZ if integer else QQ, lex)
 
 
 def _qq(R, c):
@@ -509,29 +509,46 @@ def _qq(R, c):
 
 
 def to_ring(f: Jet, R):
-    """f as an element of the ring R, whose generators include f's
+    """f as an element of the ring R over QQ, whose generators include f's
     variables: the exponent slots are permuted by name (Jet.rename)."""
     g = f.rename(str(s) for s in R.symbols)
     return R.from_dict({m: _qq(R, c) for m, c in g.terms.items()})
 
 
 def from_ring(p, names) -> Jet:
-    """The ring element p as an untruncated Jet over `names`, which must
-    include every generator that occurs in p (Jet.restrict)."""
+    """The ring element p (over QQ or ZZ) as an untruncated Jet over
+    `names`, which must include every generator that occurs in p
+    (Jet.restrict)."""
     terms = {m: Fraction(int(c.numerator), int(c.denominator))
              for m, c in p.items()}
     return Jet(terms, (str(s) for s in p.ring.symbols)).restrict(names)
 
 
+def to_integer_ring(p, names):
+    """The element p of a ring over QQ, which involves only the generators
+    `names`, as the primitive polynomial in ZZ[names] that is a positive
+    rational multiple of p: denominators cleared, then the integer content
+    divided out."""
+    p = p.clear_denoms()[1].set_ring(poly_ring(names, integer=True))
+    return p.primitive()[1]
+
+
+def _square_free(p, names) -> Jet:
+    """The square-free part of the element p of a ring over QQ, which
+    involves only `names`, computed in ZZ[names] (`to_integer_ring`) and
+    made primitive (Jet.primitive).  By Gauss's lemma it is the answer over
+    QQ times a nonzero rational, so the normalized result is the same."""
+    return from_ring(to_integer_ring(p, names).sqf_part(), names).primitive()
+
+
 def radical(f: Jet) -> Jet:
     """The square-free part of f (the product of its distinct irreducible
-    factors, found by gcds without factoring), made primitive
+    factors, found by gcds over ZZ without factoring), made primitive
     (Jet.primitive); a constant f gives the constant 1 and the zero jet
     stays zero."""
     if f.is_zero():
         return f
-    R = poly_ring(f.variables)
-    return from_ring(to_ring(f, R).sqf_part(), f.variables).primitive()
+    return _square_free(to_ring(f, poly_ring(f.variables)), f.variables)
 
 
 def real_root_count(f: Jet, lo, hi) -> int:
@@ -551,7 +568,8 @@ def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:
     Closure theorems (Cox, Little, O'Shea, Ideals, Varieties, and
     Algorithms, ch. 3) the basis elements free of the dropped variables
     generate the elimination ideal, whose variety is the closure of the
-    projection.  Each is returned as its `radical`.  The order of `drop`
+    projection.  Each is returned as its `radical`, taken over ZZ straight
+    from the basis element (`_square_free`).  The order of `drop`
     does not change the result, only the time the basis takes.
 
     With `saturate=q` (a polynomial in the variables of F) the Rabinowitsch
@@ -581,7 +599,7 @@ def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:
     for g in groebner(polys, R, method="f5b"):
         if any(any(e[:len(head)]) for e in g.itermonoms()):
             continue
-        p = radical(from_ring(g, kept))
+        p = _square_free(g, kept)
         if p.total_degree() == 0:
             return empty
         if p not in out:

@@ -31,7 +31,8 @@ _LOCAL = LocalOrder()
 class NotEquivalentError(ValueError):
     """The transformation solver gives no contact transformation.  The
     message says "not equivalent" only where an invariant proves it (the
-    orders differ, or exactly one germ is zero); otherwise no witness was
+    orders differ, exactly one germ is zero, or, in `transform` without a
+    degree, the truncation degrees differ); otherwise no witness was
     found."""
 
 

@@ -602,10 +602,9 @@ def test_recognize_matrix_above_dim_e_over_itr_exit_1(capsys):
                  "no contact transformation found", 4,
                  id="x^3 - x*lambda + 6*lambda^2-x^3 - x*lambda-"
                     "no contact transformation found"),
-    # truncation degrees 5 and 6; at degree 4 both jets were -lambda and
-    # the identity was printed
-    pytest.param("x^5 - lambda", "x^6 - lambda",
-                 "no contact transformation found", 7,
+    # truncation degrees 5 and 6, a contact invariant; at degree 4 both
+    # jets were -lambda and the identity was printed
+    pytest.param("x^5 - lambda", "x^6 - lambda", "not equivalent", 7,
                  id="x^5 - lambda-x^6 - lambda"),
 ])
 def test_transform_says_not_equivalent_only_where_proved(capsys, g, f,

@@ -15,14 +15,18 @@ from germforge.localalg import (
     codimension,
     colon_ideal,
     eliminate,
+    from_ring,
     ideal_intersection,
     ideal_membership,
     ideal_span,
     mora_divide,
     mult_matrix,
     normal_set,
+    poly_ring,
+    radical,
     span_degree,
     standard_basis,
+    to_ring,
 )
 from test_linalg import dense_nullspace, dense_rref
 
@@ -631,3 +635,48 @@ def test_eliminate_empty_variety():
     out = eliminate([parse_and_expand("x", v, None),
                      parse_and_expand("x - 1", v, None)], ["x"])
     assert [str(f) for f in out] == ["1"]
+
+
+# ---------------------------------------------------------------- radical
+
+PARAMS = ("a1", "a2")
+
+
+def a(text):
+    return parse_and_expand(text, PARAMS, None)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a repeated factor free of a1 and one free of a2
+    ("(a1^2 + 1)^2 * a2", "a2 + a1^2*a2"),
+    ("a1^3 * (a2 - 1)^2", "-a1 + a1*a2"),
+    # denominators in the input, and a rational content
+    ("(a1/2 - a2/3)^2 * (3*a1 + a2)/5", "9*a1^2 - 3*a1*a2 - 2*a2^2"),
+    # a negative lexicographically first coefficient
+    ("-(a1 - a2)^3 * a2^2", "a1*a2 - a2^2"),
+    ("-a2^4", "a2"),
+    ("5/3", "1"),
+    ("0", "0"),
+])
+def test_radical_fixed_cases(text, expected):
+    assert str(radical(a(text))) == expected
+
+
+def nonzero(polys):
+    return polys.filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=20, deadline=None)
+@given(nonzero(polynomials(2, 3)), nonzero(polynomials(2, 3)),
+       st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(
+           bool))
+def test_radical_drops_square_factors_and_normalizes(p, q, c):
+    r = radical((p * p * q).scale(c))
+    assert r == radical(p * q)
+    assert radical(r) == r
+    # primitive with a positive lexicographically first coefficient
+    assert all(v.denominator == 1 for v in r.terms.values())
+    assert r == r.primitive() and r.terms[max(r.terms)] > 0
+    # the square-free part over QQ, normalized the same way (Gauss's lemma)
+    R = poly_ring(V)
+    assert r == from_ring(to_ring(p * q, R).sqf_part(), V).primitive()
