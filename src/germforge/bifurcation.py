@@ -250,11 +250,36 @@ def _fix(body: Jet, values: Dict[int, Fraction]) -> Jet:
     return Jet(out, tuple(body.variables[i] for i in keep), None)
 
 
+def _divided_difference(body: Jet, u: Fraction) -> Jet:
+    """(body(x) - body(u))/(x - u) in the x slot (slot 0), exact: each term
+    c*x^m*r contributes c*r*sum_{j<m} x^j*u^(m-1-j).  A body free of x gives
+    the zero jet."""
+    out = {}
+    for m, c in body.terms.items():
+        for j in range(m[0]):
+            key = (j,) + m[1:]
+            out[key] = out.get(key, Fraction(0)) + c * u ** (m[0] - 1 - j)
+    return Jet(out, body.variables, None)
+
+
 def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
                        horizontal: bool = False,
                        k: Optional[int] = None) -> TransitionSet:
     """Transition set of F restricted to the box U x L: the interior sources
-    L_B, L_H, G_D plus the boundary sources L_C, L_SH, L_SV, L_T, G_1, G_2.
+    L_B, L_H, G_D (B, H, D of `transition_set`) plus the boundary sources,
+    each the closure of the projection of its system onto the parameters,
+    taken at each end u of U or l of L:
+
+    - L_C:  F(u, l) = 0 at each corner (u, l), no elimination;
+    - L_SH: F(u, lam) = F_x(u, lam) = 0, lam eliminated;
+    - L_T:  F(u, lam) = F_lam(u, lam) = 0, lam eliminated;
+    - L_SV: F(x, l) = F_x(x, l) = 0, x eliminated;
+    - G_1:  F(u, lam) = DD(x, lam) = F_x(x, lam) = 0, x and lam eliminated,
+      where DD = (F(x, lam) - F(u, lam))/(x - u) is the exact divided
+      difference; off x = u it vanishes with F(x, lam), at x = u it equals
+      F_x(u, lam), so the zeros are those of F(u) = F = F_x = 0;
+    - G_2:  F(u_lo, lam) = F(u_hi, lam) = 0, lam eliminated.
+
     `vertical` keeps only the x-boundary families, `horizontal` only the
     lambda-boundary ones; interior components always remain."""
     body = F.body if k is None else truncate_xlam(F.body, k)
@@ -300,7 +325,7 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     if want_x:
         boundary_family("G_1", (u_lo, u_hi),
                         lambda xv: [_fix(body, {0: xv}).rename(body.variables),
-                                    body, fx],
+                                    _divided_difference(body, xv), fx],
                         [xn, ln])
         g2_polys = eliminate([_fix(body, {0: u_lo}), _fix(body, {0: u_hi})],
                              [ln])

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge import (
     Jet,
@@ -21,11 +23,13 @@ from germforge import (
 from germforge.bifurcation import (
     Component,
     TransitionSet,
+    _divided_difference,
     _evaluator,
     _grid_points,
     exact_root_counts,
     persistent_truncation_degree,
 )
+from germforge.localalg import eliminate
 
 from boundary_fixtures import BOUNDARY_COMPONENTS
 
@@ -737,6 +741,74 @@ def test_gamma1_has_no_plane_factor(boundary_sigma):
     assert FQ.subs({XS: -2}).subs(point) == 16
     poly = expr_of(boundary_sigma.components["G_1"].systems[0][0])
     assert poly.subs(point) != 0
+
+
+XA = X + ("a1",)
+
+
+def jets_in_x_lam_a1():
+    return st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=6).map(lambda terms: Jet(terms, XA, None))
+
+
+@settings(max_examples=20, deadline=None)
+@given(jets_in_x_lam_a1(),
+       st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=4))
+def test_divided_difference_times_x_minus_u_restores_the_body(F, u):
+    # F(x) = F(u) + (x - u)*DD exactly, for every jet and rational u
+    at_u = F.compose({"x": Jet.constant(u, XA)})
+    x_minus_u = Jet.variable("x", XA) - Jet.constant(u, XA)
+    assert x_minus_u * _divided_difference(F, u) + at_u == F
+    # the part of F free of x has divided difference zero
+    free = Jet({m: c for m, c in F.terms.items() if m[0] == 0}, XA, None)
+    assert _divided_difference(free, u).is_zero()
+
+
+def test_eliminate_drops_zero_generators():
+    # G_1 of a body free of x passes a zero divided difference
+    F = jet({(0, 1): 1, (0, 2): -1})
+    Fx = jet({(1, 0): 1})
+    zero = _divided_difference(F, Fraction(2))
+    assert zero.is_zero()
+    assert eliminate([F, zero, Fx], list(X)) == eliminate([F, Fx], list(X))
+
+
+def _gamma1_with_a_second_copy_of_f(G, U):
+    """G_1 from the system F(u, lam) = F(x, lam) = F_x(x, lam) = 0, each
+    boundary value u of U in turn, kept as nonpersistent_sets keeps a
+    family's systems."""
+    body = G.body
+    xn, ln = body.variables[:2]
+    systems = []
+    for u in U:
+        at_u = body.compose({xn: Jet.constant(u, body.variables)})
+        polys = eliminate([at_u, body, body.diff(xn)], [xn, ln])
+        cuts = polys and not (len(polys) == 1
+                              and polys[0].total_degree() == 0)
+        if cuts and polys not in systems:
+            systems.append(polys)
+    return systems
+
+
+@pytest.mark.parametrize("family, params, U, L", [
+    (None, None, (-2, 2), (1, 3)),
+    ("x^3 - lam + a1*x", ("a1",), (-1, 2), (-1, 1)),
+    ("x^5 - lam + a1*x + a2*x^2", ("a1", "a2"), (-1, 1), (0, 1)),
+], ids=["quartic", "hysteresis", "quintic"])
+def test_gamma1_equals_the_system_with_a_second_copy_of_f(
+        boundary_sigma, family, params, U, L):
+    # the divided-difference system and F(u) = F = F_x = 0 have the same
+    # zeros, so their projections have the same radical generators
+    if family is None:
+        G, sigma = winged_cusp(), boundary_sigma
+    else:
+        G = UnfoldingGerm(parse_and_expand(family, X + params, None), params)
+        sigma = nonpersistent_sets(G, U, L, vertical=True)
+    systems = sigma.components["G_1"].systems
+    assert systems and systems == _gamma1_with_a_second_copy_of_f(G, U)
 
 
 # ------------------------------------------------------------- rendering
