@@ -308,6 +308,10 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
         comp = comps[name] = Component(name)
         for v in values:
             polys = eliminate(system(v), drop)
+            if not polys:
+                # dense at this end: the family is the whole parameter space
+                comps[name] = Component(name, note="dense")
+                return
             if _cuts_out(polys):
                 comp.systems.append(polys)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Union
 
-from .jets import Jet
+from .jets import Jet, mdeg, mmul
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -241,27 +241,100 @@ def _series(name: str, u: Jet, k: int) -> Jet:
     return acc
 
 
+_ONE = Fraction(1)
+
+
+def _monomial(node, index):
+    """(c, exponents) when the tree is a product of numbers and variable
+    powers: '*' chains, division by a nonzero number, the parser's 0 - t
+    and powers of such products.  None for any other tree.  A variable's
+    coefficient is the shared _ONE, which products and powers pass on
+    without Fraction arithmetic."""
+    if isinstance(node, Var):
+        return _ONE, index[node.name]
+    if isinstance(node, Num):
+        return node.value, index[None]
+    if isinstance(node, Pow):
+        base = _monomial(node.base, index)
+        if base is None:
+            return None
+        c, m = base
+        e = node.exponent
+        return c if c is _ONE else c ** e, tuple(i * e for i in m)
+    if not isinstance(node, BinOp):
+        return None
+    if node.op == "*":
+        a = _monomial(node.left, index)
+        b = None if a is None else _monomial(node.right, index)
+        if b is None:
+            return None
+        (ca, ma), (cb, mb) = a, b
+        if ca is _ONE:
+            c = cb
+        elif cb is _ONE:
+            c = ca
+        else:
+            c = ca * cb
+        return c, mmul(ma, mb)
+    if node.op == "/":
+        right = node.right
+        if not isinstance(right, Num) or not right.value:
+            return None
+        a = _monomial(node.left, index)
+        return None if a is None else (a[0] / right.value, a[1])
+    if node.op == "-" and isinstance(node.left, Num) and not node.left.value:
+        a = _monomial(node.right, index)
+        return None if a is None else (-a[0], a[1])
+    return None
+
+
 def taylor_expand(e: Expr, variables, k: int) -> Jet:
     """Degree-<=k Taylor polynomial of the expression at the origin, exact
-    over Q.  Divisors must be unit germs (nonzero constant term)."""
-    variables = tuple(variables)
+    over Q.  Divisors must be unit germs (nonzero constant term).
 
-    def rec(node) -> Jet:
-        if isinstance(node, Num):
-            return Jet.constant(node.value, variables, k)
-        if isinstance(node, Var):
-            return Jet.variable(node.name, variables, k)
+    Each chain of '+' and '-' accumulates into one dict, and each product of
+    numbers and variable powers in it is one term c*x^a*lambda^b; any other
+    summand (a power of a sum, a function, a division by a germ) is
+    expanded by `Jet` arithmetic."""
+    variables = tuple(variables)
+    n = len(variables)
+    index = {v: tuple(int(i == j) for j in range(n))
+             for i, v in enumerate(variables)}
+    index[None] = (0,) * n  # a number's exponents
+
+    def expand(node) -> Jet:
+        terms = {}
+        stack = [(1, node)]
+        while stack:
+            sign, node = stack.pop()
+            if isinstance(node, BinOp) and node.op in "+-":
+                stack.append((-sign if node.op == "-" else sign, node.right))
+                stack.append((sign, node.left))
+                continue
+            mono = _monomial(node, index)
+            if mono is None:
+                items = other(node).terms.items()
+            else:
+                c, m = mono
+                if k is not None and mdeg(m) > k:
+                    continue
+                items = ((m, c),)
+            for m, c in items:
+                if sign < 0:
+                    c = -c
+                v = terms.get(m)
+                terms[m] = c if v is None else v + c
+        return Jet({m: c for m, c in terms.items() if c}, variables, k,
+                   _clean=False)
+
+    def other(node) -> Jet:
         if isinstance(node, Pow):
-            return rec(node.base) ** node.exponent
+            return expand(node.base) ** node.exponent
         if isinstance(node, Func):
-            return _series(node.name, rec(node.arg), k)
+            return _series(node.name, expand(node.arg), k)
         if isinstance(node, BinOp):
-            a = rec(node.left)
-            b = rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
+            a = expand(node.left)
+            b = expand(node.right)
             if node.op == "*":
                 return a * b
             if node.op == "/":
@@ -272,7 +345,7 @@ def taylor_expand(e: Expr, variables, k: int) -> Jet:
                 return a * b.invert()
         raise TypeError(node)
 
-    return rec(e)
+    return expand(e)
 
 
 def parse_and_expand(text: str, variables, k: int) -> Jet:

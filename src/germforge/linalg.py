@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .jets import Jet, mdeg, monomials_upto
 
@@ -19,16 +20,19 @@ class RowSpace:
     """The span of some jets in the space of degree-<=k jets in `variables`.
 
     Columns are the monomials of degree <= k in `monomials_upto` order.  The
-    span is kept as its reduced row echelon form: one sparse row
-    {monomial: Fraction} per pivot monomial (the row's first column), equal
-    to 1 there and 0 at every other row's pivot.  That form is unique, so
-    the rows depend only on the span, not on the order of insertion."""
+    span is kept as its reduced row echelon form: one sparse row per pivot
+    monomial (the row's first column), 0 at every other row's pivot.  A row
+    is stored fraction-free (Bareiss, Math. Comp. 22, 1968), as a primitive
+    integer vector {monomial: int} whose pivot entry is positive; divided by
+    that entry it is the reduced row, equal to 1 at its pivot.  That form is
+    unique, so the rows depend only on the span, not on the order of
+    insertion."""
 
     def __init__(self, variables, k):
         self.variables = tuple(variables)
         self.degree = k
         self._col = _columns(len(self.variables), k)
-        self._rows = {}  # pivot monomial -> reduced row
+        self._rows = {}  # pivot monomial -> primitive integer row
 
     @property
     def rank(self):
@@ -36,9 +40,14 @@ class RowSpace:
 
     @property
     def rows(self):
-        """The reduced rows as jets, in pivot column order."""
-        return [Jet(dict(self._rows[p]), self.variables, self.degree,
-                    _clean=False) for p in self.pivots()]
+        """The reduced rows as jets, 1 at the pivot, in pivot column order."""
+        out = []
+        for p in self.pivots():
+            row = self._rows[p]
+            lead = row[p]
+            out.append(Jet({m: Fraction(v, lead) for m, v in row.items()},
+                           self.variables, self.degree, _clean=False))
+        return out
 
     def pivots(self):
         """The pivot monomials (leading local monomials), in column order."""
@@ -49,28 +58,49 @@ class RowSpace:
         monomial alone."""
         return {p for p, row in self._rows.items() if len(row) == 1}
 
+    def _reduce(self, f):
+        """(vec, scale): f truncated to degree k, minus its projection on
+        the span, is vec / scale, with vec an integer vector {monomial: int}
+        and scale a positive int; vec is empty when f lies in the span."""
+        scale = 1
+        for c in f.terms.values():
+            d = c.denominator
+            if d != 1:
+                scale = lcm(scale, d)
+        col = self._col
+        vec = {m: c.numerator * (scale // c.denominator)
+               for m, c in f.terms.items() if m in col}
+        # rows vanish at each other's pivots, so one pass clears them all:
+        # vec becomes (a/g)*vec - (c/g)*row, where a is the row's pivot
+        # entry, c is vec's and g = gcd(a, c), and the scale grows by a/g
+        for p in [m for m in vec if m in self._rows]:
+            row = self._rows[p]
+            c = vec.pop(p)
+            a = row[p]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            if a != 1:
+                scale *= a
+                for m in vec:
+                    vec[m] *= a
+            for m, r in row.items():
+                if m != p:
+                    v = vec.get(m, 0) - c * r
+                    if v:
+                        vec[m] = v
+                    else:
+                        del vec[m]
+        return vec, scale
+
     def residue(self, f):
         """f truncated to degree k, minus its projection on the span, as a
         sparse vector {monomial: Fraction}; empty when f lies in the span."""
-        vec = {m: c for m, c in f.terms.items() if m in self._col}
-        # rows vanish at each other's pivots, so one pass clears them all
-        for p in [m for m in vec if m in self._rows]:
-            c = -vec.pop(p)
-            for m, r in self._rows[p].items():
-                if m != p:
-                    v = vec.get(m)
-                    if v is None:
-                        vec[m] = c * r
-                    else:
-                        v += c * r
-                        if v:
-                            vec[m] = v
-                        else:
-                            del vec[m]
-        return vec
+        vec, scale = self._reduce(f)
+        return {m: Fraction(v, scale) for m, v in vec.items()}
 
     def contains(self, f):
-        return not self.residue(f)
+        return not self._reduce(f)[0]
 
     def copy(self):
         """An independent RowSpace with the same span."""
@@ -90,35 +120,46 @@ class RowSpace:
 
     def add(self, f):
         """Insert a jet; returns True when it enlarged the span."""
-        vec = self.residue(f)
+        vec = self._reduce(f)[0]
         if not vec:
             return False
         self._insert(vec)
         return True
 
     def _insert(self, vec):
-        """Add a nonzero reduced vector as a row; returns (pivot, lead)."""
+        """Add a nonzero reduced integer vector as a row; returns (pivot,
+        lead), lead being vec's entry at the pivot as given."""
         p = min(vec, key=self._col.__getitem__)
-        lead = vec.pop(p)
-        if lead != 1:
-            vec = {m: c / lead for m, c in vec.items()}
-        # clear column p from the other rows; their entry there cancels
-        # against the new row's 1, so it is dropped, not computed
+        lead = vec[p]
+        content = gcd(*vec.values())
+        if lead < 0:
+            content = -content
+        if content != 1:
+            vec = {m: v // content for m, v in vec.items()}
+        a = vec[p]
+        # clear column p from the other rows: row becomes (a/g)*row -
+        # (c/g)*vec with c its entry there and g = gcd(a, c), whose entry at
+        # p cancels, so it is dropped, not computed; the row keeps a
+        # positive pivot entry and is divided by its content
         for row in self._rows.values():
             c = row.pop(p, None)
             if c is not None:
-                c = -c
+                g = gcd(a, c)
+                s, c = a // g, c // g
+                if s != 1:
+                    for m in row:
+                        row[m] *= s
                 for m, v in vec.items():
-                    x = row.get(m)
-                    if x is None:
-                        row[m] = c * v
-                    else:
-                        x += c * v
+                    if m != p:
+                        x = row.get(m, 0) - c * v
                         if x:
                             row[m] = x
                         else:
                             del row[m]
-        vec[p] = Fraction(1)
+                g = gcd(*row.values())
+                if g != 1:
+                    for m in row:
+                        row[m] //= g
         self._rows[p] = vec
         return p, lead
 
@@ -195,10 +236,11 @@ def det(matrix):
     space = RowSpace(_C, n - 1)
     value, pivots = Fraction(1), []
     for row in matrix:
-        vec = space.residue(_as_jet(row, n))
+        vec, scale = space._reduce(_as_jet(row, n))
         if not vec:
             return Fraction(0)
         (p,), lead = space._insert(vec)
+        lead = Fraction(lead, scale)
         value *= -lead if sum(q > p for q in pivots) % 2 else lead
         pivots.append(p)
     return value

@@ -357,6 +357,25 @@ def test_missing_boundary_exit_2(capsys):
     assert "--boundary" in err
 
 
+def test_nonpersistent_dense_boundary_family(capsys):
+    # at u = 0, F(0, lambda) = 0 for every lambda, and F_x(0, lambda) =
+    # a1 - lambda vanishes at lambda = a1: L_SH, L_T and G_1 each cover the
+    # whole parameter space, as L_C does, and are not empty
+    argv = ["nonpersistent", "x^3 - x*lambda + a1*x", "--vars", "x,lambda",
+            "--params", "a1", "--boundary=0,1,-1,1"]
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    for name in ("L_C", "L_SH", "L_T", "G_1"):
+        assert "%s: whole parameter space" % name in lines
+    assert "L_SV: {1 + a1 = 0} union {-1 + a1 = 0}" in lines
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    comps = json.loads(out)["result"]["components"]
+    for name in ("L_SH", "L_T", "G_1"):
+        assert comps[name] == {"note": "dense", "side_conditions": [],
+                               "systems": []}
+
+
 def test_math_error_exit_1(capsys):
     code, _out, err = run(capsys, "normalset", "x^2", "--vars", "x,lambda")
     assert code == 1

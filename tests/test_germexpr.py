@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from germforge.germexpr import (
     GermSyntaxError,
@@ -10,6 +13,7 @@ from germforge.germexpr import (
     UnknownVariableError,
     parse_and_expand,
     parse_germ,
+    taylor_expand,
 )
 from germforge.jets import Jet
 
@@ -90,3 +94,65 @@ def test_syntax_errors_carry_position():
         j("x^lam")
     with pytest.raises(GermSyntaxError):
         j("(x + lam")
+
+
+@st.composite
+def monomial_texts(draw):
+    """(text, plus): c*x^a*lam^b, c a positive rational, spelled as a
+    product, as (-c)*... (so plus is False), as a division by a number, or
+    a power of such a product."""
+    c = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    powers = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                      for name, e in (("x", a), ("lam", b)) if e) or "1"
+    form = draw(st.sampled_from(["times", "negated", "divided", "raised"]))
+    if form == "raised":
+        return "(%s*%s)^%d" % (c, powers, draw(st.integers(0, 3))), True
+    if form == "divided":
+        return "%d*%s/%d" % (c.numerator, powers, c.denominator), True
+    if form == "negated":
+        return "(-%s)*%s" % (c, powers), False
+    return "%s*%s" % (c, powers), True
+
+
+@st.composite
+def polynomial_texts(draw, depth=1):
+    """A signed sum of monomials, parenthesized sums and powers of a small
+    sum."""
+    parts = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["monomial"] * 3 + ["group", "power"]
+                                    if depth else ["monomial"]))
+        if kind == "monomial":
+            text, plus = draw(monomial_texts())
+        elif kind == "group":
+            text, plus = "(%s)" % draw(polynomial_texts(depth - 1)), True
+        else:
+            text = "(%s)^%d" % (draw(polynomial_texts(depth - 1)),
+                                draw(st.integers(0, 3)))
+            plus = True
+        plus ^= draw(st.booleans())
+        if i:
+            parts.append(" + " if plus else " - ")
+        elif not plus:
+            parts.append("-")
+        parts.append(text)
+    return "".join(parts)
+
+
+def sympy_terms(text):
+    """The terms of `text` expanded by sympy: the independent reference."""
+    x, lam = sympy.symbols("x lam")
+    poly = sympy.Poly(sympy.expand(sympy.sympify(text.replace("^", "**"))),
+                      x, lam)
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(polynomial_texts())
+def test_taylor_expand_agrees_with_sympy(text):
+    tree, terms = parse_germ(text, V), sympy_terms(text)
+    for k in (None, 6):
+        jet = taylor_expand(tree, V, k)
+        assert jet == Jet(terms, V, k)
+        assert jet.degree == k

@@ -2,6 +2,7 @@
 against a dense Gauss-Jordan reference and Laplace expansion."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +161,50 @@ def test_copy_is_independent(case):
         twin.add(g)
     assert twin.rank == len(monomials_upto(2, k))
     assert space.rows == rows and space.rank == rank
+
+
+@settings(max_examples=30, deadline=None)
+@given(jet_lists(), st.randoms(use_true_random=False))
+def test_integer_rows_are_the_unique_reduced_rows(case, rng):
+    k, jets, probes = case
+    space, shuffled = RowSpace(V, k), RowSpace(V, k)
+    for f in jets:
+        space.add(f)
+    for f in rng.sample(jets, len(jets)):
+        shuffled.add(f)
+    rows, pivots = space.rows, space.pivots()
+    assert shuffled.rows == rows
+    assert [r.terms[p] for r, p in zip(rows, pivots)] == [1] * len(rows)
+    # each stored row: a primitive integer vector, positive at its pivot
+    # and 0 at every other pivot
+    for p, row in space._rows.items():
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1 and row[p] > 0
+        assert not any(q in row for q in pivots if q != p)
+    for f in probes + jets:
+        res = space.residue(f)
+        assert all(type(v) is Fraction for v in res.values())
+        assert not any(p in res for p in pivots)
+        assert space.contains(f.truncate(k) - Jet(res, V, k))
+
+
+def test_elimination_divides_touched_rows_by_their_content():
+    space = RowSpace(V, 1)
+    space.add(Jet({(0, 0): 2, (1, 0): 1, (0, 1): 1}, V, 1))
+    space.add(Jet({(1, 0): 1, (0, 1): 3}, V, 1))
+    # (2 + x + lam) - (x + 3*lam) = 2 - 2*lam, stored as 1 - lam
+    assert space._rows[(0, 0)] == {(0, 0): 1, (0, 1): -1}
+    assert [str(r) for r in space.rows] == ["1 - lam", "x + 3*lam"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_det_agrees_with_cofactor_expansion(n, integer, data):
+    den = st.just(1) if integer else st.integers(1, 4)
+    entry = st.builds(Fraction, st.integers(-4, 4), den)
+    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assert det(A) == laplace_det(A)
 
 
 ENTRIES = st.sampled_from([Fraction(0)] * 3) | st.fractions(
