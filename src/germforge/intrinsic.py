@@ -177,7 +177,8 @@ def degree_bound(opt: Optional[int] = None) -> int:
 
 def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
     """Least truncation degree k with M^(k+1) inside P(j^k g), reported with
-    that P; one expand and one P per degree, `expand(k)` the k-jet of g.
+    that P; one expand per degree, `expand(k)` the k-jet of g, and one P per
+    degree whose jet passes the axis test below.
     With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
     - P is stable from k to k+1: the test gives M^(k+1) in N(j^k g) +
       M^(k+2), so in N(j^k g) (Nakayama); j^(k+1) g - j^k g lies in M^(k+1),
@@ -185,11 +186,19 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
       M^(k+1) they are equal.  P(j^(k+1) g) at degree k+2 keeps every block
       with l <= k+1, and its extra block <lambda^(k+2)> lies in the l = 0 one.
     - the fractional ring is valid: its basis is stable by the leading-form
-      lemma of `localalg.ideal_span`, here for one generator."""
+      lemma of `localalg.ideal_span`, here for one generator.
+    The test also needs both axes, read off the k-jet h = j^k g: the ring
+    maps lambda -> 0 and x -> 0 take N(h) + M^(k+2) onto <x*h(x, 0),
+    x^2*h_x(x, 0)> + <x^(k+2)> and <lambda*h(0, lambda), lambda^2*h_x(0,
+    lambda)> + <lambda^(k+2)>.  The first holds x^(k+1) only if h(x, 0) is
+    nonzero, and the second holds lambda^(k+1) only if h has a term
+    x^a*lambda^b with a <= 1.  A jet without both cannot pass, so its P is
+    not computed; the zero jet is one."""
     bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         g = expand(k)
-        if g.is_zero():
+        if not (any(b == 0 for _, b in g.terms)
+                and any(a <= 1 for a, _ in g.terms)):
             continue
         # work one degree above the jet so the M^(k+1) boundary is visible
         P = high_order_part(g, k + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .jets import Jet, mdeg, monomials_upto
 
@@ -58,10 +59,9 @@ class RowSpace:
         monomial alone."""
         return {p for p, row in self._rows.items() if len(row) == 1}
 
-    def _reduce(self, f):
-        """(vec, scale): f truncated to degree k, minus its projection on
-        the span, is vec / scale, with vec an integer vector {monomial: int}
-        and scale a positive int; vec is empty when f lies in the span."""
+    def _vector(self, f):
+        """(vec, scale): f truncated to degree k times its common denominator
+        scale, as an integer vector {monomial: int}."""
         scale = 1
         for c in f.terms.values():
             d = c.denominator
@@ -70,6 +70,14 @@ class RowSpace:
         col = self._col
         vec = {m: c.numerator * (scale // c.denominator)
                for m, c in f.terms.items() if m in col}
+        return vec, scale
+
+    def _reduce(self, vec):
+        """Reduce an integer vector in place against the span; returns the
+        positive int s by which vec was scaled, so that the reduced vec is s
+        times the given one minus its projection on the span.  vec ends
+        empty when it lay in the span."""
+        scale = 1
         # rows vanish at each other's pivots, so one pass clears them all:
         # vec becomes (a/g)*vec - (c/g)*row, where a is the row's pivot
         # entry, c is vec's and g = gcd(a, c), and the scale grows by a/g
@@ -91,16 +99,19 @@ class RowSpace:
                         vec[m] = v
                     else:
                         del vec[m]
-        return vec, scale
+        return scale
 
     def residue(self, f):
         """f truncated to degree k, minus its projection on the span, as a
         sparse vector {monomial: Fraction}; empty when f lies in the span."""
-        vec, scale = self._reduce(f)
+        vec, scale = self._vector(f)
+        scale *= self._reduce(vec)
         return {m: Fraction(v, scale) for m, v in vec.items()}
 
     def contains(self, f):
-        return not self._reduce(f)[0]
+        vec = self._vector(f)[0]
+        self._reduce(vec)
+        return not vec
 
     def copy(self):
         """An independent RowSpace with the same span."""
@@ -110,17 +121,28 @@ class RowSpace:
 
     def add_multiples(self, f, least=0):
         """Insert m*f for every monomial m with least <= deg m <= k - ord f,
-        which spans M^least{f} modulo degree > k; a zero f adds nothing."""
-        f = f.truncate(self.degree)
-        if f.is_zero():
+        which spans M^least{f} modulo degree > k; a zero f adds nothing.
+        f's denominators are cleared once: each m*f is f's integer vector
+        shifted by m, cut at degree k."""
+        k = self.degree
+        # each term of f's vector with the degree left above it
+        terms = [(e, v, k - mdeg(e)) for e, v in self._vector(f)[0].items()]
+        if not terms:
             return
-        for m in monomials_upto(len(self.variables), self.degree - f.order()):
-            if mdeg(m) >= least:
-                self.add(f.term_mul(m))
+        for m in monomials_upto(len(self.variables), max(r for *_, r in terms)):
+            d = mdeg(m)
+            if d >= least:
+                self._add({tuple(map(add, e, m)): v
+                           for e, v, r in terms if d <= r})
 
     def add(self, f):
         """Insert a jet; returns True when it enlarged the span."""
-        vec = self._reduce(f)[0]
+        return self._add(self._vector(f)[0])
+
+    def _add(self, vec):
+        """Reduce an integer vector and insert what is left as a row; returns
+        True when it enlarged the span."""
+        self._reduce(vec)
         if not vec:
             return False
         self._insert(vec)
@@ -236,7 +258,8 @@ def det(matrix):
     space = RowSpace(_C, n - 1)
     value, pivots = Fraction(1), []
     for row in matrix:
-        vec, scale = space._reduce(_as_jet(row, n))
+        vec, scale = space._vector(_as_jet(row, n))
+        scale *= space._reduce(vec)
         if not vec:
             return Fraction(0)
         (p,), lead = space._insert(vec)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germforge import intrinsic, localalg
@@ -195,13 +195,13 @@ def no_basis_loop(*args):
 
 @pytest.mark.parametrize("text, degree, nonzero", [
     ("x^3 - sin(lam)", 3, [1, 2, 3]),
-    # the 1-jet is zero, so degree 1 computes no P
     ("x^3 + exp(lam^2) - 1", 3, [2, 3]),
 ])
 def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
         monkeypatch, text, degree, nonzero):
-    # each degree up to the answer is expanded once and each nonzero jet
-    # has its P computed once, one degree above the jet; no degree above
+    # each degree up to the answer is expanded once; of the nonzero jets
+    # only the 3-jet has a term on each axis (x^a and x^a*lambda^b with
+    # a <= 1), so P is computed once, one degree above it; no degree above
     # the answer is expanded and no standard basis is computed
     expanded, seen = [], []
 
@@ -218,7 +218,8 @@ def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
     rep = verify_germ(expand)
     assert rep.truncation_degree == degree
     assert expanded == list(range(1, degree + 1))
-    assert seen == [k + 1 for k in nonzero]
+    assert [k for k in expanded if not j(text, k).is_zero()] == nonzero
+    assert seen == [degree + 1]
 
 
 polynomial_germs = st.dictionaries(
@@ -231,6 +232,26 @@ def nonzero_jets(g, top):
     """(k, j^k g) for every k in 1..top with a nonzero k-jet."""
     return [(k, g.truncate(k)) for k in range(1, top + 1)
             if not g.truncate(k).is_zero()]
+
+
+def ladder(g, bound):
+    """verify_germ's degree and P without the axis test: P at every k with
+    a nonzero k-jet."""
+    for k, gk in nonzero_jets(g, bound):
+        P = high_order_part(gk, k + 1)
+        if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
+            return k, P.blocks
+    return None, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomial_germs)
+@example(j("x^3 - sin(lam)", 8))
+@example(j("x^3 + exp(lam^2) - 1", 8))
+def test_axis_test_skips_only_degrees_that_cannot_pass(g):
+    rep = verify_germ(g.truncate, 7)
+    blocks = rep.high_order.blocks if rep.high_order else None
+    assert (rep.truncation_degree, blocks) == ladder(g, 7)
 
 
 @settings(max_examples=60, deadline=None)

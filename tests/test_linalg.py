@@ -136,6 +136,28 @@ def test_add_multiples_spans_the_explicit_products(case, least):
     assert space.rows == products.rows
 
 
+@settings(max_examples=30, deadline=None)
+@given(jet_lists(), st.integers(2, 6), st.integers(1, 6), st.integers(0, 2))
+def test_add_multiples_inserts_shifted_integer_vectors(case, content, den,
+                                                       least):
+    # f = (content/den)*h: add_multiples clears f's denominators once and
+    # shifts that vector by each m, while `add` clears those of each m*f; the
+    # spans start from the probes, so the shifted vectors are reduced too
+    k, jets, probes = case
+    space, products = RowSpace(V, k), RowSpace(V, k)
+    for g in probes:
+        space.add(g)
+        products.add(g)
+    for h in jets:
+        f = h.scale(Fraction(content, den))
+        space.add_multiples(f, least)
+        for m in monomials_upto(2, k):
+            if mdeg(m) >= least:
+                products.add(f.term_mul(m))
+    assert space.rows == products.rows
+    assert space._rows == products._rows
+
+
 def test_add_multiples_truncates_and_skips_zero():
     x = Jet.variable("x", V, None)
     lam = Jet.variable("lam", V, None)
