@@ -11,7 +11,7 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intrinsic import verify_germ
-from .jets import Jet, mdeg
+from .jets import Jet, compose_all, mdeg
 from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
                        real_root_count, to_integer_ring, to_ring)
 from .singularity import UnfoldingGerm
@@ -138,9 +138,9 @@ def _double_limit_system(body: Jet):
     half_s = Jet.variable(s, sd).scale(Fraction(1, 2))
     half_d = Jet.variable(d, sd).scale(Fraction(1, 2))
     eqs = []
-    for h in (body, body.diff(variables[0])):
-        h1 = h.compose({variables[0]: half_s + half_d})
-        h2 = h.compose({variables[0]: half_s - half_d})
+    hs = (body, body.diff(variables[0]))
+    for h1, h2 in zip(compose_all(hs, {variables[0]: half_s + half_d}),
+                      compose_all(hs, {variables[0]: half_s - half_d})):
         # h1 - h2 is odd in d: shifting its exponents by one divides by d
         for e, shift in ((h1 + h2, 0), (h1 - h2, 1)):
             terms = {}

@@ -1,6 +1,12 @@
 """Germ expression trees: a small recursive-descent parser and exact Taylor
 expansion into jets.
 
+The parser splits the text once into tokens (integers, names and single
+characters, whitespace dropped) and descends over the token list.  A
+GermSyntaxError's position is found again from the text only when it is
+raised: the start of the offending token, the end of the text when no
+token is left, or the end of a zero denominator.
+
 Grammar (whitespace insignificant):
 
     expr     := term (('+'|'-') term)*
@@ -14,6 +20,7 @@ Grammar (whitespace insignificant):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -70,117 +77,115 @@ class Func:
 Expr = Union[Num, Var, BinOp, Pow, Func]
 
 
+# Integers (decimal digits, as int() reads them), names (a word that does not
+# start with a decimal digit) and single characters.  The whitespace between
+# them is skipped.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+
+
 class _Parser:
+    """Recursive descent over the token list.  The list ends in the sentinel
+    "", so a look-ahead is one index; positions are only found again when an
+    error is raised."""
+
     def __init__(self, text: str, variables):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
         self.variables = tuple(variables)
 
-    def error(self, message):
-        raise GermSyntaxError(message, self.pos)
+    def error(self, message, after=False):
+        """Raise at the start of the current token (the end of the text when
+        none is left), or at the end of the previous one if `after`."""
+        spans = [t.span() for t in _TOKEN.finditer(self.text)]
+        if after:
+            position = spans[self.i - 1][1]
+        elif self.i < len(spans):
+            position = spans[self.i][0]
+        else:
+            position = len(self.text)
+        raise GermSyntaxError(message, position)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def accept(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch):
-        if not self.accept(ch):
-            self.error("expected %r" % ch)
+    def expect(self, token):
+        if self.tokens[self.i] != token:
+            self.error("expected %r" % token)
+        self.i += 1
 
     def parse(self) -> Expr:
         e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tokens[self.i]:
             self.error("unexpected trailing input")
         return e
 
     def expr(self) -> Expr:
-        if self.peek() == "-":
-            self.pos += 1
+        t = self.tokens[self.i]
+        if t == "-":
+            self.i += 1
             node = BinOp("-", Num(Fraction(0)), self.term())
         else:
-            self.accept("+")
+            if t == "+":
+                self.i += 1
             node = self.term()
         while True:
-            ch = self.peek()
-            if ch and ch in "+-":
-                self.pos += 1
-                node = BinOp(ch, node, self.term())
-            else:
+            t = self.tokens[self.i]
+            if t != "+" and t != "-":
                 return node
+            self.i += 1
+            node = BinOp(t, node, self.term())
 
     def term(self) -> Expr:
         node = self.factor()
         while True:
-            ch = self.peek()
-            if ch and ch in "*/":
-                self.pos += 1
-                node = BinOp(ch, node, self.factor())
-            else:
+            t = self.tokens[self.i]
+            if t != "*" and t != "/":
                 return node
+            self.i += 1
+            node = BinOp(t, node, self.factor())
 
     def factor(self) -> Expr:
         node = self.base()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.tokens[self.i] == "^":
+            self.i += 1
             node = Pow(node, self.unsigned_int())
         return node
 
     def unsigned_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        t = self.tokens[self.i]
+        if not t[:1].isdecimal():
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        self.i += 1
+        return int(t)
 
     def base(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        tokens = self.tokens
+        t = tokens[self.i]
+        if t == "(":
+            self.i += 1
             node = self.expr()
             self.expect(")")
             return node
-        if ch.isdigit():
-            num = self.unsigned_int()
-            self.skip_ws()
-            if self.peek() == "/":
-                save = self.pos
-                self.pos += 1
-                if self.peek().isdigit():
-                    den = self.unsigned_int()
-                    if den == 0:
-                        self.error("zero denominator")
-                    return Num(Fraction(num, den))
-                self.pos = save
-            return Num(Fraction(num))
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name in FUNCTIONS:
+        if t[:1].isdecimal():
+            self.i += 1
+            if tokens[self.i] == "/" and tokens[self.i + 1][:1].isdecimal():
+                self.i += 1
+                den = self.unsigned_int()
+                if den == 0:
+                    self.error("zero denominator", after=True)
+                return Num(Fraction(int(t), den))
+            return Num(Fraction(int(t)))
+        if t[:1].isalpha() or t[:1] == "_":
+            self.i += 1
+            if t in FUNCTIONS:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Func(name, arg)
-            if name not in self.variables:
-                raise UnknownVariableError("unknown variable %r" % name)
-            return Var(name)
-        self.error("unexpected character %r" % ch)
+                return Func(t, arg)
+            if t not in self.variables:
+                raise UnknownVariableError("unknown variable %r" % t)
+            return Var(t)
+        if not t:
+            self.error("unexpected end of input")
+        self.error("unexpected character %r" % t[0])
 
 
 def parse_germ(text: str, variables) -> Expr:

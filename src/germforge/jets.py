@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf, lcm
 from operator import add, sub
 from typing import Optional
 
@@ -251,24 +251,10 @@ class Jet:
             return self.scale(other)
         self._check_vars(other)
         deg = self._joint_degree(other)
-        right = [(m, c, mdeg(m)) for m, c in other.terms.items()]
-        terms = {}
-        for m1, c1 in self.terms.items():
-            room = None if deg is None else deg - mdeg(m1)
-            for m2, c2, d2 in right:
-                if room is not None and d2 > room:
-                    continue
-                m = tuple(map(add, m1, m2))
-                v = terms.get(m)
-                if v is None:
-                    terms[m] = c1 * c2
-                else:
-                    v += c1 * c2
-                    if v:
-                        terms[m] = v
-                    else:
-                        del terms[m]
-        return Jet(terms, self.variables, deg, _clean=False)
+        left, lden = integer_terms(self.terms)
+        right, rden = integer_terms(other.terms)
+        return _from_numerators(_convolve(left, right, deg), lden * rden,
+                                self.variables, deg)
 
     __rmul__ = __mul__
 
@@ -341,32 +327,8 @@ class Jet:
         """Substitute jets for variables.  `images` maps variable name -> Jet
         (all in a common target ring, whose degree the result takes);
         unmapped variables keep themselves only if present in the target
-        ring."""
-        sample = next(iter(images.values()))
-        tvars = sample.variables
-        tdeg = sample.degree
-        base = {}
-        for v in self.variables:
-            if v in images:
-                base[v] = images[v].truncate(tdeg)
-            else:
-                base[v] = Jet.variable(v, tvars, tdeg)
-        out = Jet.zero(tvars, tdeg)
-        power_cache = {v: [Jet.constant(1, tvars, tdeg)] for v in self.variables}
-
-        def vpow(v, e):
-            cache = power_cache[v]
-            while len(cache) <= e:
-                cache.append(cache[-1] * base[v])
-            return cache[e]
-
-        for m, c in sorted(self.terms.items()):
-            term = Jet.constant(c, tvars, tdeg)
-            for v, e in zip(self.variables, m):
-                if e:
-                    term = term * vpow(v, e)
-            out = out + term
-        return out
+        ring.  The single-jet case of `compose_all`."""
+        return next(compose_all((self,), images))
 
     def evaluate(self, point: dict):
         """Evaluate at a rational point given as {var: value}."""
@@ -412,13 +374,8 @@ class Jet:
         coefficient (earliest monomial lexicographically) positive."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        scaled = self.scale(Fraction(den, num))
+        pairs, den = integer_terms(self.terms)
+        scaled = self.scale(Fraction(den, gcd(*(v for _, v in pairs))))
         first = max(scaled.terms)  # lexicographically first monomial
         if scaled.terms[first] < 0:
             scaled = -scaled
@@ -447,6 +404,132 @@ class Jet:
 
     def __repr__(self):
         return "Jet(%s)" % self
+
+
+# -- integer numerators ------------------------------------------------------
+#
+# A product or a composition clears each operand's denominators once
+# (`integer_terms`, which `primitive` and `linalg.RowSpace` use too), works
+# on integer numerators over one common denominator and builds one Fraction
+# per result term.
+
+
+def integer_terms(terms) -> tuple:
+    """(pairs, den): the Fraction `terms` over their least common
+    denominator den, as a list of (monomial, integer numerator)."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [(m, c.numerator) for m, c in terms.items()], 1
+    return [(m, c.numerator * (den // c.denominator))
+            for m, c in terms.items()], den
+
+
+def _convolve(left, right, deg) -> dict:
+    """The product of two lists of (monomial, int) as {monomial: int},
+    without the monomials of degree above deg (None: no bound).  Entries
+    that cancel stay, as zeros."""
+    top = inf if deg is None else deg
+    right = sorted((mdeg(m), m, v) for m, v in right)
+    acc = {}
+    get = acc.get
+    for m1, v1 in left:
+        room = top - mdeg(m1)
+        for d2, m2, v2 in right:
+            if d2 > room:
+                break
+            m = tuple(map(add, m1, m2))
+            acc[m] = get(m, 0) + v1 * v2
+    return acc
+
+
+def _nonzero(acc) -> list:
+    return [(m, v) for m, v in acc.items() if v]
+
+
+def _from_numerators(acc, den, variables, degree) -> Jet:
+    """The jet with terms acc[m] / den, zeros dropped."""
+    if den == 1:
+        terms = {m: Fraction(v) for m, v in acc.items() if v}
+    else:
+        terms = {m: Fraction(v, den) for m, v in acc.items() if v}
+    return Jet(terms, variables, degree, _clean=False)
+
+
+def compose_all(jets, images: dict):
+    """Yield each of `jets` with `images` substituted, as `Jet.compose`
+    does; all of them share one table of powers of the images.
+
+    A jet's terms are grouped by their exponents of every variable but the
+    first.  A group is a linear combination of powers of the first
+    variable's image times the image of the group's remaining monomial, so
+    it costs one product.  Powers and monomial images are computed once, on
+    integer numerators, and kept for the later jets."""
+    sample = next(iter(images.values()))
+    tvars, tdeg = sample.variables, sample.degree
+    one = ([((0,) * len(tvars), 1)], 1)
+    powers = {}  # variable -> [(pairs, den) of its image^e, e = 0, 1, ...]
+    monomials = {(): one}  # ((variable, e), ...) -> (pairs, den) of its image
+
+    def power(v, e):
+        cache = powers.get(v)
+        if cache is None:
+            image = (images[v].truncate(tdeg) if v in images
+                     else Jet.variable(v, tvars, tdeg))
+            cache = powers[v] = [one, integer_terms(image.terms)]
+        while len(cache) <= e:
+            (p, d), (p1, d1) = cache[-1], cache[1]
+            cache.append((_nonzero(_convolve(p, p1, tdeg)), d * d1))
+        return cache[e]
+
+    def monomial(key):
+        # each prefix of the key once, without recursion: a recursive
+        # closure is a reference cycle that would keep the tables alive
+        got = one
+        for i in range(1, len(key) + 1):
+            nxt = monomials.get(key[:i])
+            if nxt is None:
+                p, d = power(*key[i - 1])
+                nxt = (_nonzero(_convolve(got[0], p, tdeg)), got[1] * d)
+                monomials[key[:i]] = nxt
+            got = nxt
+        return got
+
+    for f in jets:
+        for v in f.variables:
+            # ValueError when a variable has neither an image nor a place in
+            # the target ring
+            power(v, 1)
+        first, others = f.variables[0], f.variables[1:]
+        groups = {}
+        for m, c in f.terms.items():
+            groups.setdefault(m[1:], []).append((power(first, m[0]), c))
+        parts = []
+        for rest, column in groups.items():
+            den = lcm(*(c.denominator * d for (_, d), c in column))
+            combo = {}
+            get = combo.get
+            for (pairs, d), c in column:
+                s = c.numerator * (den // (c.denominator * d))
+                for m, v in pairs:
+                    combo[m] = get(m, 0) + s * v
+            key = tuple((v, e) for v, e in zip(others, rest) if e)
+            if key:
+                p, d = monomial(key)
+                combo = _convolve(_nonzero(combo), p, tdeg)
+                den *= d
+            parts.append((combo, den))
+        den = lcm(*(d for _, d in parts))
+        out = {}
+        get = out.get
+        for combo, d in parts:
+            s = den // d
+            for m, v in combo.items():
+                out[m] = get(m, 0) + s * v
+        yield _from_numerators(out, den, tvars, tdeg)
 
 
 def format_monomial(m: Monomial, variables) -> str:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
-from .jets import Jet, mdeg, monomials_upto
+from .jets import Jet, integer_terms, mdeg, monomials_upto
 
 
 class RowSpace:
@@ -62,15 +62,9 @@ class RowSpace:
     def _vector(self, f):
         """(vec, scale): f truncated to degree k times its common denominator
         scale, as an integer vector {monomial: int}."""
-        scale = 1
-        for c in f.terms.values():
-            d = c.denominator
-            if d != 1:
-                scale = lcm(scale, d)
+        pairs, scale = integer_terms(f.terms)
         col = self._col
-        vec = {m: c.numerator * (scale // c.denominator)
-               for m, c in f.terms.items() if m in col}
-        return vec, scale
+        return {m: v for m, v in pairs if m in col}, scale
 
     def _reduce(self, vec):
         """Reduce an integer vector in place against the span; returns the
@@ -198,7 +192,7 @@ _C = ("c",)
 
 def _as_jet(row, n):
     """A dense row of length n as a jet in the one variable c."""
-    return Jet({(i,): v for i, v in enumerate(row)}, _C, n - 1)
+    return Jet({(i,): v for i, v in enumerate(row) if v}, _C, n - 1)
 
 
 def rref(rows):
@@ -216,16 +210,19 @@ def rref(rows):
 
 def solve_linear(matrix, rhs):
     """One solution of matrix * x = rhs with free variables set to 0, or None
-    when inconsistent.  `matrix` is a list of rows."""
+    when inconsistent.  `matrix` is a list of rows.  x[p] is read from the
+    integer row of pivot p as its last entry over its pivot entry."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if ncols in pivots:
-        return None  # a row 0 = b with b != 0
+    space = RowSpace(_C, ncols)
+    for row, b in zip(matrix, rhs):
+        space.add(_as_jet(list(row) + [b], ncols + 1))
     x = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[-1]
+    for (p,), row in space._rows.items():
+        if p == ncols:
+            return None  # a row 0 = b with b != 0
+        x[p] = Fraction(row.get((ncols,), 0), row[(p,)])
     return x
 
 

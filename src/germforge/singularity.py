@@ -19,7 +19,7 @@ from .intrinsic import (
     smallest_intrinsic,
     working_degree,
 )
-from .jets import Jet, LocalOrder, mdeg, monomials_upto
+from .jets import Jet, LocalOrder, compose_all, mdeg, monomials_upto
 from .linalg import RowSpace, det, solve_linear
 
 # most monomial complements of T that `universal_unfolding` lists
@@ -334,15 +334,17 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
     L = Jet.variable(variables[1], variables, k).scale(c0)
     S = Jet.constant(s0, variables, k)
 
+    derivatives = (g.diff(variables[0]), g.diff(variables[1]))
     for _round in range(k + 2):
-        G = g.compose({variables[0]: X, variables[1]: L})
-        r = (f - S * G).truncate(k - 1)
+        # g, g_x and g_lambda composed through one table of powers of X, L;
+        # the derivatives only when the residual asks for a step
+        composed = compose_all((g,) + derivatives,
+                               {variables[0]: X, variables[1]: L})
+        SG = S * next(composed)
+        r = (f - SG).truncate(k - 1)
         if r.is_zero():
             break
-        SGx = S * g.diff(variables[0]).compose(
-            {variables[0]: X, variables[1]: L})
-        SGlam = S * g.diff(variables[1]).compose(
-            {variables[0]: X, variables[1]: L})
+        SGx, SGlam = (S * h for h in composed)
         # Newton step: solve the full linearization over every monomial of
         # degree < k at once.  Corrections to the linear parts of X and
         # Lambda stay off the table (the rigid scaling fixed them); with the
@@ -351,7 +353,7 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
         unknowns = []  # (kind, monomial, contribution jet)
         for dd in range(1, k - d0):
             for m in _homogeneous_monomials(dd):
-                unknowns.append(("S", m, S * G.term_mul(m)))
+                unknowns.append(("S", m, SG.term_mul(m)))
         oX = SGx.order() if not SGx.is_zero() else None
         if oX is not None:
             for dd in range(2, k - oX):
@@ -363,23 +365,21 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
                 unknowns.append(("L", (0, dd), SGlam.term_mul((0, dd))))
         if not unknowns:
             raise NotEquivalentError(not_found)
-        rows_m = [m for m in monomials_upto(2, k - 1)]
-        A = [[u[2].terms.get(m, Fraction(0)) for u in unknowns]
-             for m in rows_m]
-        b = [r.terms.get(m, Fraction(0)) for m in rows_m]
+        rows_m = monomials_upto(2, k - 1)
+        A = [[u[2].terms.get(m, 0) for u in unknowns] for m in rows_m]
+        b = [r.terms.get(m, 0) for m in rows_m]
         sol = solve_linear(A, b)
         if sol is None:
             raise NotEquivalentError(not_found)
         for c, (kind, m, _contrib) in zip(sol, unknowns):
             if c == 0:
                 continue
-            delta = Jet.monomial(m, variables, c, k)
             if kind == "S":
-                S = S + S * delta
+                S = S + S.term_mul(m, c)
             elif kind == "X":
-                X = X + delta
+                X = X + Jet.monomial(m, variables, c, k)
             else:
-                L = L + delta
+                L = L + Jet.monomial(m, variables, c, k)
     else:
         raise NotEquivalentError(not_found)
     return TransformationTriple(X, L, S)

@@ -538,6 +538,8 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
     pytest.param(["verify", "--persistent", "--ideal", "x^3 - lambda",
                   "--vars", "x,lambda"], "--ideal",
                  id="verify-persistent-ideal"),
+    pytest.param(["normalform", "x^\u00b2", "--vars", "x,lambda"],
+                 "expected an integer", id="normalform-superscript-exponent"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message

@@ -96,6 +96,32 @@ def test_syntax_errors_carry_position():
         j("(x + lam")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x lam", "unexpected trailing input", 2),
+    ("x + lam)", "unexpected trailing input", 7),
+    ("(x + lam", "expected ')'", 8),
+    ("sin(x", "expected ')'", 5),
+    ("sin x", "expected '('", 4),
+    ("x^lam", "expected an integer", 2),
+    ("x^ ", "expected an integer", 3),
+    # str.isdigit accepts '²', int() does not
+    ("x^\u00b2", "expected an integer", 2),
+    ("1/0 + x", "zero denominator", 3),
+    ("1 / 0", "zero denominator", 5),
+    ("x + )", "unexpected character ')'", 4),
+    ("\u00b2", "unexpected character '\u00b2'", 0),
+    ("x + ", "unexpected end of input", 4),
+    ("", "unexpected end of input", 0),
+    ("   )", "unexpected character ')'", 3),
+    ("  x^ y", "expected an integer", 5),
+], ids=repr)
+def test_syntax_error_messages_and_positions(text, message, position):
+    with pytest.raises(GermSyntaxError) as e:
+        parse_germ(text, V)
+    assert str(e.value) == "%s (at position %d)" % (message, position)
+    assert e.value.position == position
+
+
 @st.composite
 def monomial_texts(draw):
     """(text, plus): c*x^a*lam^b, c a positive rational, spelled as a

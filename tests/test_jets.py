@@ -11,6 +11,7 @@ from germforge.jets import (
     Jet,
     LexOrder,
     LocalOrder,
+    compose_all,
     mdeg,
     mdiv,
     mdivides,
@@ -228,6 +229,85 @@ def test_compose_keeps_the_kernel_invariant(ta, da, tx, tl, dt):
                                          naive_pow(L.terms, j)))
         for (i, j), c in a.terms.items()))
     assert_kernel(a.compose({"x": X, "lam": L}), reference, dt)
+
+
+# Products and compositions run on integer numerators over one common
+# denominator; these compare them with plain Fraction arithmetic, pair by
+# pair and term by term.
+
+wide_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+wide_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), wide_coeffs, max_size=7
+)
+
+
+def pairwise_product(ta, tb, degree):
+    """sum of c1*c2 * x^(m1+m2) over the pairs of terms, in Fractions,
+    without the monomials above `degree`."""
+    out = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = tuple(i + j for i, j in zip(m1, m2))
+            if degree is None or mdeg(m) <= degree:
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_terms, bounds, wide_terms, bounds)
+def test_product_equals_the_pairwise_fraction_convolution(ta, da, tb, db):
+    a, b = J(ta, da), J(tb, db)
+    # a(x, lam)*a(x, -lam) is even in lam: its odd terms cancel, and at a
+    # low bound the whole truncated product can cancel to zero
+    mirror = J({m: -c if m[1] % 2 else c for m, c in a.terms.items()}, db)
+    for f, g in ((a, b), (a, mirror), (b, b)):
+        deg = joint(f.degree, g.degree)
+        product = pairwise_product(f.terms, g.terms, deg)
+        assert_kernel(f * g, product, deg)
+    assert all(m[1] % 2 == 0 for m in (a * mirror).terms)
+
+
+V3 = ("x", "lam", "a")
+
+
+def substituted(terms, images, degree):
+    """Term-by-term substitution: sum of c * prod images[v]^e, each image a
+    dict of Fractions, without the monomials above `degree` (truncation is
+    a ring map, so each factor is cut as it is multiplied)."""
+    out = {}
+    for m, c in terms.items():
+        term = {(0,) * len(V3): c}
+        for image, e in zip(images, m):
+            for _ in range(e):
+                term = pairwise_product(term, image, degree)
+        for mt, ct in term.items():
+            out[mt] = out.get(mt, Fraction(0)) + ct
+    return {m: c for m, c in out.items()
+            if c and (degree is None or mdeg(m) <= degree)}
+
+
+jet3_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+    wide_coeffs, max_size=6)
+image_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    wide_coeffs, max_size=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(jet3_terms, bounds, image_terms, image_terms, bounds)
+def test_compose_equals_term_by_term_substitution(tg, dg, tx, tl, dt):
+    g = Jet(tg, V3, dg)
+    X, L = Jet(tx, V3, dt), Jet(tl, V3, dt)
+    images = {"x": X, "lam": L}  # a keeps itself
+    references = [substituted(h.terms, (X.terms, L.terms, {(0, 0, 1): 1}),
+                              dt)
+                  for h in (g, g.diff("x"), g.diff("lam"))]
+    assert_kernel(g.compose(images), references[0], dt)
+    shared = list(compose_all((g, g.diff("x"), g.diff("lam")), images))
+    assert len(shared) == 3
+    for h, reference in zip(shared, references):
+        assert_kernel(h, reference, dt)
 
 
 def test_monomials_upto_hands_out_its_own_list():
