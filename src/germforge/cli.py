@@ -20,7 +20,6 @@ from .germexpr import (
     GermSyntaxError,
     NonUnitDivisorError,
     UnknownVariableError,
-    is_polynomial_expr,
     parse_germ,
     taylor_expand,
 )
@@ -149,7 +148,7 @@ def _germ(text, variables):
     expanded so far, which truncates to every lower k, and is expanded no
     higher than asked; expand(None) asks for --degree."""
     tree = parse_germ(text, variables)
-    if is_polynomial_expr(tree):
+    if tree.polynomial:
         exact = taylor_expand(tree, variables, None)
         return exact.truncate, True
     top = None
@@ -172,13 +171,16 @@ def _jets(texts, variables, k):
 
 
 def _answer_jet(args, variables):
-    """The first germ's jet at the degree where `recognize` and
-    `algobjects` answer: --degree; else one degree above the working degree,
-    where `verify_germ` read P and M^(k+1) shows; else the working degree,
-    with the warning that no truncation degree was found."""
+    """(g, mrt, warnings): the first germ's jet at the degree where
+    `recognize` and `algobjects` answer, and M*RT(g) there when the
+    truncation search built it.  The degree is --degree; else one degree
+    above the working degree, where `verify_germ` read P from M*RT and
+    M^(k+1) shows; else the working degree, with the warning that no
+    truncation degree was found."""
     expand, _polynomial = _germ(args.germ[0], variables)
-    k, P, warnings = working_degree(expand, args.degree)
-    return require_nonzero(expand(k if P is None else k + 1)), warnings
+    k, _P, mrt, warnings = working_degree(expand, args.degree)
+    g = require_nonzero(expand(k if mrt is None else k + 1))
+    return g, mrt, warnings
 
 
 def _plot_directory(directory):
@@ -309,9 +311,9 @@ def cmd_unfolding(args, variables):
 
 
 def cmd_recognize(args, variables):
-    g, warnings = _answer_jet(args, variables)
+    g, mrt, warnings = _answer_jet(args, variables)
     if args.matrix is not None:
-        M = recognition_unfolding(g, args.matrix)
+        M = recognition_unfolding(g, args.matrix, mrt)
         rows = M.render()
         return ({"germ": args.germ[0], "matrix": args.matrix},
                 {"columns": [list(c) for c in M.columns], "rows": rows},
@@ -338,11 +340,11 @@ def cmd_transform(args, variables):
         # one degree above both truncation degrees, both jets determine
         # their germs, so a witness proves the germs equivalent
         found = [working_degree(expand) for expand in expands]
-        k = max(d for d, _P, _w in found) + 1
-        warnings = list(dict.fromkeys(w for _d, _P, ws in found for w in ws))
+        k = max(d for d, *_ in found) + 1
+        warnings = list(dict.fromkeys(w for *_, ws in found for w in ws))
         # the truncation degree verify finds is a contact invariant, so two
         # found degrees that differ prove the germs inequivalent
-        if (all(P is not None for _d, P, _w in found)
+        if (all(P is not None for _d, P, *_ in found)
                 and found[0][0] != found[1][0]):
             raise NotEquivalentError("not equivalent up to degree %d" % k)
     tr = transformation(expands[0](k), expands[1](k), k)
@@ -414,8 +416,8 @@ def cmd_intrinsic(args, variables):
 
 
 def cmd_algobjects(args, variables):
-    g, warnings = _answer_jet(args, variables)
-    ao = alg_objects(g)
+    g, mrt, warnings = _answer_jet(args, variables)
+    ao = alg_objects(g, mrt)
 
     def fm(monos):
         return "{%s}" % ", ".join(format_monomial(m, variables)
@@ -587,10 +589,10 @@ def main(argv=None) -> int:
         inputs, result, warnings, lines = args.func(args, variables)
     except (InputError, GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:
-        error, status = exc, 2
+        error, status = str(exc), 2
     except (InfiniteCodimensionError, NotEquivalentError,
             ParameterCountError, ZeroGermError) as exc:
-        error, status = exc, 1
+        error, status = str(exc), 1
     else:
         if args.format == "json":
             print(json.dumps({"command": args.command, "inputs": inputs,

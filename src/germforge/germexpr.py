@@ -45,14 +45,21 @@ class NonUnitDivisorError(ValueError):
     """Division by a germ vanishing at the origin."""
 
 
+# Every node has `polynomial`: True when the tree below it is a polynomial,
+# with no function and every divisor a number.  The parser records it on
+# each operation as it builds the tree.
+
+
 @dataclass(frozen=True)
 class Num:
     value: Fraction
+    polynomial = True
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    polynomial = True
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
+    polynomial: bool
 
 
 @dataclass(frozen=True)
@@ -67,11 +75,16 @@ class Pow:
     base: "Expr"
     exponent: int
 
+    @property
+    def polynomial(self) -> bool:
+        return self.base.polynomial
+
 
 @dataclass(frozen=True)
 class Func:
     name: str
     arg: "Expr"
+    polynomial = False
 
 
 Expr = Union[Num, Var, BinOp, Pow, Func]
@@ -121,7 +134,8 @@ class _Parser:
         t = self.tokens[self.i]
         if t == "-":
             self.i += 1
-            node = BinOp("-", Num(Fraction(0)), self.term())
+            node = self.term()
+            node = BinOp("-", Num(Fraction(0)), node, node.polynomial)
         else:
             if t == "+":
                 self.i += 1
@@ -131,7 +145,8 @@ class _Parser:
             if t != "+" and t != "-":
                 return node
             self.i += 1
-            node = BinOp(t, node, self.term())
+            right = self.term()
+            node = BinOp(t, node, right, node.polynomial and right.polynomial)
 
     def term(self) -> Expr:
         node = self.factor()
@@ -140,7 +155,9 @@ class _Parser:
             if t != "*" and t != "/":
                 return node
             self.i += 1
-            node = BinOp(t, node, self.factor())
+            right = self.factor()
+            node = BinOp(t, node, right, node.polynomial and (
+                right.polynomial if t == "*" else isinstance(right, Num)))
 
     def factor(self) -> Expr:
         node = self.base()
@@ -189,22 +206,9 @@ class _Parser:
 
 
 def parse_germ(text: str, variables) -> Expr:
-    """Parse `text` over the ordered variable list `variables`."""
+    """Parse `text` over the ordered variable list `variables`; the tree's
+    `polynomial` says whether it is a polynomial."""
     return _Parser(text, variables).parse()
-
-
-def is_polynomial_expr(e: Expr) -> bool:
-    """True when the tree is a polynomial: no functions, and every divisor a
-    number."""
-    if isinstance(e, (Num, Var)):
-        return True
-    if isinstance(e, Pow):
-        return is_polynomial_expr(e.base)
-    if isinstance(e, BinOp):
-        if e.op == "/":
-            return isinstance(e.right, Num)
-        return is_polynomial_expr(e.left) and is_polynomial_expr(e.right)
-    return False
 
 
 def _series(name: str, u: Jet, k: int) -> Jet:
@@ -306,51 +310,59 @@ def taylor_expand(e: Expr, variables, k: int) -> Jet:
     index = {v: tuple(int(i == j) for j in range(n))
              for i, v in enumerate(variables)}
     index[None] = (0,) * n  # a number's exponents
+    return _expand(e, variables, index, k)
 
-    def expand(node) -> Jet:
-        terms = {}
-        stack = [(1, node)]
-        while stack:
-            sign, node = stack.pop()
-            if isinstance(node, BinOp) and node.op in "+-":
-                stack.append((-sign if node.op == "-" else sign, node.right))
-                stack.append((sign, node.left))
+
+# _expand and _other are module-level functions, not closures of
+# taylor_expand: two closures that call each other form a reference cycle,
+# which only the cyclic collector frees
+
+
+def _expand(node, variables, index, k) -> Jet:
+    """One chain of '+' and '-' summed into one dict (see taylor_expand)."""
+    terms = {}
+    stack = [(1, node)]
+    while stack:
+        sign, node = stack.pop()
+        if isinstance(node, BinOp) and node.op in "+-":
+            stack.append((-sign if node.op == "-" else sign, node.right))
+            stack.append((sign, node.left))
+            continue
+        mono = _monomial(node, index)
+        if mono is None:
+            items = _other(node, variables, index, k).terms.items()
+        else:
+            c, m = mono
+            if k is not None and mdeg(m) > k:
                 continue
-            mono = _monomial(node, index)
-            if mono is None:
-                items = other(node).terms.items()
-            else:
-                c, m = mono
-                if k is not None and mdeg(m) > k:
-                    continue
-                items = ((m, c),)
-            for m, c in items:
-                if sign < 0:
-                    c = -c
-                v = terms.get(m)
-                terms[m] = c if v is None else v + c
-        return Jet({m: c for m, c in terms.items() if c}, variables, k,
-                   _clean=False)
+            items = ((m, c),)
+        for m, c in items:
+            if sign < 0:
+                c = -c
+            v = terms.get(m)
+            terms[m] = c if v is None else v + c
+    return Jet({m: c for m, c in terms.items() if c}, variables, k,
+               _clean=False)
 
-    def other(node) -> Jet:
-        if isinstance(node, Pow):
-            return expand(node.base) ** node.exponent
-        if isinstance(node, Func):
-            return _series(node.name, expand(node.arg), k)
-        if isinstance(node, BinOp):
-            a = expand(node.left)
-            b = expand(node.right)
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b.constant_term() == 0:
-                    raise NonUnitDivisorError(
-                        "division by a germ vanishing at the origin"
-                    )
-                return a * b.invert()
-        raise TypeError(node)
 
-    return expand(e)
+def _other(node, variables, index, k) -> Jet:
+    """A summand that is not a monomial product, by `Jet` arithmetic."""
+    if isinstance(node, Pow):
+        return _expand(node.base, variables, index, k) ** node.exponent
+    if isinstance(node, Func):
+        return _series(node.name, _expand(node.arg, variables, index, k), k)
+    if isinstance(node, BinOp):
+        a = _expand(node.left, variables, index, k)
+        b = _expand(node.right, variables, index, k)
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b.constant_term() == 0:
+                raise NonUnitDivisorError(
+                    "division by a germ vanishing at the origin"
+                )
+            return a * b.invert()
+    raise TypeError(node)
 
 
 def parse_and_expand(text: str, variables, k: int) -> Jet:

@@ -106,18 +106,20 @@ class IntrinsicResult:
 
 def intrinsic_from_members(members: set, k: int) -> IntrinsicIdeal:
     """Largest intrinsic ideal whose degree-<=k monomials all lie in the
-    given member set."""
-    blocks = []
-    for l in range(k + 1):
-        for a in range(k - l + 1):
-            block_ok = all(
-                (m in members)
-                for m in monomials_upto(2, k)
-                if m[1] >= l and m[0] + m[1] >= a + l
-            )
-            if block_ok:
-                blocks.append((a, l))
-                break
+    given member set, read in one scan of those monomials.  The block
+    M^a<lambda^l> holds the x^i*lambda^j with j >= l and i + j >= a + l, so
+    with h the highest degree of a non-member with j >= l (-1 when there is
+    none), l has a block exactly when h < k, and its least a is
+    max(0, h - l + 1)."""
+    high = [-1] * (k + 1)  # per lambda exponent j, as the scan ascends
+    for m in monomials_upto(2, k):
+        if m not in members:
+            high[m[1]] = m[0] + m[1]
+    blocks, h = [], -1
+    for l in range(k, -1, -1):
+        h = max(h, high[l])
+        if h < k:
+            blocks.append((max(0, h - l + 1), l))
     return IntrinsicIdeal.from_blocks(blocks)
 
 
@@ -152,6 +154,8 @@ class VerifyReport:
     truncation_degree: Optional[int]
     warnings: List[str] = field(default_factory=list)
     high_order: Optional[IntrinsicIdeal] = None  # a germ's P(j^k g) at k+1
+    # the span P was read from: M*RT(j^k g) at k+1
+    span: Optional[RowSpace] = field(default=None, repr=False)
 
 
 def mrt_span(g: Jet, k: int) -> RowSpace:
@@ -177,8 +181,11 @@ def degree_bound(opt: Optional[int] = None) -> int:
 
 def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
     """Least truncation degree k with M^(k+1) inside P(j^k g), reported with
-    that P; one expand per degree, `expand(k)` the k-jet of g, and one P per
-    degree whose jet passes the axis test below.
+    that P and the span M*RT(j^k g) it was read from, both at degree k+1;
+    one expand per degree, `expand(k)` the k-jet of g, and one span per
+    degree whose jet passes the axis test below.  M^(k+1) is intrinsic, so
+    it lies in P exactly when the span holds every monomial of degree k+1,
+    and P is read only at the degree found.
     With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
     - P is stable from k to k+1: the test gives M^(k+1) in N(j^k g) +
       M^(k+2), so in N(j^k g) (Nakayama); j^(k+1) g - j^k g lies in M^(k+1),
@@ -187,13 +194,16 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
       with l <= k+1, and its extra block <lambda^(k+2)> lies in the l = 0 one.
     - the fractional ring is valid: its basis is stable by the leading-form
       lemma of `localalg.ideal_span`, here for one generator.
+    The same equality modulo M^(k+2) makes the reported span M*RT(j^(k+1) g)
+    at degree k+1, and its `truncate(k)` M*RT(j^k g) at degree k: the
+    tangent spans grow from it (`singularity._tangent_spans`).
     The test also needs both axes, read off the k-jet h = j^k g: the ring
     maps lambda -> 0 and x -> 0 take N(h) + M^(k+2) onto <x*h(x, 0),
     x^2*h_x(x, 0)> + <x^(k+2)> and <lambda*h(0, lambda), lambda^2*h_x(0,
     lambda)> + <lambda^(k+2)>.  The first holds x^(k+1) only if h(x, 0) is
     nonzero, and the second holds lambda^(k+1) only if h has a term
-    x^a*lambda^b with a <= 1.  A jet without both cannot pass, so its P is
-    not computed; the zero jet is one."""
+    x^a*lambda^b with a <= 1.  A jet without both cannot pass, so its span
+    is not built; the zero jet is one."""
     bound = degree_bound(upper_bound)
     for k in range(1, bound + 1):
         g = expand(k)
@@ -201,24 +211,29 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
                 and any(a <= 1 for a, _ in g.terms)):
             continue
         # work one degree above the jet so the M^(k+1) boundary is visible
-        P = high_order_part(g, k + 1)
-        if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
-            return VerifyReport(k, high_order=P)
+        span = mrt_span(g, k + 1)
+        members = span.monomials()
+        if all((k + 1 - i, i) in members for i in range(k + 2)):
+            return VerifyReport(
+                k, high_order=intrinsic_from_members(members, k + 1),
+                span=span)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])
 
 
 def working_degree(expand, k: Optional[int] = None
-                   ) -> Tuple[int, Optional[IntrinsicIdeal], List[str]]:
-    """(k, P, warnings): the degree at which a germ's questions are
+                   ) -> Tuple[int, Optional[IntrinsicIdeal],
+                              Optional[RowSpace], List[str]]:
+    """(k, P, span, warnings): the degree at which a germ's questions are
     answered.  That is the given k; else `verify_germ`'s truncation degree,
-    with the P it tested there (at k + 1); else 6, with `verify_germ`'s
-    warning.  P is None unless `verify_germ` found the degree."""
+    with the P it tested there and the span M*RT(j^k g) it read P from,
+    both at degree k + 1; else 6, with `verify_germ`'s warning.  P and the
+    span are None unless `verify_germ` found the degree."""
     if k is not None:
-        return k, None, []
+        return k, None, None, []
     rep = verify_germ(expand)
     if rep.truncation_degree is None:
-        return FALLBACK_DEGREE, None, rep.warnings
-    return rep.truncation_degree, rep.high_order, []
+        return FALLBACK_DEGREE, None, None, rep.warnings
+    return rep.truncation_degree, rep.high_order, rep.span, []
 
 
 def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:

@@ -2,8 +2,8 @@
 (dimensions are a few hundred at most).
 
 `RowSpace` is the span of a set of jets, kept as sparse reduced rows keyed
-by monomial; it is the one place where monomials become columns and the
-only row reduction.  The dense functions below take lists of rows and run
+by column index; it is the one place where monomials become columns and
+the only row reduction.  The dense functions below take lists of rows and run
 on a RowSpace, reading a row (v_0, ..., v_(n-1)) as the one-variable jet
 v_0 + v_1*c + ... + v_(n-1)*c^(n-1), whose columns are in that order."""
 
@@ -11,29 +11,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import add
+from math import comb, gcd
 
-from .jets import Jet, integer_terms, mdeg, monomials_upto
+from .jets import Jet, integer_terms, mdeg, mmul, monomials_upto
 
 
 class RowSpace:
     """The span of some jets in the space of degree-<=k jets in `variables`.
 
-    Columns are the monomials of degree <= k in `monomials_upto` order.  The
-    span is kept as its reduced row echelon form: one sparse row per pivot
-    monomial (the row's first column), 0 at every other row's pivot.  A row
-    is stored fraction-free (Bareiss, Math. Comp. 22, 1968), as a primitive
-    integer vector {monomial: int} whose pivot entry is positive; divided by
-    that entry it is the reduced row, equal to 1 at its pivot.  That form is
-    unique, so the rows depend only on the span, not on the order of
-    insertion."""
+    Columns are the monomials of degree <= k in `monomials_upto` order,
+    indexed 0, 1, ...; that order ascends by degree, so the columns of
+    degree <= d are the first ones.  The span is kept as its reduced row
+    echelon form: one sparse row per pivot column (the row's first column),
+    0 at every other row's pivot.  A row is stored fraction-free (Bareiss,
+    Math. Comp. 22, 1968), as a primitive integer vector {column: int} whose
+    pivot entry is positive; divided by that entry it is the reduced row,
+    equal to 1 at its pivot.  That form is unique, so the rows depend only
+    on the span, not on the order of insertion.  The public methods take
+    and return jets and monomials."""
 
     def __init__(self, variables, k):
         self.variables = tuple(variables)
         self.degree = k
-        self._col = _columns(len(self.variables), k)
-        self._rows = {}  # pivot monomial -> primitive integer row
+        self._monos, self._col = _columns(len(self.variables), k)
+        self._rows = {}  # pivot column -> primitive integer row
 
     @property
     def rank(self):
@@ -42,29 +43,31 @@ class RowSpace:
     @property
     def rows(self):
         """The reduced rows as jets, 1 at the pivot, in pivot column order."""
-        out = []
-        for p in self.pivots():
+        monos, out = self._monos, []
+        for p in sorted(self._rows):
             row = self._rows[p]
             lead = row[p]
-            out.append(Jet({m: Fraction(v, lead) for m, v in row.items()},
+            out.append(Jet({monos[i]: Fraction(v, lead)
+                            for i, v in row.items()},
                            self.variables, self.degree, _clean=False))
         return out
 
     def pivots(self):
         """The pivot monomials (leading local monomials), in column order."""
-        return sorted(self._rows, key=self._col.__getitem__)
+        return [self._monos[p] for p in sorted(self._rows)]
 
     def monomials(self):
         """The monomials lying in the span: those whose pivot row is the
         monomial alone."""
-        return {p for p, row in self._rows.items() if len(row) == 1}
+        return {self._monos[p] for p, row in self._rows.items()
+                if len(row) == 1}
 
     def _vector(self, f):
         """(vec, scale): f truncated to degree k times its common denominator
-        scale, as an integer vector {monomial: int}."""
+        scale, as an integer vector {column: int}."""
         pairs, scale = integer_terms(f.terms)
         col = self._col
-        return {m: v for m, v in pairs if m in col}, scale
+        return {col[m]: v for m, v in pairs if m in col}, scale
 
     def _reduce(self, vec):
         """Reduce an integer vector in place against the span; returns the
@@ -75,7 +78,7 @@ class RowSpace:
         # rows vanish at each other's pivots, so one pass clears them all:
         # vec becomes (a/g)*vec - (c/g)*row, where a is the row's pivot
         # entry, c is vec's and g = gcd(a, c), and the scale grows by a/g
-        for p in [m for m in vec if m in self._rows]:
+        for p in [i for i in vec if i in self._rows]:
             row = self._rows[p]
             c = vec.pop(p)
             a = row[p]
@@ -84,15 +87,15 @@ class RowSpace:
             c //= g
             if a != 1:
                 scale *= a
-                for m in vec:
-                    vec[m] *= a
-            for m, r in row.items():
-                if m != p:
-                    v = vec.get(m, 0) - c * r
+                for i in vec:
+                    vec[i] *= a
+            for i, r in row.items():
+                if i != p:
+                    v = vec.get(i, 0) - c * r
                     if v:
-                        vec[m] = v
+                        vec[i] = v
                     else:
-                        del vec[m]
+                        del vec[i]
         return scale
 
     def residue(self, f):
@@ -100,7 +103,8 @@ class RowSpace:
         sparse vector {monomial: Fraction}; empty when f lies in the span."""
         vec, scale = self._vector(f)
         scale *= self._reduce(vec)
-        return {m: Fraction(v, scale) for m, v in vec.items()}
+        monos = self._monos
+        return {monos[i]: Fraction(v, scale) for i, v in vec.items()}
 
     def contains(self, f):
         vec = self._vector(f)[0]
@@ -113,21 +117,42 @@ class RowSpace:
         other._rows = {p: dict(row) for p, row in self._rows.items()}
         return other
 
+    def truncate(self, d):
+        """The span's image in the jets of degree <= d, for d <= k: the rows
+        whose pivot has degree <= d, cut at d and divided by their content.
+        The columns ascend by degree, so a kept row keeps its pivot and
+        stays 0 at the other pivots, and a row with its pivot above d
+        vanishes; the kept rows are the image's reduced rows."""
+        if d > self.degree:
+            raise ValueError("a span of degree %d has no image in degree %d"
+                             % (self.degree, d))
+        other = RowSpace(self.variables, d)
+        n = len(other._monos)
+        for p, row in self._rows.items():
+            if p < n:
+                vec = {i: v for i, v in row.items() if i < n}
+                g = gcd(*vec.values())
+                if g != 1:
+                    vec = {i: v // g for i, v in vec.items()}
+                other._rows[p] = vec
+        return other
+
     def add_multiples(self, f, least=0):
         """Insert m*f for every monomial m with least <= deg m <= k - ord f,
         which spans M^least{f} modulo degree > k; a zero f adds nothing.
         f's denominators are cleared once: each m*f is f's integer vector
-        shifted by m, cut at degree k."""
-        k = self.degree
-        # each term of f's vector with the degree left above it
-        terms = [(e, v, k - mdeg(e)) for e, v in self._vector(f)[0].items()]
-        if not terms:
+        shifted by m through the table of `_shifts`, cut at degree k."""
+        vec = self._vector(f)[0]
+        if not vec:
             return
-        for m in monomials_upto(len(self.variables), max(r for *_, r in terms)):
-            d = mdeg(m)
-            if d >= least:
-                self._add({tuple(map(add, e, m)): v
-                           for e, v, r in terms if d <= r})
+        n, k = len(self.variables), self.degree
+        top = k - mdeg(self._monos[min(vec)])  # k - ord f
+        terms = list(vec.items())
+        # the columns of the multipliers m, from degree least to top: there
+        # are comb(d + n, n) monomials of degree <= d
+        for shift in _shifts(n, k)[comb(least - 1 + n, n):comb(top + n, n)]:
+            self._add({s: v for i, v in terms
+                       if (s := shift[i]) is not None})
 
     def add(self, f):
         """Insert a jet; returns True when it enlarged the span."""
@@ -144,14 +169,14 @@ class RowSpace:
 
     def _insert(self, vec):
         """Add a nonzero reduced integer vector as a row; returns (pivot,
-        lead), lead being vec's entry at the pivot as given."""
-        p = min(vec, key=self._col.__getitem__)
+        lead), lead being vec's entry at the pivot column as given."""
+        p = min(vec)
         lead = vec[p]
         content = gcd(*vec.values())
         if lead < 0:
             content = -content
         if content != 1:
-            vec = {m: v // content for m, v in vec.items()}
+            vec = {i: v // content for i, v in vec.items()}
         a = vec[p]
         # clear column p from the other rows: row becomes (a/g)*row -
         # (c/g)*vec with c its entry there and g = gcd(a, c), whose entry at
@@ -163,28 +188,40 @@ class RowSpace:
                 g = gcd(a, c)
                 s, c = a // g, c // g
                 if s != 1:
-                    for m in row:
-                        row[m] *= s
-                for m, v in vec.items():
-                    if m != p:
-                        x = row.get(m, 0) - c * v
+                    for i in row:
+                        row[i] *= s
+                for i, v in vec.items():
+                    if i != p:
+                        x = row.get(i, 0) - c * v
                         if x:
-                            row[m] = x
+                            row[i] = x
                         else:
-                            del row[m]
+                            del row[i]
                 g = gcd(*row.values())
                 if g != 1:
-                    for m in row:
-                        row[m] //= g
+                    for i in row:
+                        row[i] //= g
         self._rows[p] = vec
         return p, lead
 
 
 @lru_cache(maxsize=None)
 def _columns(nvars, k):
-    """Column position of each monomial of degree <= k (shared by every
-    RowSpace of that size, so never modified)."""
-    return {m: i for i, m in enumerate(monomials_upto(nvars, k))}
+    """(monomials, column): the monomials of degree <= k in column order and
+    the column of each (shared by every RowSpace of that size, so never
+    modified)."""
+    monos = tuple(monomials_upto(nvars, k))
+    return monos, {m: i for i, m in enumerate(monos)}
+
+
+@lru_cache(maxsize=None)
+def _shifts(nvars, k):
+    """For each column j, the list over the columns i of the column of
+    m_i*m_j, None above degree k: `add_multiples`' shifts, built for the
+    sizes it is asked for (shared, so never modified)."""
+    monos, col = _columns(nvars, k)
+    get = col.get
+    return [[get(mmul(a, b)) for a in monos] for b in monos]
 
 
 _C = ("c",)
@@ -219,10 +256,10 @@ def solve_linear(matrix, rhs):
     for row, b in zip(matrix, rhs):
         space.add(_as_jet(list(row) + [b], ncols + 1))
     x = [Fraction(0)] * ncols
-    for (p,), row in space._rows.items():
+    for p, row in space._rows.items():
         if p == ncols:
             return None  # a row 0 = b with b != 0
-        x[p] = Fraction(row.get((ncols,), 0), row[(p,)])
+        x[p] = Fraction(row.get(ncols, 0), row[p])
     return x
 
 
@@ -259,7 +296,7 @@ def det(matrix):
         scale *= space._reduce(vec)
         if not vec:
             return Fraction(0)
-        (p,), lead = space._insert(vec)
+        p, lead = space._insert(vec)
         lead = Fraction(lead, scale)
         value *= -lead if sum(q > p for q in pivots) % 2 else lead
         pivots.append(p)

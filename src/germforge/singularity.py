@@ -101,16 +101,17 @@ def _span_to_spanspace(space: RowSpace) -> SpanSpace:
     return SpanSpace(intr, extra, space)
 
 
-def _tangent_spans(g: Jet):
+def _tangent_spans(g: Jet, mrt: Optional[RowSpace] = None):
     """M*RT(g) in RT(g) in T(g) at g's degree: one RowSpace, yielded after
-    each stage as it grows in place.  M*RT(g) = M{g} + M^2{g_x}; RT(g) =
-    E{g} + M{g_x} adds g, x*g_x and lambda*g_x; T(g) = E{g, g_x} +
-    E_lambda{g_lambda} adds g_x and E_lambda{g_lambda}.  ValueError when g
-    is untruncated."""
+    each stage as it grows in place.  M*RT(g) = M{g} + M^2{g_x} is `mrt`
+    when the caller holds it (`intrinsic.verify_germ`'s span, which this
+    grows), else `mrt_span(g, g.degree)`; RT(g) = E{g} + M{g_x} adds g,
+    x*g_x and lambda*g_x; T(g) = E{g, g_x} + E_lambda{g_lambda} adds g_x
+    and E_lambda{g_lambda}.  ValueError when g is untruncated."""
     if g.degree is None:
         raise ValueError("the tangent spaces need a truncated jet, not the "
                          "untruncated %s" % g)
-    space = mrt_span(g, g.degree)
+    space = mrt_span(g, g.degree) if mrt is None else mrt
     yield space
     gx, glam = g.diff(g.variables[0]), g.diff(g.variables[1])
     for f in (g, gx.term_mul((1, 0)), gx.term_mul((0, 1))):
@@ -121,8 +122,8 @@ def _tangent_spans(g: Jet):
     yield space
 
 
-def _t_span(g: Jet) -> RowSpace:
-    *_, t = _tangent_spans(g)
+def _t_span(g: Jet, mrt: Optional[RowSpace] = None) -> RowSpace:
+    *_, t = _tangent_spans(g, mrt)
     return t
 
 
@@ -180,10 +181,11 @@ class AlgObjects:
     intrinsic_generators: list
 
 
-def alg_objects(g: Jet) -> AlgObjects:
+def alg_objects(g: Jet, mrt: Optional[RowSpace] = None) -> AlgObjects:
     """The algebraic objects of g at g's degree.  P, RT and T come from one
-    span grown through M*RT(g) in RT(g) in T(g)."""
-    spans = _tangent_spans(g)
+    span grown through M*RT(g) in RT(g) in T(g), from `mrt` when the caller
+    holds M*RT(g) (see `_tangent_spans`)."""
+    spans = _tangent_spans(g, mrt)
     p = intrinsic_from_members(next(spans).monomials(), g.degree)
     rt = _span_to_spanspace(next(spans).copy())
     t = next(spans)
@@ -432,7 +434,7 @@ def normal_form(expand: Callable[[int], Jet],
     (`intrinsic.working_degree`); where `verify_germ` found none, the germ's
     jet there is returned with the warning.  A zero jet at the working
     degree raises ZeroGermError."""
-    k, P, warnings = working_degree(expand, k)
+    k, P, _span, warnings = working_degree(expand, k)
     g = require_nonzero(expand(k))
     if warnings:
         return NormalForm(g, warnings)
@@ -512,14 +514,19 @@ def universal_unfolding(expand: Callable[[int], Jet],
     monomial in a complement of T.  The list option enumerates the monomial
     complements of T, at most LIST_CAP of them; a longer list is cut there
     with a warning.  The degree is the working degree
-    (`intrinsic.working_degree`); a zero jet there raises ZeroGermError."""
+    (`intrinsic.working_degree`); a zero jet there raises ZeroGermError.
+    T grows from the truncation search's span cut to k, when there is one
+    and the germ is not replaced by its normal form."""
+    mrt = None
     if normalform:
         nf = normal_form(expand, k)
         base, k, warnings = nf.germ, nf.germ.degree, nf.warnings
     else:
-        k, _P, warnings = working_degree(expand, k)
+        k, _P, span, warnings = working_degree(expand, k)
         base = require_nonzero(expand(k))
-    space = _t_span(base)
+        if span is not None:
+            mrt = span.truncate(k)
+    space = _t_span(base, mrt)
     perp = _complement(space)
     monos = [Jet.monomial(m, base.variables, 1, k) for m in perp]
     main = make_unfolding(base, monos)
@@ -549,10 +556,12 @@ def check_universal(G: UnfoldingGerm,
     """(\"Yes\" or \"No\", warnings): \"Yes\" when G is a universal
     unfolding of its own base germ, answered at the base germ's working
     degree (`intrinsic.working_degree`), a cut of x and lambda degree that
-    leaves the parameters alone."""
+    leaves the parameters alone.  T grows from the truncation search's span
+    cut to k, when there is one."""
     base = G.base()
-    k, _P, warnings = working_degree(base.truncate, k)
-    space = _t_span(base.truncate(k))
+    k, _P, span, warnings = working_degree(base.truncate, k)
+    space = _t_span(base.truncate(k),
+                    None if span is None else span.truncate(k))
     p = len(G.params)
     if p != len(monomials_upto(2, k)) - space.rank:
         return "No", warnings
@@ -615,15 +624,17 @@ class RecognitionMatrix:
         return out
 
 
-def recognition_unfolding(g: Jet, p: int) -> RecognitionMatrix:
+def recognition_unfolding(g: Jet, p: int,
+                          mrt: Optional[RowSpace] = None) -> RecognitionMatrix:
     """The universal-unfolding recognition matrix at g's degree: columns are
     derivative functionals dual to a monomial basis of E/Itr(T(g)), of
     dimension n; rows are the first n - p of T(g)'s generators that are
     independent modulo Itr(T), followed by the p unfolding directions.
     Those generators span T/Itr(T), of dimension n - codim T, so any p with
     codim T <= p <= n has its rows; another p raises
-    ParameterCountError."""
-    t = _t_span(g)
+    ParameterCountError.  T grows from `mrt` when the caller holds M*RT(g)
+    (see `_tangent_spans`)."""
+    t = _t_span(g, mrt)
     k = g.degree
     monos = monomials_upto(2, k)
     codim = len(monos) - t.rank

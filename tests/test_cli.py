@@ -1,13 +1,17 @@
 """Golden tests for the germforge command-line interface."""
 
+import gc
 import json
+import os
 
 import pytest
 
-from germforge import cli
+import germforge
+from germforge import cli, intrinsic, singularity
 from germforge.cli import main
 from germforge.germexpr import parse_and_expand, parse_germ, taylor_expand
-from germforge.intrinsic import INCREASE_BOUND_WARNING
+from germforge.intrinsic import INCREASE_BOUND_WARNING, mrt_span
+from germforge.linalg import RowSpace
 
 
 def run(capsys, *argv):
@@ -678,6 +682,9 @@ def test_verify_germ_zero_up_to_the_bound_exit_1(capsys, argv, k):
         ("sin(x + lambda^2) - x*lambda", [5, 8]),
         ("exp(x) - 1 - lambda", [5, 8]),
         ("x^3/(1 - lambda + x^2) + lambda", [5, 8]),
+        # a number divides a function or a germ quotient: no polynomial
+        ("sin(x)/2 + lambda", [5, 8]),
+        ("x/(1 - x)/2 + lambda", [5, 8]),
         # a polynomial is expanded once, exactly
         ("(1 + x - lambda)^5 - x^3", [None]),
     ]])
@@ -704,3 +711,62 @@ def test_expander_truncates_its_highest_jet(monkeypatch, text, expansions):
     else:
         with pytest.raises(cli.InputError, match="give --degree"):
             expand(None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["algobjects", "x^3 - x*lambda"],
+    ["recognize", "x^3 - x*lambda", "--matrix", "2"],
+    ["unfolding", "x^3 - x*lambda", "--list"],
+    ["check-universal", "x^3 - x*lambda + a1 + a2*lambda", "--params",
+     "a1,a2"],
+], ids=lambda argv: argv[0])
+def test_each_germ_job_builds_one_mrt_span(capsys, monkeypatch, argv):
+    # the truncation search builds M*RT only for the 3-jet, at degree 4
+    # (the 1-jet is zero and the 2-jet, -x*lambda, has no x^a term), and
+    # the tangent spans grow from that span: two `add_multiples`, at 4
+    spans, multiples = [], []
+
+    def recording(g, k):
+        spans.append(k)
+        return mrt_span(g, k)
+
+    add_multiples = RowSpace.add_multiples
+
+    def counting(self, f, least=0):
+        multiples.append(self.degree)
+        return add_multiples(self, f, least)
+
+    monkeypatch.setattr(intrinsic, "mrt_span", recording)
+    monkeypatch.setattr(singularity, "mrt_span", recording)
+    monkeypatch.setattr(RowSpace, "add_multiples", counting)
+    code, _out, err = run(capsys, *argv, "--vars", "x,lambda")
+    assert (code, err) == (0, "")
+    assert spans == [4] and multiples == [4, 4]
+
+
+def germforge_garbage():
+    """The germforge functions and frames in gc.garbage."""
+    root = os.path.dirname(germforge.__file__)
+    found = []
+    for obj in gc.garbage:
+        code = getattr(obj, "f_code", None) or getattr(obj, "__code__", None)
+        if code is not None and code.co_filename.startswith(root):
+            found.append(obj)
+    return found
+
+
+def test_germ_jobs_leave_no_reference_cycles(capsys):
+    # a job's memory is freed when it ends, not by the cyclic collector:
+    # no expansion and no exit through an error leaves a cycle behind
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, "normalform", "x^3 - x*lambda + lambda^2",
+                   "--vars", "x,lambda")[0] == 0
+        assert run(capsys, "transform", "x^3 - lambda", "x^3 + lambda",
+                   "--vars", "x,lambda")[0] == 1
+        gc.collect()
+        assert germforge_garbage() == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

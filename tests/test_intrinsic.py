@@ -17,6 +17,7 @@ from germforge.intrinsic import (
     high_order_part,
     intrinsic_from_members,
     intrinsic_part,
+    mrt_span,
     smallest_intrinsic,
     verify_germ,
     verify_ideal,
@@ -201,25 +202,32 @@ def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
         monkeypatch, text, degree, nonzero):
     # each degree up to the answer is expanded once; of the nonzero jets
     # only the 3-jet has a term on each axis (x^a and x^a*lambda^b with
-    # a <= 1), so P is computed once, one degree above it; no degree above
-    # the answer is expanded and no standard basis is computed
-    expanded, seen = [], []
+    # a <= 1), so one M*RT span is built and P is read from it once, one
+    # degree above the 3-jet; no degree above the answer is expanded and no
+    # standard basis is computed
+    expanded, spans, ps = [], [], []
 
     def expand(k):
         expanded.append(k)
         return j(text, k)
 
-    def recording(g, k):
-        seen.append(k)
-        return high_order_part(g, k)
+    def recording_span(g, k):
+        spans.append(k)
+        return mrt_span(g, k)
 
-    monkeypatch.setattr(intrinsic, "high_order_part", recording)
+    def recording_p(members, k):
+        ps.append(k)
+        return intrinsic_from_members(members, k)
+
+    monkeypatch.setattr(intrinsic, "mrt_span", recording_span)
+    monkeypatch.setattr(intrinsic, "intrinsic_from_members", recording_p)
     monkeypatch.setattr(localalg, "_basis_loop", no_basis_loop)
     rep = verify_germ(expand)
     assert rep.truncation_degree == degree
     assert expanded == list(range(1, degree + 1))
     assert [k for k in expanded if not j(text, k).is_zero()] == nonzero
-    assert seen == [degree + 1]
+    assert spans == ps == [degree + 1]
+    assert rep.span.degree == degree + 1
 
 
 polynomial_germs = st.dictionaries(
@@ -263,6 +271,49 @@ def test_high_order_part_is_stable_once_it_holds_the_boundary(g):
         P = high_order_part(gk, k + 1)
         if all(P.contains_monomial((k + 1 - i, i)) for i in range(k + 2)):
             assert high_order_part(g.truncate(k + 1), k + 2).blocks == P.blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomial_germs)
+@example(j("x^3 - sin(lam)", 8))
+@example(j("x^3 + exp(lam^2) - 1", 8))
+def test_verify_span_is_m_rt_of_the_k_and_the_k_plus_1_jet(g):
+    # the span verify_germ hands over is M*RT(j^(k+1) g) at k+1, and cut at
+    # k it is M*RT(j^k g) at k
+    rep = verify_germ(g.truncate, 7)
+    if rep.truncation_degree is not None:
+        k, span = rep.truncation_degree, rep.span
+        assert span.rows == mrt_span(g.truncate(k + 1), k + 1).rows
+        assert span.truncate(k).rows == mrt_span(g.truncate(k), k).rows
+
+
+def blocks_by_double_loop(members, k):
+    """The reference for intrinsic_from_members: for each l the least a
+    whose block's monomials of degree <= k all lie in `members`, each
+    block tested monomial by monomial."""
+    blocks = []
+    for l in range(k + 1):
+        for a in range(k - l + 1):
+            if all(m in members for m in monomials_upto(2, k)
+                   if m[1] >= l and m[0] + m[1] >= a + l):
+                blocks.append((a, l))
+                break
+    return IntrinsicIdeal.from_blocks(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_one_scan_blocks_agree_with_the_double_loop(k, data):
+    # members: an intrinsic ideal's monomials, with some added and some
+    # taken away
+    monos = monomials_upto(2, k)
+    ideal = IntrinsicIdeal.from_blocks(data.draw(st.lists(
+        st.tuples(st.integers(0, k), st.integers(0, k)), max_size=3)))
+    members = set(ideal.monomials_upto(k))
+    members |= data.draw(st.sets(st.sampled_from(monos), max_size=3))
+    members -= data.draw(st.sets(st.sampled_from(monos), max_size=2))
+    assert (intrinsic_from_members(members, k)
+            == blocks_by_double_loop(members, k))
 
 
 def local_leads(G, k):

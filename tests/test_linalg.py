@@ -4,6 +4,7 @@ against a dense Gauss-Jordan reference and Laplace expansion."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,14 @@ def dense_nullspace(matrix):
             vec[p] = -row[f]
         basis.append(vec)
     return basis
+
+
+def integer_rows(space):
+    """A RowSpace's stored integer rows as {pivot: {monomial: int}}: column
+    i is the i-th monomial of `monomials_upto`."""
+    monos = monomials_upto(len(space.variables), space.degree)
+    return {monos[p]: {monos[i]: v for i, v in row.items()}
+            for p, row in space._rows.items()}
 
 
 def laplace_det(rows):
@@ -169,6 +178,26 @@ def test_add_multiples_truncates_and_skips_zero():
     assert space.monomials() == {(2, 0), (1, 1)}
 
 
+@settings(max_examples=25, deadline=None)
+@given(jet_lists(), st.data())
+def test_truncate_is_the_span_of_the_generators_cut_at_d(case, data):
+    # the image in the jets of degree <= d is stored exactly as a fresh
+    # span of the generators cut at d, and the span itself is unchanged
+    k, jets, _probes = case
+    d = data.draw(st.integers(0, k))
+    space, cut = RowSpace(V, k), RowSpace(V, d)
+    for f in jets:
+        space.add(f)
+        cut.add(f.truncate(d))
+    rows = space.rows
+    image = space.truncate(d)
+    assert image.degree == d
+    assert integer_rows(image) == integer_rows(cut)
+    assert space.rows == rows
+    with pytest.raises(ValueError, match="no image in degree"):
+        space.truncate(k + 1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(jet_lists())
 def test_copy_is_independent(case):
@@ -199,7 +228,7 @@ def test_integer_rows_are_the_unique_reduced_rows(case, rng):
     assert [r.terms[p] for r, p in zip(rows, pivots)] == [1] * len(rows)
     # each stored row: a primitive integer vector, positive at its pivot
     # and 0 at every other pivot
-    for p, row in space._rows.items():
+    for p, row in integer_rows(space).items():
         assert all(type(v) is int for v in row.values())
         assert gcd(*row.values()) == 1 and row[p] > 0
         assert not any(q in row for q in pivots if q != p)
@@ -215,7 +244,7 @@ def test_elimination_divides_touched_rows_by_their_content():
     space.add(Jet({(0, 0): 2, (1, 0): 1, (0, 1): 1}, V, 1))
     space.add(Jet({(1, 0): 1, (0, 1): 3}, V, 1))
     # (2 + x + lam) - (x + 3*lam) = 2 - 2*lam, stored as 1 - lam
-    assert space._rows[(0, 0)] == {(0, 0): 1, (0, 1): -1}
+    assert integer_rows(space)[(0, 0)] == {(0, 0): 1, (0, 1): -1}
     assert [str(r) for r in space.rows] == ["1 - lam", "x + 3*lam"]
 
 

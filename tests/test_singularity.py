@@ -13,6 +13,7 @@ from germforge.intrinsic import (
     IntrinsicIdeal,
     high_order_part,
     intrinsic_from_members,
+    mrt_span,
     verify_germ,
 )
 from germforge.jets import Jet, mdeg, monomials_upto
@@ -109,21 +110,30 @@ def test_alg_objects_inserts_each_tangent_product_once(monkeypatch):
         return len(monomials_upto(2, d))
 
     assert len(calls) == up_to(6 - 3) + up_to(6 - 4) + 7 + up_to(6)
+    # grown from a span that holds M*RT(g) already, as verify_germ's does,
+    # only RT's products (g, x*g_x, lambda*g_x), T's (g_x, lambda^j*g_lambda
+    # for j <= 6) and the E/T trials are inserted
+    mrt = mrt_span(g, 6)
+    calls.clear()
+    alg_objects(g, mrt)
+    assert len(calls) == 3 + 1 + 7 + up_to(6)
 
 
 def test_normal_form_computes_one_p_per_degree_searched(monkeypatch):
-    # the last P of the truncation-degree search is the normal form's P
+    # the last P of the truncation-degree search is the normal form's P:
+    # one M*RT span per degree searched, and none after the search
     seen = []
 
     def recording(g, k):
         seen.append(k)
-        return high_order_part(g, k)
+        return mrt_span(g, k)
 
-    monkeypatch.setattr(intrinsic, "high_order_part", recording)
-    monkeypatch.setattr(singularity, "high_order_part", recording)
+    monkeypatch.setattr(intrinsic, "mrt_span", recording)
+    monkeypatch.setattr(singularity, "mrt_span", recording)
     nf = normal_form(lambda k: j("x^3 - sin(lam)", k))
     assert nf.germ == j("x^3 - lam", 3)
-    # the 1- and 2-jets, -lam, have no term on the x axis: P only at k = 3
+    # the 1- and 2-jets, -lam, have no term on the x axis: a span, and P,
+    # only at k = 3
     assert seen == [4]
 
 
