@@ -10,7 +10,6 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .intrinsic import verify_germ
 from .jets import Jet, compose_all, mdeg
 from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
                        real_root_count, to_integer_ring, to_ring)
@@ -473,7 +472,9 @@ class Diagram:
 
 class _PlanePoly:
     """A polynomial in floats on the plane of two of its variables, v
-    (vertical) and h (horizontal), the others fixed; called as g(v, h)."""
+    (vertical) and h (horizontal), the others fixed; called as g(v, h).
+    On a line h = const or v = const it is a polynomial in one variable,
+    whose coefficients `column` and `line` return, lowest degree first."""
 
     def __init__(self, poly: Jet, v: str, h: str, fixed: dict):
         iv, ih = poly.variables.index(v), poly.variables.index(h)
@@ -485,21 +486,34 @@ class _PlanePoly:
                     scale *= float(Fraction(fixed[name])) ** e
             key = (m[iv], m[ih])
             merged[key] = merged.get(key, 0.0) + scale
-        deg = max((i for i, _j in merged), default=0)
-        # cols[i]: the (j, c) terms of the coefficient of v^i, a poly in h
-        self.cols = [[(j, c) for (i2, j), c in merged.items()
-                      if i2 == i and c != 0.0] for i in range(deg + 1)]
+        terms = [(i, j, c) for (i, j), c in merged.items() if c != 0.0]
+        vdeg = max((i for i, _j in merged), default=0)
+        hdeg = max((j for _i, j in merged), default=0)
+        # cols[i]: the (j, c) terms of the coefficient of v^i, a poly in h;
+        # lines[j]: the (i, c) terms of the coefficient of h^j, a poly in v
+        self.cols = [[(j, c) for i2, j, c in terms if i2 == i]
+                     for i in range(vdeg + 1)]
+        self.lines = [[(i, c) for i, j2, c in terms if j2 == j]
+                      for j in range(hdeg + 1)]
 
-    def row(self, vs, h):
-        """g(v, h) at every v of vs, by Horner in v."""
-        coeffs = [sum(c * h ** j for j, c in col) for col in self.cols]
-        vals = [coeffs[-1]] * len(vs)
-        for c in reversed(coeffs[:-1]):
-            vals = [a * v + c for a, v in zip(vals, vs)]
-        return vals
+    def column(self, h):
+        """The coefficients in v of g(v, h) at this h."""
+        return [sum(c * h ** j for j, c in col) for col in self.cols]
+
+    def line(self, v):
+        """The coefficients in h of g(v, h) at this v."""
+        return [sum(c * v ** i for i, c in terms) for terms in self.lines]
 
     def __call__(self, v, h):
-        return self.row((v,), h)[0]
+        return _horner(self.column(h), v)
+
+
+def _horner(coeffs, t):
+    """The polynomial with coefficients coeffs (lowest degree first) at t."""
+    val = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        val = val * t + c
+    return val
 
 
 def _evaluator(body: Jet, params, alpha):
@@ -508,59 +522,85 @@ def _evaluator(body: Jet, params, alpha):
                       dict(zip(params, alpha)))
 
 
-def _edge_root(g, p0, p1, v0, v1):
-    """Bisect for the zero of g along the segment p0 -> p1 (values v0, v1 of
-    opposite sign) until |g| <= TOL or the bracket is exhausted."""
-    (l0, x0), (l1, x1) = p0, p1
+def _bisect(coeffs, t0, t1, v0):
+    """Bisect for the zero of the polynomial with coefficients coeffs on
+    [t0, t1], where its value v0 at t0 is nonzero and its value at t1 has
+    the other sign, until |value| <= TOL or 80 halvings; returns the last
+    midpoint."""
     for _ in range(80):
-        lm, xm = (l0 + l1) / 2.0, (x0 + x1) / 2.0
-        vm = g(xm, lm)
+        tm = (t0 + t1) / 2.0
+        vm = _horner(coeffs, tm)
         if abs(vm) <= TOL:
-            return (lm, xm)
+            return tm
         if (vm > 0) == (v0 > 0):
-            l0, x0, v0 = lm, xm, vm
+            t0, v0 = tm, vm
         else:
-            l1, x1, v1 = lm, xm, vm
-    return ((l0 + l1) / 2.0, (x0 + x1) / 2.0)
+            t1 = tm
+    return (t0 + t1) / 2.0
 
 
 def _march(g, window, n):
     """Marching-squares polylines of {g = 0} on an n x n cell grid over
     window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points.
 
-    A vertex where g is exactly 0 counts as negative, and is itself the
-    crossing on its edges to positive vertices, so the curve through it is
-    kept.  Other crossings are bisected, once per edge.  A saddle cell is
-    split by the sign of g at its centre.  Segments meet at identical
-    endpoints and are chained through a dict keyed by endpoint."""
+    g is evaluated once per grid vertex, column by column.  A vertex where
+    g is exactly 0 counts as negative, and is itself the crossing on its
+    edges to positive vertices, so the curve through it is kept.  Other
+    crossings are bisected once per edge, on the edge's restriction of g, a
+    polynomial in the one coordinate that moves: on a vertical edge the
+    coefficients in v of its grid column, on a horizontal edge those in h
+    of its grid line, computed once per line that has a crossing.  So every
+    crossing lies exactly on its grid line.  A saddle cell is split by the
+    sign of g at its centre.  Segments meet at identical endpoints and are
+    chained through a dict keyed by endpoint."""
     _check_size("resolution", n)
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
     vs = [vlo + i * dv for i in range(n + 1)]
     found = {}
+    lines = {}
 
-    def crossing(a, b, va, vb):
+    def crossing(a, b, va, vb, cols):
+        """The crossing on the edge from grid index a to b (index pairs
+        (j, i) of hs[j], vs[i]); cols holds the coefficients of the two
+        current grid columns, keyed by j."""
         if b < a:
             a, b, va, vb = b, a, vb, va
         pt = found.get((a, b))
         if pt is None:
-            pa, pb = (hs[a[0]], vs[a[1]]), (hs[b[0]], vs[b[1]])
+            (ja, ia), (jb, ib) = a, b
             if va == 0.0:
-                pt = pa
+                pt = (hs[ja], vs[ia])
             elif vb == 0.0:
-                pt = pb
+                pt = (hs[jb], vs[ib])
+            elif ia == ib:
+                coeffs = lines.get(ia)
+                if coeffs is None:
+                    coeffs = lines[ia] = g.line(vs[ia])
+                pt = (_bisect(coeffs, hs[ja], hs[jb], va), vs[ia])
             else:
-                pt = _edge_root(g, pa, pb, va, vb)
+                pt = (hs[ja], _bisect(cols[ja], vs[ia], vs[ib], va))
             found[(a, b)] = pt
         return pt
 
+    def values(coeffs):
+        """g at every vs on the column with these coefficients, by Horner
+        in v."""
+        vals = [coeffs[-1]] * len(vs)
+        for c in reversed(coeffs[:-1]):
+            vals = [a * v + c for a, v in zip(vals, vs)]
+        return vals
+
     segments = []
-    row0 = g.row(vs, hs[0])
+    col0 = g.column(hs[0])
+    row0 = values(col0)
     pos0 = [v > 0 for v in row0]
     for j in range(n):
-        row1 = g.row(vs, hs[j + 1])
+        col1 = g.column(hs[j + 1])
+        row1 = values(col1)
         pos1 = [v > 0 for v in row1]
+        cols = {j: col0, j + 1: col1}
         for i in range(n):
             if pos0[i] == pos0[i + 1] == pos1[i] == pos1[i + 1]:
                 continue
@@ -571,7 +611,7 @@ def _march(g, window, n):
                 f = (e + 1) % 4
                 if (vals[e] > 0) != (vals[f] > 0):
                     pts.append(crossing(corners[e], corners[f],
-                                        vals[e], vals[f]))
+                                        vals[e], vals[f], cols))
             if len(pts) == 4:
                 # saddle: the curve cuts off corners 1 and 3 when the centre
                 # has corner 0's sign, else corners 0 and 2
@@ -582,7 +622,7 @@ def _march(g, window, n):
             else:
                 pairs = ((pts[0], pts[1]),)
             segments += [(a, b) for a, b in pairs if a != b]
-        row0, pos0 = row1, pos1
+        col0, row0, pos0 = col1, row1, pos1
 
     at = {}
     for idx, (a, b) in enumerate(segments):
@@ -684,13 +724,57 @@ def render_diagram(diagram: Diagram, path: str) -> List[str]:
                         for cid, curve in enumerate(diagram.curves)])
 
 
+def _cut_point(inside, outside, holds):
+    """Bisect the segment from a point where holds is true to one where it
+    is false, until the bracket is shorter than TOL on both axes or 80
+    halvings; returns the bracket's end where holds is true."""
+    (h0, v0), (h1, v1) = inside, outside
+    for _ in range(80):
+        if abs(h1 - h0) <= TOL and abs(v1 - v0) <= TOL:
+            break
+        mid = ((h0 + h1) / 2.0, (v0 + v1) / 2.0)
+        if holds(mid):
+            h0, v0 = mid
+        else:
+            h1, v1 = mid
+    return (h0, v0)
+
+
+def _pieces_where(curve, holds):
+    """The pieces of the polyline curve on which holds is true: each vertex
+    is decided by holds, and a segment whose ends are decided apart is cut
+    at `_cut_point`.  Pieces of fewer than two distinct points are
+    dropped."""
+    pieces, piece = [], []
+    prev, prev_in = None, False
+    for pt in curve:
+        inside = holds(pt)
+        if prev is not None and inside != prev_in:
+            cut = (_cut_point(prev, pt, holds) if prev_in
+                   else _cut_point(pt, prev, holds))
+            if cut not in piece[-1:]:
+                piece.append(cut)
+            if prev_in:
+                if len(piece) > 1:
+                    pieces.append(piece)
+                piece = []
+        if inside and pt not in piece[-1:]:
+            piece.append(pt)
+        prev, prev_in = pt, inside
+    if len(piece) > 1:
+        pieces.append(piece)
+    return pieces
+
+
 def render_transition_slice(sigma: TransitionSet, path: str,
                             free: Optional[Tuple[str, str]] = None,
                             fixed: Optional[dict] = None,
                             box=((-1, 1), (-1, 1)),
                             resolution: int = 200) -> List[str]:
     """SVG of a two-parameter slice of the transition set (components in
-    their documented colors) plus a CSV of curve vertices."""
+    their documented colors) plus a CSV of curve vertices.  A component
+    with side conditions is drawn only where they all hold: its traced
+    polylines are cut between vertices decided apart (`_pieces_where`)."""
     params = sigma.params
     fixed = dict(fixed or {})
     if free is None:
@@ -707,10 +791,18 @@ def render_transition_slice(sigma: TransitionSet, path: str,
     curves = []
     for name, comp in sigma.components.items():
         color = COLORS.get(name, "#444444")
+
+        def holds(point, conditions=comp.side_conditions):
+            values = dict(fixed)
+            values.update(zip(free, map(Fraction, point)))
+            return all(c.holds(values) for c in conditions)
+
         for poly in comp.polys():
             g = _PlanePoly(poly, free[1], free[0], fixed)
-            curves += [(name, color, curve)
-                       for curve in _march(g, window, resolution)]
+            for curve in _march(g, window, resolution):
+                pieces = (_pieces_where(curve, holds)
+                          if comp.side_conditions else [curve])
+                curves += [(name, color, piece) for piece in pieces]
 
     def row(point):
         values = dict(fixed)
@@ -719,41 +811,3 @@ def render_transition_slice(sigma: TransitionSet, path: str,
 
     return _write_plot(path, window, "component," + ",".join(params), curves,
                        row)
-
-
-def persistent_truncation_degree(F: UnfoldingGerm
-                                 ) -> Tuple[Optional[int], List[str]]:
-    """Least state-variable truncation degree, from the determinacy degree
-    of the base germ on, from which the transition-set polynomials stop
-    changing, with the warnings of the transition sets computed on the way;
-    (None, []) when `verify_germ` finds no determinacy degree.  A
-    truncation below the determinacy degree is not equivalent to the germ,
-    so no smaller degree is tried.
-
-    A truncation at or above the body's largest x-lambda degree top is the
-    body itself, so the transition set cannot change there: a determinacy
-    degree of at least top is the answer and no transition set is
-    computed.  Otherwise the search steps down from top while the
-    polynomials equal those at top, at the cost of one transition set per
-    degree from top down to the answer (and the one below it that
-    differs, unless the answer is the determinacy degree)."""
-    base = F.base()
-    start = verify_germ(lambda kk: base.truncate(kk)).truncation_degree
-    warnings: List[str] = []
-    top = max((m[0] + m[1] for m in F.body.terms), default=0)
-    if start is None or start >= top:
-        return start, warnings
-
-    def polys_at(k):
-        ts = transition_set(F, k)
-        warnings.extend("truncation degree %d: %s" % (k, w)
-                        for w in ts.warnings)
-        return {name: sorted(tuple(sorted(p.terms.items()))
-                             for p in comp.polys())
-                for name, comp in ts.components.items()}
-
-    stable = polys_at(top)
-    k = top
-    while k > start and polys_at(k - 1) == stable:
-        k -= 1
-    return k, warnings

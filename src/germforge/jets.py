@@ -130,7 +130,8 @@ class Jet:
         if _clean:
             cleaned = {}
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 if degree is not None and mdeg(m) > degree:

@@ -21,13 +21,17 @@ from germforge import (
     transition_set,
 )
 from germforge.bifurcation import (
+    TOL,
     Component,
     TransitionSet,
     _divided_difference,
     _evaluator,
     _grid_points,
+    _horner,
+    _march,
+    _pieces_where,
+    _PlanePoly,
     exact_root_counts,
-    persistent_truncation_degree,
 )
 from germforge.localalg import eliminate
 
@@ -321,9 +325,6 @@ def test_double_limit_without_realness_condition_warns():
                       A1 * (3125 * A1 ** 4 - 768 * A2 ** 5), (A1, A2))
     assert not comp.side_conditions
     assert len(sigma.warnings) == 1 and "complex" in sigma.warnings[0]
-    # the determinacy degree 6 is the body's state degree, so no transition
-    # set is computed there and no warning is forwarded
-    assert persistent_truncation_degree(G) == (6, [])
 
 # ----------------------------------------------------- boundary components
 
@@ -680,45 +681,6 @@ def test_quintic_complete_list_diagrams(quintic_sigma):
     assert len(signatures) >= 9
 
 
-def test_persistent_truncation_degree():
-    # the determinacy degree 3 of x^3 - lam is the body's state degree, so
-    # no truncation can change the transition set (below 3, -lam + a1*x
-    # would have D = {a1 = 0}, but it is not equivalent to the germ)
-    G = make_unfolding(jet({(3, 0): 1, (0, 1): -1}), [jet({(1, 0): 1})])
-    assert persistent_truncation_degree(G) == (3, [])
-
-
-def test_persistent_truncation_degree_starts_at_determinacy():
-    # the truncations of the winged cusp at degrees 2 and 3 agree although
-    # degree 4 changes the transition set, and no truncation below the
-    # determinacy degree is equivalent to the germ
-    assert persistent_truncation_degree(winged_cusp()) == (4, [])
-    assert persistent_truncation_degree(quintic()) == (5, [])
-
-
-NO_REALNESS = ("D: no exact realness condition was found; D may include "
-               "points whose double limit points are complex")
-
-
-@pytest.mark.parametrize("text, params, degree, warned", [
-    # H is {a1 = 0} at degrees 3 and 4 and {-9*a1 + 20*a1^2 = 0} at 5
-    ("x^3 - lam + a1*x + x^5", ("a1",), 5, ()),
-    ("x^3 - x*lam + a1 + a2*x^2 + x^5", ("a1", "a2"), 5, ()),
-    ("x^2 + lam^2 + a1 + x^4", ("a1",), 4, (4,)),
-])
-def test_persistent_truncation_degree_above_determinacy(text, params,
-                                                        degree, warned):
-    # terms above the determinacy degree may still change the transition
-    # set, so two equal consecutive truncations (here at the determinacy
-    # degree and one above it) do not settle the answer; the search steps
-    # down from the body's own state degree, and forwards the warnings of
-    # the two transition sets it computes
-    G = UnfoldingGerm(parse_and_expand(text, X + params, None), params)
-    assert persistent_truncation_degree(G) == (
-        degree, ["truncation degree %d: %s" % (d, NO_REALNESS)
-                 for d in warned])
-
-
 @pytest.mark.parametrize("text, params, hysteresis", [
     ("x^3 - x*lam + a1 + a2*x^2", ("a1", "a2"), 27 * A1 - A2 ** 3),
     ("x^3 - lam + a1*x", ("a1",), A1),
@@ -860,3 +822,83 @@ def test_transition_slice_polylines_are_chained(tmp_path):
     points = svg.split('points="')[1].split('"')[0].split()
     assert len(points) > 2 and points[0] == points[-1]
     assert len(open(paths[1]).read().splitlines()) == len(points) + 1
+
+
+def _isola():
+    body = parse_and_expand("x^2 + lam^2 - 1/4", X, None)
+    return _evaluator(body, (), ())
+
+
+def _circle():
+    circle = parse_and_expand("a1^2 + a2^2 - 1/4", ("a1", "a2"), None)
+    return _PlanePoly(circle, "a2", "a1", {})
+
+
+def _zero_vertex():
+    # x^5 - lam - x/2 is exactly 0 at the grid vertex (lam, x) = (0, 0)
+    G = quintic()
+    return _evaluator(G.body, G.params, (Fraction(-1, 2), 0, 0))
+
+
+@pytest.mark.parametrize("plane", [_isola, _circle, _zero_vertex])
+def test_march_crossings_lie_on_their_grid_lines(plane):
+    # a crossing on a horizontal edge is bisected in h at its grid line's v,
+    # one on a vertical edge in v at its grid column's h: one coordinate is
+    # a grid coordinate bit for bit, and g's restriction to that line is
+    # within TOL of 0 there; a vertex on both grid lines is an exact zero
+    g = plane()
+    n, window = 100, ((-1.0, 1.0), (-1.0, 1.0))
+    (hlo, hhi), (vlo, vhi) = window
+    dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
+    hs = {hlo + j * dh for j in range(n + 1)}
+    vs = {vlo + i * dv for i in range(n + 1)}
+    kinds = {"h": 0, "v": 0}
+    for curve in _march(g, window, n):
+        for h, v in curve:
+            assert h in hs or v in vs
+            if h in hs and v in vs:
+                assert g(v, h) == 0.0
+            elif v in vs:
+                kinds["h"] += 1
+                assert abs(_horner(g.line(v), h)) <= TOL
+            else:
+                kinds["v"] += 1
+                assert abs(_horner(g.column(h), v)) <= TOL
+    # both restrictions were bisected: the curve has degree 2 or more in h
+    assert kinds["h"] > 0 and kinds["v"] > 0
+
+
+def test_pieces_where_cuts_each_segment_at_the_condition():
+    # |h| >= 1/3 fails between -0.4 and 0.2: the polyline is cut on those
+    # two segments, within TOL of -1/3 and 1/3, on the side where it holds
+    curve = [(h, 0.0) for h in (-1.0, -0.7, -0.4, -0.1, 0.2, 0.5, 0.8)]
+
+    def holds(point):
+        return Fraction(point[0]) ** 2 >= Fraction(1, 9)
+
+    first, second = _pieces_where(curve, holds)
+    assert first[:-1] == curve[:3] and second[1:] == curve[5:]
+    for (h, v), bound in ((first[-1], -1), (second[0], 1)):
+        assert v == 0.0 and holds((h, v))
+        assert abs(h - bound / 3) <= TOL
+
+
+def test_slice_draws_double_limit_points_only_where_real(tmp_path):
+    # D = {a1 = 0} with a2 <= 0: D's polyline, the grid line a1 = 0, ends at
+    # the exact cut a2 = 0 and keeps every vertex with a2 < 0
+    params = ("a1", "a2")
+    G = UnfoldingGerm(parse_and_expand("x^4 - lam + a1*x + a2*x^2",
+                                       X + params, None), params)
+    sigma = transition_set(G)
+    assert str(sigma.components["D"]) == "D: {a1 = 0} with a2 <= 0"
+    paths = render_transition_slice(sigma, str(tmp_path / "q.svg"))
+    rows = [line.split(",") for line in
+            open(paths[1]).read().splitlines()[1:]]
+    d = [(float(a1), float(a2)) for name, a1, a2 in rows if name == "D"]
+    assert all(a1 == 0.0 for a1, _a2 in d)
+    assert max(a2 for _a1, a2 in d) == 0.0
+    # the CSV prints the grid's coordinates -1 + i*(2/200) to 12 digits
+    assert sorted(a2 for _a1, a2 in d) == [
+        float("%.12g" % (-1.0 + i * (2.0 / 200))) for i in range(101)]
+    # H has no side condition and is drawn whole, through the cusp at 0
+    assert ["H", "0", "0"] in rows

@@ -165,11 +165,9 @@ def refuse(*args, **kwargs):
 
 
 def test_verify_persistent_reads_the_determinacy_degree(capsys, monkeypatch):
-    # no normal form, unfolding or second search: the search bound is the
-    # user's, so a degree above 20 is found
-    for name in ("cli.normal_form", "cli.universal_unfolding",
-                 "cli.persistent_truncation_degree",
-                 "bifurcation.persistent_truncation_degree"):
+    # no normal form or unfolding: the search bound is the user's, so a
+    # degree above 20 is found
+    for name in ("cli.normal_form", "cli.universal_unfolding"):
         monkeypatch.setattr("germforge." + name, refuse, raising=False)
     code, out, err = run(capsys, "verify", "--persistent", "x^21 - lambda",
                          "--vars", "x,lambda", "--upper-bound", "25")
