@@ -10,9 +10,9 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .jets import Jet, compose_all, mdeg
+from .jets import Jet, compose_all
 from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
-                       real_root_count, to_integer_ring, to_ring)
+                       to_integer_ring, to_ring)
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
@@ -99,19 +99,12 @@ class TransitionSet:
         return "\n".join(str(self.components[n]) for n in self.components)
 
 
-def _is_const(p: Jet) -> bool:
-    return all(mdeg(m) == 0 for m in p.terms)
-
-
-def _cuts_out(polys: List[Jet]) -> bool:
-    """An elimination result that is neither dense ([]) nor empty ([1])."""
-    return bool(polys) and not (len(polys) == 1 and _is_const(polys[0]))
-
-
 def _component_from_elimination(name: str, polys: List[Jet]) -> Component:
+    """The component an `eliminate` result cuts out: [] is dense and [1]
+    is empty."""
     if not polys:
         return Component(name, note="dense")
-    if not _cuts_out(polys):
+    if len(polys) == 1 and polys[0].total_degree() == 0:
         return Component(name)  # empty variety
     return Component(name, systems=[polys])
 
@@ -182,7 +175,7 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
         content, factors = ab.sqf_list()
         norm = from_ring(prod((f for f, k in factors if k % 2),
                               start=ab.ring.one), params)
-        if _is_const(norm):
+        if norm.total_degree() == 0:
             # a*b >= 0 everywhere, or nowhere off the zeros of the square
             return [] if content > 0 else None
         return [SideCondition(norm, ">=" if content > 0 else "<=")]
@@ -301,18 +294,17 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
             comps["L_C"] = Component("L_C", note="dense")
         else:
             comps["L_C"] = Component("L_C", systems=[
-                [p] for p in corners if not _is_const(p)])
+                [p] for p in corners if p.total_degree() > 0])
 
     def boundary_family(name, values, system, drop):
         comp = comps[name] = Component(name)
         for v in values:
-            polys = eliminate(system(v), drop)
-            if not polys:
+            end = _component_from_elimination(name, eliminate(system(v), drop))
+            if end.note == "dense":
                 # dense at this end: the family is the whole parameter space
-                comps[name] = Component(name, note="dense")
+                comps[name] = end
                 return
-            if _cuts_out(polys):
-                comp.systems.append(polys)
+            comp.systems += end.systems
 
     if want_x:
         boundary_family("L_SH", (u_lo, u_hi),
@@ -359,8 +351,6 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
 @dataclass
 class RegionCatalog:
     representatives: List[Tuple[tuple, tuple, str]]  # (point, signs, tag)
-    box: List[Tuple[Fraction, Fraction]]
-    grid_resolution: int
     warnings: List[str] = field(default_factory=list)
 
 
@@ -422,7 +412,7 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     polys = [poly for _n, poly in sigma.all_polys()]
     if not polys:
         center = tuple((lo + hi) / 2 for lo, hi in box)
-        return RegionCatalog([(center, (), granularity)], box, grid, [])
+        return RegionCatalog([(center, (), granularity)])
 
     def grid_order():
         """The (index tuple, point) pairs of the grid, in grid order."""
@@ -457,7 +447,7 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     for idx, pt in grid_order():
         if idx in signs:
             firsts.setdefault(key[idx], (pt, signs[idx], granularity))
-    return RegionCatalog(sorted(firsts.values()), box, grid, warnings)
+    return RegionCatalog(sorted(firsts.values()), warnings)
 
 
 # ------------------------------------------------------------ diagrams
@@ -467,7 +457,6 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
 class Diagram:
     curves: List[List[Tuple[float, float]]]  # polylines of (lambda, x)
     window: Tuple[Tuple[float, float], Tuple[float, float]]
-    germ_at: tuple
 
 
 class _PlanePoly:
@@ -659,15 +648,7 @@ def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
     g = _evaluator(G.body, G.params, alpha)
     (llo, lhi), (xlo, xhi) = window
     window = ((float(llo), float(lhi)), (float(xlo), float(xhi)))
-    return Diagram(_march(g, window, resolution), window,
-                   tuple(Fraction(a) for a in alpha))
-
-
-def exact_root_counts(G: UnfoldingGerm, alpha, lambdas, xwindow) -> tuple:
-    """Sturm-sequence real-root counts of the lambda-slice polynomials."""
-    body = _fix(G.body, {2 + i: Fraction(a) for i, a in enumerate(alpha)})
-    return tuple(real_root_count(_fix(body, {1: Fraction(c)}), *xwindow)
-                 for c in lambdas)
+    return Diagram(_march(g, window, resolution), window)
 
 
 # -------------------------------------------------------------- rendering

@@ -26,9 +26,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Union
 
-from .jets import Jet, mdeg, mmul
+from .jets import Jet, mdeg, mmul, power_series
 
-FUNCTIONS = ("sin", "cos", "exp")
+# each function a germ may apply, by its Maclaurin coefficients: n -> the
+# coefficient of u^n in f(u)
+FUNCTIONS = {
+    "sin": lambda n: Fraction((-1) ** (n // 2), factorial(n)) if n % 2 else 0,
+    "cos": lambda n: 0 if n % 2 else Fraction((-1) ** (n // 2), factorial(n)),
+    "exp": lambda n: Fraction(1, factorial(n)),
+}
 
 
 class GermSyntaxError(ValueError):
@@ -211,43 +217,14 @@ def parse_germ(text: str, variables) -> Expr:
     return _Parser(text, variables).parse()
 
 
-def _series(name: str, u: Jet, k: int) -> Jet:
+def _series(name: str, u: Jet) -> Jet:
     """Compose a transcendental series with a jet vanishing at the origin."""
     if u.constant_term() != 0:
         raise NonUnitDivisorError(
             "%s() argument must vanish at the origin for exact rational "
             "expansion" % name
         )
-    variables = u.variables
-    acc = Jet.zero(variables, k)
-    if name == "exp":
-        acc = Jet.constant(1, variables, k)
-    if u.is_zero():
-        # the series' constant term: cos(0) = exp(0) = 1, sin(0) = 0
-        return Jet.constant(0 if name == "sin" else 1, variables, k)
-    ord_u = u.order()
-    power = Jet.constant(1, variables, k)
-    nmax = k // ord_u
-    for n in range(1, nmax + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        if name == "exp":
-            coeff = Fraction(1, factorial(n))
-        elif name == "sin":
-            if n % 2 == 0:
-                continue
-            coeff = Fraction((-1) ** ((n - 1) // 2), factorial(n))
-        elif name == "cos":
-            if n % 2 == 1:
-                continue
-            coeff = Fraction((-1) ** (n // 2), factorial(n))
-        else:
-            raise ValueError("unknown function %r" % name)
-        acc = acc + power.scale(coeff)
-    if name == "cos":
-        acc = acc + Jet.constant(1, variables, k)
-    return acc
+    return power_series(FUNCTIONS[name], u)
 
 
 _ONE = Fraction(1)
@@ -350,7 +327,7 @@ def _other(node, variables, index, k) -> Jet:
     if isinstance(node, Pow):
         return _expand(node.base, variables, index, k) ** node.exponent
     if isinstance(node, Func):
-        return _series(node.name, _expand(node.arg, variables, index, k), k)
+        return _series(node.name, _expand(node.arg, variables, index, k))
     if isinstance(node, BinOp):
         a = _expand(node.left, variables, index, k)
         b = _expand(node.right, variables, index, k)

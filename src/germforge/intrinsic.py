@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from .jets import Jet, monomials_upto
 from .linalg import RowSpace
-from .localalg import codimension, ideal_span, least_degree, span_degree
+from .localalg import answer_span, codimension, ideal_span, least_degree
 
 DEFAULT_UPPER_BOUND = 20
 # the working degree of a germ for which `verify_germ` finds none
@@ -124,20 +124,21 @@ def intrinsic_from_members(members: set, k: int) -> IntrinsicIdeal:
 
 
 def intrinsic_part(I: List[Jet], k: Optional[int] = None) -> IntrinsicResult:
-    """Largest intrinsic ideal contained in <I> modulo degree k, read at
-    `span_degree` (exact at the own degree of polynomials), or one degree
-    above the largest total degree of polynomials of infinite codimension.
+    """Largest intrinsic ideal contained in <I> modulo degree k, read from
+    the `answer_span` (exact at the own degree of polynomials), or for
+    polynomials of infinite codimension from the span one degree above
+    their largest total degree.
     Infinite codimension is remarked on when the span's pivots hold no pure
     power of some variable, the test of `localalg.normal_set`."""
     if not I:
         return IntrinsicResult(IntrinsicIdeal(()), INFINITE_CODIM_REMARK)
-    d = span_degree(I, k)
-    if d is None:
+    span = answer_span(I, k)
+    if span is None:
         degrees = [f.total_degree() for f in I if not f.is_zero()]
-        d = max(degrees) + 1 if degrees else 1
-    span = ideal_span(I, d)
+        span = ideal_span(I, max(degrees) + 1 if degrees else 1)
     infinite = least_degree(span.pivots(), len(span.variables)) is None
-    return IntrinsicResult(intrinsic_from_members(span.monomials(), d),
+    return IntrinsicResult(intrinsic_from_members(span.monomials(),
+                                                  span.degree),
                            INFINITE_CODIM_REMARK if infinite else None)
 
 

@@ -315,14 +315,7 @@ class Jet:
             raise ValueError("cannot invert a non-constant untruncated polynomial")
         # Geometric series in u = 1 - f/c0, which is nilpotent mod M^(k+1).
         u = Jet.constant(1, self.variables, self.degree) - self.scale(1 / c0)
-        acc = Jet.constant(1, self.variables, self.degree)
-        power = Jet.constant(1, self.variables, self.degree)
-        for _ in range(self.degree):
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc.scale(1 / c0)
+        return power_series(lambda n: 1, u).scale(1 / c0)
 
     def compose(self, images: dict):
         """Substitute jets for variables.  `images` maps variable name -> Jet
@@ -405,6 +398,22 @@ class Jet:
 
     def __repr__(self):
         return "Jet(%s)" % self
+
+
+def power_series(coefficient, u: Jet) -> Jet:
+    """The sum of coefficient(n) * u^n over n >= 0, for a truncated jet u
+    with no constant term.  u^(k+1) vanishes for u's degree k, so the sum
+    stops at the first power of u that vanishes."""
+    acc = Jet.constant(coefficient(0), u.variables, u.degree)
+    power = Jet.constant(1, u.variables, u.degree)
+    for n in range(1, u.degree + 1):
+        power = power * u
+        if power.is_zero():
+            break
+        c = coefficient(n)
+        if c:
+            acc = acc + (power if c == 1 else power.scale(c))
+    return acc
 
 
 # -- integer numerators ------------------------------------------------------

@@ -1,10 +1,11 @@
 """Standard-basis machinery for local and global monomial orders.
 
-Local answers about an ideal are read from one `ideal_span` at the degree
-`span_degree` gives.  Mora's tangent-cone algorithm (a unit multiplier,
-reducers chosen by ecart) serves division, the own degree of polynomial
-ideals and the ideals of infinite codimension.  Global orders use classical
-Buchberger and polynomial division.
+Local answers about an ideal are read from its one `answer_span`.
+Membership in a standard basis is one weak normal form (`_weak_nf`).
+Mora's tangent-cone algorithm (a unit multiplier, reducers chosen by
+ecart) serves division, the own degree of polynomial ideals and the ideals
+of infinite codimension.  Global orders use classical Buchberger and
+polynomial division.
 """
 
 from __future__ import annotations
@@ -158,9 +159,11 @@ class StandardBasis:
         return [g.leading_monomial(self.order) for g in self.generators]
 
     def contains(self, f: Jet) -> bool:
+        """f lies in the ideal exactly when a weak normal form of f with
+        respect to the standard basis is 0 (Greuel and Pfister, A Singular
+        Introduction to Commutative Algebra, section 1.6)."""
         f = f.truncate(self.degree) if self.degree is not None else f
-        return f.is_zero() or mora_divide(
-            f, self.generators, self.order, self.degree).remainder.is_zero()
+        return _weak_nf(f, self.generators, self.order)[0].is_zero()
 
 
 def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
@@ -209,9 +212,8 @@ def _strip_unit_factor(g: Jet) -> Jet:
     common = tuple(min(m[i] for m in monomials) for i in range(len(g.variables)))
     if all(e == 0 for e in common):
         return g
-    if common in g.terms and all(
-        mdeg(m) > mdeg(common) for m in monomials if m != common
-    ):
+    if common in g.terms:
+        # g = common * u, and u has a nonzero constant term
         return Jet.monomial(common, g.variables, Fraction(1), g.degree)
     return g
 
@@ -261,29 +263,31 @@ def least_degree(leads, nvars: int) -> Optional[int]:
 
 
 def _own_degree(G: List[Jet]):
-    """(D, basis) for polynomials G: Mora's local basis of <G> and the own
-    degree D = `least_degree` of L(<G>), read from the pivots of the span
-    at the degree where the loop stopped; D is None for infinite
-    codimension, where the basis is complete."""
+    """(span, basis) for polynomials G: Mora's local basis of <G> and the
+    span of <G> at its own degree D = `least_degree` of L(<G>).  D is read
+    from the pivots of the span at the degree where the loop stopped, and
+    that span cut to D (`RowSpace.truncate`) is `ideal_span(G, D)`.  The
+    span is None for infinite codimension, where the basis is complete."""
     basis = _basis_loop(G, LocalOrder(), None)
     nvars = len(G[0].variables)
     d = least_degree([f.leading_monomial(LocalOrder()) for f in basis],
                       nvars)
-    if d is not None:
-        d = least_degree(ideal_span(G, d).pivots(), nvars)
-    return d, basis
+    if d is None:
+        return None, basis
+    span = ideal_span(G, d)
+    return span.truncate(least_degree(span.pivots(), nvars)), basis
 
 
-def span_degree(G: List[Jet], k: Optional[int] = None) -> Optional[int]:
-    """The degree of the one `ideal_span` that answers for <G>: k, else the
-    least degree of G's truncated jets, else the own degree D of the
+def answer_span(G: List[Jet], k: Optional[int] = None) -> Optional[RowSpace]:
+    """The one `ideal_span` that answers for <G>: at k, else at the least
+    degree of G's truncated jets, else at the own degree D of the
     polynomials G (`_own_degree`), where M^D lies in <G> so that J^D answers
     exactly; None for polynomials of infinite codimension."""
     if not G:
         raise ValueError("empty generating list")
     if k is None:
         k = min((f.degree for f in G if f.degree is not None), default=None)
-    return k if k is not None else _own_degree(G)[0]
+    return ideal_span(G, k) if k is not None else _own_degree(G)[0]
 
 
 def _minimal_rows(span: RowSpace) -> List[Jet]:
@@ -299,9 +303,9 @@ def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
                    k: Optional[int] = None) -> StandardBasis:
     """Reduced standard basis of <G> (Groebner basis for a global order).
 
-    Under the local order it is `_minimal_rows` of the span at
-    `span_degree`, untruncated for polynomials G, or Mora's interreduced
-    basis for polynomials of infinite codimension.  A global order with k
+    Under the local order it is `_minimal_rows` of the `answer_span`,
+    untruncated for polynomials G, or Mora's interreduced basis for
+    polynomials of infinite codimension.  A global order with k
     recomputes the basis at k+1 and warns when the leading monomials of
     degree <= k differ."""
     order = order or LocalOrder()
@@ -309,13 +313,13 @@ def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
         raise ValueError("empty generating list")
     if order.is_local:
         if k is not None or any(f.degree is not None for f in G):
-            k = span_degree(G, k)
-            return StandardBasis(_minimal_rows(ideal_span(G, k)), order, k)
-        d, basis = _own_degree(G)
-        if d is None:
+            span = answer_span(G, k)
+            return StandardBasis(_minimal_rows(span), order, span.degree)
+        span, basis = _own_degree(G)
+        if span is None:
             return StandardBasis(_interreduce(basis, order, None), order, None)
-        return StandardBasis([h.truncate(None) for h in
-                              _minimal_rows(ideal_span(G, d))], order, None)
+        return StandardBasis([h.truncate(None) for h in _minimal_rows(span)],
+                             order, None)
     sb = StandardBasis(_interreduce(_basis_loop(G, order, k), order, k),
                        order, k)
     if k is not None and sb.generators:
@@ -332,13 +336,12 @@ def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
 
 
 def buchberger(G: List[Jet], order: Optional[MonomialOrder] = None) -> List[Jet]:
-    """Reduced Groebner basis in the polynomial ring (global order, no
-    truncation)."""
+    """Reduced Groebner basis in the polynomial ring: `standard_basis` under
+    a global order, with no truncation."""
     order = order or GrLexOrder()
     if order.is_local:
         raise ValueError("buchberger requires a global order")
-    G = [g.truncate(None) for g in G]
-    return _interreduce(_basis_loop(G, order, None), order, None)
+    return standard_basis([g.truncate(None) for g in G], order).generators
 
 
 def ideal_membership(f: Jet, B: StandardBasis) -> bool:
@@ -376,11 +379,11 @@ def ideal_intersection(I: List[Jet], J: List[Jet]) -> List[Jet]:
 def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     """Generators of the colon ideal I : <g> in the local ring.
 
-    At `span_degree` it is the reduced local standard basis of
-    (I + M^(k+1)) : g in J^k: the kernel of m -> (m*g modulo the span of I)
-    over the monomials m of degree <= k, in reduced echelon form, of which
-    `_minimal_rows` are returned, made primitive with a positive local
-    leading coefficient.  At the own degree D of polynomials I, M^D lies in
+    With the `answer_span` at degree k it is the reduced local standard
+    basis of (I + M^(k+1)) : g in J^k: the kernel of m -> (m*g modulo the
+    span of I) over the monomials m of degree <= k, in reduced echelon
+    form, of which `_minimal_rows` are returned, made primitive with a
+    positive local leading coefficient.  At the own degree D of polynomials I, M^D lies in
     I and in I : g, so the answer is exact.  Without k a unit g gives I.
 
     For polynomials I of infinite codimension a local standard
@@ -393,9 +396,9 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
         raise ValueError("colon by the zero germ")
     if k is None and g.constant_term() != 0:
         return list(I)
-    d = span_degree(I, k)
-    if d is not None:
-        out = _truncated_colon(I, g, d)
+    span = answer_span(I, k)
+    if span is not None:
+        out = _truncated_colon(span, g)
         if k is None and all(f.degree is None for f in I):
             out = [h.truncate(None) for h in out]
         return out
@@ -423,8 +426,8 @@ def _local_primitive(h: Jet) -> Jet:
     return -h if h.leading_term(LocalOrder())[1] < 0 else h
 
 
-def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
-    span = ideal_span(I, k)
+def _truncated_colon(span: RowSpace, g: Jet) -> List[Jet]:
+    k = span.degree
     g = g.truncate(k)
     monos = monomials_upto(len(g.variables), k)
     residues = [span.residue(g.term_mul(m)) for m in monos]
@@ -437,18 +440,18 @@ def _truncated_colon(I: List[Jet], g: Jet, k: int) -> List[Jet]:
 
 
 def _quotient(I: List[Jet], k: Optional[int]):
-    """(span, normal set): the span of <I> at `span_degree` and its
-    non-pivot monomials in descending local order; raises for infinite
+    """(span, normal set): the `answer_span` of <I> and its non-pivot
+    monomials in descending local order; raises for infinite
     codimension."""
-    k = span_degree(I, k)
-    if k is None:
+    span = answer_span(I, k)
+    if span is None:
         raise InfiniteCodimensionError("the ideal is of infinite codimension")
-    span = ideal_span(I, k)
     pivots = set(span.pivots())
     nvars = len(span.variables)
     if least_degree(pivots, nvars) is None:
         raise InfiniteCodimensionError("the ideal is of infinite codimension")
-    return span, [m for m in monomials_upto(nvars, k) if m not in pivots]
+    return span, [m for m in monomials_upto(nvars, span.degree)
+                  if m not in pivots]
 
 
 def normal_set(I: List[Jet], k: Optional[int] = None) -> list:
@@ -549,13 +552,6 @@ def radical(f: Jet) -> Jet:
     if f.is_zero():
         return f
     return _square_free(to_ring(f, poly_ring(f.variables)), f.variables)
-
-
-def real_root_count(f: Jet, lo, hi) -> int:
-    """Number of distinct real roots of the univariate f in [lo, hi], from
-    a Sturm sequence (0 for a constant f)."""
-    R = poly_ring(f.variables)
-    return R.dup_count_real_roots(to_ring(f, R), _qq(R, lo), _qq(R, hi))
 
 
 def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:

@@ -26,14 +26,14 @@ from germforge.bifurcation import (
     TransitionSet,
     _divided_difference,
     _evaluator,
+    _fix,
     _grid_points,
     _horner,
     _march,
     _pieces_where,
     _PlanePoly,
-    exact_root_counts,
 )
-from germforge.localalg import eliminate
+from germforge.localalg import _qq, eliminate, poly_ring, to_ring
 
 from boundary_fixtures import BOUNDARY_COMPONENTS
 
@@ -633,6 +633,20 @@ def traced_root_counts(diagram, lambdas):
     return tuple(counts)
 
 
+def real_root_count(f, lo, hi):
+    """Number of distinct real roots of the univariate f in [lo, hi], from
+    a Sturm sequence (0 for a constant f)."""
+    R = poly_ring(f.variables)
+    return R.dup_count_real_roots(to_ring(f, R), _qq(R, lo), _qq(R, hi))
+
+
+def exact_root_counts(G, alpha, lambdas, xwindow):
+    """Sturm-sequence real-root counts of the lambda-slice polynomials."""
+    body = _fix(G.body, {2 + i: Fraction(a) for i, a in enumerate(alpha)})
+    return tuple(real_root_count(_fix(body, {1: Fraction(c)}), *xwindow)
+                 for c in lambdas)
+
+
 def test_fold_diagram_root_counts():
     G = fold()
     d = bifurcation_diagram(G, (0,), resolution=100)
@@ -866,6 +880,40 @@ def test_march_crossings_lie_on_their_grid_lines(plane):
                 assert abs(_horner(g.column(h), v)) <= TOL
     # both restrictions were bisected: the curve has degree 2 or more in h
     assert kinds["h"] > 0 and kinds["v"] > 0
+
+
+@pytest.mark.parametrize("hc, vc", [(0.3, 0.2), (0.3, 0.3)])
+def test_march_splits_a_saddle_cell_by_its_centre(hc, vc):
+    # g = (v - vc)*(h - hc) crosses itself inside the cell [0, 1/2]^2 of a
+    # 4 x 4 grid; the cell gives two segments, each joining the zeros on
+    # the two edges at a corner whose sign differs from the centre's (with
+    # vc = 0.3 the centre has corner (0, 0)'s sign, with vc = 0.2 not)
+    cross = parse_and_expand("(a2 - %s)*(a1 - %s)" % (Fraction(vc),
+                                                        Fraction(hc)),
+                             ("a1", "a2"), None)
+    g = _PlanePoly(cross, "a2", "a1", {})
+    window = ((-1.0, 1.0), (-1.0, 1.0))
+    inside = [(a, b) for curve in _march(g, window, 4)
+              for a, b in zip(curve, curve[1:])
+              if 0 < (a[0] + b[0]) / 2 < 0.5 and 0 < (a[1] + b[1]) / 2 < 0.5]
+    centre = g(0.25, 0.25)
+    cut = [(h, v) for h in (0.0, 0.5) for v in (0.0, 0.5)
+           if (g(v, h) > 0) != (centre > 0)]
+    assert len(inside) == len(cut) == 2
+
+    def corner(segment):
+        """The corner (h, v) whose edges hold the segment's two ends: a
+        zero near (h, vc) on the vertical edge and one near (hc, v) on the
+        horizontal edge, each exactly on its grid line."""
+        a, b = segment
+        if a[0] not in (0.0, 0.5):
+            a, b = b, a
+        (h, v1), (h2, v) = a, b
+        assert h in (0.0, 0.5) and v in (0.0, 0.5)
+        assert abs(v1 - vc) < 1e-8 and abs(h2 - hc) < 1e-8
+        return h, v
+
+    assert sorted(map(corner, inside)) == sorted(cut)
 
 
 def test_pieces_where_cuts_each_segment_at_the_condition():

@@ -202,6 +202,10 @@ def test_normalform(capsys):
                           "--vars", "x,lambda")
     assert code == 0
     assert out == "-x^3 + lambda\n"
+    # P = M^4 does not hold x*lambda^2, so the greedy removal drops it: the
+    # germ is (x + lambda^2/2)^2 + lambda^3 modulo M^4
+    assert run(capsys, "normalform", "x^2 + lambda^3 + x*lambda^2",
+               "--vars", "x,lambda")[:2] == (0, "lambda^3 + x^2\n")
 
 
 def test_unfolding_list(capsys):
@@ -323,6 +327,24 @@ def test_persistent_regions(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("region 1: alpha = (-1)")
     assert lines[1].startswith("region 2: alpha = (")
+
+
+def test_persistent_plot_writes_one_diagram_per_region(capsys, tmp_path):
+    code, out, _err = run(capsys, "persistent", "x^3-lambda*x+a1",
+                          "--vars", "x,lambda", "--params", "a1",
+                          "--grid", "9", "--plot", str(tmp_path),
+                          "--resolution", "20", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    names = ["diagram_%03d.%s" % (i + 1, ext)
+             for i in range(len(result["representatives"]))
+             for ext in ("svg", "csv")]
+    assert len(names) == 4
+    assert result["files"] == [str(tmp_path / n) for n in names]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    for svg, csv in zip(names[::2], names[1::2]):
+        assert "<svg" in (tmp_path / svg).read_text()
+        assert (tmp_path / csv).read_text().startswith("curve_id,lambda,x\n")
 
 
 def test_persistent_degree_cuts_only_x_and_lambda(capsys):

@@ -11,6 +11,7 @@ from germforge.germexpr import parse_and_expand
 from germforge.jets import Jet, LexOrder, LocalOrder, mdivides, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import (
+    answer_span,
     buchberger,
     codimension,
     colon_ideal,
@@ -24,7 +25,7 @@ from germforge.localalg import (
     normal_set,
     poly_ring,
     radical,
-    span_degree,
+    StandardBasis,
     standard_basis,
     to_ring,
 )
@@ -121,6 +122,11 @@ def test_standard_basis_trivials():
     sb = standard_basis(G, LO, 6)
     assert sorted(str(f) for f in sb.generators) == ["lam^2", "x^2"]
     assert ideals_equal(G, sb.generators, 6)
+    # <x^2 + x*lam^3, x*lam^3> holds no power of lam, so Mora's basis is
+    # interreduced: the first generator's tail is the second's leading
+    # monomial, and its weak normal form removes it
+    sb = standard_basis([j("x^2 + x*lam^3"), j("x*lam^3")])
+    assert [str(f) for f in sb.generators] == ["x^2", "x*lam^3"]
 
 
 def test_standard_basis_inputs_reduce_to_zero():
@@ -143,6 +149,8 @@ def test_buchberger_lex():
     assert set(gb) == {j("lam^2 - 1"), j("x - lam")}
     assert buchberger([j("x")], LexOrder()) == [j("x")]
     assert set(buchberger([j("x - lam"), j("lam")], LexOrder())) == {j("lam"), j("x")}
+    with pytest.raises(ValueError, match="empty generating list"):
+        buchberger([], LexOrder())
 
 
 # ------------------------------------------------------------- membership
@@ -154,6 +162,10 @@ def test_membership_examples():
     f = j("x^3*lam^2 + cos(lam)*x", 7)
     sb2 = standard_basis([f, j("lam^6 + x^4 - lam*x", 7)], LO, 7)
     assert ideal_membership(f, sb2)
+    # the zero ideal holds only 0
+    empty = StandardBasis([], LO, 4)
+    assert not empty.contains(j("x", 4))
+    assert empty.contains(Jet.zero(V, 4))
 
 
 def test_membership_agrees_with_span_oracle():
@@ -541,7 +553,7 @@ def test_untruncated_answers_equal_those_at_any_degree_from_d(
     f2 = j("lam^%d" % b) + above(h2, b)
     f1 = f1 + p * f2
     I = [f1, f2 + q * f1] + [f for f in extra if not f.is_zero()]
-    k = span_degree(I) + more
+    k = answer_span(I).degree + more
     sb = standard_basis(I)
     assert sb.generators == standard_basis(I, LO, k).generators
     assert all(f.degree is None for f in sb.generators)
