@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, List, Optional, Tuple
 
 from .intrinsic import (
@@ -31,9 +31,9 @@ _LOCAL = LocalOrder()
 class NotEquivalentError(ValueError):
     """The transformation solver gives no contact transformation.  The
     message says "not equivalent" only where an invariant proves it (the
-    orders differ, exactly one germ is zero, or, in `transform` without a
-    degree, the truncation degrees differ); otherwise no witness was
-    found."""
+    orders or the Newton vertices differ, exactly one germ is zero, or, in
+    `transform` without a degree, the truncation degrees differ);
+    otherwise no witness was found."""
 
 
 class ParameterCountError(ValueError):
@@ -203,10 +203,6 @@ def alg_objects(g: Jet, mrt: Optional[RowSpace] = None) -> AlgObjects:
 # ----------------------------------------------------------- transformations
 
 
-def _homogeneous_monomials(d: int) -> list:
-    return [(d - j, j) for j in range(d + 1)]
-
-
 def _rational_root(q: Fraction, n: int) -> Optional[Fraction]:
     """The positive rational q^(1/n) for q > 0 and n != 0, or None when it
     is irrational: Newton's iteration on integers, from above, for the
@@ -263,30 +259,48 @@ def _solve_scaling(ratios: dict):
     return s, a, c
 
 
-def _match_rigid(g: Jet, f: Jet):
-    """Positive scalings (s, a, c) making s*g(a*x, c*lam) agree with f on the
-    rigid monomials: the full lowest-order part plus the intrinsic generator
-    terms.  Those terms cannot be changed by the higher-order corrections of
-    the transformation loop, so they pin the scaling down."""
-    d0 = g.order()
-    g_low = {m for m in g.terms if mdeg(m) == d0}
-    f_low = {m for m in f.terms if mdeg(m) == d0}
-    if g_low != f_low:
-        return None
-    ggens = smallest_intrinsic(g).generators()
-    if ggens != smallest_intrinsic(f).generators():
-        return None
-    rigid = g_low | {m for m in ggens if m in g.terms}
-    ratios = {}
-    for m in rigid:
-        gc = g.terms.get(m)
-        fc = f.terms.get(m)
-        if gc is None or fc is None:
-            return None
-        if (gc < 0) != (fc < 0):
-            return None  # positive scalings cannot flip a sign
-        ratios[m] = fc / gc
-    return _solve_scaling(ratios)
+def _vertex(g: Jet):
+    """The Newton vertex (d, e) of a nonzero jet g: lambda^e is the largest
+    power of lambda that divides g, and d is the order of (g/lambda^e)(x, 0).
+    Lambda^e/lambda^e is a unit, so (d, e) is a contact invariant of g."""
+    e = min(m[1] for m in g.terms)
+    return min(m[0] for m in g.terms if m[1] == e), e
+
+
+def _shift(g: Jet, d: int, e: int):
+    """(phi, g(x + phi, lambda)) for the jet phi(lambda), phi(0) = 0, that
+    removes every x^(d-1)*lambda^j term of g/lambda^e (a Tschirnhaus shift).
+    The x^(d-1) coefficient H of g(x + phi, lambda)/lambda^e has derivative
+    d*g_(d,e) != 0 in phi, so each chord step phi -= H/(d*g_(d,e)) raises
+    the order of H."""
+    x = g.variables[0]
+    phi = Jet.zero(g.variables, g.degree)
+    shifted = g
+    while True:
+        H = {(0, j - e): c for (i, j), c in shifted.terms.items()
+             if i == d - 1}
+        if not H:
+            return phi, shifted
+        phi = phi - Jet(H, g.variables, g.degree).scale(
+            1 / (d * g.terms[(d, e)]))
+        shifted = g.compose({x: Jet.variable(x, g.variables, g.degree)
+                             + phi})
+
+
+def _principal(g: Jet, d: int, e: int):
+    """((w_x, w_lambda), top, principal part) of g at its Newton vertex (d, e):
+    the integer weights of the Newton polygon's edge at (d, e), or (1, 1)
+    when no term has an x exponent below d, and the terms of g of the least
+    weight, top = w_x*d + w_lambda*e."""
+    left = [m for m in g.terms if m[0] < d]
+    w = (1, 1)
+    if left:
+        i, j = min(left, key=lambda m: Fraction(m[1] - e, d - m[0]))
+        n = gcd(j - e, d - i)
+        w = ((j - e) // n, (d - i) // n)
+    top = w[0] * d + w[1] * e
+    return w, top, {m: c for m, c in g.terms.items()
+                    if w[0] * m[0] + w[1] * m[1] == top}
 
 
 @dataclass
@@ -307,83 +321,87 @@ def transformation(g: Jet, f: Jet, k: int) -> TransformationTriple:
     """Jets X, Lambda, S with f - S*g(X, Lambda) in M^k, subject to
     S(0) > 0, X_x(0) > 0, Lambda'(0) > 0.
 
-    The lowest-order homogeneous parts are matched exactly first by positive
-    scalings of x, lambda and the germ; after that every degree-by-degree
-    correction strictly raises the residual order, so the loop terminates.
-    Raises NotEquivalentError: "not equivalent" when the orders differ or
-    exactly one germ is zero, "no contact transformation found" when a step
+    Only terms below degree k matter, so g, f, X, Lambda and S are
+    (k-1)-jets.  Each germ is shifted (`_shift`) so that g/lambda^e has no
+    x^(d-1) term at its Newton vertex (d, e).  The principal parts at the
+    vertex (`_principal`) must then agree up to positive scalings of x,
+    lambda and the germ, which `_solve_scaling` fixes.  Each Newton step
+    solves every residual row of weight in [D, 2D - top), D the residual's
+    least weight: products of two corrections weigh at least 2D - top, so
+    the weight rises at every step.  The shifts are undone at the end.
+    Raises NotEquivalentError: "not equivalent" when the orders or the
+    Newton vertices differ, or exactly one germ is zero, "no contact
+    transformation found" when the principal parts do not match or a step
     is infeasible."""
     variables = g.variables
-    g = Jet(dict(g.terms), variables, k)
-    f = Jet(dict(f.terms), variables, k)
+    x, lam = variables
+    # the witness is a (k-1)-jet that keeps its linear terms when k = 1
+    n = max(k - 1, 1)
+    X, L = (Jet.variable(v, variables, n) for v in variables)
+    S = Jet.constant(1, variables, n)
+    g, f = g.truncate(k - 1), f.truncate(k - 1)
     if g.is_zero() or f.is_zero():
         if g.is_zero() and f.is_zero():
-            return TransformationTriple(
-                Jet.variable(variables[0], variables, k),
-                Jet.variable(variables[1], variables, k),
-                Jet.constant(1, variables, k))
+            return TransformationTriple(X, L, S)
         raise NotEquivalentError("not equivalent up to degree %d" % k)
-
-    d0 = g.order()
-    if f.order() != d0:
+    d, e = vertex = _vertex(g)
+    if (f.order(), _vertex(f)) != (g.order(), vertex):
         raise NotEquivalentError("not equivalent up to degree %d" % k)
     not_found = "no contact transformation found up to degree %d" % k
-    scaling = _match_rigid(g, f)
-    if scaling is None:
+    phi_g, g = _shift(g, d, e)
+    phi_f, f = _shift(f, d, e)
+    w, top, gp = _principal(g, d, e)
+    fw, ftop, fp = _principal(f, d, e)
+    if (fw, ftop) != (w, top) or fp.keys() != gp.keys():
+        raise NotEquivalentError(not_found)
+    ratios = {m: fp[m] / c for m, c in gp.items()}
+    # positive scalings cannot flip a sign
+    scaling = min(ratios.values()) > 0 and _solve_scaling(ratios)
+    if not scaling:
         raise NotEquivalentError(not_found)
     s0, a0, c0 = scaling
-    X = Jet.variable(variables[0], variables, k).scale(a0)
-    L = Jet.variable(variables[1], variables, k).scale(c0)
-    S = Jet.constant(s0, variables, k)
+    X, L, S = X.scale(a0), L.scale(c0), S.scale(s0)
 
-    derivatives = (g.diff(variables[0]), g.diff(variables[1]))
-    for _round in range(k + 2):
+    def weight(m):
+        return w[0] * m[0] + w[1] * m[1]
+
+    monos = monomials_upto(2, k - 1)
+    derivatives = (g.diff(x), g.diff(lam))
+    while True:
         # g, g_x and g_lambda composed through one table of powers of X, L;
         # the derivatives only when the residual asks for a step
-        composed = compose_all((g,) + derivatives,
-                               {variables[0]: X, variables[1]: L})
+        composed = compose_all((g,) + derivatives, {x: X, lam: L})
         SG = S * next(composed)
-        r = (f - SG).truncate(k - 1)
+        r = f - SG
         if r.is_zero():
             break
+        D = min(map(weight, r.terms))
+        end = 2 * D - top
         SGx, SGlam = (S * h for h in composed)
-        # Newton step: solve the full linearization over every monomial of
-        # degree < k at once.  Corrections to the linear parts of X and
-        # Lambda stay off the table (the rigid scaling fixed them); with the
-        # linear system solved exactly, the new residual consists of products
-        # of two corrections, whose order is strictly higher.
-        unknowns = []  # (kind, monomial, contribution jet)
-        for dd in range(1, k - d0):
-            for m in _homogeneous_monomials(dd):
-                unknowns.append(("S", m, SG.term_mul(m)))
-        oX = SGx.order() if not SGx.is_zero() else None
-        if oX is not None:
-            for dd in range(2, k - oX):
-                for m in _homogeneous_monomials(dd):
-                    unknowns.append(("X", m, SGx.term_mul(m)))
-        oL = SGlam.order() if not SGlam.is_zero() else None
-        if oL is not None:
-            for dd in range(2, k - oL):
-                unknowns.append(("L", (0, dd), SGlam.term_mul((0, dd))))
-        if not unknowns:
-            raise NotEquivalentError(not_found)
-        rows_m = monomials_upto(2, k - 1)
-        A = [[u[2].terms.get(m, 0) for u in unknowns] for m in rows_m]
-        b = [r.terms.get(m, 0) for m in rows_m]
-        sol = solve_linear(A, b)
+        # an unknown m of S, X or Lambda adds a column of weight at least
+        # weight(m) + top minus 0, w_x or w_lambda
+        fields = ((SG, 0, monos), (SGx, w[0], monos),
+                  (SGlam, w[1], [m for m in monos if not m[0]]))
+        unknowns = [(kind, m, h.term_mul(m))
+                    for kind, (h, shift, ms) in enumerate(fields) for m in ms
+                    if D <= weight(m) + top - shift < end]
+        rows = [m for m in monos if D <= weight(m) < end]
+        sol = solve_linear([[u[2].terms.get(m, 0) for u in unknowns]
+                            for m in rows], [r.terms.get(m, 0) for m in rows])
         if sol is None:
             raise NotEquivalentError(not_found)
-        for c, (kind, m, _contrib) in zip(sol, unknowns):
-            if c == 0:
-                continue
-            if kind == "S":
-                S = S + S.term_mul(m, c)
-            elif kind == "X":
-                X = X + Jet.monomial(m, variables, c, k)
-            else:
-                L = L + Jet.monomial(m, variables, c, k)
-    else:
-        raise NotEquivalentError(not_found)
+        steps = ({}, {}, {})
+        for c, (kind, m, _column) in zip(sol, unknowns):
+            steps[kind][m] = c
+        dS, dX, dL = (Jet(t, variables, n) for t in steps)
+        S, X, L = S + S * dS, X + dX, L + dL
+        if end > (k - 1) * max(w):
+            break  # the residual's weight exceeds every degree below k
+    if phi_f:
+        S, X = compose_all((S, X), {x: Jet.variable(x, variables, n)
+                                    - phi_f})
+    if phi_g:
+        X = X + phi_g.compose({lam: L})
     return TransformationTriple(X, L, S)
 
 
@@ -404,33 +422,13 @@ class NormalForm:
     warnings: List[str] = field(default_factory=list)
 
 
-def _scaling_normalize(g: Jet) -> Jet:
-    """Scale x -> a x, lambda -> b lam, g -> c g with a, b, c > 0 rational so
-    that the coefficients of the intrinsic-generator terms become +-1.  Terms
-    that cannot be scaled exactly keep their coefficients."""
-    if g.is_zero():
-        return g
-    gens = set(smallest_intrinsic(g).generators())
-    targets = [(m, c) for m, c in g.sorted_terms(_LOCAL) if m in gens]
-    if not targets:
-        return g
-    # want c * a^i * b^j * coeff = +-1, i.e. the scaling solves for the
-    # reciprocal of each generator coefficient's magnitude
-    scaling = _solve_scaling({m: 1 / abs(co) for m, co in targets})
-    if scaling is None:
-        return g  # not exactly normalizable; leave as-is
-    c, a, b = scaling
-    terms = {}
-    for m, coef in g.terms.items():
-        terms[m] = coef * c * a ** m[0] * b ** m[1]
-    return Jet(terms, g.variables, g.degree)
-
-
 def normal_form(expand: Callable[[int], Jet],
                 k: Optional[int] = None) -> NormalForm:
-    """Normal form pipeline: expand, delete high-order terms, greedily
-    eliminate intermediate terms via the transformation solver, normalize
-    scalable coefficients.  The normal form's degree is the working degree
+    """Normal form pipeline: expand, shift (`_shift`), delete high-order
+    terms, greedily eliminate the terms outside the principal part
+    (`_principal`) via the transformation solver, and scale the principal
+    part's coefficients to +-1 where a positive rational scaling does it.
+    The normal form's degree is the working degree
     (`intrinsic.working_degree`); where `verify_germ` found none, the germ's
     jet there is returned with the warning.  A zero jet at the working
     degree raises ZeroGermError."""
@@ -440,17 +438,24 @@ def normal_form(expand: Callable[[int], Jet],
         return NormalForm(g, warnings)
     if P is None:
         P = high_order_part(g, k + 1)
-    terms = {m: c for m, c in g.terms.items() if not P.contains_monomial(m)}
-    base = Jet(terms, g.variables, k)
-    gens = set(smallest_intrinsic(base).generators()) if not base.is_zero() else set()
-    current = base
-    for m, c in base.sorted_terms(_LOCAL):
-        if m in gens:
+    d, e = _vertex(g)
+    _phi, g = _shift(g, d, e)
+    _w, _top, principal = _principal(g, d, e)
+    current = Jet({m: c for m, c in g.terms.items()
+                   if not P.contains_monomial(m)}, g.variables, k)
+    for m, c in current.sorted_terms(_LOCAL):
+        if m in principal:
             continue
         candidate = current - Jet.monomial(m, current.variables, c, k)
-        if not candidate.is_zero() and equivalent(g, candidate, k + 1):
+        if equivalent(g, candidate, k + 1):
             current = candidate
-    return NormalForm(_scaling_normalize(current))
+    # want s * a^i * c^j * coeff = +-1 on the principal part
+    scaling = _solve_scaling({m: 1 / abs(c) for m, c in principal.items()})
+    if scaling is None:
+        return NormalForm(current)
+    s, a, c = scaling
+    return NormalForm(Jet({m: v * s * a ** m[0] * c ** m[1]
+                           for m, v in current.terms.items()}, g.variables, k))
 
 
 # -------------------------------------------------------------- unfoldings

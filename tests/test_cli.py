@@ -642,11 +642,17 @@ def test_recognize_matrix_above_dim_e_over_itr_exit_1(capsys):
                  id="x^2 + lambda^2-x^3 - lambda-not equivalent"),
     pytest.param("0", "x^3 - lambda", "not equivalent", 7,
                  id="0-x^3 - lambda-not equivalent"),
-    # equivalent by X = x - 6*lambda, which the solver does not find
-    pytest.param("x^3 - x*lambda + 6*lambda^2", "x^3 - x*lambda",
-                 "no contact transformation found", 4,
-                 id="x^3 - x*lambda + 6*lambda^2-x^3 - x*lambda-"
-                    "no contact transformation found"),
+    # the Newton vertices (2, 0) and (3, 0) differ
+    pytest.param("x^2 + lambda^3", "x^3 + lambda^2", "not equivalent", 4,
+                 id="x^2 + lambda^3-x^3 + lambda^2"),
+    # the Newton vertices (3, 0) and (1, 1) differ: lambda divides only f
+    pytest.param("x*lambda + x^3", "x*lambda + lambda^3", "not equivalent",
+                 7, id="x*lambda + x^3-x*lambda + lambda^3"),
+    # the principal parts x^2 - lambda and x^2 + lambda differ in a sign,
+    # which no positive scaling flips
+    pytest.param("x^2 - lambda", "x^2 + lambda",
+                 "no contact transformation found", 3,
+                 id="x^2 - lambda-x^2 + lambda"),
     # truncation degrees 5 and 6, a contact invariant; at degree 4 both
     # jets were -lambda and the identity was printed
     pytest.param("x^5 - lambda", "x^6 - lambda", "not equivalent", 7,
@@ -657,6 +663,22 @@ def test_transform_says_not_equivalent_only_where_proved(capsys, g, f,
     code, out, err = run(capsys, "transform", g, f, "--vars", "x,lambda")
     assert (code, out) == (1, "")
     assert err == "error: %s up to degree %d\n" % (message, k)
+
+
+def test_transform_finds_a_lambda_term_in_x(capsys):
+    # equivalent by X = x + 6*lambda + ..., which the weighted Newton steps
+    # find: lambda weighs 2 > w_x = 1 at the pitchfork's vertex
+    g, f = "x^3 - x*lambda + 6*lambda^2", "x^3 - x*lambda"
+    code, out, err = run(capsys, "transform", g, f, "--vars", "x,lambda",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    names = ("x", "lambda")
+    X, L, S = (parse_and_expand(result[key], names, 3)
+               for key in ("X", "Lambda", "S"))
+    assert X.terms[(0, 1)] == 6
+    gk, fk = (parse_and_expand(text, names, 3) for text in (g, f))
+    assert (fk - S * gk.compose({"x": X, "lambda": L})).is_zero()
 
 
 @pytest.mark.parametrize("command, shown", [

@@ -309,16 +309,23 @@ def test_colon_keeps_mora_unit_in_interreduction():
 
 
 def test_colon_keeps_mora_unit_in_interreduction_untruncated():
-    # the same input without a truncation degree runs the untruncated
-    # interreduction that the test above was written for
-    g = j("x + lam^2")
-    I = [j("x^2 - 1/2*x*lam^2 + x^2*lam^2"),
-         j("lam^2 + lam^4 - x^2*lam^2"), j("x*lam")]
-    out = colon_ideal(I, g)
-    assert out
-    sb = standard_basis(I, LO)
-    for f in out:
-        assert sb.contains(f * g)
+    # the first input is the test above's without a truncation degree; its
+    # ideal has finite codimension, so the colon is read from the span at
+    # its own degree.  The second ideal has infinite codimension, so the
+    # colon runs the t-trick, and the interreduction's weak normal form
+    # there has the unit 1 - 2/5*lam: rebuilding a generator from its lead
+    # and reduced tail without that unit made it raise ArithmeticError
+    cases = [([j("x^2 - 1/2*x*lam^2 + x^2*lam^2"),
+               j("lam^2 + lam^4 - x^2*lam^2"), j("x*lam")], j("x + lam^2")),
+             ([j("-2*x*lam^2 - 2*lam^3"), j("-x*lam^2 + x^4*lam")],
+              j("x + 1/2*lam^2"))]
+    assert answer_span(cases[1][0]) is None
+    for I, g in cases:
+        out = colon_ideal(I, g)
+        assert out
+        sb = standard_basis(I, LO)
+        for f in out:
+            assert sb.contains(f * g)
 
 
 def test_untruncated_colon_basis_is_reduced():

@@ -410,6 +410,53 @@ def test_solve_scaling_examples(ratios, expected):
     assert _solve_scaling(ratios) == expected
 
 
+# Golubitsky and Schaeffer I, ch. IV, Table 2.1: the normal forms of
+# codimension <= 3
+TABLE_2_1 = ["x^2 - lam", "x^3 - lam", "x^3 + lam", "x^2 + lam^2",
+             "x^2 - lam^2", "x^3 - x*lam", "x^4 - lam", "x^2 + lam^3",
+             "x^5 - lam", "x^3 + lam^2", "x^4 - x*lam", "x^2 - lam^4"]
+scales = st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2),
+                          2])
+shifts = st.sampled_from([-1, Fraction(-1, 2), Fraction(1, 2), 1])
+smalls = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1])
+
+
+@st.composite
+def contact_images(draw, f):
+    """S*f(X, Lambda), untruncated, with a lambda term in X."""
+    def jet(*terms):
+        return Jet({m: draw(coefficients) for m, coefficients in terms}, V)
+    X = jet(((1, 0), scales), ((0, 1), shifts), ((2, 0), smalls),
+            ((1, 1), smalls))
+    L = jet(((0, 1), scales), ((0, 2), smalls))
+    S = jet(((0, 0), scales), ((1, 0), smalls), ((0, 1), smalls))
+    return S * f.compose({"x": X, "lam": L})
+
+
+@pytest.mark.parametrize("text", TABLE_2_1)
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_contact_images_give_the_normal_form_and_a_transformation(text,
+                                                                  data):
+    f = j(text)
+    g1, g2 = (data.draw(contact_images(f)) for _ in range(2))
+    for g in (g1, g2):
+        nf = normal_form(g.truncate)
+        assert nf.germ == f.truncate(nf.germ.degree)
+    k = f.total_degree() + 1
+    g1, g2 = g1.truncate(k), g2.truncate(k)
+    tr = transformation(g1, g2, k)
+    assert all(mdeg(m) >= k for m in tr.residual(g1, g2).terms)
+
+
+def test_a_germ_that_vanishes_below_degree_k_is_equivalent_to_zero():
+    # x^3 lies in M^3, so its 2-jet is 0's: the identity is a witness
+    tr = transformation(j("x^3", 3), Jet({}, V, 3), 3)
+    assert (str(tr.X), str(tr.L), str(tr.S)) == ("x", "lam", "1")
+    with pytest.raises(NotEquivalentError, match="not equivalent"):
+        transformation(j("x^2", 3), Jet({}, V, 3), 3)
+
+
 def test_transformation_random_roundtrips():
     # applying a known transformation and solving back must succeed
     import random
