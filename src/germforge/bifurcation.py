@@ -229,19 +229,6 @@ def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
 # ----------------------------------------------------------- boundary sets
 
 
-def _fix(body: Jet, values: Dict[int, Fraction]) -> Jet:
-    """body with the variable slots in `values` (slot -> rational value)
-    fixed; the result is over the remaining variables."""
-    keep = [i for i in range(len(body.variables)) if i not in values]
-    out = {}
-    for m, c in body.terms.items():
-        for i, v in values.items():
-            c = c * Fraction(v) ** m[i]
-        key = tuple(m[i] for i in keep)
-        out[key] = out.get(key, Fraction(0)) + c
-    return Jet(out, tuple(body.variables[i] for i in keep), None)
-
-
 def _divided_difference(body: Jet, u: Fraction) -> Jet:
     """(body(x) - body(u))/(x - u) in the x slot (slot 0), exact: each term
     c*x^m*r contributes c*r*sum_{j<m} x^j*u^(m-1-j).  A body free of x gives
@@ -273,7 +260,9 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     - G_2:  F(u_lo, lam) = F(u_hi, lam) = 0, lam eliminated.
 
     `vertical` keeps only the x-boundary families, `horizontal` only the
-    lambda-boundary ones; interior components always remain."""
+    lambda-boundary ones; interior components always remain.  A system
+    with the same polynomials as one already in its component is not added
+    again."""
     body = F.body if k is None else truncate_xlam(F.body, k)
     params = body.variables[2:]
     xn, ln = body.variables[0], body.variables[1]
@@ -282,19 +271,26 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     fx = body.diff(xn)
     flam = body.diff(ln)
 
+    def x_is(v):  # images that set x to v, into the ring of F(v, lam)
+        return {xn: Jet.constant(v, body.variables[1:])}
+
+    def lam_is(v):  # images that set lambda to v, into the ring of F(x, v)
+        return {ln: Jet.constant(v, (xn,) + params)}
+
     want_x = not horizontal
     want_l = not vertical
     comps: Dict[str, Component] = {}
 
     if want_x and want_l:
-        corners = [radical(_fix(body, {0: xv, 1: lv}))
+        corners = [radical(body.compose({xn: Jet.constant(xv, params),
+                                        ln: Jet.constant(lv, params)}))
                    for xv in (u_lo, u_hi) for lv in (l_lo, l_hi)]
         if any(p.is_zero() for p in corners):
             # a corner on the zero set for every parameter value
             comps["L_C"] = Component("L_C", note="dense")
         else:
             comps["L_C"] = Component("L_C", systems=[
-                [p] for p in corners if p.total_degree() > 0])
+                [p] for p in dict.fromkeys(corners) if p.total_degree() > 0])
 
     def boundary_family(name, values, system, drop):
         comp = comps[name] = Component(name)
@@ -304,25 +300,27 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
                 # dense at this end: the family is the whole parameter space
                 comps[name] = end
                 return
-            comp.systems += end.systems
+            comp.systems += [s for s in end.systems
+                             if set(s) not in map(set, comp.systems)]
 
     if want_x:
         boundary_family("L_SH", (u_lo, u_hi),
-                        lambda xv: [_fix(body, {0: xv}), _fix(fx, {0: xv})],
+                        lambda xv: list(compose_all((body, fx), x_is(xv))),
                         [ln])
         boundary_family("L_T", (u_lo, u_hi),
-                        lambda xv: [_fix(body, {0: xv}), _fix(flam, {0: xv})],
+                        lambda xv: list(compose_all((body, flam), x_is(xv))),
                         [ln])
     if want_l:
         boundary_family("L_SV", (l_lo, l_hi),
-                        lambda lv: [_fix(body, {1: lv}), _fix(fx, {1: lv})],
+                        lambda lv: list(compose_all((body, fx), lam_is(lv))),
                         [xn])
     if want_x:
         boundary_family("G_1", (u_lo, u_hi),
-                        lambda xv: [_fix(body, {0: xv}).rename(body.variables),
-                                    _divided_difference(body, xv), fx],
+                        lambda xv: [
+                            body.compose(x_is(xv)).rename(body.variables),
+                            _divided_difference(body, xv), fx],
                         [xn, ln])
-        g2_polys = eliminate([_fix(body, {0: u_lo}), _fix(body, {0: u_hi})],
+        g2_polys = eliminate([body.compose(x_is(u)) for u in (u_lo, u_hi)],
                              [ln])
         comps["G_2"] = _component_from_elimination("G_2", g2_polys)
 
@@ -332,16 +330,6 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
         comps[outer] = Component(outer, systems=comp.systems,
                                  side_conditions=comp.side_conditions,
                                  note=comp.note)
-    for comp in comps.values():
-        deduped = []
-        seen = set()
-        for system in comp.systems:
-            key = tuple(sorted(tuple(sorted(p.terms.items()))
-                               for p in system))
-            if key not in seen:
-                seen.add(key)
-                deduped.append(system)
-        comp.systems = deduped
     return TransitionSet(comps, params, interior.warnings)
 
 

@@ -24,7 +24,7 @@ from .germexpr import (
     taylor_expand,
 )
 from .intrinsic import (
-    degree_bound,
+    DEFAULT_UPPER_BOUND,
     intrinsic_part,
     verify_germ,
     verify_ideal,
@@ -178,7 +178,7 @@ def _answer_jet(args, variables):
     M^(k+1) shows; else the working degree, with the warning that no
     truncation degree was found."""
     expand, _polynomial = _germ(args.germ[0], variables)
-    k, _P, mrt, warnings = working_degree(expand, args.degree)
+    k, mrt, warnings = working_degree(expand, args.degree)
     g = require_nonzero(expand(k if mrt is None else k + 1))
     return g, mrt, warnings
 
@@ -207,7 +207,7 @@ def _unfolding(args, variables):
     all_vars = tuple(variables) + params
     expand, polynomial = _germ(args.germ[0], all_vars)
     body = expand(None if polynomial or args.degree is None
-                  else 2 * degree_bound())
+                  else 2 * DEFAULT_UPPER_BOUND)
     return UnfoldingGerm(Jet(dict(body.terms), all_vars, None), params)
 
 
@@ -246,7 +246,7 @@ def cmd_verify(args, variables):
         raise InputError("--persistent takes one germ, not an --ideal")
     if args.ideal:
         # expanded at the search bound, so every degree searched is a jet
-        k = args.degree if args.degree is not None else degree_bound(bound)
+        k = args.degree if args.degree is not None else bound
         rep = verify_ideal(_jets(args.germ, variables, k), upper_bound=bound)
         polynomial = False
         header = "The following rings are allowed as means of computations:"
@@ -256,7 +256,7 @@ def cmd_verify(args, variables):
         rep = verify_germ(expand, upper_bound=bound)
         if rep.truncation_degree is None:
             # a raised bound cannot help a germ that is zero up to it
-            require_nonzero(expand(degree_bound(bound)))
+            require_nonzero(expand(bound))
         if args.persistent:
             # the determinacy degree is a contact invariant and bounds the
             # x-lambda degree of the normal form's universal unfolding
@@ -344,7 +344,7 @@ def cmd_transform(args, variables):
         warnings = list(dict.fromkeys(w for *_, ws in found for w in ws))
         # the truncation degree verify finds is a contact invariant, so two
         # found degrees that differ prove the germs inequivalent
-        if (all(P is not None for _d, P, *_ in found)
+        if (all(span is not None for _d, span, _w in found)
                 and found[0][0] != found[1][0]):
             raise NotEquivalentError("not equivalent up to degree %d" % k)
     tr = transformation(expands[0](k), expands[1](k), k)
@@ -539,7 +539,7 @@ def build_parser():
 
     command("verify", cmd_verify, ("--ideal", switch),
             ("--persistent", switch),
-            ("--upper-bound", {"type": int, "default": None}))
+            ("--upper-bound", {"type": int, "default": DEFAULT_UPPER_BOUND}))
     command("normalform", cmd_normalform, ring)
     command("unfolding", cmd_unfolding, ring, ("--list", switch),
             ("--normalform", switch))

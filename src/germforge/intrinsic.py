@@ -23,28 +23,15 @@ INCREASE_BOUND_WARNING = "Increase the upper bound for the truncation degree!"
 INFINITE_CODIM_REMARK = "the ideal is of infinite codimension"
 
 
-def _block_contains(outer: Tuple[int, int], inner: Tuple[int, int]) -> bool:
-    """Is M^k1<lambda^l1> (inner) a subset of M^k2<lambda^l2> (outer)?"""
-    k2, l2 = outer
-    k1, l1 = inner
-    return l1 >= l2 and k1 + l1 >= k2 + l2
-
-
 def canonical_blocks(blocks) -> list:
-    """Reduced block list: minimal k per l, containments dropped, sorted with
-    l strictly increasing (and hence k strictly decreasing)."""
-    best = {}
-    for k, l in blocks:
-        if l not in best or k < best[l]:
-            best[l] = k
-    items = sorted(best.items())  # (l, k)
+    """Reduced block list, sorted with l strictly increasing (and hence k
+    strictly decreasing).  M^k1<lambda^l1> lies in M^k2<lambda^l2> exactly
+    when l1 >= l2 and k1 + l1 >= k2 + l2, so in one pass by (l, k) a block is
+    kept when its k + l is below the running minimum, the last kept one's."""
     out = []
-    for l, k in items:
-        if any(_block_contains(b, (k, l)) for b in out):
-            continue
-        out = [b for b in out if not _block_contains((k, l), b)]
-        out.append((k, l))
-    out.sort(key=lambda b: b[1])
+    for k, l in sorted(blocks, key=lambda b: (b[1], b[0])):
+        if not out or k + l < sum(out[-1]):
+            out.append((k, l))
     return out
 
 
@@ -154,8 +141,7 @@ def smallest_intrinsic(g: Jet) -> IntrinsicIdeal:
 class VerifyReport:
     truncation_degree: Optional[int]
     warnings: List[str] = field(default_factory=list)
-    high_order: Optional[IntrinsicIdeal] = None  # a germ's P(j^k g) at k+1
-    # the span P was read from: M*RT(j^k g) at k+1
+    # M*RT(j^k g) at k+1, where the search found M^(k+1) inside P(j^k g)
     span: Optional[RowSpace] = field(default=None, repr=False)
 
 
@@ -174,19 +160,14 @@ def high_order_part(g: Jet, k: int) -> IntrinsicIdeal:
     return intrinsic_from_members(mrt_span(g, k).monomials(), k)
 
 
-def degree_bound(opt: Optional[int] = None) -> int:
-    """The upper bound of truncation-degree searches: `opt` when given,
-    else 20."""
-    return DEFAULT_UPPER_BOUND if opt is None else opt
-
-
-def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
+def verify_germ(expand, upper_bound: int = DEFAULT_UPPER_BOUND
+                ) -> VerifyReport:
     """Least truncation degree k with M^(k+1) inside P(j^k g), reported with
-    that P and the span M*RT(j^k g) it was read from, both at degree k+1;
-    one expand per degree, `expand(k)` the k-jet of g, and one span per
-    degree whose jet passes the axis test below.  M^(k+1) is intrinsic, so
-    it lies in P exactly when the span holds every monomial of degree k+1,
-    and P is read only at the degree found.
+    the span M*RT(j^k g) at degree k+1 that P is read from
+    (`intrinsic_from_members`); one expand per degree, `expand(k)` the k-jet
+    of g, and one span per degree whose jet passes the axis test below.
+    M^(k+1) is intrinsic, so it lies in P exactly when the span holds every
+    monomial of degree k+1, and the search reads no P itself.
     With N(h) = M{h} + M^2{h_x}, the test implies the two other conditions:
     - P is stable from k to k+1: the test gives M^(k+1) in N(j^k g) +
       M^(k+2), so in N(j^k g) (Nakayama); j^(k+1) g - j^k g lies in M^(k+1),
@@ -205,8 +186,7 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
     nonzero, and the second holds lambda^(k+1) only if h has a term
     x^a*lambda^b with a <= 1.  A jet without both cannot pass, so its span
     is not built; the zero jet is one."""
-    bound = degree_bound(upper_bound)
-    for k in range(1, bound + 1):
+    for k in range(1, upper_bound + 1):
         g = expand(k)
         if not (any(b == 0 for _, b in g.terms)
                 and any(a <= 1 for a, _ in g.terms)):
@@ -215,34 +195,32 @@ def verify_germ(expand, upper_bound: Optional[int] = None) -> VerifyReport:
         span = mrt_span(g, k + 1)
         members = span.monomials()
         if all((k + 1 - i, i) in members for i in range(k + 2)):
-            return VerifyReport(
-                k, high_order=intrinsic_from_members(members, k + 1),
-                span=span)
+            return VerifyReport(k, span=span)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])
 
 
 def working_degree(expand, k: Optional[int] = None
-                   ) -> Tuple[int, Optional[IntrinsicIdeal],
-                              Optional[RowSpace], List[str]]:
-    """(k, P, span, warnings): the degree at which a germ's questions are
+                   ) -> Tuple[int, Optional[RowSpace], List[str]]:
+    """(k, span, warnings): the degree at which a germ's questions are
     answered.  That is the given k; else `verify_germ`'s truncation degree,
-    with the P it tested there and the span M*RT(j^k g) it read P from,
-    both at degree k + 1; else 6, with `verify_germ`'s warning.  P and the
-    span are None unless `verify_germ` found the degree."""
+    with its span M*RT(j^k g) at degree k + 1, from which P(j^k g) is read
+    (`intrinsic_from_members(span.monomials(), k + 1)`); else 6, with
+    `verify_germ`'s warning.  The span is None unless `verify_germ` found
+    the degree."""
     if k is not None:
-        return k, None, None, []
+        return k, None, []
     rep = verify_germ(expand)
     if rep.truncation_degree is None:
-        return FALLBACK_DEGREE, None, None, rep.warnings
-    return rep.truncation_degree, rep.high_order, rep.span, []
+        return FALLBACK_DEGREE, None, rep.warnings
+    return rep.truncation_degree, rep.span, []
 
 
-def verify_ideal(G: List[Jet], upper_bound: Optional[int] = None) -> VerifyReport:
+def verify_ideal(G: List[Jet], upper_bound: int = DEFAULT_UPPER_BOUND
+                 ) -> VerifyReport:
     """Least truncation degree k >= 1 at which the truncated ideal has
     finite codimension, one span per degree; its pivots are stable
     (`localalg.ideal_span`), so the fractional ring is valid."""
-    bound = degree_bound(upper_bound)
-    for k in range(1, bound + 1):
+    for k in range(1, upper_bound + 1):
         if codimension(G, k) is not None:
             return VerifyReport(k)
     return VerifyReport(None, warnings=[INCREASE_BOUND_WARNING])

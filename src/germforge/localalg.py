@@ -100,21 +100,26 @@ def _weak_nf(g: Jet, G: List[Jet], order: MonomialOrder):
 
 def mora_divide(g: Jet, G: List[Jet], order: MonomialOrder,
                 k: Optional[int] = None) -> DivisionResult:
-    """Divide g by the list G.  For a local order this is Mora's division with
-    a unit multiplier; for a global order the unit stays 1.  The remainder is
-    fully reduced: none of its terms is divisible by a divisor leading
-    monomial."""
+    """Divide g by the list G in the ring of g's degree (cut to k when
+    given).  Each weak normal form's Mora unit u is inverted and folded into
+    the quotients, so the returned unit is 1: in a truncated ring every unit
+    inverts exactly, and under a global order u is the constant 1.  A local
+    order needs a truncated ring (ValueError otherwise), where an untruncated
+    unit would not invert.  The remainder is fully reduced: none of its terms
+    is divisible by a divisor leading monomial."""
     if not G or any(f.is_zero() for f in G):
         raise ValueError("divisor list must be nonempty and zero-free")
     variables = g.variables
     if k is not None:
         g = g.truncate(k)
         G = [f.truncate(k) for f in G]
-    one = Jet.constant(1, variables, g.degree)
+    if order.is_local and g.degree is None:
+        raise ValueError("division under a local order needs a degree")
     zero = Jet.zero(variables, g.degree)
 
-    # invariant: unit * g = sum(quots_i * G_i) + remainder + work
-    unit, remainder, work = one, zero, g
+    # invariant: g = sum(quots_i * G_i) + remainder + work; a step gives
+    # u*work = sum(q_i * G_i) + h, and h's leading term joins the remainder
+    remainder, work = zero, g
     quots = [zero] * len(G)
     rounds = 0
     while not work.is_zero():
@@ -122,30 +127,16 @@ def mora_divide(g: Jet, G: List[Jet], order: MonomialOrder,
         if rounds > _MAX_REDUCTION_STEPS:
             raise RuntimeError("division did not terminate within the step cap")
         h, u, q = _weak_nf(work, G, order)
-        if g.degree is not None:
-            # truncated ring: units invert exactly, so fold the unit into the
-            # quotients and keep the overall unit equal to 1
-            uinv = u.invert()
-            quots = [qi + uinv * qq for qi, qq in zip(quots, q)]
-            if h.is_zero():
-                work = zero
-            else:
-                lm, lc = h.leading_term(order)
-                lead = Jet.monomial(lm, variables, lc, h.degree)
-                remainder = remainder + lead
-                work = (uinv - one) * lead + uinv * (h - lead)
-        else:
-            unit = u * unit
-            quots = [u * qi + qq for qi, qq in zip(quots, q)]
-            extra = (u - one) * remainder
-            if h.is_zero():
-                work = extra
-            else:
-                lm, lc = h.leading_term(order)
-                lead = Jet.monomial(lm, variables, lc, h.degree)
-                remainder = remainder + lead
-                work = extra + (h - lead)
-    return DivisionResult(quots, remainder, unit)
+        uinv = u.invert()
+        quots = [qi + uinv * qq for qi, qq in zip(quots, q)]
+        if h.is_zero():
+            break
+        lm, lc = h.leading_term(order)
+        lead = Jet.monomial(lm, variables, lc, h.degree)
+        remainder = remainder + lead
+        work = uinv * h - lead
+    return DivisionResult(quots, remainder,
+                          Jet.constant(1, variables, g.degree))
 
 
 @dataclass

@@ -13,7 +13,6 @@ from typing import Callable, List, Optional, Tuple
 
 from .intrinsic import (
     IntrinsicIdeal,
-    high_order_part,
     intrinsic_from_members,
     mrt_span,
     smallest_intrinsic,
@@ -24,6 +23,10 @@ from .linalg import RowSpace, det, solve_linear
 
 # most monomial complements of T that `universal_unfolding` lists
 LIST_CAP = 40
+
+NOT_CANONICAL_WARNING = ("no positive rational scaling brings the principal "
+                         "part's coefficients to +-1, so this normal form is "
+                         "not canonical")
 
 _LOCAL = LocalOrder()
 
@@ -427,17 +430,20 @@ def normal_form(expand: Callable[[int], Jet],
     """Normal form pipeline: expand, shift (`_shift`), delete high-order
     terms, greedily eliminate the terms outside the principal part
     (`_principal`) via the transformation solver, and scale the principal
-    part's coefficients to +-1 where a positive rational scaling does it.
+    part's coefficients to +-1 where a positive rational scaling does it;
+    where none does, the form is not canonical and says so in a warning.
     The normal form's degree is the working degree
-    (`intrinsic.working_degree`); where `verify_germ` found none, the germ's
-    jet there is returned with the warning.  A zero jet at the working
-    degree raises ZeroGermError."""
-    k, P, _span, warnings = working_degree(expand, k)
+    (`intrinsic.working_degree`), and P is read from the truncation
+    search's span, or from M*RT(g) at k + 1 for a given k; where
+    `verify_germ` found no degree, the germ's jet there is returned with
+    the warning.  A zero jet at the working degree raises ZeroGermError."""
+    k, span, warnings = working_degree(expand, k)
     g = require_nonzero(expand(k))
     if warnings:
         return NormalForm(g, warnings)
-    if P is None:
-        P = high_order_part(g, k + 1)
+    if span is None:
+        span = mrt_span(g, k + 1)
+    P = intrinsic_from_members(span.monomials(), k + 1)
     d, e = _vertex(g)
     _phi, g = _shift(g, d, e)
     _w, _top, principal = _principal(g, d, e)
@@ -452,13 +458,22 @@ def normal_form(expand: Callable[[int], Jet],
     # want s * a^i * c^j * coeff = +-1 on the principal part
     scaling = _solve_scaling({m: 1 / abs(c) for m, c in principal.items()})
     if scaling is None:
-        return NormalForm(current)
+        return NormalForm(current, [NOT_CANONICAL_WARNING])
     s, a, c = scaling
     return NormalForm(Jet({m: v * s * a ** m[0] * c ** m[1]
                            for m, v in current.terms.items()}, g.variables, k))
 
 
 # -------------------------------------------------------------- unfoldings
+
+
+def _at_zero(f: Jet) -> Jet:
+    """f, a jet in (x, lambda, alpha), at alpha = 0 as a jet in x and lambda;
+    x is mapped to itself, so there is an image when there is no alpha."""
+    plane = f.variables[:2]
+    images = {a: Jet.zero(plane, f.degree) for a in f.variables[2:]}
+    images[plane[0]] = Jet.variable(plane[0], plane, f.degree)
+    return f.compose(images)
 
 
 @dataclass
@@ -474,24 +489,12 @@ class UnfoldingGerm:
                                  "variables %s" % (name, ", ".join(names)))
 
     def base(self) -> Jet:
-        restricted = {}
-        for m, c in self.body.terms.items():
-            if any(e != 0 for e in m[2:]):
-                continue
-            restricted[(m[0], m[1])] = c
-        return Jet(restricted, self.body.variables[:2], self.body.degree)
+        """The body at alpha = 0."""
+        return _at_zero(self.body)
 
     def direction(self, i: int) -> Jet:
         """d(body)/d(alpha_i) at alpha = 0."""
-        out = {}
-        pidx = 2 + i
-        for m, c in self.body.terms.items():
-            if m[pidx] != 1:
-                continue
-            if any(e != 0 for j, e in enumerate(m[2:]) if j != i):
-                continue
-            out[(m[0], m[1])] = c
-        return Jet(out, self.body.variables[:2], self.body.degree)
+        return _at_zero(self.body.diff(self.body.variables[2 + i]))
 
     def __str__(self) -> str:
         return str(self.body)
@@ -527,7 +530,7 @@ def universal_unfolding(expand: Callable[[int], Jet],
         nf = normal_form(expand, k)
         base, k, warnings = nf.germ, nf.germ.degree, nf.warnings
     else:
-        k, _P, span, warnings = working_degree(expand, k)
+        k, span, warnings = working_degree(expand, k)
         base = require_nonzero(expand(k))
         if span is not None:
             mrt = span.truncate(k)
@@ -564,7 +567,7 @@ def check_universal(G: UnfoldingGerm,
     leaves the parameters alone.  T grows from the truncation search's span
     cut to k, when there is one."""
     base = G.base()
-    k, _P, span, warnings = working_degree(base.truncate, k)
+    k, span, warnings = working_degree(base.truncate, k)
     space = _t_span(base.truncate(k),
                     None if span is None else span.truncate(k))
     p = len(G.params)

@@ -26,7 +26,6 @@ from germforge.bifurcation import (
     TransitionSet,
     _divided_difference,
     _evaluator,
-    _fix,
     _grid_points,
     _horner,
     _march,
@@ -450,6 +449,18 @@ def test_linear_germ_corner_set():
     assert roots == {0, 1, -1}
 
 
+def test_boundary_systems_that_both_ends_give_are_kept_once():
+    # F = x^2*lam - lam^2 + a1 is even in x, so u = -1 and u = 1 give the
+    # same corner polynomials and L_SH, L_T and G_1 systems; at l = +-1,
+    # F_x = 2*l*x forces x = 0, so both ends give the same L_SV system
+    G = make_unfolding(jet({(2, 1): 1, (0, 2): -1}), [jet({(0, 0): 1})])
+    sigma = nonpersistent_sets(G, (-1, 1), (-1, 1))
+    assert [str(sigma.components[name])
+            for name in ("L_C", "L_SH", "L_T", "L_SV", "G_1")] == [
+        "L_C: {-2 + a1 = 0} union {a1 = 0}", "L_SH: {a1 = 0}",
+        "L_T: {1 + 4*a1 = 0}", "L_SV: {-1 + a1 = 0}", "G_1: {a1 = 0}"]
+
+
 def test_corner_on_the_zero_set_for_every_parameter_is_dense():
     # G(0, lambda, a1) = 0, so the corners at x = 0 lie on the zero set for
     # every a1 and L_C is the whole parameter space
@@ -642,8 +653,11 @@ def real_root_count(f, lo, hi):
 
 def exact_root_counts(G, alpha, lambdas, xwindow):
     """Sturm-sequence real-root counts of the lambda-slice polynomials."""
-    body = _fix(G.body, {2 + i: Fraction(a) for i, a in enumerate(alpha)})
-    return tuple(real_root_count(_fix(body, {1: Fraction(c)}), *xwindow)
+    x, lam = plane = G.body.variables[:2]
+    body = G.body.compose({a: Jet.constant(v, plane)
+                           for a, v in zip(G.body.variables[2:], alpha)})
+    return tuple(real_root_count(body.compose({lam: Jet.constant(c, (x,))}),
+                                 *xwindow)
                  for c in lambdas)
 
 

@@ -62,6 +62,33 @@ def test_canonical_form():
     assert ks == sorted(ks, reverse=True)
 
 
+def canonical_blocks_by_containment(blocks):
+    """The quadratic reduction that `canonical_blocks` replaced: the least k
+    per l, then in order of l each block is dropped when a kept one holds
+    it, and the kept blocks it holds are dropped."""
+    def contains(outer, inner):
+        return inner[1] >= outer[1] and sum(inner) >= sum(outer)
+
+    best = {}
+    for k, l in blocks:
+        if l not in best or k < best[l]:
+            best[l] = k
+    out = []
+    for l, k in sorted(best.items()):
+        if any(contains(b, (k, l)) for b in out):
+            continue
+        out = [b for b in out if not contains((k, l), b)]
+        out.append((k, l))
+    out.sort(key=lambda b: b[1])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12))
+def test_canonical_blocks_equal_the_containment_reduction(blocks):
+    assert canonical_blocks(blocks) == canonical_blocks_by_containment(blocks)
+
+
 def test_rendering():
     assert str(blocks((5, 0))) == "M^5"
     assert str(blocks((0, 2))) == "<lambda^2>"
@@ -202,9 +229,10 @@ def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
         monkeypatch, text, degree, nonzero):
     # each degree up to the answer is expanded once; of the nonzero jets
     # only the 3-jet has a term on each axis (x^a and x^a*lambda^b with
-    # a <= 1), so one M*RT span is built and P is read from it once, one
-    # degree above the 3-jet; no degree above the answer is expanded and no
-    # standard basis is computed
+    # a <= 1), so one M*RT span is built, one degree above the 3-jet, and
+    # no P is read from it during the search (its callers read P from the
+    # span); no degree above the answer is expanded and no standard basis
+    # is computed
     expanded, spans, ps = [], [], []
 
     def expand(k):
@@ -226,7 +254,8 @@ def test_verify_germ_one_expand_and_one_high_order_part_per_degree(
     assert rep.truncation_degree == degree
     assert expanded == list(range(1, degree + 1))
     assert [k for k in expanded if not j(text, k).is_zero()] == nonzero
-    assert spans == ps == [degree + 1]
+    assert spans == [degree + 1]
+    assert ps == []
     assert rep.span.degree == degree + 1
 
 
@@ -258,8 +287,10 @@ def ladder(g, bound):
 @example(j("x^3 + exp(lam^2) - 1", 8))
 def test_axis_test_skips_only_degrees_that_cannot_pass(g):
     rep = verify_germ(g.truncate, 7)
-    blocks = rep.high_order.blocks if rep.high_order else None
-    assert (rep.truncation_degree, blocks) == ladder(g, 7)
+    k = rep.truncation_degree
+    blocks = (intrinsic_from_members(rep.span.monomials(), k + 1).blocks
+              if rep.span else None)
+    assert (k, blocks) == ladder(g, 7)
 
 
 @settings(max_examples=60, deadline=None)

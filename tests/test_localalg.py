@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germforge.germexpr import parse_and_expand
-from germforge.jets import Jet, LexOrder, LocalOrder, mdivides, monomials_upto
+from germforge.jets import (GrLexOrder, Jet, LexOrder, LocalOrder, mdivides,
+                            monomials_upto)
 from germforge.linalg import RowSpace
 from germforge.localalg import (
     answer_span,
@@ -90,6 +91,31 @@ def test_division_identity_randomized():
         for m in res.remainder.terms:
             assert not any(mdivides(lm, m) for lm in leads)
         checked += 1
+
+
+polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=3),
+    min_size=1, max_size=4).map(lambda terms: Jet(terms, V, None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GrLexOrder(), LexOrder()]), polynomials,
+       st.lists(polynomials, min_size=1, max_size=3))
+def test_untruncated_division(order, g, G):
+    # a global order divides polynomials with the unit 1 and a fully
+    # reduced remainder; the local order refuses them, since its unit
+    # would not invert without a degree
+    G = [f for f in G if not f.is_zero()]
+    assume(G)
+    with pytest.raises(ValueError, match="needs a degree"):
+        mora_divide(g, G, LO)
+    res = mora_divide(g, G, order)
+    assert res.unit == Jet.constant(1, V) and res.unit.degree is None
+    assert res.check(g, G)
+    leads = [f.leading_monomial(order) for f in G]
+    for m in res.remainder.terms:
+        assert not any(mdivides(lm, m) for lm in leads)
 
 
 # ---------------------------------------------------------- standard bases

@@ -20,6 +20,7 @@ from germforge.jets import Jet, mdeg, monomials_upto
 from germforge.linalg import RowSpace
 from germforge.localalg import ideal_span
 from germforge.singularity import (
+    NOT_CANONICAL_WARNING,
     NotEquivalentError,
     ParameterCountError,
     UnfoldingGerm,
@@ -197,6 +198,19 @@ def test_normal_forms():
 def test_normal_form_scaling():
     nf = normal_form(lambda k: j("x^4 + 4*x^3 - lam*x", k))
     assert nf.germ == j("x^3 - x*lam", nf.germ.degree)
+
+
+def test_normal_form_warns_where_no_scaling_makes_it_canonical():
+    # x^2 + x*lam + lam^2 shifts to x^2 + 3/4*lam^2, and s*a^2 = 1 with
+    # s*c^2 = 4/3 needs c/a = 2/sqrt(3); x^2 + 2*lam^2 needs c/a = 1/sqrt(2)
+    for text, form in (("x^2 + x*lam + lam^2", "x^2 + 3/4*lam^2"),
+                       ("x^2 + 2*lam^2", "x^2 + 2*lam^2")):
+        nf = normal_form(lambda k, t=text: j(t, k))
+        assert nf.germ == j(form, nf.germ.degree)
+        assert nf.warnings == [NOT_CANONICAL_WARNING]
+    nf = normal_form(lambda k: j("x^2 + 9*lam^2", k))
+    assert nf.germ == j("x^2 + lam^2", nf.germ.degree)
+    assert nf.warnings == []
 
 
 def test_universal_unfolding_list():
@@ -479,6 +493,44 @@ def test_transformation_random_roundtrips():
             tr = transformation(g, f, k)
             res = tr.residual(g, f)
             assert res.is_zero() or all(sum(m) >= k for m in res.terms)
+
+
+def base_by_filter(G):
+    """The term filter `UnfoldingGerm.base` was before it composed: the
+    terms free of every parameter."""
+    return Jet({m[:2]: c for m, c in G.body.terms.items() if not any(m[2:])},
+               G.body.variables[:2], G.body.degree)
+
+
+def direction_by_filter(G, i):
+    """The term filter `UnfoldingGerm.direction(i)` was: the terms linear
+    in alpha_i and free of the other parameters."""
+    return Jet({m[:2]: c for m, c in G.body.terms.items()
+                if m[2 + i] == 1 and sum(m[2:]) == 1},
+               G.body.variables[:2], G.body.degree)
+
+
+@st.composite
+def unfoldings(draw):
+    p = draw(st.integers(0, 3))
+    params = tuple("a%d" % (i + 1) for i in range(p))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * (2 + p)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=8))
+    degree = draw(st.sampled_from([None, 0, 2, 5]))
+    return UnfoldingGerm(Jet(terms, V + params, degree), params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unfoldings())
+def test_base_and_directions_equal_the_term_filters(G):
+    pairs = [(G.base(), base_by_filter(G))]
+    pairs += [(G.direction(i), direction_by_filter(G, i))
+              for i in range(len(G.params))]
+    for got, expected in pairs:
+        assert got == expected
+        assert (got.variables, got.degree) == (V, G.body.degree)
 
 
 def test_unfolding_refuses_a_repeated_name():
