@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -501,9 +502,9 @@ def _evaluator(body: Jet, params, alpha):
 
 def _bisect(coeffs, t0, t1, v0):
     """Bisect for the zero of the polynomial with coefficients coeffs on
-    [t0, t1], where its value v0 at t0 is nonzero and its value at t1 has
-    the other sign, until |value| <= TOL or 80 halvings; returns the last
-    midpoint."""
+    [t0, t1], where its value at t0 has the sign of v0 (nonzero) and its
+    value at t1 the other sign, until |value| <= TOL or 80 halvings;
+    returns the last midpoint."""
     for _ in range(80):
         tm = (t0 + t1) / 2.0
         vm = _horner(coeffs, tm)
@@ -520,86 +521,114 @@ def _march(g, window, n):
     """Marching-squares polylines of {g = 0} on an n x n cell grid over
     window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points.
 
-    g is evaluated once per grid vertex, column by column.  A vertex where
-    g is exactly 0 counts as negative, and is itself the crossing on its
-    edges to positive vertices, so the curve through it is kept.  Other
-    crossings are bisected once per edge, on the edge's restriction of g, a
-    polynomial in the one coordinate that moves: on a vertical edge the
-    coefficients in v of its grid column, on a horizontal edge those in h
-    of its grid line, computed once per line that has a crossing.  So every
-    crossing lies exactly on its grid line.  A saddle cell is split by the
-    sign of g at its centre.  Segments meet at identical endpoints and are
-    chained through a dict keyed by endpoint."""
+    g is evaluated once per grid vertex, by Horner's rule along the axis in
+    which it has the lower degree: row by row (v fixed, a polynomial in h)
+    when its degree in h is lower, else (a tie too) column by column.  Each
+    grid line keeps only its signs, one byte per vertex (1 where g > 0),
+    and the vertices where that evaluation gave exactly the float 0.0.
+    Such a vertex counts as negative, and is itself the crossing on its
+    edges to positive vertices, so the curve through it is kept.  With two
+    adjacent lines' bytes read as integers a and b, the cells between them
+    whose corners differ in sign are the nonzero bytes of
+    (a ^ a >> 8) | (b ^ b >> 8) | (a ^ b); no other cell is visited, and
+    these are visited column by column.  Other crossings are bisected once
+    per edge, on the edge's restriction of g, a polynomial in the one
+    coordinate that moves: on a vertical edge the coefficients in v of its
+    grid column, on a horizontal edge those in h of its grid line, each
+    computed once.  So every crossing lies exactly on its grid line.  A
+    saddle cell is split by the sign of g at its centre.  Segments meet at
+    identical endpoints and are chained through a dict keyed by
+    endpoint."""
     _check_size("resolution", n)
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
     vs = [vlo + i * dv for i in range(n + 1)]
-    found = {}
-    lines = {}
+    by_rows = len(g.lines) < len(g.cols)
 
-    def crossing(a, b, va, vb, cols):
+    @cache
+    def row(i):
+        return g.line(vs[i])
+
+    @cache
+    def column(j):
+        return g.column(hs[j])
+
+    # signs[k]: the signs on grid line k (row k by h, or column k by v)
+    coeffs, points = (row, hs) if by_rows else (column, vs)
+    signs, zeros = [], set()
+    for k in range(n + 1):
+        cs = coeffs(k)
+        vals = [cs[-1]] * (n + 1)
+        for c in reversed(cs[:-1]):
+            vals = [a * t + c for a, t in zip(vals, points)]
+        signs.append(bytes(map((0.0).__lt__, vals)))
+        if 0.0 in vals:
+            zeros.update((m, k) if by_rows else (k, m)
+                         for m, val in enumerate(vals) if val == 0.0)
+
+    def positive(j, i):
+        return signs[i][j] if by_rows else signs[j][i]
+
+    # byte m of a ^ a >> 8 is 1 where line a changes sign between vertices
+    # m and m + 1, and of a ^ b where the lines differ at m; the mask drops
+    # byte n, past the last cell
+    cells, mask = [], (1 << 8 * n) - 1
+    b = int.from_bytes(signs[0], "little")
+    for k in range(n):
+        a, b = b, int.from_bytes(signs[k + 1], "little")
+        changes = ((a ^ a >> 8) | (b ^ b >> 8) | (a ^ b)) & mask
+        if changes:
+            flags = changes.to_bytes(n, "little")
+            m = flags.find(1)
+            while m >= 0:
+                cells.append((m, k) if by_rows else (k, m))
+                m = flags.find(1, m + 1)
+    if by_rows:
+        cells.sort()
+
+    found = {}
+
+    def crossing(a, b):
         """The crossing on the edge from grid index a to b (index pairs
-        (j, i) of hs[j], vs[i]); cols holds the coefficients of the two
-        current grid columns, keyed by j."""
+        (j, i) of hs[j], vs[i]), whose signs differ."""
         if b < a:
-            a, b, va, vb = b, a, vb, va
+            a, b = b, a
         pt = found.get((a, b))
         if pt is None:
             (ja, ia), (jb, ib) = a, b
-            if va == 0.0:
+            if a in zeros:
                 pt = (hs[ja], vs[ia])
-            elif vb == 0.0:
+            elif b in zeros:
                 pt = (hs[jb], vs[ib])
-            elif ia == ib:
-                coeffs = lines.get(ia)
-                if coeffs is None:
-                    coeffs = lines[ia] = g.line(vs[ia])
-                pt = (_bisect(coeffs, hs[ja], hs[jb], va), vs[ia])
             else:
-                pt = (hs[ja], _bisect(cols[ja], vs[ia], vs[ib], va))
+                sign = 1.0 if positive(ja, ia) else -1.0
+                if ia == ib:
+                    pt = (_bisect(row(ia), hs[ja], hs[jb], sign), vs[ia])
+                else:
+                    pt = (hs[ja], _bisect(column(ja), vs[ia], vs[ib], sign))
             found[(a, b)] = pt
         return pt
 
-    def values(coeffs):
-        """g at every vs on the column with these coefficients, by Horner
-        in v."""
-        vals = [coeffs[-1]] * len(vs)
-        for c in reversed(coeffs[:-1]):
-            vals = [a * v + c for a, v in zip(vals, vs)]
-        return vals
-
     segments = []
-    col0 = g.column(hs[0])
-    row0 = values(col0)
-    pos0 = [v > 0 for v in row0]
-    for j in range(n):
-        col1 = g.column(hs[j + 1])
-        row1 = values(col1)
-        pos1 = [v > 0 for v in row1]
-        cols = {j: col0, j + 1: col1}
-        for i in range(n):
-            if pos0[i] == pos0[i + 1] == pos1[i] == pos1[i + 1]:
-                continue
-            corners = ((j, i), (j + 1, i), (j + 1, i + 1), (j, i + 1))
-            vals = (row0[i], row1[i], row1[i + 1], row0[i + 1])
-            pts = []
-            for e in range(4):  # edge e runs from corner e to corner e + 1
-                f = (e + 1) % 4
-                if (vals[e] > 0) != (vals[f] > 0):
-                    pts.append(crossing(corners[e], corners[f],
-                                        vals[e], vals[f], cols))
-            if len(pts) == 4:
-                # saddle: the curve cuts off corners 1 and 3 when the centre
-                # has corner 0's sign, else corners 0 and 2
-                centre = g((vs[i] + vs[i + 1]) / 2, (hs[j] + hs[j + 1]) / 2)
-                if (centre > 0) != (vals[0] > 0):
-                    pts = pts[1:] + pts[:1]
-                pairs = ((pts[0], pts[1]), (pts[2], pts[3]))
-            else:
-                pairs = ((pts[0], pts[1]),)
-            segments += [(a, b) for a, b in pairs if a != b]
-        col0, row0, pos0 = col1, row1, pos1
+    for j, i in cells:
+        corners = ((j, i), (j + 1, i), (j + 1, i + 1), (j, i + 1))
+        pos = [positive(*c) for c in corners]
+        pts = []
+        for e in range(4):  # edge e runs from corner e to corner e + 1
+            f = (e + 1) % 4
+            if pos[e] != pos[f]:
+                pts.append(crossing(corners[e], corners[f]))
+        if len(pts) == 4:
+            # saddle: the curve cuts off corners 1 and 3 when the centre
+            # has corner 0's sign, else corners 0 and 2
+            centre = g((vs[i] + vs[i + 1]) / 2, (hs[j] + hs[j + 1]) / 2)
+            if (centre > 0) != pos[0]:
+                pts = pts[1:] + pts[:1]
+            pairs = ((pts[0], pts[1]), (pts[2], pts[3]))
+        else:
+            pairs = ((pts[0], pts[1]),)
+        segments += [(a, b) for a, b in pairs if a != b]
 
     at = {}
     for idx, (a, b) in enumerate(segments):

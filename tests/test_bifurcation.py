@@ -1,11 +1,12 @@
 """Transition sets, boundary non-persistence, region catalogs, diagrams,
 and rendering."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germforge import (
@@ -928,6 +929,77 @@ def test_march_splits_a_saddle_cell_by_its_centre(hc, vc):
         return h, v
 
     assert sorted(map(corner, inside)) == sorted(cut)
+
+
+def test_march_of_the_transpose_swaps_the_coordinates():
+    # g has degree 3 in x and 1 in lam: traced with v = x it is evaluated
+    # row by row, with v = lam column by column, and the two traces hold
+    # the same points, (h, v) in one and (v, h) in the other
+    body = parse_and_expand("x^3 - x*lam + lam/4 - 1/8", X, None)
+    window, n = ((-1.0, 1.0), (-1.0, 1.0)), 60
+    rows, cols = _PlanePoly(body, "x", "lam", {}), _PlanePoly(body, "lam",
+                                                             "x", {})
+    assert len(rows.lines) < len(rows.cols)
+    assert len(cols.lines) > len(cols.cols)
+    points = {pt for curve in _march(rows, window, n) for pt in curve}
+    swapped = {(v, h) for curve in _march(cols, window, n) for h, v in curve}
+    assert len(points) > 100 and points == swapped
+
+
+@st.composite
+def _plane_polys(draw):
+    """Integer polynomials in (x, lam) with degrees 1-4 in x and in lam,
+    the two degrees unequal; each top power is present."""
+    dx, dl = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2,
+                           unique=True))
+    terms = {(i, j): draw(st.integers(-4, 4)) for i in range(dx + 1)
+             for j in range(dl + 1)}
+    nonzero = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+    terms[dx, 0], terms[0, dl] = draw(nonzero), draw(nonzero)
+    return jet({m: c for m, c in terms.items() if c})
+
+
+@settings(max_examples=24, deadline=None)
+@given(_plane_polys())
+def test_march_crossings_match_sign_changes_on_every_grid_line(body):
+    # with no vertex within 1e-9 of the curve, a grid column holds one
+    # curve vertex per sign change of g between its vertices (bisection
+    # leaves h exactly at the column's value and puts v strictly inside the
+    # edge), and a grid row likewise; the signs are exact, at the tracer's
+    # float grid vertices (the grid misses 0 and +-1, where integer
+    # polynomials often vanish)
+    g = _PlanePoly(body, "x", "lam", {})
+    n, lo, hi = 16, -0.97, 1.03
+    grid = [lo + k * ((hi - lo) / n) for k in range(n + 1)]
+    exact = [[body.evaluate({"x": Fraction(v), "lam": Fraction(h)})
+              for v in grid] for h in grid]
+    assume(all(abs(val) >= 1e-9 for line in exact for val in line))
+    points = {pt for curve in _march(g, ((lo, hi), (lo, hi)), n)
+              for pt in curve}
+
+    def changes(vals):
+        return sum((a > 0) != (b > 0) for a, b in zip(vals, vals[1:]))
+
+    for k, t in enumerate(grid):
+        column = exact[k]
+        row = [exact[j][k] for j in range(n + 1)]
+        assert sum(h == t for h, _v in points) == changes(column)
+        assert sum(v == t for _h, v in points) == changes(row)
+
+
+def test_march_memory_stays_small_at_resolution_800():
+    # the tracer keeps one byte per grid vertex, not a float: a degree-5
+    # curve at resolution 800 peaks near 2 MiB, where a float table of the
+    # 801 x 801 vertices would take about 22 MiB
+    G = quintic()
+    g = _evaluator(G.body, G.params, (Fraction(-1, 2), Fraction(1, 3), 0))
+    tracemalloc.start()
+    try:
+        curves = _march(g, ((-1.0, 1.0), (-1.0, 1.0)), 800)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curves and peak < 8 * 2 ** 20
 
 
 def test_pieces_where_cuts_each_segment_at_the_condition():

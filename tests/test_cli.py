@@ -147,6 +147,19 @@ def test_standard_basis_warns_only_under_a_global_order(capsys, order,
     assert (STABILITY_WARNING in out.splitlines()) == warned
 
 
+@pytest.mark.parametrize("order, basis", [("lex", "-2*x + x^2*lambda\n"),
+                                          ("local", "x\n")])
+def test_standard_basis_of_x_times_a_unit_by_order(capsys, order, basis):
+    # -2*x + x^2*lambda = x*(-2 + x*lambda): the local order inverts the
+    # unit and finds x; a global order computes in the polynomial ring cut
+    # at the degree, where x is not in the ideal
+    code, out, _err = run(capsys, "standard-basis", "-2*x + x^2*lambda",
+                          "--vars", "x,lambda", "--order", order,
+                          "--degree", "6")
+    assert code == 0
+    assert out == basis
+
+
 def test_verify_persistent(capsys):
     code, out, _err = run(capsys, "verify", "--persistent",
                           "x^3-sin(lambda)", "--vars", "x,lambda")
