@@ -26,7 +26,6 @@ from .localalg import (
     colon_ideal,
     eliminate,
     ideal_intersection,
-    ideal_membership,
     mora_divide,
     mult_matrix,
     normal_set,

@@ -12,8 +12,7 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet, compose_all
-from .localalg import (eliminate, fresh_name, from_ring, poly_ring, radical,
-                       to_integer_ring, to_ring)
+from .localalg import coprime, eliminate, fresh_name, odd_part, radical
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
@@ -89,12 +88,8 @@ class TransitionSet:
     params: Tuple[str, ...]
     warnings: List[str] = field(default_factory=list)
 
-    def all_polys(self) -> List[Tuple[str, Jet]]:
-        out = []
-        for name, comp in self.components.items():
-            for p in comp.polys():
-                out.append((name, p))
-        return out
+    def all_polys(self) -> List[Jet]:
+        return [p for comp in self.components.values() for p in comp.polys()]
 
     def __str__(self) -> str:
         return "\n".join(str(self.components[n]) for n in self.components)
@@ -157,29 +152,18 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
     gives a condition."""
     if len(d_polys) != 1:
         return None
-    R = poly_ring(params)
-    dpoly = to_ring(d_polys[0], R)
     for p in in_w:
         if any(m[0] > 1 for m in p.terms):
             continue
-        a = to_ring(Jet({m[1:]: c for m, c in p.terms.items() if m[0]},
-                        params), R)
-        b = -to_ring(Jet({m[1:]: c for m, c in p.terms.items() if not m[0]},
-                         params), R)
-        if not a.gcd(dpoly).is_ground:
+        a = Jet({m[1:]: c for m, c in p.terms.items() if m[0]}, params)
+        b = -Jet({m[1:]: c for m, c in p.terms.items() if not m[0]}, params)
+        if not coprime(a, d_polys[0]):
             continue
-        # a*b times a positive integer is, over ZZ, content * odd * (a
-        # square), and odd is a product of primitive factors with a positive
-        # leading coefficient, so by Gauss's lemma odd is primitive with a
-        # positive lexicographically first coefficient: norm is odd itself
-        ab = to_integer_ring(a * b, params)
-        content, factors = ab.sqf_list()
-        norm = from_ring(prod((f for f, k in factors if k % 2),
-                              start=ab.ring.one), params)
+        sign, norm = odd_part(a * b)
         if norm.total_degree() == 0:
             # a*b >= 0 everywhere, or nowhere off the zeros of the square
-            return [] if content > 0 else None
-        return [SideCondition(norm, ">=" if content > 0 else "<=")]
+            return [] if sign > 0 else None
+        return [SideCondition(norm, ">=" if sign > 0 else "<=")]
     return None
 
 
@@ -398,7 +382,7 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     if box is None:
         box = [(-1, 1)] * len(params)
     box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
-    polys = [poly for _n, poly in sigma.all_polys()]
+    polys = sigma.all_polys()
     if not polys:
         center = tuple((lo + hi) / 2 for lo, hi in box)
         return RegionCatalog([(center, (), granularity)])

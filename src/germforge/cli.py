@@ -92,6 +92,13 @@ ORDERS = {"local": LocalOrder, "grlex": GrLexOrder, "lex": LexOrder}
 FLAG_MINIMA = {"--degree": 1, "--upper-bound": 1, "--grid": 1,
                "--resolution": 1, "--matrix": 0}
 
+# the number of germs of each command that takes a fixed number (verify
+# takes any number with --ideal), refused otherwise before anything is
+# computed
+GERM_COUNTS = {"verify": 1, "normalform": 1, "unfolding": 1, "recognize": 1,
+               "algobjects": 1, "check-universal": 1, "transition-set": 1,
+               "nonpersistent": 1, "persistent": 1, "transform": 2}
+
 NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
                 "eight", "nine", "ten")
 
@@ -332,9 +339,7 @@ def cmd_check_universal(args, variables):
 
 
 def cmd_transform(args, variables):
-    if len(args.germ) < 2:
-        raise InputError("transform needs two germs, g and f")
-    expands = [_germ(text, variables)[0] for text in args.germ[:2]]
+    expands = [_germ(text, variables)[0] for text in args.germ]
     k, warnings = args.degree, []
     if k is None:
         # one degree above both truncation degrees, both jets determine
@@ -586,6 +591,12 @@ def main(argv=None) -> int:
             if value is not None and value < least:
                 raise InputError("%s must be at least %d, not %d"
                                  % (flag, least, value))
+        count = GERM_COUNTS.get(args.command)
+        if (count and len(args.germ) != count
+                and not getattr(args, "ideal", False)):
+            raise InputError("%s takes %s germ%s, not %d"
+                             % (args.command, NUMBER_WORDS[count],
+                                "s" * (count > 1), len(args.germ)))
         inputs, result, warnings, lines = args.func(args, variables)
     except (InputError, GermSyntaxError, UnknownVariableError,
             NonUnitDivisorError) as exc:

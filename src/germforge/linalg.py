@@ -168,12 +168,10 @@ class RowSpace:
         return True
 
     def _insert(self, vec):
-        """Add a nonzero reduced integer vector as a row; returns (pivot,
-        lead), lead being vec's entry at the pivot column as given."""
+        """Add a nonzero reduced integer vector as a row."""
         p = min(vec)
-        lead = vec[p]
         content = gcd(*vec.values())
-        if lead < 0:
+        if vec[p] < 0:
             content = -content
         if content != 1:
             vec = {i: v // content for i, v in vec.items()}
@@ -202,7 +200,6 @@ class RowSpace:
                     for i in row:
                         row[i] //= g
         self._rows[p] = vec
-        return p, lead
 
 
 @lru_cache(maxsize=None)
@@ -282,22 +279,3 @@ def nullspace(matrix, ncols=None):
 
 def rank(matrix):
     return len(rref(matrix)[0])
-
-
-def det(matrix):
-    """Determinant of a square matrix (list of rows).  Each row, reduced by
-    the rows before it, vanishes at their pivots, so the determinant is the
-    product of the leads, signed by the permutation of the pivot columns."""
-    n = len(matrix)
-    space = RowSpace(_C, n - 1)
-    value, pivots = Fraction(1), []
-    for row in matrix:
-        vec, scale = space._vector(_as_jet(row, n))
-        scale *= space._reduce(vec)
-        if not vec:
-            return Fraction(0)
-        p, lead = space._insert(vec)
-        lead = Fraction(lead, scale)
-        value *= -lead if sum(q > p for q in pivots) % 2 else lead
-        pivots.append(p)
-    return value

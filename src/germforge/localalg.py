@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import prod
 from typing import List, Optional
 
 from .jets import (
@@ -230,13 +231,12 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
             # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
             # = lead*unit + r stays in the ideal; local tails (untruncated)
             # can reduce to infinite series, so those are only
-            # weak-normalized
+            # weak-normalized, and a global division's unit is 1
             if order.is_local:
                 r, unit, _ = _weak_nf(tail_part, others, order)
+                g = lead * unit + r
             else:
-                res = mora_divide(tail_part, others, order, k)
-                r, unit = res.remainder, res.unit
-            g = lead * unit + r
+                g = lead + mora_divide(tail_part, others, order, k).remainder
         out.append((order.key(lm), g.scale(1 / lc)))
     out.sort(key=lambda t: t[0], reverse=True)
     return [g for _, g in out]
@@ -333,10 +333,6 @@ def buchberger(G: List[Jet], order: Optional[MonomialOrder] = None) -> List[Jet]
     if order.is_local:
         raise ValueError("buchberger requires a global order")
     return standard_basis([g.truncate(None) for g in G], order).generators
-
-
-def ideal_membership(f: Jet, B: StandardBasis) -> bool:
-    return B.contains(f)
 
 
 def fresh_name(base: str, taken) -> str:
@@ -543,6 +539,26 @@ def radical(f: Jet) -> Jet:
     if f.is_zero():
         return f
     return _square_free(to_ring(f, poly_ring(f.variables)), f.variables)
+
+
+def coprime(f: Jet, g: Jet) -> bool:
+    """Whether f and g, jets in the same variables, have no common factor
+    of positive degree: their gcd over QQ is a constant."""
+    R = poly_ring(f.variables)
+    return to_ring(f, R).gcd(to_ring(g, R)).is_ground
+
+
+def odd_part(f: Jet):
+    """(sign, odd) with f = sign * c * odd * h^2 for a rational c > 0 and a
+    polynomial h: odd is the product of the factors of odd multiplicity in
+    the square-free decomposition of f over ZZ (`to_integer_ring`), each
+    primitive with a positive lexicographically first coefficient, so by
+    Gauss's lemma odd is too; sign is 1 or -1, and 0 for the zero jet."""
+    names = f.variables
+    p = to_integer_ring(to_ring(f, poly_ring(names)), names)
+    content, factors = p.sqf_list()
+    odd = prod((q for q, k in factors if k % 2), start=p.ring.one)
+    return (content > 0) - (content < 0), from_ring(odd, names)
 
 
 def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:

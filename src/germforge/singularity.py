@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
-from math import factorial, gcd
+from math import gcd
 from typing import Callable, List, Optional, Tuple
 
 from .intrinsic import (
@@ -19,7 +19,7 @@ from .intrinsic import (
     working_degree,
 )
 from .jets import Jet, LocalOrder, compose_all, mdeg, monomials_upto
-from .linalg import RowSpace, det, solve_linear
+from .linalg import RowSpace, solve_linear
 
 # most monomial complements of T that `universal_unfolding` lists
 LIST_CAP = 40
@@ -709,28 +709,3 @@ def recognition_unfolding(g: Jet, p: int,
     for i in range(1, p + 1):
         entries.append([(Fraction(1), "G", col, i) for col in columns])
     return RecognitionMatrix(columns, germ_rows, entries)
-
-
-def recognition_matrix_value(matrix: RecognitionMatrix, g: Jet,
-                             G: UnfoldingGerm) -> Fraction:
-    """Evaluate the symbolic recognition matrix on a concrete unfolding and
-    return its determinant."""
-
-    def deriv(h: Jet, m) -> Fraction:
-        c = h.terms.get(m, Fraction(0))
-        return c * factorial(m[0]) * factorial(m[1])
-
-    vals = []
-    for row in matrix.entries:
-        line = []
-        for e in row:
-            if e is None:
-                line.append(Fraction(0))
-            else:
-                coeff, name, m, param = e
-                if name == "g":
-                    line.append(coeff * deriv(g, m))
-                else:
-                    line.append(coeff * deriv(G.direction(param - 1), m))
-        vals.append(line)
-    return det(vals)

@@ -530,14 +530,14 @@ def test_classify_regions_granularities(wc_sigma):
     for point, signs, tag in comp.representatives:
         assert tag == "complete"
         env = dict(zip(wc_sigma.params, point))
-        for _name, poly in wc_sigma.all_polys():
+        for poly in wc_sigma.all_polys():
             assert poly.evaluate(env) != 0
 
 
 def reference_regions(sigma, box, grid, granularity):
     """classify_regions by brute force: Jet.evaluate at every grid point,
     then a flood fill over Fraction tuples."""
-    polys = [poly for _n, poly in sigma.all_polys()]
+    polys = sigma.all_polys()
     points = list(_grid_points(box, grid))
     signs = {}
     for pt in points:

@@ -581,16 +581,46 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message
     # line and no traceback
-    for name in ("transition_set", "nonpersistent_sets", "classify_regions",
-                 "mora_divide", "colon_ideal", "transformation",
-                 "verify_germ", "working_degree", "normal_form",
-                 "check_universal", "recognition_unfolding"):
-        monkeypatch.setattr("germforge.cli." + name, None)
+    compute_nothing(monkeypatch)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+
+
+def compute_nothing(monkeypatch):
+    """Replace the cli's computations by None, so that a command which
+    computes anything fails with a TypeError."""
+    for name in ("transition_set", "nonpersistent_sets", "classify_regions",
+                 "mora_divide", "colon_ideal", "transformation",
+                 "verify_germ", "working_degree", "normal_form",
+                 "check_universal", "recognition_unfolding",
+                 "universal_unfolding", "alg_objects"):
+        monkeypatch.setattr("germforge.cli." + name, None)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", []), ("normalform", []), ("unfolding", []),
+    ("recognize", []), ("algobjects", []),
+    ("check-universal", ["--params", "a1"]),
+    ("transition-set", ["--params", "a1"]),
+    ("nonpersistent", ["--params", "a1", "--boundary=-2,2,1,3"]),
+    ("persistent", ["--params", "a1"]), ("transform", []),
+])
+def test_a_wrong_number_of_germs_exit_2(capsys, monkeypatch, command, flags):
+    # transform takes two germs and every other command here one; one germ
+    # more (and for transform one fewer) is refused before anything is
+    # computed, where an extra germ was once ignored
+    compute_nothing(monkeypatch)
+    count = 2 if command == "transform" else 1
+    word = {1: "one germ,", 2: "two germs,"}[count]
+    for n in {count - 1, count + 1} - {0}:
+        germs = ["x^3 - lambda + a1*x", "x^2 + lambda^2", "x^3"][:n]
+        code, out, err = run(capsys, command, *germs, "--vars", "x,lambda",
+                             *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: %s takes %s not %d\n" % (command, word, n)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,5 @@
 """RowSpace, the sparse span of jets, and the dense functions built on it,
-against a dense Gauss-Jordan reference and Laplace expansion."""
+against a dense Gauss-Jordan reference."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germforge.jets import Jet, mdeg, monomials_upto
-from germforge.linalg import RowSpace, det, nullspace, rank, rref, solve_linear
+from germforge.linalg import RowSpace, nullspace, rank, rref, solve_linear
 
 V = ("x", "lam")
 
@@ -61,15 +61,6 @@ def integer_rows(space):
     monos = monomials_upto(len(space.variables), space.degree)
     return {monos[p]: {monos[i]: v for i, v in row.items()}
             for p, row in space._rows.items()}
-
-
-def laplace_det(rows):
-    """Determinant by cofactor expansion along the first row."""
-    if not rows:
-        return Fraction(1)
-    return sum((-1) ** j * rows[0][j]
-               * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j in range(len(rows)))
 
 
 @st.composite
@@ -248,16 +239,6 @@ def test_elimination_divides_touched_rows_by_their_content():
     assert [str(r) for r in space.rows] == ["1 - lam", "x + 3*lam"]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.booleans(), st.data())
-def test_det_agrees_with_cofactor_expansion(n, integer, data):
-    den = st.just(1) if integer else st.integers(1, 4)
-    entry = st.builds(Fraction, st.integers(-4, 4), den)
-    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                           min_size=n, max_size=n))
-    assert det(A) == laplace_det(A)
-
-
 ENTRIES = st.sampled_from([Fraction(0)] * 3) | st.fractions(
     min_value=-3, max_value=3, max_denominator=3)
 
@@ -296,9 +277,6 @@ def test_dense_functions_agree_with_the_reference(A, data):
         else:
             assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
             assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
-    m = min(len(A), ncols)
-    square = [row[:m] for row in A[:m]]
-    assert det(square) == laplace_det(square)
 
 
 def test_nullspace_of_a_matrix_with_no_rows():

@@ -19,7 +19,6 @@ from germforge.localalg import (
     eliminate,
     from_ring,
     ideal_intersection,
-    ideal_membership,
     ideal_span,
     mora_divide,
     mult_matrix,
@@ -183,11 +182,11 @@ def test_buchberger_lex():
 
 def test_membership_examples():
     sb = standard_basis([j("x", 8), j("lam^2", 8)], LO, 8)
-    assert ideal_membership(j("x^7", 8), sb)
-    assert not ideal_membership(j("lam", 8), sb)
+    assert sb.contains(j("x^7", 8))
+    assert not sb.contains(j("lam", 8))
     f = j("x^3*lam^2 + cos(lam)*x", 7)
     sb2 = standard_basis([f, j("lam^6 + x^4 - lam*x", 7)], LO, 7)
-    assert ideal_membership(f, sb2)
+    assert sb2.contains(f)
     # the zero ideal holds only 0
     empty = StandardBasis([], LO, 4)
     assert not empty.contains(j("x", 4))
@@ -207,7 +206,7 @@ def test_membership_agrees_with_span_oracle():
         f = random_jet(rng, k=k)
         span = ideal_span(G, k)
         expected = span.contains(f)
-        got = f.truncate(k).is_zero() or ideal_membership(f, sb)
+        got = f.truncate(k).is_zero() or sb.contains(f)
         assert got == expected
         agreements += 1
 
@@ -302,7 +301,7 @@ def test_colon_example_ideal_equality():
     # each output generator f satisfies f*g in I
     sb = standard_basis(I, LO, k)
     for f in out:
-        assert ideal_membership((f * j("lam")).truncate(k), sb)
+        assert sb.contains((f * j("lam")).truncate(k))
 
 
 def test_colon_trivials():

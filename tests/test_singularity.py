@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,7 +33,6 @@ from germforge.singularity import (
     intrinsic_gens,
     make_unfolding,
     normal_form,
-    recognition_matrix_value,
     recognition_normal_form,
     recognition_unfolding,
     restricted_tangent,
@@ -42,6 +42,7 @@ from germforge.singularity import (
     transformation,
     universal_unfolding,
 )
+from test_linalg import dense_rank
 
 V = ("x", "lam")
 
@@ -278,14 +279,34 @@ def test_recognition_matrix_pattern():
     assert all(e.startswith("G_{") for e in rows[2])
 
 
+def regular_at(M, g, G):
+    """Whether the recognition matrix M, evaluated on the germ g and the
+    directions of the unfolding G, is regular.  An entry (c, name, m, i)
+    is c times the derivative d^m at 0 of g or of G's i-th direction, which
+    is m's factorials times that jet's coefficient at m.  Regularity is a
+    full rank of the dense reference (`test_linalg.dense_rank`)."""
+
+    def value(entry):
+        if entry is None:
+            return Fraction(0)
+        c, name, m, i = entry
+        h = g if name == "g" else G.direction(i - 1)
+        return c * h.terms.get(m, 0) * factorial(m[0]) * factorial(m[1])
+
+    rows = [[value(e) for e in row] for row in M.entries]
+    return dense_rank(rows) == len(rows)
+
+
 def test_recognition_matrix_determinant():
     g = j("x^3 + exp(lam^2) - 1", 4)
     M = recognition_unfolding(g, 3)
     base = j("x^3 + lam^2", 4)
     good = make_unfolding(base, [j("1"), j("x"), j("x*lam")])
     bad = make_unfolding(base, [j("1"), j("x"), j("2*x")])
-    assert recognition_matrix_value(M, base, good) != 0
-    assert recognition_matrix_value(M, base, bad) == 0
+    assert regular_at(M, base, good)
+    assert check_universal(good)[0] == "Yes"
+    assert not regular_at(M, base, bad)
+    assert check_universal(bad)[0] == "No"
 
 
 # GS I ch. IV's normal forms of codimension <= 3, and four germs of larger
@@ -327,8 +348,8 @@ def test_recognition_matrix_rows_decide_universality(text):
     if codim:
         with pytest.raises(ParameterCountError, match="at least"):
             recognition_unfolding(g, codim - 1)
-    # at p = codim T the germ rows span T/Itr(T): det != 0 exactly when the
-    # unfolding is universal
+    # at p = codim T the germ rows span T/Itr(T): the matrix is regular
+    # exactly when the unfolding is universal
     M = recognition_unfolding(g, codim)
     candidates = [main]
     if codim:
@@ -342,9 +363,58 @@ def test_recognition_matrix_rows_decide_universality(text):
     answers = []
     for G in candidates:
         answer, _warnings = check_universal(G)
-        assert (recognition_matrix_value(M, g, G) != 0) == (answer == "Yes")
+        assert regular_at(M, g, G) == (answer == "Yes")
         answers.append(answer)
     assert answers == ["Yes", "No"][:len(candidates)]
+
+
+def spans_the_jet_space(t, directions):
+    """Whether T(g), as the span `t.space` in J^k, and the directions span
+    J^k."""
+    space = t.space.copy()
+    for f in directions:
+        space.add(f)
+    return space.rank == len(monomials_upto(2, space.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["x^3 - x*lam", "x^3 + lam^2", "x^2 - lam^4"]),
+       st.data())
+def test_regular_matrix_above_codim_t_spans_the_jet_space(text, data):
+    # above codim T the matrix keeps only n - p of T/Itr(T)'s generator
+    # images, yet a regular matrix still shows that T(g) and the directions
+    # span J^k; a direction in T adds nothing to that span, so such
+    # directions test that regularity claims no more than the span gives
+    k = verify_germ(lambda kk: j(text, kk)).truncation_degree
+    g = j(text, k)
+    t = tangent_space(g)
+    monos = monomials_upto(2, k)
+    n = sum(not t.intrinsic.contains_monomial(m) for m in monos)
+    p = data.draw(st.integers(len(monos) - t.space.rank + 1, n))
+    M = recognition_unfolding(g, p)
+    coeffs = st.integers(-2, 2)
+    dense = st.lists(coeffs, min_size=len(monos), max_size=len(monos)).map(
+        lambda cs: Jet(dict(zip(monos, cs)), V, k))
+    member = st.lists(st.tuples(st.sampled_from(t.space.rows), coeffs),
+                      min_size=1, max_size=2).map(
+        lambda pairs: sum((r.scale(c) for r, c in pairs), Jet.zero(V, k)))
+    direction = dense | member | st.builds(lambda a, b: a + b, dense, member)
+    dirs = data.draw(st.lists(direction, min_size=p, max_size=p))
+    if regular_at(M, g, make_unfolding(g, dirs)):
+        assert spans_the_jet_space(t, dirs)
+
+
+def test_recognition_matrix_above_codim_t_is_sufficient_not_necessary():
+    # x^3 - x*lam has codim T = 2 and n = 4, and 1 and x^2 span a
+    # complement of T(g); at p = 3 the one germ row is g_x = 3*x^2 - lam
+    g = j("x^3 - x*lam", 3)
+    t = tangent_space(g)
+    M = recognition_unfolding(g, 3)
+    for texts, regular in ((["1", "x", "x^2"], True),
+                           (["1", "x^2", "3*x^2 - lam"], False)):
+        dirs = [j(text, 3) for text in texts]
+        assert regular_at(M, g, make_unfolding(g, dirs)) == regular
+        assert spans_the_jet_space(t, dirs)
 
 
 def test_transformation_cubic_example():
