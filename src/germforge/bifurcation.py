@@ -4,11 +4,12 @@ G(x, lambda, alpha)."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import prod
+from math import isfinite, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet, compose_all
@@ -501,16 +502,51 @@ def _bisect(coeffs, t0, t1, v0):
     return (t0 + t1) / 2.0
 
 
+def _line_signs(coeffs, points):
+    """The signs of the polynomial with coefficients coeffs (lowest degree
+    first) at the ascending floats points, one byte per point (1 where it
+    is > 0), and the indices of the points where it is exactly the float
+    0.0.  The values are those of Horner's rule at each point.  Of degree
+    <= 1 with finite coefficients, that value c1 * t + c0 is monotone in t,
+    because rounding to nearest is monotone: rising (or constant) when
+    c1 >= 0, falling when c1 < 0.  Its positive points are then one end of
+    the line and its zeros one run next to them, which two binary searches
+    on that same expression find.  Any other line is evaluated at every
+    point."""
+    n = len(points)
+    if len(coeffs) <= 2 and all(map(isfinite, coeffs)):
+        c0, c1 = coeffs[0], coeffs[1] if len(coeffs) == 2 else 0.0
+        falling = c1 < 0
+
+        def key(t):
+            return -(c1 * t + c0) if falling else c1 * t + c0
+
+        lo = bisect_left(points, 0.0, key=key)
+        hi = bisect_right(points, 0.0, lo, key=key)
+        signs = (b"\1" * lo + bytes(n - lo) if falling
+                 else bytes(hi) + b"\1" * (n - hi))
+        return signs, range(lo, hi)
+    vals = [coeffs[-1]] * n
+    for c in reversed(coeffs[:-1]):
+        vals = [a * t + c for a, t in zip(vals, points)]
+    zeros = ([m for m, val in enumerate(vals) if val == 0.0]
+             if 0.0 in vals else [])
+    return bytes(map((0.0).__lt__, vals)), zeros
+
+
 def _march(g, window, n):
     """Marching-squares polylines of {g = 0} on an n x n cell grid over
-    window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points.
+    window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points; each
+    axis needs finite bounds with lo < hi.
 
-    g is evaluated once per grid vertex, by Horner's rule along the axis in
-    which it has the lower degree: row by row (v fixed, a polynomial in h)
-    when its degree in h is lower, else (a tie too) column by column.  Each
-    grid line keeps only its signs, one byte per vertex (1 where g > 0),
-    and the vertices where that evaluation gave exactly the float 0.0.
-    Such a vertex counts as negative, and is itself the crossing on its
+    g is read along the axis in which it has the lower degree: row by row
+    (v fixed, a polynomial in h) when its degree in h is lower, else (a
+    tie too) column by column.  Each grid line keeps only its signs, one
+    byte per vertex (1 where g > 0), and the vertices where g is exactly
+    the float 0.0 (`_line_signs`): a line of degree <= 1 takes them from
+    two binary searches, since its float values are monotone along the
+    ascending grid, and any other line from Horner's rule at every vertex.
+    A zero vertex counts as negative, and is itself the crossing on its
     edges to positive vertices, so the curve through it is kept.  With two
     adjacent lines' bytes read as integers a and b, the cells between them
     whose corners differ in sign are the nonzero bytes of
@@ -524,6 +560,10 @@ def _march(g, window, n):
     identical endpoints and are chained through a dict keyed by
     endpoint."""
     _check_size("resolution", n)
+    for lo, hi in window:
+        if not (lo < hi and isfinite(hi - lo)):
+            raise ValueError("a plot window needs finite bounds with "
+                             "lo < hi on each axis, not %r" % (window,))
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
@@ -542,14 +582,9 @@ def _march(g, window, n):
     coeffs, points = (row, hs) if by_rows else (column, vs)
     signs, zeros = [], set()
     for k in range(n + 1):
-        cs = coeffs(k)
-        vals = [cs[-1]] * (n + 1)
-        for c in reversed(cs[:-1]):
-            vals = [a * t + c for a, t in zip(vals, points)]
-        signs.append(bytes(map((0.0).__lt__, vals)))
-        if 0.0 in vals:
-            zeros.update((m, k) if by_rows else (k, m)
-                         for m, val in enumerate(vals) if val == 0.0)
+        line, line_zeros = _line_signs(coeffs(k), points)
+        signs.append(line)
+        zeros.update((m, k) if by_rows else (k, m) for m in line_zeros)
 
     def positive(j, i):
         return signs[i][j] if by_rows else signs[j][i]

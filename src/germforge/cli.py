@@ -386,8 +386,15 @@ def cmd_persistent(args, variables):
         box = list(zip(nums[::2], nums[1::2]))
     window = ((-1.0, 1.0), (-1.0, 1.0))
     if args.window:
-        nums = [float(v) for v in _rationals(args.window, 4, "--window")]
+        try:
+            nums = [float(v) for v in _rationals(args.window, 4, "--window")]
+        except OverflowError:
+            raise InputError("--window values must lie in the float range, "
+                             "not %s" % args.window) from None
         window = ((nums[0], nums[1]), (nums[2], nums[3]))
+        if not (nums[0] < nums[1] and nums[2] < nums[3]):
+            raise InputError("--window needs lo < hi on each axis, not %s"
+                             % args.window)
     if args.plot:
         _plot_directory(args.plot)
     ts = transition_set(G)

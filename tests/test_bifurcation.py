@@ -1,6 +1,7 @@
 """Transition sets, boundary non-persistence, region catalogs, diagrams,
 and rendering."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from germforge.bifurcation import (
     _evaluator,
     _grid_points,
     _horner,
+    _line_signs,
     _march,
     _pieces_where,
     _PlanePoly,
@@ -170,6 +172,37 @@ def test_fold_transition_set_empty():
     sigma = transition_set(fold())
     for name in ("B", "H", "D"):
         assert sigma.components[name].is_empty, name
+
+
+def test_true_winged_cusp_transition_set():
+    # x^3 + lam^2 unfolded by a1 + a2*x + a3*lam*x; each reference is
+    # derived here from its defining system, not frozen from the library
+    G = make_unfolding(jet({(3, 0): 1, (0, 2): 1}),
+                       [jet({(0, 0): 1}), jet({(1, 0): 1}),
+                        jet({(1, 1): 1})])
+    sigma = transition_set(G)
+    g = XS ** 3 + LAM ** 2 + A1 + A2 * XS + A3 * LAM * XS
+    gx = sympy.diff(g, XS)
+    # B: G = G_x = G_lam = 0, where G_lam = 0 sets lam = -a3*x/2
+    (lam,) = sympy.solve(sympy.diff(g, LAM), LAM)
+    assert lam == -A3 * XS / 2
+    b = sympy.numer(sympy.together(
+        sympy.resultant(g.subs(LAM, lam), gx.subs(LAM, lam), XS)))
+    comp = sigma.components["B"]
+    assert len(comp.systems) == 1 and len(comp.systems[0]) == 1
+    assert same_curve(expr_of(comp.systems[0][0]), b)
+    # H: G = G_x = G_xx = 0, where G_xx = 0 sets x = 0 and then G_x = 0
+    # sets lam = -a2/a3
+    (x0,) = sympy.solve(sympy.diff(g, XS, 2), XS)
+    (lam,) = sympy.solve(gx.subs(XS, x0), LAM)
+    assert (x0, lam) == (0, -A2 / A3)
+    h = sympy.numer(sympy.together(g.subs({XS: x0, LAM: lam})))
+    comp = sigma.components["H"]
+    assert len(comp.systems) == 1 and len(comp.systems[0]) == 1
+    assert same_curve(expr_of(comp.systems[0][0]), h)
+    assert same_curve(h, A2 ** 2 + A1 * A3 ** 2)
+    # D: G is cubic in x, so no lam has two distinct double roots
+    assert sigma.components["D"].is_empty
 
 
 # --------------------------------------------------- interior witnesses
@@ -985,6 +1018,93 @@ def test_march_crossings_match_sign_changes_on_every_grid_line(body):
         row = [exact[j][k] for j in range(n + 1)]
         assert sum(h == t for h, _v in points) == changes(column)
         assert sum(v == t for _h, v in points) == changes(row)
+
+
+def horner_signs(coeffs, points):
+    """Reference for `_line_signs`: every point's value by Horner's rule,
+    its sign byte, and the points where it is exactly 0.0."""
+    values = []
+    for t in points:
+        val = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            val = val * t + c
+        values.append(val)
+    return (bytes(val > 0 for val in values),
+            [m for m, val in enumerate(values) if val == 0.0])
+
+
+@st.composite
+def _grid_and_line(draw):
+    """An ascending grid as `_march` builds it, and the coefficients of a
+    line of degree <= 1 on it: rising, falling, constant or identically
+    zero, sometimes with its root placed exactly on a grid vertex, and
+    sometimes with a slope so small that several vertices give 0.0."""
+    n = draw(st.integers(1, 60))
+    lo = draw(st.floats(-10, 10))
+    hi = lo + draw(st.floats(1e-3, 20))
+    points = [lo + j * ((hi - lo) / n) for j in range(n + 1)]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["any", "vertex", "tiny", "constant",
+                                 "zero"]))
+    if kind == "constant":
+        return points, [draw(finite)]
+    if kind == "zero":
+        return points, draw(st.sampled_from([[0.0], [0], [0.0, 0.0],
+                                             [-0.0, 0.0], [0.0, -0.0]]))
+    c1 = draw(finite if kind != "tiny"
+              else st.floats(-1e-320, 1e-320, allow_subnormal=True))
+    if kind == "vertex":
+        c0 = -(c1 * points[draw(st.integers(0, n))])
+    else:
+        c0 = draw(finite)
+    return points, [c0, c1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_line())
+def test_line_signs_of_a_linear_line_match_horner(case):
+    # a line of degree <= 1 is read by two binary searches, which must give
+    # the bytes and the exact zeros that Horner's rule gives point by point
+    points, coeffs = case
+    signs, zeros = _line_signs(coeffs, points)
+    assert (signs, list(zeros)) == horner_signs(coeffs, points)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, math.inf],       # inf * 0.0 is NaN at the vertex 0.0
+    [math.nan, 2.0],
+    [-math.inf, 0.5],
+    [0.25, -1.0, 1.0],     # degree 2: t^2 - t + 1/4, a double root at 1/2
+])
+def test_line_signs_of_other_lines_match_horner(coeffs):
+    # a non-finite coefficient or a degree above 1 keeps the evaluation at
+    # every point
+    points = [-1.0 + j * (2.0 / 8) for j in range(9)]
+    assert 0.0 in points and 0.5 in points
+    signs, zeros = _line_signs(coeffs, points)
+    assert (signs, list(zeros)) == horner_signs(coeffs, points)
+
+
+@pytest.mark.parametrize("window", [
+    ((1.0, 1.0), (-1.0, 1.0)),
+    ((1.0, -1.0), (-1.0, 1.0)),
+    ((-1.0, 1.0), (0.5, -0.5)),
+])
+def test_an_empty_or_reversed_window_is_refused(window, tmp_path):
+    # a diagram and a slice both refuse it before writing a file, and a
+    # diagram refuses an unbounded window too
+    with pytest.raises(ValueError, match="lo < hi"):
+        bifurcation_diagram(fold(), (0,), window=window, resolution=20)
+    with pytest.raises(ValueError, match="finite"):
+        bifurcation_diagram(fold(), (0,), resolution=20,
+                            window=((-math.inf, 1.0), (-1.0, 1.0)))
+    circle = parse_and_expand("a1^2 + a2^2 - 1/4", ("a1", "a2"), None)
+    sigma = TransitionSet({"B": Component("B", systems=[[circle]])},
+                          ("a1", "a2"))
+    with pytest.raises(ValueError, match="lo < hi"):
+        render_transition_slice(sigma, str(tmp_path / "s.svg"), box=window,
+                                resolution=20)
+    assert not list(tmp_path.iterdir())
 
 
 def test_march_memory_stays_small_at_resolution_800():

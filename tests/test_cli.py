@@ -509,6 +509,16 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
                  "--window", id="window-count"),
     pytest.param(["persistent", *CUBIC, "--window=0,1,a,2"], "--window",
                  id="window-value"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
+                  "--window=1,1,-1,1"], "lo < hi", id="window-empty"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
+                  "--window=1,-1,-1,1"], "lo < hi", id="window-reversed"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
+                  "--window=-1,1,1/2,-1/2"], "lo < hi",
+                 id="window-reversed-x"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
+                  "--window=0,1e400,-1,1"], "float range",
+                 id="window-overflow"),
     pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1,a,2"],
                  "--boundary", id="boundary-value"),
     pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1/0,1,2"],
