@@ -485,20 +485,46 @@ def _evaluator(body: Jet, params, alpha):
                       dict(zip(params, alpha)))
 
 
-def _bisect(coeffs, t0, t1, v0):
-    """Bisect for the zero of the polynomial with coefficients coeffs on
-    [t0, t1], where its value at t0 has the sign of v0 (nonzero) and its
-    value at t1 the other sign, until |value| <= TOL or 80 halvings;
-    returns the last midpoint."""
+def _crossing(coeffs, t0, t1, positive):
+    """The crossing of the polynomial with coefficients coeffs (lowest
+    degree first) on the grid edge [t0, t1], where the grid's sign is
+    `positive` (g > 0) at t0 and the other one at t1.
+
+    Both ends are evaluated once.  If either gives 0.0 or a sign other
+    than the grid's (the grid may have read that vertex along the other
+    axis, and where g is exactly 0 the two evaluations can round apart),
+    the ends keep the grid's signs and each step halves the bracket.
+    Otherwise a linear edge's crossing is -c0/c1 if that lies strictly
+    inside the edge, else each step halves the bracket; any other edge
+    takes regula falsi steps, but a step after one that failed to halve
+    the bracket halves it (a bisection guard, as in Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).  The first step's
+    point where |value| <= TOL is returned, else after 80 steps the last
+    bracket's midpoint."""
+    f0, f1 = _horner(coeffs, t0), _horner(coeffs, t1)
+    agree = f0 != 0.0 and f1 != 0.0 and (f0 > 0) == positive != (f1 > 0)
+    if not agree:
+        f0 = 1.0 if positive else -1.0
+    elif len(coeffs) == 2:
+        t = -coeffs[0] / coeffs[1]
+        if t0 < t < t1:
+            return t
+    secant = falsi = agree and len(coeffs) > 2
     for _ in range(80):
-        tm = (t0 + t1) / 2.0
-        vm = _horner(coeffs, tm)
-        if abs(vm) <= TOL:
-            return tm
-        if (vm > 0) == (v0 > 0):
-            t0, v0 = tm, vm
+        width = t1 - t0
+        t = (t0 + t1) / 2.0
+        if falsi:
+            cut = t0 - f0 * width / (f1 - f0)
+            if t0 < cut < t1:
+                t = cut
+        ft = _horner(coeffs, t)
+        if abs(ft) <= TOL:
+            return t
+        if (ft > 0) == (f0 > 0):
+            t0, f0 = t, ft
         else:
-            t1 = tm
+            t1, f1 = t, ft
+        falsi = secant and t1 - t0 <= width / 2.0
     return (t0 + t1) / 2.0
 
 
@@ -534,10 +560,25 @@ def _line_signs(coeffs, points):
     return bytes(map((0.0).__lt__, vals)), zeros
 
 
+def _plot_window(box):
+    """The first two (lo, hi) pairs of box as floats, refused unless each
+    axis has finite bounds with lo < hi."""
+    try:
+        window = tuple((float(Fraction(lo)), float(Fraction(hi)))
+                       for lo, hi in box[:2])
+        bounded = all(lo < hi and isfinite(hi - lo) for lo, hi in window)
+    except (OverflowError, ValueError):  # an infinite or NaN bound
+        bounded = False
+    if not bounded:
+        raise ValueError("a plot window needs finite bounds with lo < hi on "
+                         "each axis, not %r" % (box,))
+    return window
+
+
 def _march(g, window, n):
     """Marching-squares polylines of {g = 0} on an n x n cell grid over
-    window = ((hlo, hhi), (vlo, vhi)), as lists of (h, v) points; each
-    axis needs finite bounds with lo < hi.
+    window = ((hlo, hhi), (vlo, vhi)) as `_plot_window` returns it, as lists
+    of (h, v) points.
 
     g is read along the axis in which it has the lower degree: row by row
     (v fixed, a polynomial in h) when its degree in h is lower, else (a
@@ -551,19 +592,15 @@ def _march(g, window, n):
     adjacent lines' bytes read as integers a and b, the cells between them
     whose corners differ in sign are the nonzero bytes of
     (a ^ a >> 8) | (b ^ b >> 8) | (a ^ b); no other cell is visited, and
-    these are visited column by column.  Other crossings are bisected once
-    per edge, on the edge's restriction of g, a polynomial in the one
-    coordinate that moves: on a vertical edge the coefficients in v of its
-    grid column, on a horizontal edge those in h of its grid line, each
-    computed once.  So every crossing lies exactly on its grid line.  A
-    saddle cell is split by the sign of g at its centre.  Segments meet at
-    identical endpoints and are chained through a dict keyed by
-    endpoint."""
+    these are visited column by column.  Other crossings are rooted once
+    per edge by `_crossing`, from the grid's signs at its ends, on the
+    edge's restriction of g, a polynomial in the one coordinate that
+    moves: on a vertical edge the coefficients in v of its grid column, on
+    a horizontal edge those in h of its grid line, each computed once.  So
+    every crossing lies exactly on its grid line.  A saddle cell is split
+    by the sign of g at its centre.  Segments meet at identical endpoints
+    and are chained through a dict keyed by endpoint."""
     _check_size("resolution", n)
-    for lo, hi in window:
-        if not (lo < hi and isfinite(hi - lo)):
-            raise ValueError("a plot window needs finite bounds with "
-                             "lo < hi on each axis, not %r" % (window,))
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
     hs = [hlo + j * dh for j in range(n + 1)]
@@ -621,11 +658,11 @@ def _march(g, window, n):
             elif b in zeros:
                 pt = (hs[jb], vs[ib])
             else:
-                sign = 1.0 if positive(ja, ia) else -1.0
+                up = bool(positive(ja, ia))
                 if ia == ib:
-                    pt = (_bisect(row(ia), hs[ja], hs[jb], sign), vs[ia])
+                    pt = (_crossing(row(ia), hs[ja], hs[jb], up), vs[ia])
                 else:
-                    pt = (hs[ja], _bisect(column(ja), vs[ia], vs[ib], sign))
+                    pt = (hs[ja], _crossing(column(ja), vs[ia], vs[ib], up))
             found[(a, b)] = pt
         return pt
 
@@ -680,10 +717,10 @@ def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
                         window=((-1.0, 1.0), (-1.0, 1.0)),
                         resolution: int = 400) -> Diagram:
     """Marching-squares trace of {G(x, lambda, alpha) = 0} in the
-    (lambda, x) window, with per-vertex bisection polishing."""
+    (lambda, x) window, each crossing rooted on its grid edge
+    (`_crossing`)."""
+    window = _plot_window(window)
     g = _evaluator(G.body, G.params, alpha)
-    (llo, lhi), (xlo, xhi) = window
-    window = ((float(llo), float(lhi)), (float(xlo), float(xhi)))
     return Diagram(_march(g, window, resolution), window)
 
 
@@ -803,8 +840,7 @@ def render_transition_slice(sigma: TransitionSet, path: str,
         if n not in free and n not in fixed:
             fixed[n] = 0
 
-    window = tuple((float(Fraction(lo)), float(Fraction(hi)))
-                   for lo, hi in box[:2])
+    window = _plot_window(box)
     curves = []
     for name, comp in sigma.components.items():
         color = COLORS.get(name, "#444444")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from germforge import (
@@ -26,6 +26,7 @@ from germforge.bifurcation import (
     TOL,
     Component,
     TransitionSet,
+    _crossing,
     _divided_difference,
     _evaluator,
     _grid_points,
@@ -904,10 +905,11 @@ def _zero_vertex():
 
 @pytest.mark.parametrize("plane", [_isola, _circle, _zero_vertex])
 def test_march_crossings_lie_on_their_grid_lines(plane):
-    # a crossing on a horizontal edge is bisected in h at its grid line's v,
-    # one on a vertical edge in v at its grid column's h: one coordinate is
-    # a grid coordinate bit for bit, and g's restriction to that line is
-    # within TOL of 0 there; a vertex on both grid lines is an exact zero
+    # a crossing on a horizontal edge is rooted in h at its grid line's v,
+    # one on a vertical edge in v at its grid column's h (by the closed form
+    # of a linear edge, regula falsi or bisection): one coordinate is a grid
+    # coordinate bit for bit, and g's restriction to that line is within
+    # TOL of 0 there; a vertex on both grid lines is an exact zero
     g = plane()
     n, window = 100, ((-1.0, 1.0), (-1.0, 1.0))
     (hlo, hhi), (vlo, vhi) = window
@@ -926,7 +928,7 @@ def test_march_crossings_lie_on_their_grid_lines(plane):
             else:
                 kinds["v"] += 1
                 assert abs(_horner(g.column(h), v)) <= TOL
-    # both restrictions were bisected: the curve has degree 2 or more in h
+    # both restrictions were rooted: the curve has degree 2 or more in h
     assert kinds["h"] > 0 and kinds["v"] > 0
 
 
@@ -996,7 +998,7 @@ def _plane_polys(draw):
 @given(_plane_polys())
 def test_march_crossings_match_sign_changes_on_every_grid_line(body):
     # with no vertex within 1e-9 of the curve, a grid column holds one
-    # curve vertex per sign change of g between its vertices (bisection
+    # curve vertex per sign change of g between its vertices (`_crossing`
     # leaves h exactly at the column's value and puts v strictly inside the
     # edge), and a grid row likewise; the signs are exact, at the tracer's
     # float grid vertices (the grid misses 0 and +-1, where integer
@@ -1085,25 +1087,155 @@ def test_line_signs_of_other_lines_match_horner(coeffs):
     assert (signs, list(zeros)) == horner_signs(coeffs, points)
 
 
+def bisect_reference(coeffs, t0, t1, v0):
+    """Reference for `_crossing`: halve [t0, t1], where the polynomial's
+    sign is that of v0 (nonzero) at t0 and the other one at t1, until
+    |value| <= TOL or 80 halvings; returns the last midpoint."""
+    for _ in range(80):
+        tm = (t0 + t1) / 2.0
+        vm = _horner(coeffs, tm)
+        if abs(vm) <= TOL:
+            return tm
+        if (vm > 0) == (v0 > 0):
+            t0, v0 = tm, vm
+        else:
+            t1 = tm
+    return (t0 + t1) / 2.0
+
+
+def _exact_sign(coeffs, t):
+    value = sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
+@st.composite
+def _edges(draw):
+    """An integer polynomial of degree 1-5 (coefficients lowest degree
+    first), an edge [t0, t1] and the grid's sign at t0 (True for > 0), the
+    other sign at t1.  Either the ends' exact signs differ and are the
+    grid's, or the polynomial has the factor q*t - p and one end is the
+    float nearest p/q, where the grid's sign is the other end's opposite:
+    there the float value is often 0.0 or of the other sign, as at a
+    vertex that the grid read along the other axis."""
+    degree = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=degree + 1,
+                               max_size=degree + 1))
+        assume(coeffs[-1] != 0)
+        t0 = draw(st.floats(-2, 2))
+        t1 = t0 + draw(st.floats(1e-3, 2))
+        s0, s1 = _exact_sign(coeffs, t0), _exact_sign(coeffs, t1)
+        assume(s0 * s1 == -1)
+        return coeffs, t0, t1, s0 > 0
+    q = draw(st.integers(1, 12))
+    p = draw(st.integers(-2 * q, 2 * q))
+    rest = draw(st.lists(st.integers(-3, 3), min_size=degree,
+                         max_size=degree))
+    assume(rest[-1] != 0)
+    coeffs = [0] * (degree + 1)
+    for k, c in enumerate(rest):  # (q*t - p) * rest
+        coeffs[k] -= p * c
+        coeffs[k + 1] += q * c
+    end, width = float(Fraction(p, q)), draw(st.floats(1e-3, 1))
+    if draw(st.booleans()):
+        t0, t1 = end, end + width
+        far = _exact_sign(coeffs, t1)
+        assume(far)
+        return coeffs, t0, t1, far < 0
+    t0, t1 = end - width, end
+    far = _exact_sign(coeffs, t0)
+    assume(far)
+    return coeffs, t0, t1, far > 0
+
+
+def _roots_in(coeffs, t0, t1):
+    """The real roots in [t0, t1], counted with multiplicity."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(list(reversed(coeffs)), t)
+    lo, hi = sympy.Rational(Fraction(t0)), sympy.Rational(Fraction(t1))
+    return sum(m * factor.count_roots(lo, hi)
+               for factor, m in poly.sqf_list()[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges())
+# (1 - 2t)(t + 2) is exactly 0.0 at the end 1/2, where the grid saw > 0:
+# its own value there is no sign, so the edge is bisected from the grid's
+@example(([2, -3, -2], 0.5, 1.0, True))
+# 11t - 15 is -1.8e-15 at the float nearest 15/11 < 15/11, where -c0/c1
+# rounds to that end: the closed form is not strictly inside the edge
+@example(([-15, 11], float(Fraction(15, 11)), 1.5, False))
+# t^5 - 1 on [0, 2]: regula falsi alone keeps the end 2 and creeps up on 1
+@example(([-1, 0, 0, 0, 0, 1], 0.0, 2.0, False))
+def test_crossing_agrees_with_bisection(edge):
+    # the crossing lies strictly inside the edge with |value| <= TOL (in
+    # this range 80 halvings always get there).  Where an end's float value
+    # is 0.0 or disagrees with the grid's sign it is the grid-sign
+    # bisection's point bit for bit.  Where the edge holds one root,
+    # counted exactly, it is within 1e-7 of that point, unless an end is
+    # itself within TOL of 0: the stopping rule then admits points near
+    # that end too
+    coeffs, t0, t1, positive = edge
+    floats = [float(c) for c in coeffs]
+    reference = bisect_reference(floats, t0, t1, 1.0 if positive else -1.0)
+    t = _crossing(floats, t0, t1, positive)
+    assert t0 < t < t1
+    assert abs(_horner(floats, t)) <= TOL
+    f0, f1 = _horner(floats, t0), _horner(floats, t1)
+    if f0 == 0.0 or f1 == 0.0 or (f0 > 0) != positive or (f1 > 0) == positive:
+        assert t == reference
+    if min(abs(f0), abs(f1)) > TOL and _roots_in(coeffs, t0, t1) == 1:
+        assert abs(t - reference) <= 1e-7
+
+
+def test_crossing_keeps_the_grid_sign_where_g_is_exactly_zero(monkeypatch):
+    # G = x^4 - lam*x + 1/2 + 2/3*lam + 1/12*x^2 is exactly 0 at (lam, x) =
+    # (-19/20, -1).  The grid reads the vertex (-0.95, -1.0) by rows, where
+    # G is 2.2e-16 > 0, but its grid column's polynomial in x is not > 0
+    # there; the crossing on the column edge above the vertex keeps the
+    # grid's sign, so each vertex of the diagram is within 1e-7 of the one
+    # that grid-sign bisection gives.  Both stop where |G| <= TOL, which on
+    # the flattest crossed edge, of slope 0.077, spans 2.6e-8
+    G, alpha = winged_cusp(), (Fraction(1, 2), Fraction(2, 3), Fraction(1, 12))
+    g = _evaluator(G.body, G.params, alpha)
+    assert _horner(g.line(-1.0), -0.95) > 0 >= _horner(g.column(-0.95), -1.0)
+    curves = bifurcation_diagram(G, alpha, resolution=400).curves
+    monkeypatch.setattr(
+        "germforge.bifurcation._crossing",
+        lambda coeffs, t0, t1, positive: bisect_reference(
+            coeffs, t0, t1, 1.0 if positive else -1.0))
+    reference = bifurcation_diagram(G, alpha, resolution=400).curves
+    assert [len(c) for c in curves] == [len(c) for c in reference]
+    assert max(max(abs(h - rh), abs(v - rv))
+               for curve, ref in zip(curves, reference)
+               for (h, v), (rh, rv) in zip(curve, ref)) <= 1e-7
+
+
 @pytest.mark.parametrize("window", [
     ((1.0, 1.0), (-1.0, 1.0)),
     ((1.0, -1.0), (-1.0, 1.0)),
     ((-1.0, 1.0), (0.5, -0.5)),
 ])
 def test_an_empty_or_reversed_window_is_refused(window, tmp_path):
-    # a diagram and a slice both refuse it before writing a file, and a
-    # diagram refuses an unbounded window too
+    # a diagram and a slice both refuse it before writing a file, and an
+    # unbounded or NaN window too
     with pytest.raises(ValueError, match="lo < hi"):
         bifurcation_diagram(fold(), (0,), window=window, resolution=20)
-    with pytest.raises(ValueError, match="finite"):
-        bifurcation_diagram(fold(), (0,), resolution=20,
-                            window=((-math.inf, 1.0), (-1.0, 1.0)))
+    unbounded = [((-math.inf, 1.0), (-1.0, 1.0)),
+                 ((-1.0, 1.0), (-1.0, math.inf)),
+                 ((-1.0, math.nan), (-1.0, 1.0))]
+    for box in unbounded:
+        with pytest.raises(ValueError, match="finite"):
+            bifurcation_diagram(fold(), (0,), window=box, resolution=20)
     circle = parse_and_expand("a1^2 + a2^2 - 1/4", ("a1", "a2"), None)
     sigma = TransitionSet({"B": Component("B", systems=[[circle]])},
                           ("a1", "a2"))
+    path = str(tmp_path / "s.svg")
     with pytest.raises(ValueError, match="lo < hi"):
-        render_transition_slice(sigma, str(tmp_path / "s.svg"), box=window,
-                                resolution=20)
+        render_transition_slice(sigma, path, box=window, resolution=20)
+    for box in unbounded:
+        with pytest.raises(ValueError, match="finite"):
+            render_transition_slice(sigma, path, box=box, resolution=20)
     assert not list(tmp_path.iterdir())
 
 
