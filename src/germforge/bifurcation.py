@@ -4,6 +4,7 @@ G(x, lambda, alpha)."""
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -347,22 +348,30 @@ def _grid_points(box, n):
     return product(*axes)
 
 
-def _flood_regions(signs):
-    """The region of each index of the sign table: its connected component
-    of same-sign indices under steps of +-1 on one index, named by its first
-    index in grid order."""
-    region = {}
-    for start, vec in signs.items():
-        if start in region:
+def _flood_regions(ids, grid, p):
+    """The region label of each flat index of the table `ids` of vector ids
+    over a grid of `grid` points on each of p axes: the first flat index of
+    its connected component of indices with one nonzero id, joined by steps
+    of +-1 on one grid index, which are steps of +-grid^k in flat order
+    (k = 0 on the last axis).  A step never crosses an axis end: +grid^k off
+    the axis's last index would land on the next row's first, and -grid^k
+    off its first index on the table's far end.  An index of id 0 lies on
+    the transition set and is labelled -1."""
+    strides = [grid ** k for k in range(p)]
+    region = array("q", [-1]) * len(ids)
+    stack = array("q")
+    for start, vec in enumerate(ids):
+        if vec == 0 or region[start] >= 0:
             continue
         region[start] = start
-        stack = [start]
+        stack.append(start)
         while stack:
             cur = stack.pop()
-            for axis, i in enumerate(cur):
-                for j in (i - 1, i + 1):
-                    nxt = cur[:axis] + (j,) + cur[axis + 1:]
-                    if nxt not in region and signs.get(nxt) == vec:
+            for step in strides:
+                i = cur // step % grid
+                for nxt, inside in ((cur - step, i > 0),
+                                    (cur + step, i < grid - 1)):
+                    if inside and region[nxt] < 0 and ids[nxt] == vec:
                         region[nxt] = start
                         stack.append(nxt)
     return region
@@ -370,12 +379,15 @@ def _flood_regions(signs):
 
 def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
                      granularity: str = "complete") -> RegionCatalog:
-    """Pick persistent representatives off the transition set.  The sign
-    table holds, for each grid index off the zeros of every polynomial, the
-    vector of their signs.  One pass over it in grid order keeps the first
-    index of each key: the product of the signs (short), the sign vector
-    (intermediate), or the region of same-sign indices connected by steps of
-    one on one index (complete)."""
+    """Pick persistent representatives off the transition set.  Grid points
+    are numbered by their flat index in grid order (last parameter
+    fastest).  The sign table holds, for each flat index, the id of the
+    vector of signs of every polynomial there, counted from 1 in order of
+    first appearance, or 0 where a polynomial is exactly 0.  One pass over
+    it in grid order keeps the first index of each key: the product of the
+    signs (short), the sign vector (intermediate), or the region of
+    same-sign indices connected by steps of one on one grid index
+    (complete).  `box` has one (lo, hi) pair per parameter."""
     if granularity not in ("short", "intermediate", "complete"):
         raise ValueError("unknown granularity %r" % granularity)
     _check_size("grid", grid)
@@ -383,44 +395,43 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     if box is None:
         box = [(-1, 1)] * len(params)
     box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    if len(box) != len(params):
+        raise ValueError("box has %d (lo, hi) pairs for %d parameters"
+                         % (len(box), len(params)))
     polys = sigma.all_polys()
     if not polys:
         center = tuple((lo + hi) / 2 for lo, hi in box)
         return RegionCatalog([(center, (), granularity)])
 
-    def grid_order():
-        """The (index tuple, point) pairs of the grid, in grid order."""
-        return zip(product(range(grid), repeat=len(params)),
-                   _grid_points(box, grid))
-
-    signs, vecs = {}, {}
-    for idx, pt in grid_order():
+    # two bytes per point while the 2^len(polys) possible ids fit in them
+    ids = array("H" if len(polys) < 16 else "q")
+    vecs = {}
+    for pt in _grid_points(box, grid):
         env = dict(zip(params, pt))
         vec = []
         for poly in polys:
             v = poly.evaluate(env)
             if v == 0:
+                ids.append(0)
                 break
             vec.append(1 if v > 0 else -1)
         else:
-            # equal sign vectors share one tuple, so the table holds one
-            # tuple per distinct vector
-            vec = tuple(vec)
-            signs[idx] = vecs.setdefault(vec, vec)
+            ids.append(vecs.setdefault(tuple(vec), len(vecs) + 1))
+    vectors = [()] + list(vecs)
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
                 for i, poly in enumerate(polys)
                 if len({vec[i] for vec in vecs}) == 1]
 
     if granularity == "complete":
-        key = _flood_regions(signs)
+        key = _flood_regions(ids, grid, len(params))
     elif granularity == "intermediate":
-        key = signs
+        key = ids
     else:
-        key = {idx: prod(vec) for idx, vec in signs.items()}
+        key = array("b", (prod(vectors[i]) for i in ids))
     firsts = {}
-    for idx, pt in grid_order():
-        if idx in signs:
-            firsts.setdefault(key[idx], (pt, signs[idx], granularity))
+    for f, pt in enumerate(_grid_points(box, grid)):
+        if ids[f]:
+            firsts.setdefault(key[f], (pt, vectors[ids[f]], granularity))
     return RegionCatalog(sorted(firsts.values()), warnings)
 
 

@@ -4,6 +4,7 @@ and rendering."""
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -570,45 +571,47 @@ def test_classify_regions_granularities(wc_sigma):
 
 def reference_regions(sigma, box, grid, granularity):
     """classify_regions by brute force: Jet.evaluate at every grid point,
-    then a flood fill over Fraction tuples."""
+    then a flood fill over index tuples, where a step off an axis end
+    leaves the table."""
     polys = sigma.all_polys()
-    points = list(_grid_points(box, grid))
+    indices = list(product(range(grid), repeat=len(box)))
+    points = dict(zip(indices, _grid_points(box, grid)))
     signs = {}
-    for pt in points:
+    for idx, pt in points.items():
         vals = [poly.evaluate(dict(zip(sigma.params, pt))) for poly in polys]
         if all(v != 0 for v in vals):
-            signs[pt] = tuple(1 if v > 0 else -1 for v in vals)
+            signs[idx] = tuple(1 if v > 0 else -1 for v in vals)
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
                 for i, poly in enumerate(polys)
                 if len({vec[i] for vec in signs.values()}) == 1]
     firsts = {}
     if granularity == "complete":
-        steps = [(Fraction(hi) - Fraction(lo)) / (grid - 1) for lo, hi in box]
         seen = set()
-        for pt in points:
-            if pt not in signs or pt in seen:
+        for idx in indices:
+            if idx not in signs or idx in seen:
                 continue
-            firsts[pt] = pt
-            seen.add(pt)
-            stack = [pt]
+            firsts[idx] = idx
+            seen.add(idx)
+            stack = [idx]
             while stack:
                 cur = stack.pop()
-                for axis, step in enumerate(steps):
-                    for d in (-step, step):
+                for axis in range(len(cur)):
+                    for d in (-1, 1):
                         nxt = cur[:axis] + (cur[axis] + d,) + cur[axis + 1:]
-                        if nxt not in seen and signs.get(nxt) == signs[pt]:
+                        if nxt not in seen and signs.get(nxt) == signs[idx]:
                             seen.add(nxt)
                             stack.append(nxt)
     else:
-        for pt in points:
-            if pt in signs:
-                key = signs[pt]
+        for idx in indices:
+            if idx in signs:
+                key = signs[idx]
                 if granularity == "short":
                     key = 1
-                    for s in signs[pt]:
+                    for s in signs[idx]:
                         key *= s
-                firsts.setdefault(key, pt)
-    reps = sorted((pt, signs[pt], granularity) for pt in firsts.values())
+                firsts.setdefault(key, idx)
+    reps = sorted((points[idx], signs[idx], granularity)
+                  for idx in firsts.values())
     return reps, warnings
 
 
@@ -633,22 +636,74 @@ REVERSED_FLAT_BOX = [(Fraction(1, 2), Fraction(-1, 3)),
                      (Fraction(-1), Fraction(1))]
 
 
+def sigma_of(params, *texts):
+    """A transition set with one system per polynomial text."""
+    systems = [[parse_and_expand(t, params, None)] for t in texts]
+    return TransitionSet({"B": Component("B", systems=systems)}, params)
+
+
 @pytest.mark.parametrize("granularity", ["short", "intermediate", "complete"])
 def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
                                               granularity):
     cube = [(Fraction(-1), Fraction(1))] * 3
+    square = [(Fraction(-1), Fraction(1))] * 2
+    line = sigma_of(("a1",), "a1^2 - 1/4", "a1 - 1/3")
+    four = sigma_of(("a1", "a2", "a3", "a4"), "a1*a2 - a3 + a4/3 - 1/7",
+                    "a1^2 + a4^2 - 1/2", "a2 - a3*a4 + 1/5")
     cases = [(wc_sigma, cube, 9), (quintic_sigma, cube, 13),
              (wc_sigma, ASYMMETRIC_BOX, 8), (quintic_sigma, ASYMMETRIC_BOX, 8),
              (with_extra_polys(wc_sigma), cube, 9),
              (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 8),
              (wc_sigma, REVERSED_FLAT_BOX, 9),
-             (with_extra_polys(quintic_sigma), REVERSED_FLAT_BOX, 8)]
+             (with_extra_polys(quintic_sigma), REVERSED_FLAT_BOX, 8),
+             (wc_sigma, cube, 1), (wc_sigma, cube, 2),
+             (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 2),
+             (line, [(Fraction(-1), Fraction(1))], 9),
+             (line, [(Fraction(-1), Fraction(1))], 1),
+             (line, [(Fraction(1, 2), Fraction(-1))], 2),
+             (sigma_of(("a1", "a2"), "a1^2 + a2^2 - 1/2", "a1 - a2/3"),
+              square, 7),
+             (four, [(Fraction(-1), Fraction(1))] * 4, 5),
+             (four, [(Fraction(-1), Fraction(1, 2))] * 4, 2),
+             # two + bands that meet in flat order across an axis end: the
+             # last index of one a2 row and the first of the next, and the
+             # first and last a1 rows (-9 from the first wraps to the
+             # table's end); a flood that stepped across would merge them
+             (sigma_of(("a1", "a2"), "a2^2 - 1/4"), square, 9),
+             (sigma_of(("a1", "a2"), "a1^2 - 1/4"), square, 9)]
     for sigma, box, grid in cases:
         cat = classify_regions(sigma, box=box, grid=grid,
                                granularity=granularity)
         reps, warnings = reference_regions(sigma, box, grid, granularity)
         assert cat.representatives == reps
         assert cat.warnings == warnings
+
+
+@pytest.mark.parametrize("pairs", [2, 4])
+def test_classify_regions_refuses_a_box_of_another_length(quintic_sigma,
+                                                           pairs):
+    # the quintic family has 3 parameters; the count is checked before
+    # anything is evaluated, so a set without polynomials refuses it too
+    box = [(-1, 1)] * pairs
+    no_polys = TransitionSet({"B": Component("B")}, quintic_sigma.params)
+    for sigma in (quintic_sigma, no_polys):
+        with pytest.raises(ValueError, match="box has %d .* 3 param" % pairs):
+            classify_regions(sigma, box=box, grid=5)
+
+
+def test_classify_regions_memory_stays_small_at_grid_15():
+    # the sign table and region labels are flat arrays of a few bytes per
+    # grid point: 3375 points peak near 0.04 MiB, where dicts keyed by
+    # index tuples would take about 0.7 MiB
+    sigma = sigma_of(("a1", "a2", "a3"), "a1 - 1/3", "a2 + a3/2 - 1/5",
+                     "a1*a2 - a3 + 1/7")
+    tracemalloc.start()
+    try:
+        cat = classify_regions(sigma, grid=15)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cat.representatives) == 8 and peak < 2 ** 20 / 4
 
 
 # ------------------------------------------------------------- diagrams
