@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -14,7 +14,7 @@ from math import isfinite, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet, compose_all
-from .localalg import coprime, eliminate, fresh_name, odd_part, radical
+from .localalg import coprime, eliminate, fresh_name, odd_part
 from .singularity import UnfoldingGerm
 
 TOL = 1e-9
@@ -41,12 +41,11 @@ COLORS = {
 @dataclass
 class SideCondition:
     poly: Jet
-    relation: str  # one of "<=", "<", ">=", ">", "="
+    relation: str  # ">=" or "<="
 
     def holds(self, point: dict) -> bool:
         v = self.poly.evaluate(point)
-        return {"<=": v <= 0, "<": v < 0, ">=": v >= 0, ">": v > 0,
-                "=": v == 0}[self.relation]
+        return v >= 0 if self.relation == ">=" else v <= 0
 
     def __str__(self) -> str:
         return "%s %s 0" % (self.poly, self.relation)
@@ -105,6 +104,22 @@ def _component_from_elimination(name: str, polys: List[Jet]) -> Component:
     if len(polys) == 1 and polys[0].total_degree() == 0:
         return Component(name)  # empty variety
     return Component(name, systems=[polys])
+
+
+def _family(name: str, systems, drop) -> Component:
+    """The union of the components that `eliminate(system, drop)` cuts out
+    for each system of the iterable `systems`, decoded as
+    `_component_from_elimination` does.  It is dense as soon as one is, and
+    then the systems after it are not eliminated; a system with the same
+    polynomials as one already kept is added once."""
+    comp = Component(name)
+    for system in systems:
+        end = _component_from_elimination(name, eliminate(system, drop))
+        if end.note == "dense":
+            return end
+        comp.systems += [s for s in end.systems
+                         if set(s) not in map(set, comp.systems)]
+    return comp
 
 
 def truncate_xlam(body: Jet, k: int) -> Jet:
@@ -169,27 +184,23 @@ def _realness_conditions(in_w: List[Jet], d_polys: List[Jet], params):
     return None
 
 
-def transition_set(G: UnfoldingGerm, k: Optional[int] = None) -> TransitionSet:
-    """The interior transition set: bifurcation B (fold meets G_lambda = 0),
+def transition_set(G: UnfoldingGerm) -> TransitionSet:
+    """The interior transition set of G as given (the CLI cuts --degree
+    before it is called): bifurcation B (fold meets G_lambda = 0),
     hysteresis H (degenerate fold), and double limit points D, each the
-    closure of a projection computed by `eliminate`.  D is eliminated to
-    (w, params) with w = (x1 - x2)^2 saturated away, which removes the
-    diagonal x1 = x2 (where the double-limit equations describe H instead);
-    the basis elements free of w generate D, and one linear in w gives its
-    realness side condition."""
-    body = G.body if k is None else truncate_xlam(G.body, k)
+    closure of a projection computed by `eliminate`, B and H by `_family`.
+    D is eliminated to (w, params) with w = (x1 - x2)^2 saturated away,
+    which removes the diagonal x1 = x2 (where the double-limit equations
+    describe H instead); the basis elements free of w generate D, and one
+    linear in w gives its realness side condition."""
+    body = G.body
     params = body.variables[2:]
     xn, ln = body.variables[0], body.variables[1]
-    F = body
     Fx = body.diff(xn)
-    Flam = body.diff(ln)
-    Fxx = Fx.diff(xn)
 
     comps: Dict[str, Component] = {}
-    comps["B"] = _component_from_elimination(
-        "B", eliminate([F, Fx, Flam], [xn, ln]))
-    comps["H"] = _component_from_elimination(
-        "H", eliminate([F, Fx, Fxx], [xn, ln]))
+    comps["B"] = _family("B", [[body, Fx, body.diff(ln)]], [xn, ln])
+    comps["H"] = _family("H", [[body, Fx, Fx.diff(xn)]], [xn, ln])
 
     eqs, names = _double_limit_system(body)
     basis = eliminate(eqs, [ln, names[0]],
@@ -229,14 +240,14 @@ def _divided_difference(body: Jet, u: Fraction) -> Jet:
 
 
 def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
-                       horizontal: bool = False,
-                       k: Optional[int] = None) -> TransitionSet:
-    """Transition set of F restricted to the box U x L: the interior sources
-    L_B, L_H, G_D (B, H, D of `transition_set`) plus the boundary sources,
-    each the closure of the projection of its system onto the parameters,
-    taken at each end u of U or l of L:
+                       horizontal: bool = False) -> TransitionSet:
+    """Transition set of F as given (the CLI cuts --degree before it is
+    called) restricted to the box U x L: the interior sources L_B, L_H,
+    G_D (B, H, D of `transition_set`) plus the boundary sources, each a
+    `_family` over the ends u of U or l of L of the projection of its
+    system onto the parameters:
 
-    - L_C:  F(u, l) = 0 at each corner (u, l), no elimination;
+    - L_C:  F(u, l) = 0 at each corner (u, l), nothing eliminated;
     - L_SH: F(u, lam) = F_x(u, lam) = 0, lam eliminated;
     - L_T:  F(u, lam) = F_lam(u, lam) = 0, lam eliminated;
     - L_SV: F(x, l) = F_x(x, l) = 0, x eliminated;
@@ -244,17 +255,15 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
       where DD = (F(x, lam) - F(u, lam))/(x - u) is the exact divided
       difference; off x = u it vanishes with F(x, lam), at x = u it equals
       F_x(u, lam), so the zeros are those of F(u) = F = F_x = 0;
-    - G_2:  F(u_lo, lam) = F(u_hi, lam) = 0, lam eliminated.
+    - G_2:  F(u_lo, lam) = F(u_hi, lam) = 0, lam eliminated, one system.
 
     `vertical` keeps only the x-boundary families, `horizontal` only the
-    lambda-boundary ones; interior components always remain.  A system
-    with the same polynomials as one already in its component is not added
-    again."""
-    body = F.body if k is None else truncate_xlam(F.body, k)
+    lambda-boundary ones; interior components always remain."""
+    body = F.body
     params = body.variables[2:]
     xn, ln = body.variables[0], body.variables[1]
-    u_lo, u_hi = Fraction(U[0]), Fraction(U[1])
-    l_lo, l_hi = Fraction(L[0]), Fraction(L[1])
+    us = (Fraction(U[0]), Fraction(U[1]))
+    ls = (Fraction(L[0]), Fraction(L[1]))
     fx = body.diff(xn)
     flam = body.diff(ln)
 
@@ -267,56 +276,29 @@ def nonpersistent_sets(F: UnfoldingGerm, U, L, vertical: bool = False,
     want_x = not horizontal
     want_l = not vertical
     comps: Dict[str, Component] = {}
-
     if want_x and want_l:
-        corners = [radical(body.compose({xn: Jet.constant(xv, params),
-                                        ln: Jet.constant(lv, params)}))
-                   for xv in (u_lo, u_hi) for lv in (l_lo, l_hi)]
-        if any(p.is_zero() for p in corners):
-            # a corner on the zero set for every parameter value
-            comps["L_C"] = Component("L_C", note="dense")
-        else:
-            comps["L_C"] = Component("L_C", systems=[
-                [p] for p in dict.fromkeys(corners) if p.total_degree() > 0])
-
-    def boundary_family(name, values, system, drop):
-        comp = comps[name] = Component(name)
-        for v in values:
-            end = _component_from_elimination(name, eliminate(system(v), drop))
-            if end.note == "dense":
-                # dense at this end: the family is the whole parameter space
-                comps[name] = end
-                return
-            comp.systems += [s for s in end.systems
-                             if set(s) not in map(set, comp.systems)]
-
+        comps["L_C"] = _family("L_C", (
+            [body.compose({xn: Jet.constant(u, params),
+                           ln: Jet.constant(v, params)})]
+            for u in us for v in ls), [])
     if want_x:
-        boundary_family("L_SH", (u_lo, u_hi),
-                        lambda xv: list(compose_all((body, fx), x_is(xv))),
-                        [ln])
-        boundary_family("L_T", (u_lo, u_hi),
-                        lambda xv: list(compose_all((body, flam), x_is(xv))),
-                        [ln])
+        comps["L_SH"] = _family("L_SH", (
+            list(compose_all((body, fx), x_is(u))) for u in us), [ln])
+        comps["L_T"] = _family("L_T", (
+            list(compose_all((body, flam), x_is(u))) for u in us), [ln])
     if want_l:
-        boundary_family("L_SV", (l_lo, l_hi),
-                        lambda lv: list(compose_all((body, fx), lam_is(lv))),
-                        [xn])
+        comps["L_SV"] = _family("L_SV", (
+            list(compose_all((body, fx), lam_is(v))) for v in ls), [xn])
     if want_x:
-        boundary_family("G_1", (u_lo, u_hi),
-                        lambda xv: [
-                            body.compose(x_is(xv)).rename(body.variables),
-                            _divided_difference(body, xv), fx],
-                        [xn, ln])
-        g2_polys = eliminate([body.compose(x_is(u)) for u in (u_lo, u_hi)],
-                             [ln])
-        comps["G_2"] = _component_from_elimination("G_2", g2_polys)
+        comps["G_1"] = _family("G_1", (
+            [body.compose(x_is(u)).rename(body.variables),
+             _divided_difference(body, u), fx] for u in us), [xn, ln])
+        comps["G_2"] = _family(
+            "G_2", [[body.compose(x_is(u)) for u in us]], [ln])
 
-    interior = transition_set(F, k)
+    interior = transition_set(F)
     for inner, outer in (("B", "L_B"), ("H", "L_H"), ("D", "G_D")):
-        comp = interior.components[inner]
-        comps[outer] = Component(outer, systems=comp.systems,
-                                 side_conditions=comp.side_conditions,
-                                 note=comp.note)
+        comps[outer] = replace(interior.components[inner], name=outer)
     return TransitionSet(comps, params, interior.warnings)
 
 
@@ -421,6 +403,9 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
                 for i, poly in enumerate(polys)
                 if len({vec[i] for vec in vecs}) == 1]
+    if not vecs:
+        warnings.append("grid may be too coarse: no grid point lies off the "
+                        "transition set")
 
     if granularity == "complete":
         key = _flood_regions(ids, grid, len(params))

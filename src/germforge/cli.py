@@ -206,15 +206,17 @@ def _ring_warnings(args, polynomial, warning, warnings):
 
 
 def _unfolding(args, variables):
-    """The germ as an unfolding in --params, left untruncated: a polynomial
-    exactly; any other germ needs --degree and is expanded at twice the
-    truncation-degree bound, since the library cuts only its x-lambda
-    degree at --degree."""
+    """The germ as an unfolding in --params: a polynomial exactly; any other
+    germ needs --degree and is expanded at twice the truncation-degree
+    bound.  --degree then cuts its x and lambda degree (`truncate_xlam`),
+    here for every unfolding command; the parameters are left alone."""
     params = _split_names(args.params)
     all_vars = tuple(variables) + params
     expand, polynomial = _germ(args.germ[0], all_vars)
     body = expand(None if polynomial or args.degree is None
                   else 2 * DEFAULT_UPPER_BOUND)
+    if args.degree is not None:
+        body = truncate_xlam(body, args.degree)
     return UnfoldingGerm(Jet(dict(body.terms), all_vars, None), params)
 
 
@@ -360,7 +362,7 @@ def cmd_transform(args, variables):
 
 def cmd_transition_set(args, variables):
     G = _transition_unfolding(args, variables)
-    return _transition_output(args, transition_set(G, args.degree))
+    return _transition_output(args, transition_set(G))
 
 
 def cmd_nonpersistent(args, variables):
@@ -371,15 +373,12 @@ def cmd_nonpersistent(args, variables):
     u_lo, u_hi, l_lo, l_hi = _rationals(args.boundary, 4, "--boundary")
     ts = nonpersistent_sets(G, (u_lo, u_hi), (l_lo, l_hi),
                             vertical=args.vertical,
-                            horizontal=args.horizontal, k=args.degree)
+                            horizontal=args.horizontal)
     return _transition_output(args, ts)
 
 
 def cmd_persistent(args, variables):
     G = _unfolding(args, variables)
-    if args.degree is not None:
-        # the diagrams trace the truncation whose transition set is printed
-        G = UnfoldingGerm(truncate_xlam(G.body, args.degree), G.params)
     box = None
     if args.box:
         nums = _rationals(args.box, 2 * len(G.params), "--box")

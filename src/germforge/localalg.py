@@ -531,16 +531,6 @@ def _square_free(p, names) -> Jet:
     return from_ring(to_integer_ring(p, names).sqf_part(), names).primitive()
 
 
-def radical(f: Jet) -> Jet:
-    """The square-free part of f (the product of its distinct irreducible
-    factors, found by gcds over ZZ without factoring), made primitive
-    (Jet.primitive); a constant f gives the constant 1 and the zero jet
-    stays zero."""
-    if f.is_zero():
-        return f
-    return _square_free(to_ring(f, poly_ring(f.variables)), f.variables)
-
-
 def coprime(f: Jet, g: Jet) -> bool:
     """Whether f and g, jets in the same variables, have no common factor
     of positive degree: their gcd over QQ is a constant."""
@@ -571,9 +561,11 @@ def eliminate(F: List[Jet], drop, saturate: Optional[Jet] = None) -> List[Jet]:
     Closure theorems (Cox, Little, O'Shea, Ideals, Varieties, and
     Algorithms, ch. 3) the basis elements free of the dropped variables
     generate the elimination ideal, whose variety is the closure of the
-    projection.  Each is returned as its `radical`, taken over ZZ straight
-    from the basis element (`_square_free`).  The order of `drop`
-    does not change the result, only the time the basis takes.
+    projection.  Each is returned as its square-free part, taken over ZZ
+    straight from the basis element (`_square_free`).  With nothing
+    dropped, one polynomial f gives its square-free part alone, since the
+    basis of <f> is f made monic.  The order of `drop` does not change the
+    result, only the time the basis takes.
 
     With `saturate=q` (a polynomial in the variables of F) the Rabinowitsch
     equation t*q - 1 joins F and t is eliminated first: the result is the

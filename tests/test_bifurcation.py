@@ -584,6 +584,9 @@ def reference_regions(sigma, box, grid, granularity):
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
                 for i, poly in enumerate(polys)
                 if len({vec[i] for vec in signs.values()}) == 1]
+    if not signs:
+        warnings.append("grid may be too coarse: no grid point lies off the "
+                        "transition set")
     firsts = {}
     if granularity == "complete":
         seen = set()
@@ -656,6 +659,8 @@ def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
              (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 8),
              (wc_sigma, REVERSED_FLAT_BOX, 9),
              (with_extra_polys(quintic_sigma), REVERSED_FLAT_BOX, 8),
+             # grid 1 is the center, on the winged cusp's Σ: no region and
+             # the warning that no grid point lies off Σ
              (wc_sigma, cube, 1), (wc_sigma, cube, 2),
              (with_extra_polys(quintic_sigma), ASYMMETRIC_BOX, 2),
              (line, [(Fraction(-1), Fraction(1))], 9),

@@ -340,6 +340,14 @@ def test_persistent_regions(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("region 1: alpha = (-1)")
     assert lines[1].startswith("region 2: alpha = (")
+    # the one point of grid 1, a1 = 0, lies on B: no region, and a warning
+    code, out, _err = run(capsys, "persistent", "x^3-lambda*x+a1",
+                          "--vars", "x,lambda", "--params", "a1",
+                          "--grid", "1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["result"]["representatives"] == []
+    assert payload["warnings"] == [
+        "grid may be too coarse: no grid point lies off the transition set"]
 
 
 def test_persistent_plot_writes_one_diagram_per_region(capsys, tmp_path):
@@ -368,6 +376,16 @@ def test_persistent_degree_cuts_only_x_and_lambda(capsys):
     exact = run(capsys, *argv)
     assert exact[0] == 0 and "signs = (+, +)" in exact[1]
     assert run(capsys, *argv, "--degree", "2") == exact
+    # x^3*lambda^2 lies above the cut: every unfolding command answers at
+    # --degree 3 as it does for the germ without it
+    germ = "x^3 - x*lambda + a1 + a2*x^2"
+    flags = ["--vars", "x,lambda", "--params", "a1,a2", "--degree", "3"]
+    for command in (["transition-set"],
+                    ["nonpersistent", "--boundary=-1,1,-1,1"],
+                    ["check-universal"], ["persistent", "--grid", "5"]):
+        cut = run(capsys, *command, germ + " + x^3*lambda^2", *flags)
+        assert cut[0] == 0
+        assert cut == run(capsys, *command, germ, *flags)
 
 
 def test_json_format(capsys):
