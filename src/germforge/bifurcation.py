@@ -475,12 +475,6 @@ def _horner(coeffs, t):
     return val
 
 
-def _evaluator(body: Jet, params, alpha):
-    """Float evaluator g(x, lambda) of G(x, lambda, alpha)."""
-    return _PlanePoly(body, body.variables[0], body.variables[1],
-                      dict(zip(params, alpha)))
-
-
 def _crossing(coeffs, t0, t1, positive):
     """The crossing of the polynomial with coefficients coeffs (lowest
     degree first) on the grid edge [t0, t1], where the grid's sign is
@@ -556,9 +550,10 @@ def _line_signs(coeffs, points):
     return bytes(map((0.0).__lt__, vals)), zeros
 
 
-def _plot_window(box):
+def plot_window(box):
     """The first two (lo, hi) pairs of box as floats, refused unless each
-    axis has finite bounds with lo < hi."""
+    axis has finite bounds in the float range with lo < hi; the one window
+    check of diagrams, slices and `persistent --window`."""
     try:
         window = tuple((float(Fraction(lo)), float(Fraction(hi)))
                        for lo, hi in box[:2])
@@ -566,14 +561,14 @@ def _plot_window(box):
     except (OverflowError, ValueError):  # an infinite or NaN bound
         bounded = False
     if not bounded:
-        raise ValueError("a plot window needs finite bounds with lo < hi on "
-                         "each axis, not %r" % (box,))
+        raise ValueError("a plot window needs finite bounds in the float "
+                         "range with lo < hi on each axis")
     return window
 
 
 def _march(g, window, n):
     """Marching-squares polylines of {g = 0} on an n x n cell grid over
-    window = ((hlo, hhi), (vlo, vhi)) as `_plot_window` returns it, as lists
+    window = ((hlo, hhi), (vlo, vhi)) as `plot_window` returns it, as lists
     of (h, v) points.
 
     g is read along the axis in which it has the lower degree: row by row
@@ -715,8 +710,9 @@ def bifurcation_diagram(G: UnfoldingGerm, alpha: Sequence,
     """Marching-squares trace of {G(x, lambda, alpha) = 0} in the
     (lambda, x) window, each crossing rooted on its grid edge
     (`_crossing`)."""
-    window = _plot_window(window)
-    g = _evaluator(G.body, G.params, alpha)
+    window = plot_window(window)
+    g = _PlanePoly(G.body, G.body.variables[0], G.body.variables[1],
+                   dict(zip(G.params, alpha)))
     return Diagram(_march(g, window, resolution), window)
 
 
@@ -836,7 +832,7 @@ def render_transition_slice(sigma: TransitionSet, path: str,
         if n not in free and n not in fixed:
             fixed[n] = 0
 
-    window = _plot_window(box)
+    window = plot_window(box)
     curves = []
     for name, comp in sigma.components.items():
         color = COLORS.get(name, "#444444")

@@ -65,6 +65,7 @@ from .bifurcation import (
     bifurcation_diagram,
     classify_regions,
     nonpersistent_sets,
+    plot_window,
     render_diagram,
     render_transition_slice,
     transition_set,
@@ -383,17 +384,14 @@ def cmd_persistent(args, variables):
     if args.box:
         nums = _rationals(args.box, 2 * len(G.params), "--box")
         box = list(zip(nums[::2], nums[1::2]))
-    window = ((-1.0, 1.0), (-1.0, 1.0))
+    window = ((-1, 1), (-1, 1))
     if args.window:
-        try:
-            nums = [float(v) for v in _rationals(args.window, 4, "--window")]
-        except OverflowError:
-            raise InputError("--window values must lie in the float range, "
-                             "not %s" % args.window) from None
-        window = ((nums[0], nums[1]), (nums[2], nums[3]))
-        if not (nums[0] < nums[1] and nums[2] < nums[3]):
-            raise InputError("--window needs lo < hi on each axis, not %s"
-                             % args.window)
+        nums = _rationals(args.window, 4, "--window")
+        window = (nums[:2], nums[2:])
+    try:
+        window = plot_window(window)
+    except ValueError as exc:
+        raise InputError("--window=%s: %s" % (args.window, exc)) from None
     if args.plot:
         _plot_directory(args.plot)
     ts = transition_set(G)

@@ -202,8 +202,6 @@ def _strip_unit_factor(g: Jet) -> Jet:
         return g
     monomials = list(g.terms)
     common = tuple(min(m[i] for m in monomials) for i in range(len(g.variables)))
-    if all(e == 0 for e in common):
-        return g
     if common in g.terms:
         # g = common * u, and u has a nonzero constant term
         return Jet.monomial(common, g.variables, Fraction(1), g.degree)
@@ -364,46 +362,48 @@ def ideal_intersection(I: List[Jet], J: List[Jet]) -> List[Jet]:
 
 
 def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
-    """Generators of the colon ideal I : <g> in the local ring.
+    """The reduced local standard basis of the colon ideal I : <g>, each
+    generator made primitive with a positive local leading coefficient.
 
-    With the `answer_span` at degree k it is the reduced local standard
-    basis of (I + M^(k+1)) : g in J^k: the kernel of m -> (m*g modulo the
-    span of I) over the monomials m of degree <= k, in reduced echelon
-    form, of which `_minimal_rows` are returned, made primitive with a
-    positive local leading coefficient.  At the own degree D of polynomials I, M^D lies in
-    I and in I : g, so the answer is exact.  Without k a unit g gives I.
+    With the `answer_span` at degree k it is the colon of I + M^(k+1) in
+    J^k: the kernel of m -> (m*g modulo the span of I) over the monomials
+    m of degree <= k, in reduced echelon form, of which `_minimal_rows`
+    are returned.  At the own degree D of polynomials I, M^D lies in I and
+    in I : g, so the answer is exact.  A unit g takes this route too.
 
-    For polynomials I of infinite codimension a local standard
-    basis {h_i} of I ∩ <g> (the t-trick of `ideal_intersection`) is divided
-    exactly by g; the Mora unit is absorbed, which changes generators only
-    by unit factors.  The quotients are interreduced under the local order
-    (`_interreduce`, with weak normal forms of the tails) and made
-    primitive the same way."""
+    For polynomials I of infinite codimension a unit g gives the
+    `standard_basis` of I, since I : g = I; the t-trick's Buchberger basis,
+    in the polynomial ring where g is no unit, can take seconds there.
+    For any other g a local standard basis {h_i} of I ∩ <g> (the t-trick
+    of `ideal_intersection`) is divided exactly by g; the Mora unit is
+    absorbed, which changes generators only by unit factors.  The
+    quotients are a standard basis of I : g, and `standard_basis` reduces
+    them: to the `_minimal_rows` of their own degree's span if the colon
+    has finite codimension, else by Mora interreduction (`_interreduce`,
+    with weak normal forms of the tails)."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
-    if k is None and g.constant_term() != 0:
-        return list(I)
     span = answer_span(I, k)
     if span is not None:
         out = _truncated_colon(span, g)
         if k is None and all(f.degree is None for f in I):
             out = [h.truncate(None) for h in out]
-        return out
-    inter = ideal_intersection(I, [g])
-    if not inter:
-        return []
-    sb = standard_basis(inter, LocalOrder(), None)
-    out = []
-    for h in sb.generators:
-        r, _, (q,) = _weak_nf(h, [g], LocalOrder())
-        if not r.is_zero():
-            raise ArithmeticError(
-                "intersection generator not divisible by g; this indicates an "
-                "internal inconsistency"
-            )
-        out.append(q)
-    return [_local_primitive(q)
-            for q in _interreduce(out, LocalOrder(), None)]
+    elif g.constant_term() != 0:  # I : u = I for a unit u
+        out = standard_basis(I).generators
+    else:
+        inter = ideal_intersection(I, [g])
+        out = []
+        if inter:
+            quotients = []
+            for h in standard_basis(inter).generators:
+                r, _, (q,) = _weak_nf(h, [g], LocalOrder())
+                if not r.is_zero():
+                    raise ArithmeticError(
+                        "intersection generator not divisible by g; this "
+                        "indicates an internal inconsistency")
+                quotients.append(q)
+            out = standard_basis(quotients).generators
+    return [_local_primitive(h) for h in out]
 
 
 def _local_primitive(h: Jet) -> Jet:
@@ -423,7 +423,7 @@ def _truncated_colon(span: RowSpace, g: Jet) -> List[Jet]:
     for vec in nullspace([[r.get(c, 0) for r in residues] for c in columns],
                          len(monos)):
         kernel.add(Jet(dict(zip(monos, vec)), g.variables, k))
-    return [_local_primitive(h) for h in _minimal_rows(kernel)]
+    return _minimal_rows(kernel)
 
 
 def _quotient(I: List[Jet], k: Optional[int]):

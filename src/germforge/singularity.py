@@ -698,9 +698,6 @@ def recognition_unfolding(g: Jet, p: int,
             for total, used in ((col[0], mult[0]), (col[1], mult[1])):
                 for i in range(used):
                     coeff *= total - i
-            if coeff == 0:
-                row.append(None)
-                continue
             if eff in zero_set:
                 row.append(None)  # vanishes by the recognition conditions
             else:

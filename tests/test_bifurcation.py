@@ -29,7 +29,6 @@ from germforge.bifurcation import (
     TransitionSet,
     _crossing,
     _divided_difference,
-    _evaluator,
     _grid_points,
     _horner,
     _line_signs,
@@ -50,6 +49,13 @@ SAMPLES = [sympy.Rational(a, b) for a, b in
            [(1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2), (3, 1),
             (-3, 2), (5, 2), (-5, 3), (4, 3), (-7, 2), (3, 4), (-4, 5),
             (7, 3), (-8, 3), (9, 4), (-9, 5), (11, 4), (-6, 5)]]
+
+
+def evaluator(body, params, alpha):
+    """The float g(x, lambda) of G(x, lambda, alpha) that
+    `bifurcation_diagram` traces."""
+    return _PlanePoly(body, body.variables[0], body.variables[1],
+                      dict(zip(params, alpha)))
 
 
 def jet(terms):
@@ -778,7 +784,7 @@ def test_diagram_keeps_curve_through_zero_vertex():
     alpha = (Fraction(-1, 2), 0, 0)
     lambdas = [Fraction(k, 1000) for k in (-3, -1, 1, 3)]
     d = bifurcation_diagram(G, alpha, resolution=100)
-    assert _evaluator(G.body, G.params, alpha)(0.0, 0.0) == 0.0
+    assert evaluator(G.body, G.params, alpha)(0.0, 0.0) == 0.0
     assert traced_root_counts(d, [float(c) for c in lambdas]) \
         == exact_root_counts(G, alpha, lambdas, (-1, 1)) == (3, 3, 3, 3)
 
@@ -906,7 +912,7 @@ def test_render_diagram_files(tmp_path):
     assert len(paths) == 2
     svg = open(paths[0]).read()
     assert svg.startswith("<?xml") and "<polyline" in svg
-    g = _evaluator(G.body, G.params, (0,))
+    g = evaluator(G.body, G.params, (0,))
     lines = open(paths[1]).read().splitlines()
     assert lines[0] == "curve_id,lambda,x"
     assert len(lines) > 10
@@ -949,7 +955,7 @@ def test_transition_slice_polylines_are_chained(tmp_path):
 
 def _isola():
     body = parse_and_expand("x^2 + lam^2 - 1/4", X, None)
-    return _evaluator(body, (), ())
+    return evaluator(body, (), ())
 
 
 def _circle():
@@ -960,7 +966,7 @@ def _circle():
 def _zero_vertex():
     # x^5 - lam - x/2 is exactly 0 at the grid vertex (lam, x) = (0, 0)
     G = quintic()
-    return _evaluator(G.body, G.params, (Fraction(-1, 2), 0, 0))
+    return evaluator(G.body, G.params, (Fraction(-1, 2), 0, 0))
 
 
 @pytest.mark.parametrize("plane", [_isola, _circle, _zero_vertex])
@@ -1257,7 +1263,7 @@ def test_crossing_keeps_the_grid_sign_where_g_is_exactly_zero(monkeypatch):
     # that grid-sign bisection gives.  Both stop where |G| <= TOL, which on
     # the flattest crossed edge, of slope 0.077, spans 2.6e-8
     G, alpha = winged_cusp(), (Fraction(1, 2), Fraction(2, 3), Fraction(1, 12))
-    g = _evaluator(G.body, G.params, alpha)
+    g = evaluator(G.body, G.params, alpha)
     assert _horner(g.line(-1.0), -0.95) > 0 >= _horner(g.column(-0.95), -1.0)
     curves = bifurcation_diagram(G, alpha, resolution=400).curves
     monkeypatch.setattr(
@@ -1304,7 +1310,7 @@ def test_march_memory_stays_small_at_resolution_800():
     # curve at resolution 800 peaks near 2 MiB, where a float table of the
     # 801 x 801 vertices would take about 22 MiB
     G = quintic()
-    g = _evaluator(G.body, G.params, (Fraction(-1, 2), Fraction(1, 3), 0))
+    g = evaluator(G.body, G.params, (Fraction(-1, 2), Fraction(1, 3), 0))
     tracemalloc.start()
     try:
         curves = _march(g, ((-1.0, 1.0), (-1.0, 1.0)), 800)

@@ -537,6 +537,9 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
     pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
                   "--window=0,1e400,-1,1"], "float range",
                  id="window-overflow"),
+    pytest.param(["persistent", *CUBIC, "--plot", "{tmp}",
+                  "--window=-1e308,1e308,-1,1"], "-1e308,1e308,-1,1",
+                 id="window-width-overflow"),
     pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1,a,2"],
                  "--boundary", id="boundary-value"),
     pytest.param(["nonpersistent", *CUBIC, "--boundary=0,1/0,1,2"],

@@ -12,6 +12,8 @@ from germforge.jets import (GrLexOrder, Jet, LexOrder, LocalOrder, mdivides,
                             monomials_upto)
 from germforge.linalg import RowSpace
 from germforge.localalg import (
+    _local_primitive,
+    _minimal_rows,
     answer_span,
     buchberger,
     codimension,
@@ -310,6 +312,13 @@ def test_colon_trivials():
     # x^2 + x^3 = x^2*(1 + x), so the colon is <x^2>, reduced
     assert [str(f) for f in colon_ideal([j("x^2 + x^3")], j("1 + x"),
                                         6)] == ["x^2"]
+    # without one, every answer is the reduced basis too: the colon here
+    # is the whole ring, and a unit g gives I reduced, not I as given
+    for k in (None, 3):
+        assert [str(f) for f in colon_ideal([j("x + x*lam")],
+                                            j("2*x^2 + x*lam"), k)] == ["1"]
+    assert [str(f) for f in colon_ideal([j("x^2 + x^3")], j("1 + x"))] \
+        == ["x^2"]
 
 
 def test_colon_keeps_mora_unit_in_interreduction():
@@ -449,6 +458,32 @@ def test_truncated_colon_against_dense_reference():
             assert not any(mdivides(o, m) for m in h.terms if m != lm
                            for o in leads)
         cases += 1
+
+
+def test_untruncated_colon_is_the_reduced_basis():
+    # one answer form on every path: where the colon has finite
+    # codimension it is the primitive `_minimal_rows` of its own span, also
+    # when I has infinite codimension (`mixed`), and for a unit g it is the
+    # primitive `standard_basis` of I itself
+    rng = random.Random(4099)
+    units = spans = mixed = 0
+    for _ in range(150):
+        I, g = random_colon_case(rng, rng.randint(2, 6))
+        I, g = [f.truncate(None) for f in I], g.truncate(None)
+        if not I or g.is_zero():
+            continue
+        out = colon_ideal(I, g)
+        if g.constant_term() != 0:
+            units += 1
+            assert out == [_local_primitive(f)
+                           for f in standard_basis(I).generators]
+        span = answer_span(out) if out else None
+        if span is not None:
+            spans += 1
+            mixed += answer_span(I) is None
+            assert out == [_local_primitive(h.truncate(None))
+                           for h in _minimal_rows(span)]
+    assert units >= 30 and spans >= 60 and mixed >= 5
 
 
 def test_colon_paths_agree_where_the_ideal_contains_a_power_of_m():
