@@ -36,8 +36,7 @@ from .jets import (
     LexOrder,
     LocalOrder,
     format_monomial,
-    format_term,
-    mdeg,
+    format_terms,
 )
 from .localalg import (
     InfiniteCodimensionError,
@@ -106,17 +105,6 @@ NUMBER_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven",
 
 class InputError(Exception):
     """Malformed input: exits 2."""
-
-
-def render_desc(jet: Jet) -> str:
-    """Descending-degree rendering (x^3 - lambda rather than -lambda + x^3)."""
-    if not jet.terms:
-        return "0"
-    parts = []
-    for m, c in sorted(jet.terms.items(), key=lambda t: (mdeg(t[0]), t[0]),
-                       reverse=True):
-        parts.append(format_term(m, c, jet.variables, not parts))
-    return "".join(parts)
 
 
 def _split_names(text: str):
@@ -254,6 +242,9 @@ def cmd_verify(args, variables):
     bound = args.upper_bound
     if args.ideal and args.persistent:
         raise InputError("--persistent takes one germ, not an --ideal")
+    if args.degree is not None and not args.ideal:
+        raise InputError("verify reads --degree only with --ideal; a germ's "
+                         "truncation degree is what verify finds")
     if args.ideal:
         # expanded at the search bound, so every degree searched is a jet
         k = args.degree if args.degree is not None else bound
@@ -300,10 +291,12 @@ def cmd_verify(args, variables):
 def cmd_normalform(args, variables):
     expand, polynomial = _germ(args.germ[0], variables)
     nf = normal_form(expand, k=args.degree)
+    # descending degree: x^3 - lambda rather than -lambda + x^3
+    text = format_terms(nf.germ.sorted_terms(GrLexOrder()), nf.germ.variables)
     return ({"germ": args.germ[0], "ring": args.ring},
-            {"normal_form": render_desc(nf.germ), "degree": nf.germ.degree},
+            {"normal_form": text, "degree": nf.germ.degree},
             _ring_warnings(args, polynomial, NF_POLY_WARNING, nf.warnings),
-            [render_desc(nf.germ)])
+            [text])
 
 
 def cmd_unfolding(args, variables):

@@ -389,12 +389,7 @@ class Jet:
                       reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            parts.append(format_term(m, c, self.variables, not parts))
-        return "".join(parts)
+        return format_terms(self.sorted_terms(), self.variables)
 
     def __repr__(self):
         return "Jet(%s)" % self
@@ -563,3 +558,12 @@ def format_term(m: Monomial, c: Fraction, variables, first: bool) -> str:
     if first:
         return ("-" if c < 0 else "") + body
     return " %s %s" % ("-" if c < 0 else "+", body)
+
+
+def format_terms(terms, variables) -> str:
+    """The (monomial, coefficient) pairs `terms` written as a sum in the
+    order given; "0" for no terms."""
+    parts = []
+    for m, c in terms:
+        parts.append(format_term(m, c, variables, not parts))
+    return "".join(parts) or "0"

@@ -196,10 +196,8 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
 
 
 def _strip_unit_factor(g: Jet) -> Jet:
-    """Replace g = m * u (monomial times unit) by the monomial m; locally
-    they generate the same ideal."""
-    if g.is_zero():
-        return g
+    """Replace a nonzero g = m * u (monomial times unit) by the monomial m;
+    locally they generate the same ideal."""
     monomials = list(g.terms)
     common = tuple(min(m[i] for m in monomials) for i in range(len(g.variables)))
     if common in g.terms:
@@ -216,8 +214,6 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
         if not any(mdivides(lm2, lm) and (lm2 != lm or j < i)
                    for j, lm2 in enumerate(leads) if j != i)
     ]
-    if order.is_local:
-        kept = [_strip_unit_factor(g) for g in kept]
     # fully reduce each survivor against the others
     out = []
     for i, g in enumerate(kept):
@@ -235,7 +231,10 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
                 g = lead * unit + r
             else:
                 g = lead + mora_divide(tail_part, others, order, k).remainder
-        out.append((order.key(lm), g.scale(1 / lc)))
+        g = g.scale(1 / lc)
+        if order.is_local:  # not before: lead*unit + r restores the unit
+            g = _strip_unit_factor(g)
+        out.append((order.key(lm), g))
     out.sort(key=lambda t: t[0], reverse=True)
     return [g for _, g in out]
 
@@ -251,16 +250,27 @@ def least_degree(leads, nvars: int) -> Optional[int]:
         for m in monomials_upto(nvars, d) if mdeg(m) == d))
 
 
-def _own_degree(G: List[Jet]):
-    """(span, basis) for polynomials G: Mora's local basis of <G> and the
-    span of <G> at its own degree D = `least_degree` of L(<G>).  D is read
-    from the pivots of the span at the degree where the loop stopped, and
-    that span cut to D (`RowSpace.truncate`) is `ideal_span(G, D)`.  The
-    span is None for infinite codimension, where the basis is complete."""
+def _local_route(G: List[Jet], k: Optional[int]):
+    """(span, basis): how <G> is answered under the local order.  With k,
+    or a truncated jet in G, span is the `ideal_span` at k, else at the
+    least degree of G's jets, and basis is None.  Polynomials G are
+    answered exactly, and Mora's loop runs on them once: basis is Mora's
+    local basis of <G>, and span is the span of <G> at its own degree D =
+    `least_degree` of L(<G>), where M^D lies in <G> so that J^D answers
+    exactly, or None for infinite codimension, where the basis is
+    complete.  D is read from the pivots of the span at the degree where
+    the loop stopped, and that span cut to D (`RowSpace.truncate`) is
+    `ideal_span(G, D)`."""
+    if not G:
+        raise ValueError("empty generating list")
+    if k is None:
+        k = min((f.degree for f in G if f.degree is not None), default=None)
+    if k is not None:
+        return ideal_span(G, k), None
     basis = _basis_loop(G, LocalOrder(), None)
     nvars = len(G[0].variables)
     d = least_degree([f.leading_monomial(LocalOrder()) for f in basis],
-                      nvars)
+                     nvars)
     if d is None:
         return None, basis
     span = ideal_span(G, d)
@@ -268,15 +278,9 @@ def _own_degree(G: List[Jet]):
 
 
 def answer_span(G: List[Jet], k: Optional[int] = None) -> Optional[RowSpace]:
-    """The one `ideal_span` that answers for <G>: at k, else at the least
-    degree of G's truncated jets, else at the own degree D of the
-    polynomials G (`_own_degree`), where M^D lies in <G> so that J^D answers
-    exactly; None for polynomials of infinite codimension."""
-    if not G:
-        raise ValueError("empty generating list")
-    if k is None:
-        k = min((f.degree for f in G if f.degree is not None), default=None)
-    return ideal_span(G, k) if k is not None else _own_degree(G)[0]
+    """The one `ideal_span` that answers for <G> (`_local_route`); None for
+    polynomials of infinite codimension."""
+    return _local_route(G, k)[0]
 
 
 def _minimal_rows(span: RowSpace) -> List[Jet]:
@@ -292,23 +296,22 @@ def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
                    k: Optional[int] = None) -> StandardBasis:
     """Reduced standard basis of <G> (Groebner basis for a global order).
 
-    Under the local order it is `_minimal_rows` of the `answer_span`,
-    untruncated for polynomials G, or Mora's interreduced basis for
-    polynomials of infinite codimension.  A global order with k
-    recomputes the basis at k+1 and warns when the leading monomials of
-    degree <= k differ."""
+    Under the local order it is read from `_local_route`: the
+    `_minimal_rows` of its span, untruncated for polynomials G, or Mora's
+    interreduced basis for polynomials of infinite codimension.  A global
+    order with k recomputes the basis at k+1 and warns when the leading
+    monomials of degree <= k differ."""
     order = order or LocalOrder()
-    if not G:
-        raise ValueError("empty generating list")
     if order.is_local:
-        if k is not None or any(f.degree is not None for f in G):
-            span = answer_span(G, k)
-            return StandardBasis(_minimal_rows(span), order, span.degree)
-        span, basis = _own_degree(G)
+        span, basis = _local_route(G, k)
         if span is None:
             return StandardBasis(_interreduce(basis, order, None), order, None)
+        if basis is None:
+            return StandardBasis(_minimal_rows(span), order, span.degree)
         return StandardBasis([h.truncate(None) for h in _minimal_rows(span)],
                              order, None)
+    if not G:
+        raise ValueError("empty generating list")
     sb = StandardBasis(_interreduce(_basis_loop(G, order, k), order, k),
                        order, k)
     if k is not None and sb.generators:
@@ -371,8 +374,9 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     are returned.  At the own degree D of polynomials I, M^D lies in I and
     in I : g, so the answer is exact.  A unit g takes this route too.
 
-    For polynomials I of infinite codimension a unit g gives the
-    `standard_basis` of I, since I : g = I; the t-trick's Buchberger basis,
+    For polynomials I of infinite codimension a unit g gives Mora's
+    interreduced basis of I from the same `_local_route`, as
+    `standard_basis` does, since I : g = I; the t-trick's Buchberger basis,
     in the polynomial ring where g is no unit, can take seconds there.
     For any other g a local standard basis {h_i} of I ∩ <g> (the t-trick
     of `ideal_intersection`) is divided exactly by g; the Mora unit is
@@ -383,13 +387,13 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     with weak normal forms of the tails)."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
-    span = answer_span(I, k)
+    span, basis = _local_route(I, k)
     if span is not None:
         out = _truncated_colon(span, g)
-        if k is None and all(f.degree is None for f in I):
+        if basis is not None:  # polynomials I: the answer is exact
             out = [h.truncate(None) for h in out]
     elif g.constant_term() != 0:  # I : u = I for a unit u
-        out = standard_basis(I).generators
+        out = _interreduce(basis, LocalOrder(), None)
     else:
         inter = ideal_intersection(I, [g])
         out = []
@@ -431,10 +435,8 @@ def _quotient(I: List[Jet], k: Optional[int]):
     monomials in descending local order; raises for infinite
     codimension."""
     span = answer_span(I, k)
-    if span is None:
-        raise InfiniteCodimensionError("the ideal is of infinite codimension")
-    pivots = set(span.pivots())
-    nvars = len(span.variables)
+    pivots = set(span.pivots() if span is not None else ())
+    nvars = len(I[0].variables)
     if least_degree(pivots, nvars) is None:
         raise InfiniteCodimensionError("the ideal is of infinite codimension")
     return span, [m for m in monomials_upto(nvars, span.degree)

@@ -35,6 +35,7 @@ from germforge.bifurcation import (
     _march,
     _pieces_where,
     _PlanePoly,
+    _realness_conditions,
 )
 from germforge.localalg import _qq, eliminate, poly_ring, to_ring
 
@@ -939,6 +940,31 @@ def test_render_transition_slice(wc_sigma, tmp_path):
             {sympy.Symbol(k): v for k, v in envf.items()})))
             for p in wc_sigma.components[name].polys())
         assert residual <= 1e-7, line
+
+
+def test_transition_slice_needs_two_free_parameters(wc_sigma, tmp_path):
+    # fixing two of the winged cusp's three parameters leaves one free
+    with pytest.raises(ValueError, match="exactly 2 free parameters"):
+        render_transition_slice(wc_sigma, str(tmp_path / "s.svg"),
+                                fixed={"a2": 0, "a3": 0})
+    with pytest.raises(ValueError, match="exactly 2 free parameters"):
+        render_transition_slice(wc_sigma, str(tmp_path / "s.svg"),
+                                free=("a1", "a2", "a3"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_realness_conditions_of_one_d_polynomial_and_constant_signs():
+    params = ("a1", "a2")
+    in_w = lambda text: parse_and_expand(text, ("w",) + params, None)
+    d = parse_and_expand("a1 - a2", params, None)
+    # w - a1*a2 gives w = a1*a2 on D, real where a1*a2 >= 0
+    [cond] = _realness_conditions([in_w("w - a1*a2")], [d], params)
+    assert (str(cond.poly), cond.relation) == ("a1*a2", ">=")
+    # w = a1^2 is real everywhere; w = -a1^2 only on a1 = 0, no condition
+    assert _realness_conditions([in_w("w - a1^2")], [d], params) == []
+    assert _realness_conditions([in_w("w + a1^2")], [d], params) is None
+    # D cut out by two polynomials: no single one to be coprime to
+    assert _realness_conditions([in_w("w - a1*a2")], [d, d], params) is None
 
 
 def test_transition_slice_polylines_are_chained(tmp_path):

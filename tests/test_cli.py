@@ -160,6 +160,19 @@ def test_standard_basis_of_x_times_a_unit_by_order(capsys, order, basis):
     assert out == basis
 
 
+def test_untruncated_standard_basis_prints_no_unit_factor(capsys):
+    # the ideal has infinite codimension, so Mora's basis is printed, and
+    # its second generator is lam^5 times a unit.  That unit was stripped
+    # before the tail was weak-normalized, and the rebuilt lead*unit + r
+    # printed lam^5 + 4/3*x^2*lam^5 - ...; at degree 8 it was lam^5
+    argv = ["standard-basis", "-5*x^2*lam - 20/3*x*lam^3",
+            "-3/2*x*lam - 3/2*lam^3 - 2*x^3*lam", "--vars", "x,lam"]
+    assert run(capsys, *argv) \
+        == (0, "x*lam + lam^3 + 4/3*x^3*lam\nlam^5\n", "")
+    assert run(capsys, *argv, "--degree", "8") \
+        == (0, "x*lam + lam^3\nlam^5\n", "")
+
+
 def test_verify_persistent(capsys):
     code, out, _err = run(capsys, "verify", "--persistent",
                           "x^3-sin(lambda)", "--vars", "x,lambda")
@@ -186,6 +199,19 @@ def test_verify_persistent_reads_the_determinacy_degree(capsys, monkeypatch):
                          "--vars", "x,lambda", "--upper-bound", "25")
     assert (code, out, err) == (
         0, "The least permissible truncation degree is: 21\n", "")
+
+
+def test_verify_persistent_without_truncation_degree_warns(capsys):
+    # x^7 - lambda has truncation degree 7, above the bound 5: no degree is
+    # printed, only the bound warning, and the exit is 0
+    argv = ["verify", "--persistent", "x^7 - lambda", "--vars", "x,lambda",
+            "--upper-bound", "5"]
+    assert run(capsys, *argv) == (0, INCREASE_BOUND_WARNING + "\n", "")
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["inputs"]) == (0, {"germ": "x^7 - lambda"})
+    assert payload["result"] == {"truncation_degree": None}
+    assert payload["warnings"] == [INCREASE_BOUND_WARNING]
 
 
 # the moduli-free normal forms of codimension <= 3 (Golubitsky and
@@ -348,6 +374,17 @@ def test_persistent_regions(capsys):
     assert code == 0 and payload["result"]["representatives"] == []
     assert payload["warnings"] == [
         "grid may be too coarse: no grid point lies off the transition set"]
+
+
+def test_persistent_box_bounds_the_grid(capsys):
+    # B = {a1 = 0}: the default box [-1, 1] holds a region on each side of
+    # it, --box=0,2 only the side a1 > 0, whose first grid point off B is
+    # a1 = 1/4
+    argv = ["persistent", "x^3-lambda*x+a1", "--vars", "x,lambda",
+            "--params", "a1", "--grid", "9", "--format", "json"]
+    reps = [json.loads(run(capsys, *argv, *box)[1])["result"]
+            ["representatives"] for box in ([], ["--box=0,2"])]
+    assert reps == [[["-1"], ["1/4"]], [["1/4"]]]
 
 
 def test_persistent_plot_writes_one_diagram_per_region(capsys, tmp_path):
@@ -559,6 +596,16 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
                   "8"], "'x^9'", id="division-divisor-zero-at-degree"),
     pytest.param(["division", "x", "--vars", "x,lambda", "--degree", "3"],
                  "divisor", id="division-no-divisor"),
+    pytest.param(["division", "x^2", "x", "--vars", "x,lambda"],
+                 "--degree", id="division-no-degree"),
+    pytest.param(["multmatrix", "x^2", "lambda^2", "--by", "x + lambda",
+                  "--vars", "x,lambda", "--degree", "3"], "--by",
+                 id="multmatrix-by-not-a-monomial"),
+    pytest.param(["verify", "x^3 - lambda", "--vars", "x,lambda",
+                  "--degree", "1"], "--degree", id="verify-degree-no-ideal"),
+    pytest.param(["verify", "--persistent", "x^3 - lambda", "--vars",
+                  "x,lambda", "--degree", "3"], "--degree",
+                 id="verify-persistent-degree"),
     pytest.param(["colon-ideal", "x", "--by", "lambda^4", "--vars",
                   "x,lambda", "--degree", "3"], "--by",
                  id="colon-ideal-by-zero"),
@@ -624,7 +671,8 @@ def compute_nothing(monkeypatch):
     """Replace the cli's computations by None, so that a command which
     computes anything fails with a TypeError."""
     for name in ("transition_set", "nonpersistent_sets", "classify_regions",
-                 "mora_divide", "colon_ideal", "transformation",
+                 "mora_divide", "colon_ideal", "mult_matrix",
+                 "transformation",
                  "verify_germ", "working_degree", "normal_form",
                  "check_universal", "recognition_unfolding",
                  "universal_unfolding", "alg_objects"):

@@ -11,6 +11,7 @@ from germforge.germexpr import parse_and_expand
 from germforge.jets import (GrLexOrder, Jet, LexOrder, LocalOrder, mdivides,
                             monomials_upto)
 from germforge.linalg import RowSpace
+from germforge import localalg
 from germforge.localalg import (
     _local_primitive,
     _minimal_rows,
@@ -153,6 +154,26 @@ def test_standard_basis_trivials():
     # monomial, and its weak normal form removes it
     sb = standard_basis([j("x^2 + x*lam^3"), j("x*lam^3")])
     assert [str(f) for f in sb.generators] == ["x^2", "x*lam^3"]
+
+
+def test_mora_runs_once_per_untruncated_ideal(monkeypatch):
+    # one Mora run decides the route of polynomials and, for infinite
+    # codimension, is their basis, which a unit g reads too
+    calls = []
+    loop = localalg._basis_loop
+    monkeypatch.setattr(localalg, "_basis_loop",
+                        lambda *args: calls.append(args) or loop(*args))
+    infinite = [j("x*lam"), j("x^2*lam + lam^3")]
+    finite = [j("x^2 + x^3"), j("lam^3")]
+    for answer, expected in [
+            (lambda: colon_ideal(infinite, j("1 + x")), ["x*lam", "lam^3"]),
+            (lambda: standard_basis(infinite).generators, ["x*lam", "lam^3"]),
+            (lambda: colon_ideal(finite, j("1 + x")), ["x^2", "lam^3"]),
+            (lambda: colon_ideal(finite, j("x")), ["x", "lam^3"]),
+            (lambda: standard_basis(finite).generators, ["x^2", "lam^3"])]:
+        calls.clear()
+        assert [str(f) for f in answer()] == expected
+        assert len(calls) == 1
 
 
 def test_standard_basis_inputs_reduce_to_zero():

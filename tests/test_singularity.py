@@ -445,6 +445,15 @@ def test_transformation_infeasible():
     assert not equivalent(j("x^2 - lam", 3), j("x^2 + lam", 3), 3)
 
 
+def test_transformation_needs_principal_parts_of_equal_weights():
+    # one order 2 and one Newton vertex (2, 0), but the edges at it have
+    # the weights (1, 1) and (3, 2): no scaling maps x^2 + lam^2 to
+    # x^2 + lam^3
+    with pytest.raises(NotEquivalentError,
+                       match="no contact transformation found up to degree 4"):
+        transformation(j("x^2 + lam^2", 4), j("x^2 + lam^3", 4), 4)
+
+
 def test_transformation_scaling():
     g, f = j("x^2 - lam", 4), j("2*x^2 - 3*lam", 4)
     tr = transformation(g, f, 4)
