@@ -385,13 +385,16 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
         center = tuple((lo + hi) / 2 for lo, hi in box)
         return RegionCatalog([(center, (), granularity)])
 
-    # two bytes per point while the 2^len(polys) possible ids fit in them
-    ids = array("H" if len(polys) < 16 else "q")
+    # a polynomial that components share is evaluated once; each sign
+    # vector is spread back to one entry per component polynomial at the end
+    distinct = list(dict.fromkeys(polys))
+    # two bytes per point while the 2^len(distinct) possible ids fit in them
+    ids = array("H" if len(distinct) < 16 else "q")
     vecs = {}
     for pt in _grid_points(box, grid):
         env = dict(zip(params, pt))
         vec = []
-        for poly in polys:
+        for poly in distinct:
             v = poly.evaluate(env)
             if v == 0:
                 ids.append(0)
@@ -399,9 +402,10 @@ def classify_regions(sigma: TransitionSet, box=None, grid: int = 41,
             vec.append(1 if v > 0 else -1)
         else:
             ids.append(vecs.setdefault(tuple(vec), len(vecs) + 1))
-    vectors = [()] + list(vecs)
+    where = [distinct.index(poly) for poly in polys]
+    vectors = [()] + [tuple(vec[i] for i in where) for vec in vecs]
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
-                for i, poly in enumerate(polys)
+                for i, poly in enumerate(distinct)
                 if len({vec[i] for vec in vecs}) == 1]
     if not vecs:
         warnings.append("grid may be too coarse: no grid point lies off the "

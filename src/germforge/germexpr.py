@@ -1,15 +1,24 @@
-"""Germ expression trees: a small recursive-descent parser and exact Taylor
-expansion into jets.
+"""Germ expressions: a recursive-descent reader that folds the text into
+exact terms as it reads, and exact Taylor expansion into jets.
 
-The parser splits the text once into tokens (integers, names and single
-characters, whitespace dropped) and descends over the token list.  A
-GermSyntaxError's position is found again from the text only when it is
+The reader splits the text once into tokens (integers, names and single
+characters, whitespace dropped) and descends over the token list.  Each
+chain of '+' and '-' adds into one {monomial: Fraction} dict, and each
+product of numbers, variables and their integer powers is built as one
+term c*x^a*lambda^b, on an integer numerator and denominator until the term
+is stored.  A parenthesised group that folds to one term (such as `(-3/4)`
+or `(2*x)`) is such a factor too, and a divisor that folds to a nonzero
+number divides the coefficient.  Only what needs a degree stays a node: a
+power or product involving a sum, a function, and division by anything but
+a number; `taylor_expand` expands these by `Jet` arithmetic at degree k.
+
+A GermSyntaxError's position is found again from the text only when it is
 raised: the start of the offending token, the end of the text when no
 token is left, or the end of a zero denominator.
 
 Grammar (whitespace insignificant):
 
-    expr     := term (('+'|'-') term)*
+    expr     := ('+'|'-')? term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := base ('^' unsigned-int)?
     base     := rational | ident | '(' expr ')' | func '(' expr ')'
@@ -21,12 +30,10 @@ Grammar (whitespace insignificant):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Union
 
-from .jets import Jet, mdeg, mmul, power_series
+from .jets import Jet, mdeg, power_series
 
 # each function a germ may apply, by its Maclaurin coefficients: n -> the
 # coefficient of u^n in f(u)
@@ -51,55 +58,64 @@ class NonUnitDivisorError(ValueError):
     """Division by a germ vanishing at the origin."""
 
 
-# Every node has `polynomial`: True when the tree below it is a polynomial,
-# with no function and every divisor a number.  The parser records it on
-# each operation as it builds the tree.
+# Every node has `polynomial`: True when the expression below it is a
+# polynomial, with no function and every divisor a number.  The reader sets
+# it as it builds each node.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    polynomial = True
+class Sum:
+    """A chain of '+' and '-': the folded terms {monomial: Fraction}, all
+    nonzero, plus the summands that need a degree (`Product` nodes, each
+    carrying its sign in its coefficient)."""
+
+    def __init__(self, terms, nodes):
+        self.terms = terms
+        self.nodes = nodes
+        self.polynomial = all(p.polynomial for p in nodes)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    polynomial = True
+class Product:
+    """coefficient * x^monomial times each (node, divide) factor: a node
+    that multiplies (divide False) or divides (divide True) the term."""
+
+    def __init__(self, coefficient, monomial, factors):
+        self.coefficient = coefficient
+        self.monomial = monomial
+        self.factors = factors
+        self.polynomial = all(f.polynomial and not divide
+                              for f, divide in factors)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: "Expr"
-    right: "Expr"
-    polynomial: bool
-
-
-@dataclass(frozen=True)
 class Pow:
-    base: "Expr"
-    exponent: int
+    """A power of a sum that does not fold to one term, or of a function."""
+
+    def __init__(self, base, exponent):
+        self.base = base
+        self.exponent = exponent
 
     @property
     def polynomial(self) -> bool:
         return self.base.polynomial
 
 
-@dataclass(frozen=True)
 class Func:
-    name: str
-    arg: "Expr"
     polynomial = False
 
-
-Expr = Union[Num, Var, BinOp, Pow, Func]
+    def __init__(self, name, arg):
+        self.name = name
+        self.arg = arg
 
 
 # Integers (decimal digits, as int() reads them), names (a word that does not
 # start with a decimal digit) and single characters.  The whitespace between
 # them is skipped.
 _TOKEN = re.compile(r"\d+|\w+|\S")
+
+_ONE = Fraction(1)
+
+
+def _division_by_zero():
+    return NonUnitDivisorError("division by a germ vanishing at the origin")
 
 
 class _Parser:
@@ -111,7 +127,12 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]
         self.i = 0
-        self.variables = tuple(variables)
+        variables = tuple(variables)
+        # each variable's slot in the exponent tuple, for the names a token
+        # can spell: "(" or "" given as a variable is never one
+        self.slot = {v: s for s, v in enumerate(variables)
+                     if v[:1].isalpha() or v[:1] == "_"}
+        self.n = len(variables)
 
     def error(self, message, after=False):
         """Raise at the start of the current token (the end of the text when
@@ -130,90 +151,156 @@ class _Parser:
             self.error("expected %r" % token)
         self.i += 1
 
-    def parse(self) -> Expr:
+    def parse(self) -> Sum:
         e = self.expr()
         if self.tokens[self.i]:
             self.error("unexpected trailing input")
         return e
 
-    def expr(self) -> Expr:
-        t = self.tokens[self.i]
-        if t == "-":
-            self.i += 1
-            node = self.term()
-            node = BinOp("-", Num(Fraction(0)), node, node.polynomial)
-        else:
-            if t == "+":
-                self.i += 1
-            node = self.term()
+    def expr(self, first=None) -> Sum:
+        """A chain of '+' and '-', from its `first` term when the caller
+        has read that already."""
+        tokens = self.tokens
+        terms, nodes = {}, []
+        if first is None:
+            first = self.term(self.sign())
         while True:
-            t = self.tokens[self.i]
+            num, den, exps, factors = first
+            m = tuple(exps)
+            if factors:
+                nodes.append(Product(Fraction(num, den), m, factors))
+            elif num:
+                c = _ONE if num == den else Fraction(num, den)
+                v = terms.get(m)
+                if v is None:
+                    terms[m] = c
+                elif v + c:
+                    terms[m] = v + c
+                else:
+                    del terms[m]
+            t = tokens[self.i]
             if t != "+" and t != "-":
-                return node
+                return Sum(terms, nodes)
             self.i += 1
-            right = self.term()
-            node = BinOp(t, node, right, node.polynomial and right.polynomial)
+            first = self.term(t == "-")
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            t = self.tokens[self.i]
-            if t != "*" and t != "/":
-                return node
+    def sign(self) -> bool:
+        """Skip a leading sign; True when it is '-'."""
+        t = self.tokens[self.i]
+        if t == "-" or t == "+":
             self.i += 1
-            right = self.factor()
-            node = BinOp(t, node, right, node.polynomial and (
-                right.polynomial if t == "*" else isinstance(right, Num)))
+        return t == "-"
 
-    def factor(self) -> Expr:
-        node = self.base()
-        if self.tokens[self.i] == "^":
-            self.i += 1
-            node = Pow(node, self.unsigned_int())
-        return node
-
-    def unsigned_int(self) -> int:
+    def power(self) -> int:
+        """The exponent after '^', which is the current token."""
+        self.i += 1
         t = self.tokens[self.i]
         if not t[:1].isdecimal():
             self.error("expected an integer")
         self.i += 1
         return int(t)
 
-    def base(self) -> Expr:
-        tokens = self.tokens
-        t = tokens[self.i]
-        if t == "(":
+    def term(self, negative):
+        """One product as (num, den, exps, factors): the coefficient
+        num/den, the exponent list, and the (node, divide) pairs of the
+        factors that need a degree.  Each factor is a node, or the term
+        a/b*x^m (m None for a number) that multiplies or divides the
+        product."""
+        tokens, slot = self.tokens, self.slot
+        num, den = (-1 if negative else 1), 1
+        exps = [0] * self.n
+        factors = []
+        divide = False
+        while True:
+            t = tokens[self.i]
             self.i += 1
-            node = self.expr()
-            self.expect(")")
-            return node
-        if t[:1].isdecimal():
-            self.i += 1
-            if tokens[self.i] == "/" and tokens[self.i + 1][:1].isdecimal():
-                self.i += 1
-                den = self.unsigned_int()
-                if den == 0:
-                    self.error("zero denominator", after=True)
-                return Num(Fraction(int(t), den))
-            return Num(Fraction(int(t)))
-        if t[:1].isalpha() or t[:1] == "_":
-            self.i += 1
-            if t in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Func(t, arg)
-            if t not in self.variables:
+            node = m = None
+            a = b = 1
+            if t[:1].isdecimal():
+                a = int(t)
+                if tokens[self.i] == "/" and tokens[self.i + 1][:1].isdecimal():
+                    b = int(tokens[self.i + 1])
+                    self.i += 2
+                    if b == 0:
+                        self.error("zero denominator", after=True)
+                if tokens[self.i] == "^":
+                    e = self.power()
+                    a, b = a ** e, b ** e
+            elif t in FUNCTIONS:
+                node = self.function(t)
+            elif t in slot:
+                e = self.power() if tokens[self.i] == "^" else 1
+                if divide:
+                    m = [0] * self.n
+                    m[slot[t]] = e
+                else:
+                    exps[slot[t]] += e
+            elif t == "(":
+                node = self.group()
+                if type(node) is tuple:
+                    (a, b, m), node = node, None
+            elif t[:1].isalpha() or t[:1] == "_":
                 raise UnknownVariableError("unknown variable %r" % t)
-            return Var(t)
-        if not t:
-            self.error("unexpected end of input")
-        self.error("unexpected character %r" % t[0])
+            else:
+                self.i -= 1
+                if not t:
+                    self.error("unexpected end of input")
+                self.error("unexpected character %r" % t[0])
+            if node is not None:
+                factors.append((node, divide))
+            elif not divide:
+                num, den = num * a, den * b
+                if m is not None:
+                    exps = [i + j for i, j in zip(exps, m)]
+            elif m is not None and any(m):
+                factors.append((Sum({tuple(m): Fraction(a, b)}, []), True))
+            elif a:
+                num, den = num * b, den * a
+            else:
+                raise _division_by_zero()
+            t = tokens[self.i]
+            if t == "*":
+                divide = False
+            elif t == "/":
+                divide = True
+            else:
+                return num, den, exps, factors
+            self.i += 1
+
+    def function(self, name):
+        self.expect("(")
+        arg = self.expr()
+        self.expect(")")
+        node = Func(name, arg)
+        return Pow(node, self.power()) if self.tokens[self.i] == "^" else node
+
+    def group(self):
+        """'(' expr ')' and its power: (a, b, m) when it folds to one term
+        a/b*x^m, else a node."""
+        first = self.term(self.sign())
+        if self.tokens[self.i] == ")" and not first[3]:
+            a, b, m = first[:3]
+        else:
+            s = self.expr(first)
+            if s.nodes or len(s.terms) > 1:
+                self.expect(")")
+                return Pow(s, self.power()) if self.tokens[self.i] == "^" else s
+            a, b, m = 0, 1, None
+            for m, c in s.terms.items():
+                a, b = c.numerator, c.denominator
+        self.expect(")")
+        if self.tokens[self.i] == "^":
+            e = self.power()
+            a, b = a ** e, b ** e
+            if m is not None:
+                m = [i * e for i in m]
+        return a, b, m
 
 
-def parse_germ(text: str, variables) -> Expr:
-    """Parse `text` over the ordered variable list `variables`; the tree's
-    `polynomial` says whether it is a polynomial."""
+def parse_germ(text: str, variables) -> Sum:
+    """Read `text` over the ordered variable list `variables` into its
+    folded terms and the nodes that need a degree; `polynomial` says
+    whether it is a polynomial."""
     return _Parser(text, variables).parse()
 
 
@@ -227,119 +314,43 @@ def _series(name: str, u: Jet) -> Jet:
     return power_series(FUNCTIONS[name], u)
 
 
-_ONE = Fraction(1)
+def taylor_expand(e: Sum, variables, k: int) -> Jet:
+    """Degree-<=k Taylor polynomial at the origin, exact over Q, of an
+    expression read over `variables`.  Divisors must be unit germs (nonzero
+    constant term).  The folded terms are cut at degree k; each node is
+    expanded by `Jet` arithmetic at degree k."""
+    return _expand(e, tuple(variables), k)
 
 
-def _monomial(node, index):
-    """(c, exponents) when the tree is a product of numbers and variable
-    powers: '*' chains, division by a nonzero number, the parser's 0 - t
-    and powers of such products.  None for any other tree.  A variable's
-    coefficient is the shared _ONE, which products and powers pass on
-    without Fraction arithmetic."""
-    if isinstance(node, Var):
-        return _ONE, index[node.name]
-    if isinstance(node, Num):
-        return node.value, index[None]
-    if isinstance(node, Pow):
-        base = _monomial(node.base, index)
-        if base is None:
-            return None
-        c, m = base
-        e = node.exponent
-        return c if c is _ONE else c ** e, tuple(i * e for i in m)
-    if not isinstance(node, BinOp):
-        return None
-    if node.op == "*":
-        a = _monomial(node.left, index)
-        b = None if a is None else _monomial(node.right, index)
-        if b is None:
-            return None
-        (ca, ma), (cb, mb) = a, b
-        if ca is _ONE:
-            c = cb
-        elif cb is _ONE:
-            c = ca
+def _expand(node, variables, k) -> Jet:
+    if type(node) is Sum:
+        if k is None:
+            terms = dict(node.terms)
         else:
-            c = ca * cb
-        return c, mmul(ma, mb)
-    if node.op == "/":
-        right = node.right
-        if not isinstance(right, Num) or not right.value:
-            return None
-        a = _monomial(node.left, index)
-        return None if a is None else (a[0] / right.value, a[1])
-    if node.op == "-" and isinstance(node.left, Num) and not node.left.value:
-        a = _monomial(node.right, index)
-        return None if a is None else (-a[0], a[1])
-    return None
-
-
-def taylor_expand(e: Expr, variables, k: int) -> Jet:
-    """Degree-<=k Taylor polynomial of the expression at the origin, exact
-    over Q.  Divisors must be unit germs (nonzero constant term).
-
-    Each chain of '+' and '-' accumulates into one dict, and each product of
-    numbers and variable powers in it is one term c*x^a*lambda^b; any other
-    summand (a power of a sum, a function, a division by a germ) is
-    expanded by `Jet` arithmetic."""
-    variables = tuple(variables)
-    n = len(variables)
-    index = {v: tuple(int(i == j) for j in range(n))
-             for i, v in enumerate(variables)}
-    index[None] = (0,) * n  # a number's exponents
-    return _expand(e, variables, index, k)
-
-
-# _expand and _other are module-level functions, not closures of
-# taylor_expand: two closures that call each other form a reference cycle,
-# which only the cyclic collector frees
-
-
-def _expand(node, variables, index, k) -> Jet:
-    """One chain of '+' and '-' summed into one dict (see taylor_expand)."""
-    terms = {}
-    stack = [(1, node)]
-    while stack:
-        sign, node = stack.pop()
-        if isinstance(node, BinOp) and node.op in "+-":
-            stack.append((-sign if node.op == "-" else sign, node.right))
-            stack.append((sign, node.left))
-            continue
-        mono = _monomial(node, index)
-        if mono is None:
-            items = _other(node, variables, index, k).terms.items()
-        else:
-            c, m = mono
-            if k is not None and mdeg(m) > k:
-                continue
-            items = ((m, c),)
-        for m, c in items:
-            if sign < 0:
-                c = -c
-            v = terms.get(m)
-            terms[m] = c if v is None else v + c
-    return Jet({m: c for m, c in terms.items() if c}, variables, k,
-               _clean=False)
-
-
-def _other(node, variables, index, k) -> Jet:
-    """A summand that is not a monomial product, by `Jet` arithmetic."""
-    if isinstance(node, Pow):
-        return _expand(node.base, variables, index, k) ** node.exponent
-    if isinstance(node, Func):
-        return _series(node.name, _expand(node.arg, variables, index, k))
-    if isinstance(node, BinOp):
-        a = _expand(node.left, variables, index, k)
-        b = _expand(node.right, variables, index, k)
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b.constant_term() == 0:
-                raise NonUnitDivisorError(
-                    "division by a germ vanishing at the origin"
-                )
-            return a * b.invert()
-    raise TypeError(node)
+            terms = {m: c for m, c in node.terms.items() if mdeg(m) <= k}
+        for p in node.nodes:
+            for m, c in _expand(p, variables, k).terms.items():
+                v = terms.get(m)
+                if v is None:
+                    terms[m] = c
+                elif v + c:
+                    terms[m] = v + c
+                else:
+                    del terms[m]
+        return Jet(terms, variables, k, _clean=False)
+    if type(node) is Product:
+        jet = None
+        for f, divide in node.factors:
+            b = _expand(f, variables, k)
+            if divide:
+                if b.constant_term() == 0:
+                    raise _division_by_zero()
+                b = b.invert()
+            jet = b if jet is None else jet * b
+        return jet.term_mul(node.monomial, node.coefficient)
+    if type(node) is Pow:
+        return _expand(node.base, variables, k) ** node.exponent
+    return _series(node.name, _expand(node.arg, variables, k))
 
 
 def parse_and_expand(text: str, variables, k: int) -> Jet:

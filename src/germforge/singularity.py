@@ -467,15 +467,6 @@ def normal_form(expand: Callable[[int], Jet],
 # -------------------------------------------------------------- unfoldings
 
 
-def _at_zero(f: Jet) -> Jet:
-    """f, a jet in (x, lambda, alpha), at alpha = 0 as a jet in x and lambda;
-    x is mapped to itself, so there is an image when there is no alpha."""
-    plane = f.variables[:2]
-    images = {a: Jet.zero(plane, f.degree) for a in f.variables[2:]}
-    images[plane[0]] = Jet.variable(plane[0], plane, f.degree)
-    return f.compose(images)
-
-
 @dataclass
 class UnfoldingGerm:
     body: Jet          # in variables (x, lam, a1..ap)
@@ -489,12 +480,24 @@ class UnfoldingGerm:
                                  "variables %s" % (name, ", ".join(names)))
 
     def base(self) -> Jet:
-        """The body at alpha = 0."""
-        return _at_zero(self.body)
+        """The body at alpha = 0: its terms with no alpha."""
+        return self._alpha_terms(None)
 
     def direction(self, i: int) -> Jet:
-        """d(body)/d(alpha_i) at alpha = 0."""
-        return _at_zero(self.body.diff(self.body.variables[2 + i]))
+        """d(body)/d(alpha_i) at alpha = 0: its terms whose alpha exponents
+        are exactly those of alpha_i, with their coefficients."""
+        return self._alpha_terms(i)
+
+    def _alpha_terms(self, i) -> Jet:
+        """The body's terms whose alpha exponents are those of alpha_i (of
+        no alpha when i is None), as a jet in x and lambda."""
+        body = self.body
+        alpha = [0] * (len(body.variables) - 2)
+        if i is not None:
+            alpha[i] = 1
+        alpha = tuple(alpha)
+        return Jet({m[:2]: c for m, c in body.terms.items() if m[2:] == alpha},
+                   body.variables[:2], body.degree, _clean=False)
 
     def __str__(self) -> str:
         return str(self.body)

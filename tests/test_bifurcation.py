@@ -588,9 +588,10 @@ def reference_regions(sigma, box, grid, granularity):
         vals = [poly.evaluate(dict(zip(sigma.params, pt))) for poly in polys]
         if all(v != 0 for v in vals):
             signs[idx] = tuple(1 if v > 0 else -1 for v in vals)
+    # one warning per distinct polynomial, however many components share it
     warnings = ["grid may be too coarse: %s keeps one sign on the grid" % poly
-                for i, poly in enumerate(polys)
-                if len({vec[i] for vec in signs.values()}) == 1]
+                for i, poly in enumerate(polys) if poly not in polys[:i]
+                and len({vec[i] for vec in signs.values()}) == 1]
     if not signs:
         warnings.append("grid may be too coarse: no grid point lies off the "
                         "transition set")
@@ -660,6 +661,7 @@ def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
     line = sigma_of(("a1",), "a1^2 - 1/4", "a1 - 1/3")
     four = sigma_of(("a1", "a2", "a3", "a4"), "a1*a2 - a3 + a4/3 - 1/7",
                     "a1^2 + a4^2 - 1/2", "a2 - a3*a4 + 1/5")
+    shared = sigma_of(("a1",), "a1 + 1/3", "a1^2 - 1/4", "a1 + 1/3")
     cases = [(wc_sigma, cube, 9), (quintic_sigma, cube, 13),
              (wc_sigma, ASYMMETRIC_BOX, 8), (quintic_sigma, ASYMMETRIC_BOX, 8),
              (with_extra_polys(wc_sigma), cube, 9),
@@ -682,7 +684,11 @@ def test_classify_regions_matches_brute_force(wc_sigma, quintic_sigma,
              # first and last a1 rows (-9 from the first wraps to the
              # table's end); a flood that stepped across would merge them
              (sigma_of(("a1", "a2"), "a2^2 - 1/4"), square, 9),
-             (sigma_of(("a1", "a2"), "a1^2 - 1/4"), square, 9)]
+             (sigma_of(("a1", "a2"), "a1^2 - 1/4"), square, 9),
+             # a polynomial that two systems share keeps one sign entry for
+             # each, and one sign on [1/2, 1]: one warning
+             (shared, [(Fraction(-1), Fraction(1))], 9),
+             (shared, [(Fraction(1, 2), Fraction(1))], 5)]
     for sigma, box, grid in cases:
         cat = classify_regions(sigma, box=box, grid=grid,
                                granularity=granularity)

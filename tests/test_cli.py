@@ -387,6 +387,31 @@ def test_persistent_box_bounds_the_grid(capsys):
     assert reps == [[["-1"], ["1/4"]], [["1/4"]]]
 
 
+def test_persistent_warns_once_of_a_shared_polynomial(capsys):
+    # B and H of x^3 - lambda*x + a1 are both {a1 = 0}: on the box [0, 2]
+    # a1 keeps one sign, which is said once
+    code, out, _err = run(capsys, "persistent", "x^3-lambda*x+a1",
+                          "--vars", "x,lambda", "--params", "a1",
+                          "--grid", "9", "--box=0,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "grid may be too coarse: a1 keeps one sign on the grid"]
+
+
+@pytest.mark.parametrize("divisor", ["(-2)", "(1+1)", "2^1", "(4/2)",
+                                     "(2*x^0)"])
+def test_a_number_divisor_keeps_a_polynomial(capsys, divisor):
+    # a divisor that folds to a number divides the coefficient, so the
+    # germ stays a polynomial and needs no --degree
+    sign = "-" if divisor == "(-2)" else ""
+    code, out, _err = run(capsys, "transition-set",
+                          "%sx^3/%s - lam + a1*x" % (sign, divisor),
+                          "--vars", "x,lam", "--params", "a1")
+    assert code == 0
+    assert out == run(capsys, "transition-set", "x^3/2 - lam + a1*x",
+                      "--vars", "x,lam", "--params", "a1")[1]
+
+
 def test_persistent_plot_writes_one_diagram_per_region(capsys, tmp_path):
     code, out, _err = run(capsys, "persistent", "x^3-lambda*x+a1",
                           "--vars", "x,lambda", "--params", "a1",

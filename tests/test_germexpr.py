@@ -122,6 +122,17 @@ def test_syntax_error_messages_and_positions(text, message, position):
     assert e.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(-3/4", 5), ("(x + 1 - 1", 10), ("(x - x", 6), ("2*(x*lam", 8),
+    ("((x)", 4),
+], ids=repr)
+def test_an_unclosed_group_that_folds_to_one_term(text, position):
+    # a group folds to a number or a monomial only once its ')' is read
+    with pytest.raises(GermSyntaxError) as e:
+        parse_germ(text, V)
+    assert str(e.value) == "expected ')' (at position %d)" % position
+
+
 @st.composite
 def monomial_texts(draw):
     """(text, plus): c*x^a*lam^b, c a positive rational, spelled as a
@@ -182,3 +193,96 @@ def test_taylor_expand_agrees_with_sympy(text):
         jet = taylor_expand(tree, V, k)
         assert jet == Jet(terms, V, k)
         assert jet.degree == k
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("(-3/4)*x^2*lam + 5*lam", {(2, 1): Fraction(-3, 4), (0, 1): 5}),
+    ("-2^2*x/(-8) - (x)^3*(2*lam)^2", {(1, 0): Fraction(1, 2), (3, 2): -4}),
+    ("x^3/(-2) - lam + 3/2*lam", {(3, 0): Fraction(-1, 2),
+                                  (0, 1): Fraction(1, 2)}),
+    ("x/(1 + 1) + x/2^2 + x/(4/2)^0 - x", {(1, 0): Fraction(3, 4)}),
+    ("(x - x)*lam + lam - lam", {}),
+])
+def test_products_of_numbers_and_variables_fold_into_terms(text, terms):
+    # no node is left for a product of numbers, variables, their powers
+    # and number divisors: the reader's dict is the polynomial
+    tree = parse_germ(text, V)
+    assert tree.polynomial and not tree.nodes
+    assert tree.terms == terms
+
+
+@pytest.mark.parametrize("text, polynomial", [
+    ("x^3/(-2) - lam", True),
+    ("x/(1+1)", True),
+    ("x/2^2", True),
+    ("(1 + x)^3*(x - lam)/(-3)", True),
+    ("x/(1 + x)", False),
+    ("x/(2*x)", False),
+    ("sin(x)/2", False),
+    ("(1 + sin(x))^2", False),
+])
+def test_every_number_divisor_keeps_a_polynomial(text, polynomial):
+    assert parse_germ(text, V).polynomial is polynomial
+
+
+@pytest.mark.parametrize("text", ["x/0", "x/(1 - 1)", "lam/(x - x)^2",
+                                  "x/0^3"])
+def test_a_divisor_that_folds_to_zero_is_refused(text):
+    with pytest.raises(NonUnitDivisorError):
+        parse_germ(text, V)
+
+
+@st.composite
+def number_divisors(draw):
+    """A divisor that folds to a nonzero number, always in parentheses, so
+    that no rational literal or power follows the '/' (`x/2/3` is x over
+    the literal 2/3 in this grammar, and `1/2^2` is (1/2)^2)."""
+    c = draw(st.integers(1, 5))
+    return draw(st.sampled_from([
+        "(-%d)" % c,
+        "(%d - %d/%d)" % (c + 1, draw(st.integers(1, 3)), c + 2),
+        "(%d^%d)" % (c, draw(st.integers(0, 2))),
+        "(-(%d))" % c,
+    ]))
+
+
+@st.composite
+def reader_texts(draw, depth=2):
+    """A '+'/'-' chain of monomials (some over a number divisor), nested
+    groups, powers of groups and products of groups."""
+    kinds = ["monomial", "monomial", "over"]
+    if depth:
+        kinds += ["group", "power", "product"]
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        plus = True
+        if kind == "monomial":
+            text, plus = draw(monomial_texts())
+        elif kind == "over":
+            text, plus = draw(monomial_texts())
+            text = "%s/%s" % (text, draw(number_divisors()))
+        elif kind == "group":
+            text = "(%s)" % draw(reader_texts(depth - 1))
+        elif kind == "power":
+            text = "(%s)^%d" % (draw(reader_texts(depth - 1)),
+                                draw(st.integers(0, 2)))
+        else:
+            text = "(%s)*(%s)" % (draw(reader_texts(depth - 1)),
+                                  draw(reader_texts(depth - 1)))
+        plus ^= draw(st.booleans())
+        if i:
+            parts.append(" + " if plus else " - ")
+        elif not plus:
+            parts.append("-")
+        parts.append(text)
+    return "".join(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reader_texts())
+def test_the_reader_agrees_with_sympy(text):
+    tree, terms = parse_germ(text, V), sympy_terms(text)
+    assert tree.polynomial
+    assert taylor_expand(tree, V, None) == Jet(terms, V)
+    assert taylor_expand(tree, V, 4) == Jet(terms, V, 4)
