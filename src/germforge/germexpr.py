@@ -8,7 +8,8 @@ product of numbers, variables and their integer powers is built as one
 term c*x^a*lambda^b, on an integer numerator and denominator until the term
 is stored.  A parenthesised group that folds to one term (such as `(-3/4)`
 or `(2*x)`) is such a factor too, and a divisor that folds to a nonzero
-number divides the coefficient.  Only what needs a degree stays a node: a
+number divides the coefficient; one that folds to zero is refused once
+the whole text is read.  Only what needs a degree stays a node: a
 power or product involving a sum, a function, and division by anything but
 a number; `taylor_expand` expands these by `Jet` arithmetic at degree k.
 
@@ -66,7 +67,8 @@ class NonUnitDivisorError(ValueError):
 class Sum:
     """A chain of '+' and '-': the folded terms {monomial: Fraction}, all
     nonzero, plus the summands that need a degree (`Product` nodes, each
-    carrying its sign in its coefficient)."""
+    carrying its sign in its coefficient).  The whole text's Sum also
+    has `variables`, the variable list it was read over."""
 
     def __init__(self, terms, nodes):
         self.terms = terms
@@ -127,12 +129,13 @@ class _Parser:
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]
         self.i = 0
-        variables = tuple(variables)
-        # each variable's slot in the exponent tuple, for the names a token
-        # can spell: "(" or "" given as a variable is never one
-        self.slot = {v: s for s, v in enumerate(variables)
-                     if v[:1].isalpha() or v[:1] == "_"}
-        self.n = len(variables)
+        self.variables = tuple(variables)
+        self.slot = {v: s for s, v in enumerate(self.variables)}
+        self.n = len(self.variables)
+        # a divisor that folds to zero is refused once the whole text is
+        # read, so that a syntax error or an unknown variable after it is
+        # reported first
+        self.zero_divisor = False
 
     def error(self, message, after=False):
         """Raise at the start of the current token (the end of the text when
@@ -155,17 +158,18 @@ class _Parser:
         e = self.expr()
         if self.tokens[self.i]:
             self.error("unexpected trailing input")
+        if self.zero_divisor:
+            raise _division_by_zero()
+        e.variables = self.variables
         return e
 
-    def expr(self, first=None) -> Sum:
-        """A chain of '+' and '-', from its `first` term when the caller
-        has read that already."""
+    def expr(self) -> Sum:
+        """A chain of '+' and '-'."""
         tokens = self.tokens
         terms, nodes = {}, []
-        if first is None:
-            first = self.term(self.sign())
+        term = self.term(self.sign())
         while True:
-            num, den, exps, factors = first
+            num, den, exps, factors = term
             m = tuple(exps)
             if factors:
                 nodes.append(Product(Fraction(num, den), m, factors))
@@ -182,7 +186,7 @@ class _Parser:
             if t != "+" and t != "-":
                 return Sum(terms, nodes)
             self.i += 1
-            first = self.term(t == "-")
+            term = self.term(t == "-")
 
     def sign(self) -> bool:
         """Skip a leading sign; True when it is '-'."""
@@ -228,7 +232,9 @@ class _Parser:
                     a, b = a ** e, b ** e
             elif t in FUNCTIONS:
                 node = self.function(t)
-            elif t in slot:
+            elif t[:1].isalpha() or t[:1] == "_":
+                if t not in slot:
+                    raise UnknownVariableError("unknown variable %r" % t)
                 e = self.power() if tokens[self.i] == "^" else 1
                 if divide:
                     m = [0] * self.n
@@ -239,8 +245,6 @@ class _Parser:
                 node = self.group()
                 if type(node) is tuple:
                     (a, b, m), node = node, None
-            elif t[:1].isalpha() or t[:1] == "_":
-                raise UnknownVariableError("unknown variable %r" % t)
             else:
                 self.i -= 1
                 if not t:
@@ -252,12 +256,12 @@ class _Parser:
                 num, den = num * a, den * b
                 if m is not None:
                     exps = [i + j for i, j in zip(exps, m)]
+            elif not a:
+                self.zero_divisor = True
             elif m is not None and any(m):
                 factors.append((Sum({tuple(m): Fraction(a, b)}, []), True))
-            elif a:
-                num, den = num * b, den * a
             else:
-                raise _division_by_zero()
+                num, den = num * b, den * a
             t = tokens[self.i]
             if t == "*":
                 divide = False
@@ -277,18 +281,13 @@ class _Parser:
     def group(self):
         """'(' expr ')' and its power: (a, b, m) when it folds to one term
         a/b*x^m, else a node."""
-        first = self.term(self.sign())
-        if self.tokens[self.i] == ")" and not first[3]:
-            a, b, m = first[:3]
-        else:
-            s = self.expr(first)
-            if s.nodes or len(s.terms) > 1:
-                self.expect(")")
-                return Pow(s, self.power()) if self.tokens[self.i] == "^" else s
-            a, b, m = 0, 1, None
-            for m, c in s.terms.items():
-                a, b = c.numerator, c.denominator
+        s = self.expr()
         self.expect(")")
+        if s.nodes or len(s.terms) > 1:
+            return Pow(s, self.power()) if self.tokens[self.i] == "^" else s
+        a, b, m = 0, 1, None
+        for m, c in s.terms.items():
+            a, b = c.numerator, c.denominator
         if self.tokens[self.i] == "^":
             e = self.power()
             a, b = a ** e, b ** e
@@ -300,7 +299,8 @@ class _Parser:
 def parse_germ(text: str, variables) -> Sum:
     """Read `text` over the ordered variable list `variables` into its
     folded terms and the nodes that need a degree; `polynomial` says
-    whether it is a polynomial."""
+    whether it is a polynomial.  A divisor that folds to zero raises
+    NonUnitDivisorError once the whole text is read."""
     return _Parser(text, variables).parse()
 
 
@@ -319,7 +319,12 @@ def taylor_expand(e: Sum, variables, k: int) -> Jet:
     expression read over `variables`.  Divisors must be unit germs (nonzero
     constant term).  The folded terms are cut at degree k; each node is
     expanded by `Jet` arithmetic at degree k."""
-    return _expand(e, tuple(variables), k)
+    variables = tuple(variables)
+    if variables != e.variables:
+        # the monomials are exponent tuples in the order read
+        raise ValueError("expression read over %r, not %r"
+                         % (e.variables, variables))
+    return _expand(e, variables, k)
 
 
 def _expand(node, variables, k) -> Jet:

@@ -226,10 +226,27 @@ def test_every_number_divisor_keeps_a_polynomial(text, polynomial):
 
 
 @pytest.mark.parametrize("text", ["x/0", "x/(1 - 1)", "lam/(x - x)^2",
-                                  "x/0^3"])
+                                  "x/0^3", "x/(0*x)", "x/(0*lam)^2"])
 def test_a_divisor_that_folds_to_zero_is_refused(text):
     with pytest.raises(NonUnitDivisorError):
         parse_germ(text, V)
+
+
+def test_a_zero_divisor_is_refused_after_the_syntax_is_checked():
+    with pytest.raises(GermSyntaxError) as e:
+        parse_germ("x/0 + )", V)
+    assert str(e.value) == "unexpected character ')' (at position 6)"
+    with pytest.raises(UnknownVariableError):
+        parse_germ("x/0 + y", V)
+
+
+@pytest.mark.parametrize("variables", [("lam", "x"), ("x",),
+                                       ("x", "lam", "a1")], ids=repr)
+def test_taylor_expand_needs_the_variables_read_over(variables):
+    tree = parse_germ("x^2 + 3*lam", V)
+    with pytest.raises(ValueError):
+        taylor_expand(tree, variables, 4)
+    assert taylor_expand(tree, list(V), 4) == j("x^2 + 3*lam", 4)
 
 
 @st.composite
