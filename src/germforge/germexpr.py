@@ -14,17 +14,17 @@ power or product involving a sum, a function, and division by anything but
 a number; `taylor_expand` expands these by `Jet` arithmetic at degree k.
 
 A GermSyntaxError's position is found again from the text only when it is
-raised: the start of the offending token, the end of the text when no
-token is left, or the end of a zero denominator.
+raised: the start of the offending token, or the end of the text when no
+token is left.  Every '/' divides by the one factor after it, left to
+right: `x/2/3` is x/6 and `2/3^2` is 2/9, as in sympy.
 
 Grammar (whitespace insignificant):
 
     expr     := ('+'|'-')? term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := base ('^' unsigned-int)?
-    base     := rational | ident | '(' expr ')' | func '(' expr ')'
+    base     := unsigned-int | ident | '(' expr ')' | func '(' expr ')'
     func     := 'sin' | 'cos' | 'exp'
-    rational := int ('/' unsigned-int)?
     ident    := letter (letter|digit|'_')*
 """
 
@@ -137,13 +137,11 @@ class _Parser:
         # reported first
         self.zero_divisor = False
 
-    def error(self, message, after=False):
+    def error(self, message):
         """Raise at the start of the current token (the end of the text when
-        none is left), or at the end of the previous one if `after`."""
+        none is left)."""
         spans = [t.span() for t in _TOKEN.finditer(self.text)]
-        if after:
-            position = spans[self.i - 1][1]
-        elif self.i < len(spans):
+        if self.i < len(spans):
             position = spans[self.i][0]
         else:
             position = len(self.text)
@@ -222,14 +220,8 @@ class _Parser:
             a = b = 1
             if t[:1].isdecimal():
                 a = int(t)
-                if tokens[self.i] == "/" and tokens[self.i + 1][:1].isdecimal():
-                    b = int(tokens[self.i + 1])
-                    self.i += 2
-                    if b == 0:
-                        self.error("zero denominator", after=True)
                 if tokens[self.i] == "^":
-                    e = self.power()
-                    a, b = a ** e, b ** e
+                    a **= self.power()
             elif t in FUNCTIONS:
                 node = self.function(t)
             elif t[:1].isalpha() or t[:1] == "_":

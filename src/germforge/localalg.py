@@ -1,11 +1,15 @@
 """Standard-basis machinery for local and global monomial orders.
 
-Local answers about an ideal are read from its one `answer_span`.
-Membership in a standard basis is one weak normal form (`_weak_nf`).
-Mora's tangent-cone algorithm (a unit multiplier, reducers chosen by
-ecart) serves division, the own degree of polynomial ideals and the ideals
-of infinite codimension.  Global orders use classical Buchberger and
-polynomial division.
+Local answers about an ideal are read from its one `answer_span`.  One
+completion loop, Buchberger's under a global order (`_basis_loop`), finds
+every basis: the local standard basis of polynomials is its Groebner
+basis of the homogenized generators, with the extra variable set to 1
+after (Lazard's method, `_local_route`).  That basis gives the own degree
+of a polynomial ideal, and it is the answer for infinite codimension.
+Mora's weak normal form (`_weak_nf`: a unit multiplier, reducers chosen by
+ecart) remains wherever a local order divides: division (`mora_divide`),
+membership in a standard basis, the tails of `_interreduce` and the colon
+quotients.  Global orders divide classically.
 """
 
 from __future__ import annotations
@@ -159,10 +163,14 @@ class StandardBasis:
 
 
 def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
-    """Mora's tangent-cone algorithm (Buchberger's for a global order) on
-    monic generators; `leads` holds each basis element's leading monomial
-    and `pairs` each pair's lcm, both taken once on entry.  A local loop
-    stops once `least_degree` of the leading monomials is found."""
+    """Buchberger's algorithm under a global order on monic generators,
+    cut at degree k when given; `leads` holds each basis element's leading
+    monomial and `pairs` each untreated pair's lcm, both taken once on
+    entry.  Without k a pair is skipped by Buchberger's chain criterion
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    section 10): when another leading monomial divides its lcm and both
+    pairs it forms with the two are treated.  The degree cut drops pairs
+    unreduced, so with k the criterion would not hold."""
     basis, leads, pairs = [], [], {}
 
     def add(f):
@@ -172,12 +180,17 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         leads.append(lm)
         pairs.update(((new, t), mlcm(lm, leads[t])) for t in range(new))
 
+    def chain(i, j, lcm):
+        return any(t != i and t != j and mdivides(leads[t], lcm)
+                   and (max(i, t), min(i, t)) not in pairs
+                   and (max(j, t), min(j, t)) not in pairs
+                   for t in range(len(leads)))
+
     for g in G:
         g = g.truncate(k) if k is not None else g
         if not g.is_zero():
             add(g)
-    while pairs and not (order.is_local
-                         and least_degree(leads, len(leads[0])) is not None):
+    while pairs:
         # deterministic queue: smallest lcm first under the order's key
         i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
         lcm = pairs.pop((i, j))
@@ -185,6 +198,8 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         if lcm == mmul(mi, mj):  # coprime leading terms: S-pair reduces to 0
             continue
         if k is not None and mdeg(lcm) > k:
+            continue
+        if k is None and chain(i, j, lcm):
             continue
         s = basis[i].term_mul(mdiv(lcm, mi)) - basis[j].term_mul(mdiv(lcm, mj))
         if s.is_zero():
@@ -254,27 +269,41 @@ def _local_route(G: List[Jet], k: Optional[int]):
     """(span, basis): how <G> is answered under the local order.  With k,
     or a truncated jet in G, span is the `ideal_span` at k, else at the
     least degree of G's jets, and basis is None.  Polynomials G are
-    answered exactly, and Mora's loop runs on them once: basis is Mora's
-    local basis of <G>, and span is the span of <G> at its own degree D =
-    `least_degree` of L(<G>), where M^D lies in <G> so that J^D answers
-    exactly, or None for infinite codimension, where the basis is
-    complete.  D is read from the pivots of the span at the degree where
-    the loop stopped, and that span cut to D (`RowSpace.truncate`) is
-    `ideal_span(G, D)`."""
+    answered exactly from their local standard basis, found once by
+    Lazard's homogenization (Greuel and Pfister, A Singular Introduction to
+    Commutative Algebra, section 1.7): each f becomes t^(deg f) f(x/t),
+    homogeneous in a fresh variable t, and Buchberger's loop runs on them
+    under grlex on (t, x, ...).  Between monomials of one total degree
+    that order puts the higher power of t first, which is the lower degree
+    in x, ..., and then compares the rest lexicographically: on
+    homogeneous polynomials it is the local order, and setting t = 1 in
+    the Groebner basis gives a local standard basis of <G>.  span is the
+    span of <G> at its own degree D = `least_degree` of that basis's
+    leading monomials, where M^D lies in <G> so that J^D answers exactly,
+    or None for infinite codimension."""
     if not G:
         raise ValueError("empty generating list")
     if k is None:
         k = min((f.degree for f in G if f.degree is not None), default=None)
     if k is not None:
         return ideal_span(G, k), None
-    basis = _basis_loop(G, LocalOrder(), None)
-    nvars = len(G[0].variables)
+    variables = G[0].variables
+    homogeneous = (fresh_name("t", variables),) + variables
+    lazard = _basis_loop([_homogenize(f, homogeneous) for f in G],
+                         GrLexOrder(), None)
+    basis = [Jet({m[1:]: c for m, c in h.terms.items()}, variables,
+                 _clean=False) for h in lazard]
     d = least_degree([f.leading_monomial(LocalOrder()) for f in basis],
-                     nvars)
-    if d is None:
-        return None, basis
-    span = ideal_span(G, d)
-    return span.truncate(least_degree(span.pivots(), nvars)), basis
+                     len(variables))
+    return (None if d is None else ideal_span(G, d)), basis
+
+
+def _homogenize(f: Jet, variables) -> Jet:
+    """The polynomial f made homogeneous of its total degree by powers of
+    the first of `variables`, which f does not hold."""
+    top = f.total_degree()
+    return Jet({(top - mdeg(m),) + m: c for m, c in f.terms.items()},
+               variables, _clean=False)
 
 
 def answer_span(G: List[Jet], k: Optional[int] = None) -> Optional[RowSpace]:
@@ -297,10 +326,10 @@ def standard_basis(G: List[Jet], order: Optional[MonomialOrder] = None,
     """Reduced standard basis of <G> (Groebner basis for a global order).
 
     Under the local order it is read from `_local_route`: the
-    `_minimal_rows` of its span, untruncated for polynomials G, or Mora's
-    interreduced basis for polynomials of infinite codimension.  A global
-    order with k recomputes the basis at k+1 and warns when the leading
-    monomials of degree <= k differ."""
+    `_minimal_rows` of its span, untruncated for polynomials G, or the
+    route's interreduced basis for polynomials of infinite codimension.  A
+    global order with k recomputes the basis at k+1 and warns when the
+    leading monomials of degree <= k differ."""
     order = order or LocalOrder()
     if order.is_local:
         span, basis = _local_route(G, k)
@@ -374,17 +403,19 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     are returned.  At the own degree D of polynomials I, M^D lies in I and
     in I : g, so the answer is exact.  A unit g takes this route too.
 
-    For polynomials I of infinite codimension a unit g gives Mora's
+    For polynomials I of infinite codimension a unit g gives the
     interreduced basis of I from the same `_local_route`, as
     `standard_basis` does, since I : g = I; the t-trick's Buchberger basis,
     in the polynomial ring where g is no unit, can take seconds there.
     For any other g a local standard basis {h_i} of I ∩ <g> (the t-trick
-    of `ideal_intersection`) is divided exactly by g; the Mora unit is
-    absorbed, which changes generators only by unit factors.  The
-    quotients are a standard basis of I : g, and `standard_basis` reduces
-    them: to the `_minimal_rows` of their own degree's span if the colon
-    has finite codimension, else by Mora interreduction (`_interreduce`,
-    with weak normal forms of the tails)."""
+    of `ideal_intersection`, then `_local_route`) is divided exactly by g
+    with Mora's weak normal form; its unit is absorbed, which changes
+    generators only by unit factors.  The quotients are a standard basis
+    of I : g, and `standard_basis` reduces them: to the `_minimal_rows` of
+    their own degree's span if the colon has finite codimension, else by
+    interreduction (`_interreduce`, with weak normal forms of the
+    tails).  Every basis here comes from the one loop, under a global
+    order."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
     span, basis = _local_route(I, k)

@@ -680,6 +680,8 @@ SINE_CUBIC = ["sin(x)^3 - lambda + a1*x", "--vars", "x,lambda", "--params",
                  id="verify-persistent-ideal"),
     pytest.param(["normalform", "x^\u00b2", "--vars", "x,lambda"],
                  "expected an integer", id="normalform-superscript-exponent"),
+    pytest.param(["normalform", "x^3 + 1/0*lambda", "--vars", "x,lambda"],
+                 "vanishing at the origin", id="normalform-literal-over-zero"),
 ])
 def test_malformed_input_exit_2(capsys, monkeypatch, tmp_path, argv, flag):
     # the input is refused before anything is computed, with one message

@@ -384,12 +384,15 @@ def test_verify_ideal():
 ])
 def test_local_standard_basis_is_computed_once(monkeypatch, texts, degree):
     # under the local order with a degree every answer reads one span and
-    # no basis loop runs; without one, Mora's loop runs once to find the
-    # ideal's own degree; a global order with a degree runs it at k and k+1
+    # no basis loop runs; without one, the loop runs once, on the
+    # homogenized generators under grlex, to find the ideal's own degree;
+    # a global order with a degree runs it at k and k+1.  The loop never
+    # sees a local order
     calls = []
     basis_loop = localalg._basis_loop
 
     def counting(G, order, k):
+        assert not order.is_local
         calls.append(k)
         return basis_loop(G, order, k)
 

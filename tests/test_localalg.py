@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from germforge.germexpr import parse_and_expand
-from germforge.jets import (GrLexOrder, Jet, LexOrder, LocalOrder, mdivides,
-                            monomials_upto)
+from germforge.jets import (GrLexOrder, Jet, LexOrder, LocalOrder, mdiv,
+                            mdivides, mlcm, monomials_upto)
 from germforge.linalg import RowSpace
 from germforge import localalg
 from germforge.localalg import (
@@ -149,16 +149,17 @@ def test_standard_basis_trivials():
     sb = standard_basis(G, LO, 6)
     assert sorted(str(f) for f in sb.generators) == ["lam^2", "x^2"]
     assert ideals_equal(G, sb.generators, 6)
-    # <x^2 + x*lam^3, x*lam^3> holds no power of lam, so Mora's basis is
+    # <x^2 + x*lam^3, x*lam^3> holds no power of lam, so its basis is
     # interreduced: the first generator's tail is the second's leading
     # monomial, and its weak normal form removes it
     sb = standard_basis([j("x^2 + x*lam^3"), j("x*lam^3")])
     assert [str(f) for f in sb.generators] == ["x^2", "x*lam^3"]
 
 
-def test_mora_runs_once_per_untruncated_ideal(monkeypatch):
-    # one Mora run decides the route of polynomials and, for infinite
-    # codimension, is their basis, which a unit g reads too
+def test_the_basis_loop_runs_once_per_untruncated_ideal(monkeypatch):
+    # one run of the loop, on the homogenized generators under grlex,
+    # decides the route of polynomials and, for infinite codimension, is
+    # their basis, which a unit g reads too; no local order reaches it
     calls = []
     loop = localalg._basis_loop
     monkeypatch.setattr(localalg, "_basis_loop",
@@ -174,6 +175,7 @@ def test_mora_runs_once_per_untruncated_ideal(monkeypatch):
         calls.clear()
         assert [str(f) for f in answer()] == expected
         assert len(calls) == 1
+        assert not calls[0][1].is_local
 
 
 def test_standard_basis_inputs_reduce_to_zero():
@@ -198,6 +200,68 @@ def test_buchberger_lex():
     assert set(buchberger([j("x - lam"), j("lam")], LexOrder())) == {j("lam"), j("x")}
     with pytest.raises(ValueError, match="empty generating list"):
         buchberger([], LexOrder())
+
+
+def s_polynomial(f, g, order):
+    """lcm/LT(f)*f - lcm/LT(g)*g, the leading terms cancelled."""
+    (mf, cf), (mg, cg) = f.leading_term(order), g.leading_term(order)
+    lcm = mlcm(mf, mg)
+    return (f.term_mul(mdiv(lcm, mf), 1 / cf)
+            - g.term_mul(mdiv(lcm, mg), 1 / cg))
+
+
+def test_buchberger_output_passes_buchbergers_test():
+    # an oracle that knows nothing of the loop's chain criterion: a basis
+    # is a Groebner basis exactly when every S-polynomial of two of its
+    # elements divides to remainder 0 (Cox, Little and O'Shea, ch. 2
+    # section 6), and the inputs divide to 0 when they lie in its ideal
+    rng = random.Random(5323)
+    for order in (GrLexOrder(), LexOrder()):
+        for _ in range(40):
+            I, g = random_colon_case(rng, rng.randint(2, 6))
+            G = [f.truncate(None) for f in I + [g]]
+            G = [f for f in G if not f.is_zero()]
+            if not G:
+                continue
+            gb = buchberger(G, order)
+            for a, f in enumerate(gb):
+                for h in gb[a + 1:]:
+                    s = s_polynomial(f, h, order)
+                    assert mora_divide(s, gb, order).remainder.is_zero()
+            for f in G:
+                assert mora_divide(f, gb, order).remainder.is_zero()
+
+
+def test_the_local_basis_leading_ideal_is_the_span_pivots():
+    # the untruncated local basis is Buchberger's on the homogenized
+    # generators, with t = 1 set after.  Its leading monomials, cut at a
+    # degree, are the pivots of the span there (the leading-form lemma):
+    # at the own degree for finite codimension, and above every leading
+    # monomial for infinite codimension.  Each S-polynomial of the basis
+    # has weak normal form 0 under the local order (Mora's rule), the
+    # standard-basis criterion (Greuel and Pfister, ch. 1)
+    rng = random.Random(6007)
+    finite = infinite = 0
+    for _ in range(120):
+        I, _ = random_colon_case(rng, rng.randint(2, 6))
+        I = [f.truncate(None) for f in I]
+        if not I:
+            continue
+        span, basis = localalg._local_route(I, None)
+        leads = [f.leading_monomial(LO) for f in basis]
+        if span is None:
+            infinite += 1
+            span = answer_span(I, max(sum(m) for m in leads) + 1)
+        else:
+            finite += 1
+        assert set(span.pivots()) == {
+            m for m in monomials_upto(2, span.degree)
+            if any(mdivides(lm, m) for lm in leads)}
+        for a, f in enumerate(basis):
+            for h in basis[a + 1:]:
+                s = s_polynomial(f, h, LO)
+                assert localalg._weak_nf(s, basis, LO)[0].is_zero()
+    assert finite >= 40 and infinite >= 30
 
 
 # ------------------------------------------------------------- membership
