@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import isfinite, prod
+from math import copysign, inf, isfinite, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .jets import Jet, compose_all
@@ -530,9 +530,16 @@ def _line_signs(coeffs, points):
     <= 1 with finite coefficients, that value c1 * t + c0 is monotone in t,
     because rounding to nearest is monotone: rising (or constant) when
     c1 >= 0, falling when c1 < 0.  Its positive points are then one end of
-    the line and its zeros one run next to them, which two binary searches
-    on that same expression find.  Any other line is evaluated at every
-    point."""
+    the line and its zeros one run [lo, hi) before them (rising) or after
+    them (falling).  A plain binary search places the float root -c0/c1
+    among the points (an infinity where the quotient overflows, and the
+    end of the line past which a constant line would change sign), and
+    that same expression, evaluated at the four points around it, gives
+    lo and hi, as long as the value just before lo and the one at hi are
+    among them or lie past the line's ends.  Otherwise (a run of zeros
+    longer than that, or a root rounded far off) two binary searches on
+    the expression over the whole line find them.  Any other line is
+    evaluated at every point."""
     n = len(points)
     if len(coeffs) <= 2 and all(map(isfinite, coeffs)):
         c0, c1 = coeffs[0], coeffs[1] if len(coeffs) == 2 else 0.0
@@ -541,8 +548,13 @@ def _line_signs(coeffs, points):
         def key(t):
             return -(c1 * t + c0) if falling else c1 * t + c0
 
-        lo = bisect_left(points, 0.0, key=key)
-        hi = bisect_right(points, 0.0, lo, key=key)
+        root = -c0 / c1 if c1 else copysign(inf, -c0)
+        a = max(bisect_left(points, root) - 2, 0)
+        near = [key(t) for t in points[a:a + 4]]
+        lo, hi = a + bisect_left(near, 0.0), a + bisect_right(near, 0.0)
+        if lo == a > 0 or hi == a + len(near) < n:
+            lo = bisect_left(points, 0.0, key=key)
+            hi = bisect_right(points, 0.0, lo, key=key)
         signs = (b"\1" * lo + bytes(n - lo) if falling
                  else bytes(hi) + b"\1" * (n - hi))
         return signs, range(lo, hi)
@@ -580,21 +592,25 @@ def _march(g, window, n):
     tie too) column by column.  Each grid line keeps only its signs, one
     byte per vertex (1 where g > 0), and the vertices where g is exactly
     the float 0.0 (`_line_signs`): a line of degree <= 1 takes them from
-    two binary searches, since its float values are monotone along the
-    ascending grid, and any other line from Horner's rule at every vertex.
-    A zero vertex counts as negative, and is itself the crossing on its
-    edges to positive vertices, so the curve through it is kept.  With two
-    adjacent lines' bytes read as integers a and b, the cells between them
-    whose corners differ in sign are the nonzero bytes of
-    (a ^ a >> 8) | (b ^ b >> 8) | (a ^ b); no other cell is visited, and
-    these are visited column by column.  Other crossings are rooted once
-    per edge by `_crossing`, from the grid's signs at its ends, on the
-    edge's restriction of g, a polynomial in the one coordinate that
-    moves: on a vertical edge the coefficients in v of its grid column, on
-    a horizontal edge those in h of its grid line, each computed once.  So
-    every crossing lies exactly on its grid line.  A saddle cell is split
-    by the sign of g at its centre.  Segments meet at identical endpoints
-    and are chained through a dict keyed by endpoint."""
+    its float root's place on the grid, since its float values are
+    monotone along the ascending grid, and any other line from Horner's
+    rule at every vertex.  A zero vertex counts as negative, and is itself
+    the crossing on its edges to positive vertices, so the curve through
+    it is kept.  With two adjacent lines' bytes read as integers a and b,
+    the cells between them whose corners differ in sign are the nonzero
+    bytes of (a ^ a >> 8) | (b ^ b >> 8) | (a ^ b); no other cell is
+    visited, and these are visited column by column.  A cell reads its
+    corner signs from the bytes of its two lines, and each crossing from
+    one of two edge tables, `along` and `across` a line, keyed by the
+    edge's lower vertex and filled on the edge's first use (`fill`).
+    Crossings other than zero vertices are rooted there by `_crossing`,
+    from the grid's signs at the edge's ends, on the edge's restriction of
+    g, a polynomial in the one coordinate that moves: on a vertical edge
+    the coefficients in v of its grid column, on a horizontal edge those in
+    h of its grid line, each computed once.  So every crossing lies exactly
+    on its grid line.  A saddle cell is split by the sign of g at its
+    centre.  Segments meet at identical endpoints and are chained through
+    a dict keyed by endpoint."""
     _check_size("resolution", n)
     (hlo, hhi), (vlo, vhi) = window
     dh, dv = (hhi - hlo) / n, (vhi - vlo) / n
@@ -610,16 +626,20 @@ def _march(g, window, n):
     def column(j):
         return g.column(hs[j])
 
-    # signs[k]: the signs on grid line k (row k by h, or column k by v)
-    coeffs, points = (row, hs) if by_rows else (column, vs)
+    # signs[k]: the signs on grid line k (row k by h, or column k by v), at
+    # the points ts; the lines themselves lie at ss, and a crossing across
+    # two lines is rooted on the restriction `cross` of g at its point of ts
+    coeffs, cross, ss, ts = ((row, column, vs, hs) if by_rows
+                             else (column, row, hs, vs))
+
+    def xy(s, t):
+        return (t, s) if by_rows else (s, t)
+
     signs, zeros = [], set()
     for k in range(n + 1):
-        line, line_zeros = _line_signs(coeffs(k), points)
+        line, line_zeros = _line_signs(coeffs(k), ts)
         signs.append(line)
-        zeros.update((m, k) if by_rows else (k, m) for m in line_zeros)
-
-    def positive(j, i):
-        return signs[i][j] if by_rows else signs[j][i]
+        zeros.update((k, m) for m in line_zeros)
 
     # byte m of a ^ a >> 8 is 1 where line a changes sign between vertices
     # m and m + 1, and of a ^ b where the lines differ at m; the mask drops
@@ -633,53 +653,58 @@ def _march(g, window, n):
             flags = changes.to_bytes(n, "little")
             m = flags.find(1)
             while m >= 0:
-                cells.append((m, k) if by_rows else (k, m))
+                cells.append((k, m))
                 m = flags.find(1, m + 1)
-    if by_rows:
-        cells.sort()
+    if by_rows:  # column by column: m = j, then k = i
+        cells.sort(key=lambda cell: cell[1])
 
-    found = {}
+    along, across = {}, {}  # crossings keyed by their edge's lower vertex
 
-    def crossing(a, b):
-        """The crossing on the edge from grid index a to b (index pairs
-        (j, i) of hs[j], vs[i]), whose signs differ."""
-        if b < a:
-            a, b = b, a
-        pt = found.get((a, b))
-        if pt is None:
-            (ja, ia), (jb, ib) = a, b
-            if a in zeros:
-                pt = (hs[ja], vs[ia])
-            elif b in zeros:
-                pt = (hs[jb], vs[ib])
-            else:
-                up = bool(positive(ja, ia))
-                if ia == ib:
-                    pt = (_crossing(row(ia), hs[ja], hs[jb], up), vs[ia])
-                else:
-                    pt = (hs[ja], _crossing(column(ja), vs[ia], vs[ib], up))
-            found[(a, b)] = pt
+    def fill(table, k, m):
+        """The crossing on the edge from vertex m of line k to vertex m + 1
+        (table along) or to vertex m of line k + 1 (table across)."""
+        k1, m1 = (k, m + 1) if table is along else (k + 1, m)
+        if (k, m) in zeros:
+            pt = xy(ss[k], ts[m])
+        elif (k1, m1) in zeros:
+            pt = xy(ss[k1], ts[m1])
+        elif table is along:
+            pt = xy(ss[k], _crossing(coeffs(k), ts[m], ts[m1],
+                                     bool(signs[k][m])))
+        else:
+            pt = xy(_crossing(cross(m), ss[k], ss[k1], bool(signs[k][m])),
+                    ts[m])
+        table[k, m] = pt
         return pt
 
     segments = []
-    for j, i in cells:
-        corners = ((j, i), (j + 1, i), (j + 1, i + 1), (j, i + 1))
-        pos = [positive(*c) for c in corners]
+    for k, m in cells:
+        # corners (k, m), (k, m + 1), (k + 1, m + 1), (k + 1, m) in turn,
+        # which is the (h, v) order (j, i), (j + 1, i), (j + 1, i + 1),
+        # (j, i + 1) by rows and its reverse by columns, so pts is reversed
+        a, b = signs[k], signs[k + 1]
+        s0, s1, s2, s3 = a[m], a[m + 1], b[m + 1], b[m]
         pts = []
-        for e in range(4):  # edge e runs from corner e to corner e + 1
-            f = (e + 1) % 4
-            if pos[e] != pos[f]:
-                pts.append(crossing(corners[e], corners[f]))
+        if s0 != s1:
+            pts.append(along.get((k, m)) or fill(along, k, m))
+        if s1 != s2:
+            pts.append(across.get((k, m + 1)) or fill(across, k, m + 1))
+        if s2 != s3:
+            pts.append(along.get((k + 1, m)) or fill(along, k + 1, m))
+        if s3 != s0:
+            pts.append(across.get((k, m)) or fill(across, k, m))
+        if not by_rows:
+            pts.reverse()
         if len(pts) == 4:
             # saddle: the curve cuts off corners 1 and 3 when the centre
             # has corner 0's sign, else corners 0 and 2
-            centre = g((vs[i] + vs[i + 1]) / 2, (hs[j] + hs[j + 1]) / 2)
-            if (centre > 0) != pos[0]:
-                pts = pts[1:] + pts[:1]
-            pairs = ((pts[0], pts[1]), (pts[2], pts[3]))
-        else:
-            pairs = ((pts[0], pts[1]),)
-        segments += [(a, b) for a, b in pairs if a != b]
+            h, v = xy((ss[k] + ss[k + 1]) / 2, (ts[m] + ts[m + 1]) / 2)
+            if (g(v, h) > 0) != s0:
+                pts.append(pts.pop(0))
+        if pts[0] != pts[1]:
+            segments.append(pts[:2])
+        if len(pts) == 4 and pts[2] != pts[3]:
+            segments.append(pts[2:])
 
     at = {}
     for idx, (a, b) in enumerate(segments):
@@ -733,31 +758,29 @@ def _write_plot(path: str, window, header: str, curves,
     label,row(vertex) per polyline vertex under `header`.  The files are
     path's base (without .svg) with .svg and .csv; returns both paths."""
     (hlo, hhi), (vlo, vhi) = window
-
-    def px(h):
-        return _SVG_SIZE * (h - hlo) / (hhi - hlo)
-
-    def py(v):
-        return _SVG_SIZE * (1 - (v - vlo) / (vhi - vlo))
-
+    width, height = hhi - hlo, vhi - vlo
     svg = ['<?xml version="1.0" encoding="UTF-8"?>\n'
            '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
            'viewBox="0 0 %d %d">\n' % ((_SVG_SIZE,) * 4)]
     if hlo < 0 < hhi:
+        x0 = _SVG_SIZE * (0 - hlo) / width
         svg.append('<line x1="%.2f" y1="0" x2="%.2f" y2="%d" '
                    'stroke="#CCCCCC" stroke-width="1"/>\n'
-                   % (px(0), px(0), _SVG_SIZE))
+                   % (x0, x0, _SVG_SIZE))
     if vlo < 0 < vhi:
+        y0 = _SVG_SIZE * (1 - (0 - vlo) / height)
         svg.append('<line x1="0" y1="%.2f" x2="%d" y2="%.2f" '
                    'stroke="#CCCCCC" stroke-width="1"/>\n'
-                   % (py(0), _SVG_SIZE, py(0)))
+                   % (y0, _SVG_SIZE, y0))
     csv = [header + "\n"]
+    fields = ",%.12g" * header.count(",") + "\n"  # the columns after label
     for label, color, curve in curves:
         svg.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
-                   'points="%s"/>\n' % (color, " ".join(
-                       "%.3f,%.3f" % (px(h), py(v)) for h, v in curve)))
-        csv += [label + "," + ",".join("%.12g" % float(v) for v in row(pt))
-                + "\n" for pt in curve]
+                   'points="%s"/>\n' % (color, " ".join([
+                       "%.3f,%.3f" % (_SVG_SIZE * (h - hlo) / width,
+                                      _SVG_SIZE * (1 - (v - vlo) / height))
+                       for h, v in curve])))
+        csv += [label + fields % row(pt) for pt in curve]
     svg.append("</svg>\n")
     base = path[:-4] if path.endswith(".svg") else path
     paths = [base + ".svg", base + ".csv"]
@@ -853,10 +876,11 @@ def render_transition_slice(sigma: TransitionSet, path: str,
                           if comp.side_conditions else [curve])
                 curves += [(name, color, piece) for piece in pieces]
 
+    values = {n: float(v) for n, v in fixed.items()}
+
     def row(point):
-        values = dict(fixed)
         values.update(zip(free, point))
-        return [values[n] for n in params]
+        return tuple(values[n] for n in params)
 
     return _write_plot(path, window, "component," + ",".join(params), curves,
                        row)

@@ -8,14 +8,16 @@ after (Lazard's method, `_local_route`).  That basis gives the own degree
 of a polynomial ideal, and it is the answer for infinite codimension.
 Mora's weak normal form (`_weak_nf`: a unit multiplier, reducers chosen by
 ecart) remains wherever a local order divides: division (`mora_divide`),
-membership in a standard basis, the tails of `_interreduce` and the colon
-quotients.  Global orders divide classically.
+the tails of `_interreduce` and the colon quotients.  Membership under the
+local order compares leading ideals instead (`StandardBasis.contains`).
+Global orders divide classically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import count
 from math import prod
 from typing import List, Optional
@@ -155,30 +157,43 @@ class StandardBasis:
         return [g.leading_monomial(self.order) for g in self.generators]
 
     def contains(self, f: Jet) -> bool:
-        """f lies in the ideal exactly when a weak normal form of f with
-        respect to the standard basis is 0 (Greuel and Pfister, A Singular
-        Introduction to Commutative Algebra, section 1.6)."""
-        f = f.truncate(self.degree) if self.degree is not None else f
-        return _weak_nf(f, self.generators, self.order)[0].is_zero()
+        """Under a global order f lies in the ideal exactly when its normal
+        form with respect to the Groebner basis is 0.  Under the local
+        order, exactly when <G, f> has the same minimal leading monomials
+        as <G>, both read from `_local_route` (`_local_leads`): <G> lies in
+        <G, f>, and two ideals, one inside the other, with one leading
+        ideal are equal (Greuel and Pfister, A Singular Introduction to
+        Commutative Algebra, section 1.6).  With a degree that compares
+        span pivots, and without one the Lazard bases; Mora's weak normal
+        form of f can stall on untruncated polynomials."""
+        if not self.order.is_local:
+            f = f.truncate(self.degree) if self.degree is not None else f
+            return _weak_nf(f, self.generators, self.order)[0].is_zero()
+        G, k = self.generators, self.degree
+        return _local_leads(G + [f.truncate(k)], k) == _local_leads(G, k)
 
 
 def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Jet]:
     """Buchberger's algorithm under a global order on monic generators,
     cut at degree k when given; `leads` holds each basis element's leading
     monomial and `pairs` each untreated pair's lcm, both taken once on
-    entry.  Without k a pair is skipped by Buchberger's chain criterion
+    entry, and the heap `queue` the untreated pairs by the order's key of
+    their lcm, then the pair, which is the order they are taken in.
+    Without k a pair is skipped by Buchberger's chain criterion
     (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
     section 10): when another leading monomial divides its lcm and both
     pairs it forms with the two are treated.  The degree cut drops pairs
     unreduced, so with k the criterion would not hold."""
-    basis, leads, pairs = [], [], {}
+    basis, leads, pairs, queue = [], [], {}, []
 
     def add(f):
         lm, lc = f.leading_term(order)
         new = len(basis)
         basis.append(f.scale(1 / lc))
         leads.append(lm)
-        pairs.update(((new, t), mlcm(lm, leads[t])) for t in range(new))
+        for t in range(new):
+            pairs[new, t] = lcm = mlcm(lm, leads[t])
+            heappush(queue, (order.key(lcm), (new, t)))
 
     def chain(i, j, lcm):
         return any(t != i and t != j and mdivides(leads[t], lcm)
@@ -190,9 +205,8 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         g = g.truncate(k) if k is not None else g
         if not g.is_zero():
             add(g)
-    while pairs:
-        # deterministic queue: smallest lcm first under the order's key
-        i, j = min(pairs, key=lambda p: (order.key(pairs[p]), p))
+    while queue:
+        i, j = heappop(queue)[1]
         lcm = pairs.pop((i, j))
         mi, mj = leads[i], leads[j]
         if lcm == mmul(mi, mj):  # coprime leading terms: S-pair reduces to 0
@@ -296,6 +310,20 @@ def _local_route(G: List[Jet], k: Optional[int]):
     d = least_degree([f.leading_monomial(LocalOrder()) for f in basis],
                      len(variables))
     return (None if d is None else ideal_span(G, d)), basis
+
+
+def _local_leads(G: List[Jet], k: Optional[int]):
+    """The minimal leading monomials of <G> under the local order, as
+    `_local_route` reads them: the pivots of its span with k (or a
+    truncated jet in G), else the leading monomials of its Lazard basis."""
+    G = [g for g in G if not g.is_zero()]
+    if not G:
+        return set()
+    span, basis = _local_route(G, k)
+    leads = (span.pivots() if basis is None
+             else [g.leading_monomial(LocalOrder()) for g in basis])
+    return {m for m in leads
+            if not any(q != m and mdivides(q, m) for q in leads)}
 
 
 def _homogenize(f: Jet, variables) -> Jet:

@@ -1137,24 +1137,39 @@ def horner_signs(coeffs, points):
 def _grid_and_line(draw):
     """An ascending grid as `_march` builds it, and the coefficients of a
     line of degree <= 1 on it: rising, falling, constant or identically
-    zero, sometimes with its root placed exactly on a grid vertex, and
-    sometimes with a slope so small that several vertices give 0.0."""
+    zero, sometimes with its root placed exactly on a grid vertex or
+    strictly between two, sometimes with a slope so small that several
+    vertices give 0.0, and sometimes with its root so far outside the grid
+    that -c0/c1 overflows to +-inf."""
     n = draw(st.integers(1, 60))
     lo = draw(st.floats(-10, 10))
     hi = lo + draw(st.floats(1e-3, 20))
     points = [lo + j * ((hi - lo) / n) for j in range(n + 1)]
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    kind = draw(st.sampled_from(["any", "vertex", "tiny", "constant",
-                                 "zero"]))
+    kind = draw(st.sampled_from(["any", "vertex", "between", "far", "tiny",
+                                 "constant", "zero"]))
     if kind == "constant":
         return points, [draw(finite)]
     if kind == "zero":
         return points, draw(st.sampled_from([[0.0], [0], [0.0, 0.0],
                                              [-0.0, 0.0], [0.0, -0.0]]))
+    if kind == "far":
+        c1 = draw(st.floats(1e-320, 1e-300, allow_subnormal=True))
+        c0 = draw(st.floats(1e10, 1e300))
+        c0, c1 = draw(st.sampled_from([(c0, c1), (-c0, c1), (c0, -c1),
+                                       (-c0, -c1)]))
+        assert math.isinf(-c0 / c1)
+        return points, [c0, c1]
     c1 = draw(finite if kind != "tiny"
               else st.floats(-1e-320, 1e-320, allow_subnormal=True))
     if kind == "vertex":
         c0 = -(c1 * points[draw(st.integers(0, n))])
+    elif kind == "between":
+        m = draw(st.integers(0, n - 1))
+        root = points[m] + draw(st.floats(0.01, 0.99)) * (points[m + 1]
+                                                         - points[m])
+        assume(points[m] < root < points[m + 1])
+        c0 = -(c1 * root)
     else:
         c0 = draw(finite)
     return points, [c0, c1]
@@ -1163,8 +1178,9 @@ def _grid_and_line(draw):
 @settings(max_examples=300, deadline=None)
 @given(_grid_and_line())
 def test_line_signs_of_a_linear_line_match_horner(case):
-    # a line of degree <= 1 is read by two binary searches, which must give
-    # the bytes and the exact zeros that Horner's rule gives point by point
+    # a line of degree <= 1 is read from its float root's place among the
+    # points, or by two binary searches, which must give the bytes and the
+    # exact zeros that Horner's rule gives point by point
     points, coeffs = case
     signs, zeros = _line_signs(coeffs, points)
     assert (signs, list(zeros)) == horner_signs(coeffs, points)

@@ -279,6 +279,24 @@ def test_membership_examples():
     assert empty.contains(Jet.zero(V, 4))
 
 
+def test_untruncated_membership_compares_leading_ideals():
+    # two local standard bases of one ideal with leading monomials x*lam
+    # and lam^12 that differ in the tail of the lam^12 generator; a weak
+    # normal form of one's generator by the other ran for minutes in both
+    # directions, while <G, f> and <G> compare by leading ideals
+    I = [j("2*x*lam + 2*lam^3 + 1/2*x^4*lam^2"),
+         j("-5*x^2*lam - 5*x*lam^3 + 2/3*x^4*lam + 2/3*x^3*lam^3")]
+    N = standard_basis(I).generators
+    P = [j("x*lam + lam^3 + 1/4*x^4*lam^2"),
+         j("lam^12 - 15/8*x*lam^13 - 2/15*lam^16 - 1/30*x^6*lam^11"
+           " - 15/32*x^5*lam^12 + 1/30*x^5*lam^13 - 1/30*x^4*lam^15")]
+    assert [f.leading_monomial(LO) for f in N] == [(1, 1), (0, 12)]
+    assert N[1] != P[1]
+    assert StandardBasis(P, LO, None).contains(N[1])
+    assert StandardBasis(N, LO, None).contains(P[1])
+    assert not StandardBasis(N, LO, None).contains(j("lam^11"))
+
+
 def test_membership_agrees_with_span_oracle():
     rng = random.Random(77)
     agreements = 0
