@@ -6,11 +6,12 @@ every basis: the local standard basis of polynomials is its Groebner
 basis of the homogenized generators, with the extra variable set to 1
 after (Lazard's method, `_local_route`).  That basis gives the own degree
 of a polynomial ideal, and it is the answer for infinite codimension.
-Mora's weak normal form (`_weak_nf`: a unit multiplier, reducers chosen by
-ecart) remains wherever a local order divides: division (`mora_divide`),
-the tails of `_interreduce` and the colon quotients.  Membership under the
-local order compares leading ideals instead (`StandardBasis.contains`).
-Global orders divide classically.
+Division is classical wherever the ring lets it end (`mora_divide`): in
+J^k, where the local order has finitely many monomials, and under a global
+order, which is a well-order.  Mora's weak normal form (`_weak_nf`: a unit
+multiplier, reducers chosen by ecart) remains only for the tails of
+`_interreduce` on polynomials under the local order.  Membership under the
+local order compares leading ideals (`StandardBasis.contains`).
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .jets import (
 )
 from .linalg import RowSpace, nullspace
 
-_MAX_REDUCTION_STEPS = 200_000
-
-
 class InfiniteCodimensionError(ValueError):
     """The ideal is of infinite codimension."""
 
@@ -58,91 +56,85 @@ class DivisionResult:
         return lhs == rhs
 
 
-def _weak_nf(g: Jet, G: List[Jet], order: MonomialOrder):
-    """Mora weak normal form.  Returns (h, unit, quotients) with
-    unit*g = sum(quotients_i * G_i) + h and either h = 0 or the leading term
-    of h divisible by no divisor.  Classical division step for global
-    orders."""
-    variables = g.variables
-    one = Jet.constant(1, variables, g.degree)
-    zero = Jet.zero(variables, g.degree)
-    h, unit = g, one
-    quots = [zero] * len(G)
-    local = order.is_local
-    # reducers: (ecart, index into G or None, leading monomial, leading
-    # coefficient, jet, unit, quotients), the leading term and ecart taken
-    # once on entry; unit and quotients give the representation of an
-    # intermediate result added by Mora's rule
+def _weak_nf(g: Jet, G: List[Jet]):
+    """Mora's weak normal form under the local order: (h, unit) with
+    unit*g - h in <G>, a unit with constant term 1, and either h = 0 or the
+    leading monomial of h divisible by no leading monomial of G.  Among the
+    reducers whose leading monomial divides h's it takes one of least ecart
+    (total degree minus leading degree); when that ecart exceeds h's own,
+    h joins the reducers with its unit (Mora's rule), so the loop ends on
+    polynomials although the local order is no well-order (Greuel and
+    Pfister, A Singular Introduction to Commutative Algebra, section
+    1.6)."""
+    order = LocalOrder()
+    h, unit = g, Jet.constant(1, g.variables, g.degree)
+    # reducers: (ecart, position, leading monomial, leading coefficient,
+    # jet, unit), where unit*g - jet lies in <G>: 0 for a divisor, and
+    # least position first among equal ecarts
     reducers = []
-    for i, f in enumerate(G):
+
+    def join(f, f_unit):
         fm, fc = f.leading_term(order)
-        reducers.append((f.total_degree() - mdeg(fm), i, fm, fc, f, None, None))
-    steps = 0
+        reducers.append((f.total_degree() - mdeg(fm), len(reducers), fm, fc,
+                         f, f_unit))
+
+    for f in G:
+        join(f, Jet.zero(g.variables, g.degree))
     while not h.is_zero():
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise RuntimeError("division did not terminate within the step cap")
         lm, lc = h.leading_term(order)
         candidates = [t for t in reducers if mdivides(t[2], lm)]
         if not candidates:
             break
-        if local:
-            chosen = min(candidates, key=lambda t: (t[0], t[1] is None, t[1] or 0))
-            h_ecart = h.total_degree() - mdeg(lm)
-            if chosen[0] > h_ecart:
-                reducers.append((h_ecart, None, lm, lc, h, unit, list(quots)))
-        else:
-            chosen = candidates[0]
-        _, idx, fm, fc, f, f_unit, f_quots = chosen
-        m = mdiv(lm, fm)
-        c = lc / fc
+        ecart, _, fm, fc, f, f_unit = min(candidates)
+        if ecart > h.total_degree() - mdeg(lm):
+            join(h, unit)
+        m, c = mdiv(lm, fm), lc / fc
         h = h - f.term_mul(m, c)
-        if idx is not None:
-            quots[idx] = quots[idx] + Jet.monomial(m, variables, c, g.degree)
-        else:
-            unit = unit - f_unit.term_mul(m, c)
-            quots = [q - fq.term_mul(m, c) for q, fq in zip(quots, f_quots)]
-    return h, unit, quots
+        unit = unit - f_unit.term_mul(m, c)
+    return h, unit
 
 
 def mora_divide(g: Jet, G: List[Jet], order: MonomialOrder,
                 k: Optional[int] = None) -> DivisionResult:
     """Divide g by the list G in the ring of g's degree (cut to k when
-    given).  Each weak normal form's Mora unit u is inverted and folded into
-    the quotients, so the returned unit is 1: in a truncated ring every unit
-    inverts exactly, and under a global order u is the constant 1.  A local
-    order needs a truncated ring (ValueError otherwise), where an untruncated
-    unit would not invert.  The remainder is fully reduced: none of its terms
-    is divisible by a divisor leading monomial."""
-    if not G or any(f.is_zero() for f in G):
-        raise ValueError("divisor list must be nonempty and zero-free")
+    given): g = sum(q_i * G_i) + remainder, with the unit 1 and no term of
+    the remainder divisible by a divisor's leading monomial.  Classical
+    division: the leading term of what is left is cancelled by a divisor
+    whose leading monomial divides it, the one of least ecart under the
+    local order and the first one under a global order, or else moved to
+    the remainder.  Each step lowers the leading monomial, so it ends: a
+    global order is a well-order, and the local order needs a truncated
+    ring (ValueError otherwise), where it has finitely many monomials; in
+    J^k each quotient term m of q_i then has deg m + ord G_i <= k."""
+    if any(f.is_zero() for f in G):
+        raise ValueError("divisor list must be zero-free")
     variables = g.variables
     if k is not None:
         g = g.truncate(k)
         G = [f.truncate(k) for f in G]
     if order.is_local and g.degree is None:
         raise ValueError("division under a local order needs a degree")
-    zero = Jet.zero(variables, g.degree)
-
-    # invariant: g = sum(quots_i * G_i) + remainder + work; a step gives
-    # u*work = sum(q_i * G_i) + h, and h's leading term joins the remainder
-    remainder, work = zero, g
-    quots = [zero] * len(G)
-    rounds = 0
-    while not work.is_zero():
-        rounds += 1
-        if rounds > _MAX_REDUCTION_STEPS:
-            raise RuntimeError("division did not terminate within the step cap")
-        h, u, q = _weak_nf(work, G, order)
-        uinv = u.invert()
-        quots = [qi + uinv * qq for qi, qq in zip(quots, q)]
-        if h.is_zero():
-            break
+    # divisors: (ecart, index, leading monomial, leading coefficient)
+    divisors = []
+    for i, f in enumerate(G):
+        fm, fc = f.leading_term(order)
+        divisors.append((f.total_degree() - mdeg(fm), i, fm, fc))
+    # each step lowers the leading monomial, so every quotient monomial and
+    # remainder monomial is set once
+    quots, remainder, h = [{} for _ in G], {}, g
+    while not h.is_zero():
         lm, lc = h.leading_term(order)
-        lead = Jet.monomial(lm, variables, lc, h.degree)
-        remainder = remainder + lead
-        work = uinv * h - lead
-    return DivisionResult(quots, remainder,
+        candidates = [t for t in divisors if mdivides(t[2], lm)]
+        if candidates:
+            _, i, fm, fc = min(candidates) if order.is_local else candidates[0]
+            m, c = mdiv(lm, fm), lc / fc
+            quots[i][m] = c
+            h = h - G[i].term_mul(m, c)
+        else:
+            remainder[lm] = lc
+            h = h - Jet.monomial(lm, variables, lc, h.degree)
+    return DivisionResult([Jet(q, variables, g.degree) for q in quots],
+                          Jet(remainder, variables, g.degree),
                           Jet.constant(1, variables, g.degree))
 
 
@@ -157,18 +149,19 @@ class StandardBasis:
         return [g.leading_monomial(self.order) for g in self.generators]
 
     def contains(self, f: Jet) -> bool:
-        """Under a global order f lies in the ideal exactly when its normal
-        form with respect to the Groebner basis is 0.  Under the local
-        order, exactly when <G, f> has the same minimal leading monomials
-        as <G>, both read from `_local_route` (`_local_leads`): <G> lies in
-        <G, f>, and two ideals, one inside the other, with one leading
-        ideal are equal (Greuel and Pfister, A Singular Introduction to
-        Commutative Algebra, section 1.6).  With a degree that compares
-        span pivots, and without one the Lazard bases; Mora's weak normal
-        form of f can stall on untruncated polynomials."""
+        """Under a global order f lies in the ideal exactly when its
+        remainder on division by the Groebner basis (`mora_divide`) is 0.
+        Under the local order, exactly when <G, f> has the same minimal
+        leading monomials as <G>, both read from `_local_route`
+        (`_local_leads`): <G> lies in <G, f>, and two ideals, one inside the
+        other, with one leading ideal are equal (Greuel and Pfister, A
+        Singular Introduction to Commutative Algebra, section 1.6).  With a
+        degree that compares span pivots, and without one the Lazard bases;
+        Mora's weak normal form of f can stall on untruncated
+        polynomials."""
         if not self.order.is_local:
-            f = f.truncate(self.degree) if self.degree is not None else f
-            return _weak_nf(f, self.generators, self.order)[0].is_zero()
+            return mora_divide(f, self.generators, self.order,
+                               self.degree).remainder.is_zero()
         G, k = self.generators, self.degree
         return _local_leads(G + [f.truncate(k)], k) == _local_leads(G, k)
 
@@ -218,7 +211,7 @@ def _basis_loop(G: List[Jet], order: MonomialOrder, k: Optional[int]) -> List[Je
         s = basis[i].term_mul(mdiv(lcm, mi)) - basis[j].term_mul(mdiv(lcm, mj))
         if s.is_zero():
             continue
-        r = _weak_nf(s, basis, order)[0]
+        r = mora_divide(s, basis, order).remainder
         if not r.is_zero():
             add(r)
     return basis
@@ -251,12 +244,12 @@ def _interreduce(basis: List[Jet], order: MonomialOrder, k: Optional[int]) -> Li
         lead = Jet.monomial(lm, g.variables, lc, g.degree)
         tail_part = g - lead
         if others and not tail_part.is_zero():
-            # unit*tail = sum(q*others) + r, so unit*g - sum(q*others)
-            # = lead*unit + r stays in the ideal; local tails (untruncated)
-            # can reduce to infinite series, so those are only
-            # weak-normalized, and a global division's unit is 1
+            # unit*tail - r lies in <others>, so lead*unit + r stays in the
+            # ideal; local tails (untruncated) can reduce to infinite
+            # series, so those are only weak-normalized, and a global
+            # division's unit is 1
             if order.is_local:
-                r, unit, _ = _weak_nf(tail_part, others, order)
+                r, unit = _weak_nf(tail_part, others)
                 g = lead * unit + r
             else:
                 g = lead + mora_divide(tail_part, others, order, k).remainder
@@ -435,15 +428,15 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     interreduced basis of I from the same `_local_route`, as
     `standard_basis` does, since I : g = I; the t-trick's Buchberger basis,
     in the polynomial ring where g is no unit, can take seconds there.
-    For any other g a local standard basis {h_i} of I ∩ <g> (the t-trick
-    of `ideal_intersection`, then `_local_route`) is divided exactly by g
-    with Mora's weak normal form; its unit is absorbed, which changes
-    generators only by unit factors.  The quotients are a standard basis
-    of I : g, and `standard_basis` reduces them: to the `_minimal_rows` of
-    their own degree's span if the colon has finite codimension, else by
-    interreduction (`_interreduce`, with weak normal forms of the
-    tails).  Every basis here comes from the one loop, under a global
-    order."""
+    For any other g each generator h_i of I ∩ <g> in the polynomial ring
+    (the t-trick of `ideal_intersection`) is a multiple of g there, so
+    classical division by g under grlex leaves remainder 0 and the
+    quotient h_i / g.  The quotients generate I : g, in the polynomial
+    ring and so locally, and `standard_basis` reduces them once: to the
+    `_minimal_rows` of their own degree's span if the colon has finite
+    codimension, else to their interreduced Lazard basis
+    (`_interreduce`, with weak normal forms of the tails).  Every basis
+    here comes from the one loop, under a global order."""
     if g.is_zero():
         raise ValueError("colon by the zero germ")
     span, basis = _local_route(I, k)
@@ -454,18 +447,15 @@ def colon_ideal(I: List[Jet], g: Jet, k: Optional[int] = None) -> List[Jet]:
     elif g.constant_term() != 0:  # I : u = I for a unit u
         out = _interreduce(basis, LocalOrder(), None)
     else:
-        inter = ideal_intersection(I, [g])
-        out = []
-        if inter:
-            quotients = []
-            for h in standard_basis(inter).generators:
-                r, _, (q,) = _weak_nf(h, [g], LocalOrder())
-                if not r.is_zero():
-                    raise ArithmeticError(
-                        "intersection generator not divisible by g; this "
-                        "indicates an internal inconsistency")
-                quotients.append(q)
-            out = standard_basis(quotients).generators
+        quotients = []
+        for h in ideal_intersection(I, [g]):
+            res = mora_divide(h, [g], GrLexOrder())
+            if not res.remainder.is_zero():
+                raise ArithmeticError(
+                    "intersection generator not divisible by g; this "
+                    "indicates an internal inconsistency")
+            quotients.append(res.quotients[0])
+        out = standard_basis(quotients).generators if quotients else []
     return [_local_primitive(h) for h in out]
 
 

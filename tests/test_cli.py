@@ -161,10 +161,11 @@ def test_standard_basis_of_x_times_a_unit_by_order(capsys, order, basis):
 
 
 def test_untruncated_standard_basis_prints_no_unit_factor(capsys):
-    # the ideal has infinite codimension, so Mora's basis is printed, and
-    # its second generator is lam^5 times a unit.  That unit was stripped
-    # before the tail was weak-normalized, and the rebuilt lead*unit + r
-    # printed lam^5 + 4/3*x^2*lam^5 - ...; at degree 8 it was lam^5
+    # the ideal has infinite codimension, so its interreduced local basis
+    # is printed, and its second generator is lam^5 times a unit.  That
+    # unit was stripped before the tail was weak-normalized, and the
+    # rebuilt lead*unit + r printed lam^5 + 4/3*x^2*lam^5 - ...; at degree
+    # 8 it was lam^5
     argv = ["standard-basis", "-5*x^2*lam - 20/3*x*lam^3",
             "-3/2*x*lam - 3/2*lam^3 - 2*x^3*lam", "--vars", "x,lam"]
     assert run(capsys, *argv) \
