@@ -19,6 +19,12 @@ from .singularity import UnfoldingGerm
 
 TOL = 1e-9
 
+# `_line_signs` evaluates a line of degree >= 2 at the first of each block
+# of _BLOCK grid points, and at the others only where that value does not
+# certify the block's sign
+_BLOCK = 8
+_SAFETY = 1.0 + 2.0 ** -20  # covers the rounding of `_line_signs`' bound
+
 COLORS = {
     # interior transition set (the figure convention)
     "B": "#0000FF",
@@ -433,11 +439,32 @@ class Diagram:
     window: Tuple[Tuple[float, float], Tuple[float, float]]
 
 
+def _restriction(lists):
+    """The function t -> [sum(c * t ** k for k, c in terms) for terms in
+    lists]: a polynomial's coefficients, lowest degree first, on the grid
+    line where its other variable is t.  A list whose powers k are all 0 is
+    summed once, here, by that same expression at t = 1.0: t ** 0 is 1.0
+    at every float t, so the sum is the same float at every t.  Only the
+    other lists are summed at each t."""
+    sums = [sum(c * 1.0 ** k for k, c in terms) for terms in lists]
+    moving = [(i, terms) for i, terms in enumerate(lists)
+              if any(k for k, _c in terms)]
+
+    def at(t):
+        coeffs = sums.copy()
+        for i, terms in moving:
+            coeffs[i] = sum(c * t ** k for k, c in terms)
+        return coeffs
+
+    return at
+
+
 class _PlanePoly:
     """A polynomial in floats on the plane of two of its variables, v
     (vertical) and h (horizontal), the others fixed; called as g(v, h).
     On a line h = const or v = const it is a polynomial in one variable,
-    whose coefficients `column` and `line` return, lowest degree first."""
+    whose coefficients `column(h)` and `line(v)` return, lowest degree
+    first (`_restriction`)."""
 
     def __init__(self, poly: Jet, v: str, h: str, fixed: dict):
         iv, ih = poly.variables.index(v), poly.variables.index(h)
@@ -458,25 +485,16 @@ class _PlanePoly:
                      for i in range(vdeg + 1)]
         self.lines = [[(i, c) for i, j2, c in terms if j2 == j]
                       for j in range(hdeg + 1)]
-
-    def column(self, h):
-        """The coefficients in v of g(v, h) at this h."""
-        return [sum(c * h ** j for j, c in col) for col in self.cols]
-
-    def line(self, v):
-        """The coefficients in h of g(v, h) at this v."""
-        return [sum(c * v ** i for i, c in terms) for terms in self.lines]
+        self.column = _restriction(self.cols)  # coefficients in v at h
+        self.line = _restriction(self.lines)  # coefficients in h at v
 
     def __call__(self, v, h):
-        return _horner(self.column(h), v)
-
-
-def _horner(coeffs, t):
-    """The polynomial with coefficients coeffs (lowest degree first) at t."""
-    val = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        val = val * t + c
-    return val
+        """g(v, h), by Horner's rule on the column at h."""
+        coeffs = self.column(h)
+        val = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            val = val * v + c
+        return val
 
 
 def _crossing(coeffs, t0, t1, positive):
@@ -494,8 +512,12 @@ def _crossing(coeffs, t0, t1, positive):
     the bracket halves it (a bisection guard, as in Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4).  The first step's
     point where |value| <= TOL is returned, else after 80 steps the last
-    bracket's midpoint."""
-    f0, f1 = _horner(coeffs, t0), _horner(coeffs, t1)
+    bracket's midpoint.  Every value is Horner's rule, run inline on the
+    coefficients below the top one, highest degree first."""
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    f0 = f1 = top
+    for c in rest:
+        f0, f1 = f0 * t0 + c, f1 * t1 + c
     agree = f0 != 0.0 and f1 != 0.0 and (f0 > 0) == positive != (f1 > 0)
     if not agree:
         f0 = 1.0 if positive else -1.0
@@ -511,7 +533,9 @@ def _crossing(coeffs, t0, t1, positive):
             cut = t0 - f0 * width / (f1 - f0)
             if t0 < cut < t1:
                 t = cut
-        ft = _horner(coeffs, t)
+        ft = top
+        for c in rest:
+            ft = ft * t + c
         if abs(ft) <= TOL:
             return t
         if (ft > 0) == (f0 > 0):
@@ -538,8 +562,37 @@ def _line_signs(coeffs, points):
     lo and hi, as long as the value just before lo and the one at hi are
     among them or lie past the line's ends.  Otherwise (a run of zeros
     longer than that, or a root rounded far off) two binary searches on
-    the expression over the whole line find them.  Any other line is
-    evaluated at every point."""
+    the expression over the whole line find them.
+
+    Any other line, of degree d >= 2 (or with a non-finite coefficient),
+    is cut into blocks of _BLOCK points, and evaluated by the same Horner
+    expression at the first point a of each block [a, b] and at every
+    point of a block that a does not certify.  With p the polynomial of
+    the float coefficients c_i, T = max(1, |t| over the line), u = 2^-53
+    and g = 2du / (1 - 2du), Horner's float value fl p(t) differs from
+    p(t) by at most g * S with S = sum |c_i| T^i wherever |t| <= T
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 5.1, eq. 5.3), and p moves by at most (b - a) * S' on
+    [a, b], S' = sum i |c_i| T^(i - 1).  So a block is certified when
+
+        |fl p(a)| > 2 g S + (b - a) S' + E:
+
+    then |p(t)| > g S at every t in [a, b], so fl p(t) is nonzero there
+    and has the sign of p(t), which is p(a)'s (p has no root in [a, b])
+    and fl p(a)'s, and the block's points take that sign without being
+    evaluated.  E = 4 (d + 1) T^d 2^-1074 covers the absolute errors of
+    underflow, which the relative bound leaves out: in gradual underflow a
+    product can lose up to 2^-1075, which Horner's rule carries at most
+    T^(d - 1) further, and the bound's own products can lose it too.  The
+    whole bound is multiplied by 1 + 2^-20, far above its own rounding
+    error of about (2d + 10) u.  T is at least 1 so that no power of it
+    underflows, and so that S bounds every intermediate value of Horner's
+    rule on the line: when 2 S + S' is not finite (a non-finite
+    coefficient, or a bound that overflows) no block is certified, and
+    nothing overflows in a certified block.  Nor is a block of a line
+    shorter than 4 blocks, or whose first value is NaN.
+    The signs and zeros are those of Horner's rule at every point, at
+    about one evaluation in _BLOCK away from the line's roots."""
     n = len(points)
     if len(coeffs) <= 2 and all(map(isfinite, coeffs)):
         c0, c1 = coeffs[0], coeffs[1] if len(coeffs) == 2 else 0.0
@@ -558,12 +611,50 @@ def _line_signs(coeffs, points):
         signs = (b"\1" * lo + bytes(n - lo) if falling
                  else bytes(hi) + b"\1" * (n - hi))
         return signs, range(lo, hi)
-    vals = [coeffs[-1]] * n
-    for c in reversed(coeffs[:-1]):
-        vals = [a * t + c for a, t in zip(vals, points)]
-    zeros = ([m for m, val in enumerate(vals) if val == 0.0]
-             if 0.0 in vals else [])
-    return bytes(map((0.0).__lt__, vals)), zeros
+    top, rest = coeffs[-1], coeffs[-2::-1]
+
+    def horner(ts):
+        vals = [top] * len(ts)
+        for c in rest:
+            vals = [a * t + c for a, t in zip(vals, ts)]
+        return vals
+
+    firsts = points[::_BLOCK]
+    heads = horner(firsts)
+    sure = [False] * len(heads)
+    if n >= 4 * _BLOCK:
+        d = len(coeffs) - 1
+        powers, t_max = [1.0], max(1.0, -points[0], points[-1])
+        for _ in range(d):  # T^i, each by one more product
+            powers.append(powers[-1] * t_max)
+        size = sum(abs(c) * p for c, p in zip(coeffs, powers))
+        slope = _SAFETY * sum(i * abs(c) * p for i, c, p
+                              in zip(range(1, d + 1), coeffs[1:], powers))
+        u, tiny = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least float
+        g = 2 * d * u / (1 - 2 * d * u)
+        err = _SAFETY * (2 * g * size + 4 * (d + 1) * powers[-1] * tiny)
+        if isfinite(2 * size + slope):
+            lasts = points[_BLOCK - 1::_BLOCK] + points[-1:]
+            sure = [abs(f) > err + (b - a) * slope
+                    for f, a, b in zip(heads, firsts, lasts)]
+    block = (bytes(_BLOCK), b"\1" * _BLOCK)  # a certified block's signs
+    signs = bytearray(b"".join([block[f > 0] for f in heads]))
+    del signs[n:]
+    runs = []  # [lo, hi) of each run of blocks not certified
+    for lo, ok in zip(range(0, n, _BLOCK), sure):
+        if ok:
+            continue
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] = min(lo + _BLOCK, n)
+        else:
+            runs.append([lo, min(lo + _BLOCK, n)])
+    zeros = []
+    for lo, hi in runs:
+        vals = horner(points[lo:hi])
+        signs[lo:hi] = bytes(map((0.0).__lt__, vals))
+        if 0.0 in vals:
+            zeros += [lo + i for i, val in enumerate(vals) if val == 0.0]
+    return bytes(signs), zeros
 
 
 def plot_window(box):
@@ -594,7 +685,9 @@ def _march(g, window, n):
     the float 0.0 (`_line_signs`): a line of degree <= 1 takes them from
     its float root's place on the grid, since its float values are
     monotone along the ascending grid, and any other line from Horner's
-    rule at every vertex.  A zero vertex counts as negative, and is itself
+    rule at the first vertex of each block of _BLOCK, and at each vertex
+    of a block whose sign that value does not certify (by a bound on
+    Horner's rounding error).  A zero vertex counts as negative, and is itself
     the crossing on its edges to positive vertices, so the curve through
     it is kept.  With two adjacent lines' bytes read as integers a and b,
     the cells between them whose corners differ in sign are the nonzero

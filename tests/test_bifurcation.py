@@ -2,6 +2,7 @@
 and rendering."""
 
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -27,15 +28,16 @@ from germforge.bifurcation import (
     TOL,
     Component,
     TransitionSet,
+    _BLOCK,
     _crossing,
     _divided_difference,
     _grid_points,
-    _horner,
     _line_signs,
     _march,
     _pieces_where,
     _PlanePoly,
     _realness_conditions,
+    _restriction,
 )
 from germforge.localalg import _qq, eliminate, poly_ring, to_ring
 
@@ -57,6 +59,15 @@ def evaluator(body, params, alpha):
     `bifurcation_diagram` traces."""
     return _PlanePoly(body, body.variables[0], body.variables[1],
                       dict(zip(params, alpha)))
+
+
+def horner(coeffs, t):
+    """The polynomial with coefficients coeffs (lowest degree first) at t,
+    by Horner's rule, the tracer's float evaluation."""
+    val = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        val = val * t + c
+    return val
 
 
 def jet(terms):
@@ -1022,10 +1033,10 @@ def test_march_crossings_lie_on_their_grid_lines(plane):
                 assert g(v, h) == 0.0
             elif v in vs:
                 kinds["h"] += 1
-                assert abs(_horner(g.line(v), h)) <= TOL
+                assert abs(horner(g.line(v), h)) <= TOL
             else:
                 kinds["v"] += 1
-                assert abs(_horner(g.column(h), v)) <= TOL
+                assert abs(horner(g.column(h), v)) <= TOL
     # both restrictions were rooted: the curve has degree 2 or more in h
     assert kinds["h"] > 0 and kinds["v"] > 0
 
@@ -1123,12 +1134,7 @@ def test_march_crossings_match_sign_changes_on_every_grid_line(body):
 def horner_signs(coeffs, points):
     """Reference for `_line_signs`: every point's value by Horner's rule,
     its sign byte, and the points where it is exactly 0.0."""
-    values = []
-    for t in points:
-        val = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            val = val * t + c
-        values.append(val)
+    values = [horner(coeffs, t) for t in points]
     return (bytes(val > 0 for val in values),
             [m for m, val in enumerate(values) if val == 0.0])
 
@@ -1193,12 +1199,139 @@ def test_line_signs_of_a_linear_line_match_horner(case):
     [0.25, -1.0, 1.0],     # degree 2: t^2 - t + 1/4, a double root at 1/2
 ])
 def test_line_signs_of_other_lines_match_horner(coeffs):
-    # a non-finite coefficient or a degree above 1 keeps the evaluation at
-    # every point
+    # a line of 9 points is shorter than 4 blocks, so a non-finite
+    # coefficient or a degree above 1 keeps the evaluation at every point
+    # (longer lines: test_line_signs_of_a_long_line_match_horner)
     points = [-1.0 + j * (2.0 / 8) for j in range(9)]
-    assert 0.0 in points and 0.5 in points
+    assert 0.0 in points and 0.5 in points and len(points) < 4 * _BLOCK
     signs, zeros = _line_signs(coeffs, points)
     assert (signs, list(zeros)) == horner_signs(coeffs, points)
+
+
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1e-300, 1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _long_line(draw):
+    """An ascending grid as `_march` builds it, long enough for
+    `_line_signs` to certify blocks, and the coefficients of a line of
+    degree 2-7 on it.  Either the product of factors t - r, scaled by a
+    power of 2 or of 10 between about 1e-300 and 1e300, with each root r
+    on a grid vertex, strictly between two, repeated (a multiple root),
+    a few ulps from the one before (a cluster) or anywhere near the grid
+    (on the dyadic grid of [-1, 1], a root on a vertex makes its value
+    exactly 0.0 there, unless the scaling rounds), or coefficients drawn
+    from +-0.0, subnormals, +-inf, NaN and magnitudes from 1e-300 to
+    1e300."""
+    degree = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([33, 65, 129]))
+        lo, hi = -1.0, 1.0
+    else:
+        n = draw(st.integers(4 * _BLOCK, 130))
+        lo = draw(st.floats(-10, 10))
+        hi = lo + draw(st.floats(1e-3, 20))
+    points = [lo + j * ((hi - lo) / (n - 1)) for j in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        magnitude = st.builds(lambda sign, e: sign * 10.0 ** e,
+                              st.sampled_from([1.0, -1.0]),
+                              st.integers(-300, 300))
+        coeffs = draw(st.lists(st.one_of(st.sampled_from(_ODD_FLOATS),
+                                         magnitude, st.floats()),
+                               min_size=degree + 1, max_size=degree + 1))
+        return points, coeffs
+    roots = []
+    for _ in range(degree):
+        kind = draw(st.sampled_from(["vertex", "between", "repeat",
+                                     "cluster", "any"]))
+        m = draw(st.integers(0, n - 2))
+        if kind == "vertex":
+            roots.append(points[m])
+        elif kind == "between":
+            roots.append((points[m] + points[m + 1]) / 2)
+        elif roots and kind == "repeat":
+            roots.append(roots[-1])
+        elif roots and kind == "cluster":
+            roots.append(roots[-1] + draw(st.integers(1, 4))
+                         * math.ulp(roots[-1]))
+        else:
+            roots.append(draw(st.floats(lo - 1, hi + 1)))
+    coeffs = [1.0]
+    for r in roots:  # times (t - r)
+        coeffs = [a - r * b for a, b in zip([0.0] + coeffs, coeffs + [0.0])]
+    scale = (2.0 ** draw(st.integers(-990, 990)) if draw(st.booleans())
+             else 10.0 ** draw(st.integers(-300, 300)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return points, [sign * scale * c for c in coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_line())
+@example(([-1.0 + j / 16 for j in range(33)],
+          [0.25 * c for c in (0.25, -1.0, 1.0)]))  # (t - 1/2)^2 / 4
+# subnormal coefficients, whose products round by up to 2^-1075 each: only
+# the bound's underflow term keeps the last block, with its float zero at
+# t = 15/16 and its negative value at t = 1, uncertified
+@example(([-1.0 + j / 16 for j in range(33)], [1e-322, -1.04e-322, 0.0]))
+def test_line_signs_of_a_long_line_match_horner(case):
+    # a block that its first point's value certifies takes that sign
+    # without being evaluated, and every other block is evaluated at every
+    # point: the bytes and the exact zeros must be Horner's, point by point
+    points, coeffs = case
+    signs, zeros = _line_signs(coeffs, points)
+    assert (signs, list(zeros)) == horner_signs(coeffs, points)
+
+
+def test_line_signs_evaluates_few_points_of_a_well_separated_quadratic():
+    # (t - 3/10)(t + 6/10) on 801 points of [-1, 1]: the first point of
+    # each of the 101 blocks is evaluated, and the other points only of
+    # the blocks near the two roots.  Its constant term counts the
+    # evaluations, since Horner's rule adds it last, once per point
+    calls = []
+
+    class Counted(float):
+        def __radd__(self, other):
+            calls.append(other)
+            return float(self) + other
+
+    n = 801
+    points = [-1.0 + j * (2.0 / (n - 1)) for j in range(n)]
+    coeffs = [Counted(-0.18), 0.3, 1.0]
+    signs, zeros = _line_signs(coeffs, points)
+    evaluations = len(calls)
+    assert (signs, list(zeros)) == horner_signs(coeffs, points)
+    assert len(range(0, n, _BLOCK)) <= evaluations <= n // 4
+
+
+def test_restriction_gives_the_per_term_sums():
+    # each coefficient of a grid line is the float of its per-term sum
+    # sum(c * t ** k), bit for bit, whether its list was summed once (all
+    # powers 0) or is summed at each t, also for -0.0, inf and NaN
+    # coefficients and at t = +-0.0, +-inf and NaN; the _PlanePoly of
+    # a*b*(1 + v - h^2) - 2*a*b*(v*h + 1) + h at a = b = 1e200 has inf and
+    # NaN coefficients too, in constant and moving lists
+    def bits(values):
+        return [(type(x), struct.pack("<d", x)) for x in values]
+
+    def per_term(lists, t):
+        return [sum(c * t ** k for k, c in terms) for terms in lists]
+
+    lists = [[(0, -0.0)], [(0, 1.5), (0, math.inf)], [(1, 2.0), (0, -0.0)],
+             [(0, math.nan)], [], [(2, -math.inf), (1, 0.5)],
+             [(0, 0.1), (0, 0.2), (0, -0.0)], [(3, 1e300), (0, -1e300)]]
+    ts = [0.0, -0.0, 1.0, -2.5, 1e-200, -7e-310, 1e100, math.inf,
+          -math.inf, math.nan]
+    for t in ts:
+        assert bits(_restriction(lists)(t)) == bits(per_term(lists, t))
+    body = parse_and_expand("a*b*(1 + v - h^2) - 2*a*b*(v*h + 1) + h",
+                            ("v", "h", "a", "b"), None)
+    g = _PlanePoly(body, "v", "h", {"a": 10 ** 200, "b": 10 ** 200})
+    assert any(map(math.isnan, g.column(0.5)))
+    assert any(map(math.isinf, g.line(0.5)))
+    for t in ts:
+        assert bits(g.column(t)) == bits(per_term(g.cols, t))
+        assert bits(g.line(t)) == bits(per_term(g.lines, t))
 
 
 def bisect_reference(coeffs, t0, t1, v0):
@@ -1207,7 +1340,7 @@ def bisect_reference(coeffs, t0, t1, v0):
     |value| <= TOL or 80 halvings; returns the last midpoint."""
     for _ in range(80):
         tm = (t0 + t1) / 2.0
-        vm = _horner(coeffs, tm)
+        vm = horner(coeffs, tm)
         if abs(vm) <= TOL:
             return tm
         if (vm > 0) == (v0 > 0):
@@ -1294,8 +1427,8 @@ def test_crossing_agrees_with_bisection(edge):
     reference = bisect_reference(floats, t0, t1, 1.0 if positive else -1.0)
     t = _crossing(floats, t0, t1, positive)
     assert t0 < t < t1
-    assert abs(_horner(floats, t)) <= TOL
-    f0, f1 = _horner(floats, t0), _horner(floats, t1)
+    assert abs(horner(floats, t)) <= TOL
+    f0, f1 = horner(floats, t0), horner(floats, t1)
     if f0 == 0.0 or f1 == 0.0 or (f0 > 0) != positive or (f1 > 0) == positive:
         assert t == reference
     if min(abs(f0), abs(f1)) > TOL and _roots_in(coeffs, t0, t1) == 1:
@@ -1312,7 +1445,7 @@ def test_crossing_keeps_the_grid_sign_where_g_is_exactly_zero(monkeypatch):
     # the flattest crossed edge, of slope 0.077, spans 2.6e-8
     G, alpha = winged_cusp(), (Fraction(1, 2), Fraction(2, 3), Fraction(1, 12))
     g = evaluator(G.body, G.params, alpha)
-    assert _horner(g.line(-1.0), -0.95) > 0 >= _horner(g.column(-0.95), -1.0)
+    assert horner(g.line(-1.0), -0.95) > 0 >= horner(g.column(-0.95), -1.0)
     curves = bifurcation_diagram(G, alpha, resolution=400).curves
     monkeypatch.setattr(
         "germforge.bifurcation._crossing",
